@@ -76,6 +76,47 @@ CASES = [
      ["present", "universal-group", "data/c6.category"], 0),
     ("present_ugp_parallel",
      ["present", "universal-group", "data/parallel.category"], 0),
+    ("validate_category_json",
+     ["validate", "--format", "json", "data/c6.category"], 0),
+    ("mult_json", ["mult", "--format", "json", "data/c6.category", "a", "a'"],
+     0),
+    ("gcd_right_json",
+     ["gcd", "--side", "right", "--format", "json",
+      "data/c6.category", "abar", "bbar"], 0),
+    ("lcm_json", ["lcm", "--format", "json", "data/c6.category", "a", "b"], 0),
+    ("greedy_json",
+     ["greedy", "--format", "json", "data/c6.category", "a a' a"], 0),
+    ("check_category_c6_json",
+     ["check", "category", "--format", "json", "data/c6.category"], 0),
+    ("check_gcd_c6_json",
+     ["check", "gcd-monoid", "--format", "json", "data/c6.category"], 0),
+    ("barycentric_triangle_json",
+     ["barycentric", "--format", "json", "data/triangle.complex"], 0),
+    ("chain_complex_diamond_json",
+     ["chain-complex", "--format", "json", "data/diamond.poset"], 0),
+    ("cross_check_p7_json",
+     ["cross-check", "--format", "json", "data/p7.poset"], 0),
+    ("spindle_category_diamond_json",
+     ["spindle", "category", "--format", "json",
+      "data/diamond.poset", "0", "1"], 0),
+    ("spindle_presentation_diamond_json",
+     ["spindle", "presentation", "--format", "json",
+      "data/diamond.poset", "0", "1"], 0),
+    ("embed_check_z3_json",
+     ["embed-check", "--format", "json",
+      "data/c6.category", "data/c6_z3.functor"], 0),
+    ("monoid_equal_yes_json",
+     ["monoid", "equal", "--format", "json",
+      "data/b3.monoid", "a b a", "b a b"], 0),
+    ("monoid_atoms_c6_json",
+     ["monoid", "atoms", "--format", "json", "data/c6.monoid"], 0),
+    ("monoid_crm_ab_json",
+     ["monoid", "crm", "--format", "json", "data/c6.monoid", "a", "b"], 0),
+    ("monoid_m6_json", ["monoid", "m6", "--format", "json", "--max-len", "2"],
+     0),
+    ("present_ugp_c6_json",
+     ["present", "universal-group", "--format", "json", "data/c6.category"],
+     0),
 ]
 
 
