@@ -4,6 +4,10 @@ Reports are single lines of "key: value" fields separated by two spaces;
 --format json mirrors the same report as one JSON object.  Exit codes:
 0 success, 1 property-check failure or absent optional result, 2 input or
 precondition error.
+
+Every ``cmd_*`` handler returns ``(exit code, text, JSON object)``; ``main``
+is the only code that writes stdout.  The ``COMMANDS`` table declares every
+subcommand and its arguments.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from .complexes import barycentric
 from .errors import CatmonError, InvalidStructure, ParseError
 from .groups import embeddability_verdict
 from .homotopy import chain_complex, cross_check, floating_decomposition
-from .interval import cat_of_poset, gcd_criterion
+from .interval import gcd_criterion
 from .presented import (atoms, common_right_multiple, congruence_class,
                         equal_in_monoid, verify_m6_embedding)
 from .spindle import (detect_spindle, is_extreme_spindle, spindle_category,
@@ -33,22 +37,13 @@ def _read(path):
             return fh.read()
     except OSError as e:
         raise ParseError(f"{path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte "
+                         f"{e.start})") from None
 
 
-def _load_poset(path):
-    return formats.load_poset(_read(path), path)
-
-
-def _load_complex(path):
-    return formats.load_complex(_read(path), path)
-
-
-def _load_category(path):
-    return formats.load_category(_read(path), path)
-
-
-def _load_monoid(path):
-    return formats.load_monoid(_read(path), path)
+def _load(loader, path):
+    return loader(_read(path), path)
 
 
 def _word(cat, text):
@@ -63,110 +58,79 @@ def _okfail(flag):
     return "OK" if flag else "FAIL"
 
 
-def _emit(args, pairs, obj=None):
-    """pairs: [(label, text value)] for the report line; obj: JSON mirror."""
-    if args.format == "json":
-        print(json.dumps(obj if obj is not None else dict(pairs),
-                         sort_keys=True))
-    else:
-        print("  ".join(f"{k}: {v}" for k, v in pairs))
+def _line(pairs):
+    """One report line from [(label, value)]."""
+    return "  ".join(f"{k}: {v}" for k, v in pairs)
 
 
-def _emit_text(args, text, obj):
-    if args.format == "json":
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+def _optional(key, value, absent, **extra):
+    """Report a result that may not exist: exit 1 and ``absent`` if None."""
+    if value is None:
+        return 1, _line([(key, absent)]), {key: None, **extra}
+    return 0, _line([(key, value)]), {key: value, **extra}
 
 
-# -- subcommands -------------------------------------------------------------
+# -- subcommands: each returns (exit code, text, JSON object) ----------------
+
+# kind -> the two attributes counted in its summary, named as they are shown
+_SUMMARY = {"poset": ("elements", "covers"),
+            "complex": ("vertices", "facets"),
+            "category": ("objects", "arrows"),
+            "presentation": ("generators", "relators"),
+            "monoid": ("generators", "relations")}
+
 
 def cmd_validate(args):
     text = _read(args.file)
     try:
         kind, obj = formats.load_any(text, args.file)
-    except ParseError:
-        raise
     except InvalidStructure as e:
-        if args.format == "json":
-            print(json.dumps({"ok": False, "error": str(e)}, sort_keys=True))
-        else:
-            print(f"INVALID: {e}")
-        return 1
-    summaries = {
-        "poset": lambda p: (f"{len(p.elements)} elements, "
-                            f"{len(p.covers)} covers"),
-        "complex": lambda k: (f"{len(k.vertices)} vertices, "
-                              f"{len(k.facets)} facets"),
-        "category": lambda c: (f"{len(c.objects)} objects, "
-                               f"{len(c.arrows)} arrows"),
-        "presentation": lambda p: (f"{len(p.generators)} generators, "
-                                   f"{len(p.relators)} relators"),
-        "monoid": lambda p: (f"{len(p.generators)} generators, "
-                             f"{len(p.relations)} relations"),
-    }
-    summary = summaries[kind](obj)
-    _emit(args, [("OK", f"{kind} ({summary})")],
-          {"ok": True, "kind": kind, "summary": summary})
-    return 0
+        return 1, f"INVALID: {e}", {"ok": False, "error": str(e)}
+    summary = ", ".join(f"{len(getattr(obj, a))} {a}" for a in _SUMMARY[kind])
+    return (0, _line([("OK", f"{kind} ({summary})")]),
+            {"ok": True, "kind": kind, "summary": summary})
 
 
 def cmd_nf(args):
-    cat = _load_category(args.file)
-    x = _word(cat, args.word)
-    _emit_text(args, str(x), {"normal_form": str(x), "length": x.length})
-    return 0
+    x = _word(_load(formats.load_category, args.file), args.word)
+    return 0, str(x), {"normal_form": str(x), "length": x.length}
 
 
 def cmd_mult(args):
-    cat = _load_category(args.file)
+    cat = _load(formats.load_category, args.file)
     x = multiply(_word(cat, args.left), _word(cat, args.right))
-    _emit_text(args, str(x), {"product": str(x), "length": x.length})
-    return 0
+    return 0, str(x), {"product": str(x), "length": x.length}
 
 
 def cmd_gcd(args):
-    cat = _load_category(args.file)
+    cat = _load(formats.load_category, args.file)
     g = gcd_family(args.side, [_word(cat, w) for w in args.words])
-    if g is None:
-        _emit(args, [("gcd", "absent")], {"gcd": None, "side": args.side})
-        return 1
-    _emit(args, [("gcd", str(g))], {"gcd": str(g), "side": args.side})
-    return 0
+    return _optional("gcd", g if g is None else str(g), "absent",
+                     side=args.side)
 
 
 def cmd_lcm(args):
-    cat = _load_category(args.file)
+    cat = _load(formats.load_category, args.file)
     m = lcm_pair(args.side, generator(cat, args.a), generator(cat, args.b))
-    if m is None:
-        _emit(args, [("lcm", "absent")], {"lcm": None, "side": args.side})
-        return 1
-    _emit(args, [("lcm", str(m))], {"lcm": str(m), "side": args.side})
-    return 0
+    return _optional("lcm", m if m is None else str(m), "absent",
+                     side=args.side)
 
 
 def cmd_greedy(args):
-    cat = _load_category(args.file)
+    cat = _load(formats.load_category, args.file)
     factors = greedy_normal_form(_word(cat, args.word))
     text = " ".join(factors) if factors else "1"
-    _emit(args, [("greedy", text), ("verified", "YES")],
-          {"greedy": list(factors), "verified": True})
-    return 0
+    return (0, _line([("greedy", text), ("verified", "YES")]),
+            {"greedy": list(factors), "verified": True})
 
 
 def cmd_check_category(args):
-    cat = _load_category(args.file)
-    pairs = [("valid", "YES"),
-             ("conical", _yn(cat.is_conical())),
-             ("left-cancellative", _yn(cat.is_left_cancellative())),
-             ("right-cancellative", _yn(cat.is_right_cancellative()))]
-    _emit(args, pairs, {
-        "valid": True,
-        "conical": cat.is_conical(),
-        "left_cancellative": cat.is_left_cancellative(),
-        "right_cancellative": cat.is_right_cancellative(),
-    })
-    return 0
+    cat = _load(formats.load_category, args.file)
+    obj = {"valid": True,
+           "conical": cat.is_conical(),
+           "left_cancellative": cat.is_left_cancellative(),
+           "right_cancellative": cat.is_right_cancellative()}
+    return 0, _line((k.replace("_", "-"), _yn(v)) for k, v in obj.items()), obj
 
 
 def cmd_check_gcd_monoid(args):
@@ -175,35 +139,33 @@ def cmd_check_gcd_monoid(args):
     if kind == "poset":
         rep = gcd_criterion(formats.load_poset(text, args.file))
         left, right, overall = rep.left_ok, rep.right_ok, rep.holds
-        detail = {"witnesses": {k: list(v) for k, v in rep.witnesses.items()}}
+        detail = {}
     elif kind == "category":
         rep = formats.load_category(text, args.file).gcd_category_report()
         left = rep.left_cancellative and rep.left_gcds
         right = rep.right_cancellative and rep.right_gcds
         overall = rep.holds
-        detail = {"conical": rep.conical,
-                  "witnesses": {k: list(v) for k, v in rep.witnesses.items()}}
+        detail = {"conical": rep.conical}
     else:
         raise ParseError(f"{args.file}:1: expected a poset or category file")
-    _emit(args, [("left", _okfail(left)), ("right", _okfail(right)),
-                 ("gcd-monoid", _yn(overall))],
-          {"left": left, "right": right, "gcd_monoid": overall, **detail})
-    return 0 if overall else 1
+    detail["witnesses"] = {k: list(v) for k, v in rep.witnesses.items()}
+    return (0 if overall else 1,
+            _line([("left", _okfail(left)), ("right", _okfail(right)),
+                   ("gcd-monoid", _yn(overall))]),
+            {"left": left, "right": right, "gcd_monoid": overall, **detail})
 
 
 def cmd_barycentric(args):
-    poset = barycentric(_load_complex(args.file))
-    _emit_text(args, formats.dump_poset(poset),
-               {"elements": list(poset.elements),
-                "covers": [list(c) for c in poset.covers]})
-    return 0
+    poset = barycentric(_load(formats.load_complex, args.file))
+    return (0, formats.dump_poset(poset),
+            {"elements": list(poset.elements),
+             "covers": [list(c) for c in poset.covers]})
 
 
 def cmd_chain_complex(args):
-    k = chain_complex(_load_poset(args.file))
-    _emit_text(args, formats.dump_complex(k),
-               {"facets": [list(f) for f in k.facets]})
-    return 0
+    k = chain_complex(_load(formats.load_poset, args.file))
+    return (0, formats.dump_complex(k),
+            {"facets": [list(f) for f in k.facets]})
 
 
 def _pi1_text(pres):
@@ -214,83 +176,72 @@ def _pi1_text(pres):
 
 
 def cmd_homotopy(args):
-    dec = floating_decomposition(_load_complex(args.file))
+    dec = floating_decomposition(_load(formats.load_complex, args.file))
     total = "unknown" if dec.total_free_rank is None else dec.total_free_rank
-    _emit(args, [("tree edges", dec.tree_edge_count),
-                 ("pi1", _pi1_text(dec.pi1)),
-                 ("HG free rank", total)],
-          {"tree_edges": dec.tree_edge_count,
-           "pi1_generators": list(dec.pi1.generators),
-           "pi1_relator_count": len(dec.pi1.relators),
-           "pi1_free_rank": dec.pi1.free_rank(),
-           "hg_free_rank": dec.total_free_rank})
-    return 0
+    return (0,
+            _line([("tree edges", dec.tree_edge_count),
+                   ("pi1", _pi1_text(dec.pi1)),
+                   ("HG free rank", total)]),
+            {"tree_edges": dec.tree_edge_count,
+             "pi1_generators": list(dec.pi1.generators),
+             "pi1_relator_count": len(dec.pi1.relators),
+             "pi1_free_rank": dec.pi1.free_rank(),
+             "hg_free_rank": dec.total_free_rank})
 
 
 def cmd_cross_check(args):
-    rep = cross_check(_load_poset(args.file))
+    rep = cross_check(_load(formats.load_poset, args.file))
     hg = "unknown" if rep.hg_free_rank is None else rep.hg_free_rank
     agree = "UNKNOWN" if rep.agree is None else _yn(rep.agree)
-    _emit(args, [("HG free rank", hg),
-                 ("abelianization rank", rep.abelianization_rank),
-                 ("agree", agree)],
-          {"hg_free_rank": rep.hg_free_rank,
-           "abelianization_rank": rep.abelianization_rank,
-           "agree": rep.agree})
-    return 0 if rep.agree else 1
+    return (0 if rep.agree else 1,
+            _line([("HG free rank", hg),
+                   ("abelianization rank", rep.abelianization_rank),
+                   ("agree", agree)]),
+            {"hg_free_rank": rep.hg_free_rank,
+             "abelianization_rank": rep.abelianization_rank,
+             "agree": rep.agree})
 
 
-def _detect(args, poset):
-    return detect_spindle(poset, args.u, args.v)
+_NO_SPINDLE = (1, "spindle: NO", {"spindle": False})
 
 
 def cmd_spindle_detect(args):
-    poset = _load_poset(args.file)
-    sp = _detect(args, poset)
+    poset = _load(formats.load_poset, args.file)
+    sp = detect_spindle(poset, args.u, args.v)
     if sp is None:
-        _emit(args, [("spindle", "NO")], {"spindle": False})
-        return 1
+        return _NO_SPINDLE
     extreme = is_extreme_spindle(poset, sp)
-    if args.format == "json":
-        print(json.dumps({"spindle": True, "u": sp.u, "v": sp.v,
-                          "chains": [list(c) for c in sp.chains],
-                          "extreme": extreme}, sort_keys=True))
-    else:
-        print(f"spindle: YES  u: {sp.u}  v: {sp.v}  extreme: {_yn(extreme)}")
-        for c in sp.chains:
-            print("chain " + " ".join(c))
-    return 0
+    text = f"spindle: YES  u: {sp.u}  v: {sp.v}  extreme: {_yn(extreme)}"
+    return (0, "\n".join([text] + ["chain " + " ".join(c) for c in sp.chains]),
+            {"spindle": True, "u": sp.u, "v": sp.v,
+             "chains": [list(c) for c in sp.chains], "extreme": extreme})
 
 
 def cmd_spindle_category(args):
-    poset = _load_poset(args.file)
-    sp = _detect(args, poset)
+    poset = _load(formats.load_poset, args.file)
+    sp = detect_spindle(poset, args.u, args.v)
     if sp is None:
-        _emit(args, [("spindle", "NO")], {"spindle": False})
-        return 1
+        return _NO_SPINDLE
     cat = spindle_category(poset, sp)
-    _emit_text(args, formats.dump_category(cat),
-               {"objects": list(cat.objects),
-                "arrows": {f: [cat.src(f), cat.tgt(f)]
-                           for f in cat.non_identities()}})
-    return 0
+    return (0, formats.dump_category(cat),
+            {"objects": list(cat.objects),
+             "arrows": {f: [cat.src(f), cat.tgt(f)]
+                        for f in cat.non_identities()}})
 
 
 def cmd_spindle_presentation(args):
-    poset = _load_poset(args.file)
-    sp = _detect(args, poset)
+    poset = _load(formats.load_poset, args.file)
+    sp = detect_spindle(poset, args.u, args.v)
     if sp is None:
-        _emit(args, [("spindle", "NO")], {"spindle": False})
-        return 1
+        return _NO_SPINDLE
     pres = spindle_presentation(poset, sp)
-    _emit_text(args, formats.dump_monoid(pres),
-               {"generators": list(pres.generators),
-                "relations": [[list(l), list(r)] for l, r in pres.relations]})
-    return 0
+    return (0, formats.dump_monoid(pres),
+            {"generators": list(pres.generators),
+             "relations": [[list(l), list(r)] for l, r in pres.relations]})
 
 
 def cmd_embed_check(args):
-    cat = _load_category(args.file)
+    cat = _load(formats.load_category, args.file)
     functor = formats.load_functor(_read(args.functor), cat, args.functor)
     rep = embeddability_verdict(functor, args.max_len)
     pairs = [("functorial", _yn(rep.separation.functorial)),
@@ -308,74 +259,128 @@ def cmd_embed_check(args):
     if rep.embeds:
         pairs.append((f"sigma-injective up to {rep.checked_length}",
                       _yn(rep.sigma_injective)))
-    _emit(args, pairs, obj)
-    return 0 if rep.embeds and rep.sigma_injective else 1
+    return 0 if rep.embeds and rep.sigma_injective else 1, _line(pairs), obj
 
 
 def cmd_monoid_class(args):
-    pres = _load_monoid(args.file)
+    pres = _load(formats.load_monoid, args.file)
     members = sorted(congruence_class(pres, args.word.split()))
-    if args.format == "json":
-        print(json.dumps({"class": [" ".join(w) for w in members]},
-                         sort_keys=True))
-    else:
-        for w in members:
-            print(" ".join(w) if w else "1")
-    return 0
+    return (0, "\n".join(" ".join(w) if w else "1" for w in members),
+            {"class": [" ".join(w) for w in members]})
 
 
 def cmd_monoid_equal(args):
-    pres = _load_monoid(args.file)
+    pres = _load(formats.load_monoid, args.file)
     eq = equal_in_monoid(pres, args.left.split(), args.right.split())
-    _emit(args, [("equal", _yn(eq))], {"equal": eq})
-    return 0 if eq else 1
+    return 0 if eq else 1, _line([("equal", _yn(eq))]), {"equal": eq}
 
 
 def cmd_monoid_atoms(args):
-    rep = atoms(_load_monoid(args.file))
+    rep = atoms(_load(formats.load_monoid, args.file))
     identified = ("none" if not rep.identified_classes else
                   "; ".join(" ".join(c) for c in rep.identified_classes))
-    _emit(args, [("atoms", " ".join(rep.atoms)), ("identified", identified)],
-          {"atoms": list(rep.atoms),
-           "identified": [list(c) for c in rep.identified_classes]})
-    return 0
+    return (0, _line([("atoms", " ".join(rep.atoms)),
+                      ("identified", identified)]),
+            {"atoms": list(rep.atoms),
+             "identified": [list(c) for c in rep.identified_classes]})
 
 
 def cmd_monoid_crm(args):
-    pres = _load_monoid(args.file)
+    pres = _load(formats.load_monoid, args.file)
     w = common_right_multiple(pres, [t.split() for t in args.words],
                               args.max_len)
-    if w is None:
-        _emit(args, [("crm", f"none up to {args.max_len}")],
-              {"crm": None, "max_len": args.max_len})
-        return 1
-    _emit(args, [("crm", " ".join(w))],
-          {"crm": " ".join(w), "max_len": args.max_len})
-    return 0
+    return _optional("crm", w if w is None else " ".join(w),
+                     f"none up to {args.max_len}", max_len=args.max_len)
 
 
 def cmd_monoid_m6(args):
     rep = verify_m6_embedding(args.max_len)
-    _emit(args, [("relations", _okfail(rep.relations_hold)),
-                 ("checked length", rep.checked_length),
-                 ("classes", rep.class_count),
-                 ("injective", _yn(rep.injective))],
-          {"relations_hold": rep.relations_hold,
-           "checked_length": rep.checked_length,
-           "classes": rep.class_count,
-           "injective": rep.injective})
-    return 0 if rep.relations_hold and rep.injective else 1
+    return (0 if rep.relations_hold and rep.injective else 1,
+            _line([("relations", _okfail(rep.relations_hold)),
+                   ("checked length", rep.checked_length),
+                   ("classes", rep.class_count),
+                   ("injective", _yn(rep.injective))]),
+            {"relations_hold": rep.relations_hold,
+             "checked_length": rep.checked_length,
+             "classes": rep.class_count,
+             "injective": rep.injective})
 
 
 def cmd_present_universal_group(args):
-    pres = universal_group_presentation(_load_category(args.file))
-    _emit_text(args, formats.dump_presentation(pres),
-               {"generators": list(pres.generators),
-                "relators": [format_word(r) for r in pres.relators]})
-    return 0
+    pres = universal_group_presentation(_load(formats.load_category,
+                                              args.file))
+    return (0, formats.dump_presentation(pres),
+            {"generators": list(pres.generators),
+             "relators": [format_word(r) for r in pres.relators]})
 
 
 # -- parser ------------------------------------------------------------------
+
+def _non_negative_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid non-negative int value: {text!r}")
+    return n
+
+
+def _max_len(default):
+    return "--max-len", {"type": _non_negative_int, "default": default}
+
+
+_SIDE = "--side", {"choices": ("left", "right"), "default": "left"}
+_WORDS = "words", {"nargs": "+"}
+
+# (command path, help, handler, argument specs).  A handler of None makes a
+# command group; a spec is a positional name or a (flag, keywords) pair.
+# Every leaf also takes --format.
+COMMANDS = [
+    (("validate",), "parse and validate any input file", cmd_validate,
+     ["file"]),
+    (("nf",), "normal form of a word over a category", cmd_nf,
+     ["file", "word"]),
+    (("mult",), "multiply two elements of Um(S)", cmd_mult,
+     ["file", "left", "right"]),
+    (("gcd",), "gcd of a family of elements", cmd_gcd,
+     [_SIDE, "file", _WORDS]),
+    (("lcm",), "lcm of two generator arrows", cmd_lcm,
+     [_SIDE, "file", "a", "b"]),
+    (("greedy",), "greedy normal form with verification", cmd_greedy,
+     ["file", "word"]),
+    (("check",), "structural property reports", None, []),
+    (("check", "category"), None, cmd_check_category, ["file"]),
+    (("check", "gcd-monoid"), None, cmd_check_gcd_monoid, ["file"]),
+    (("barycentric",), "barycentric subdivision poset of a complex",
+     cmd_barycentric, ["file"]),
+    (("chain-complex",), "chain complex of a poset", cmd_chain_complex,
+     ["file"]),
+    (("homotopy",), "floating homotopy decomposition of a complex",
+     cmd_homotopy, ["file"]),
+    (("cross-check",), "homotopy route vs abelianization route",
+     cmd_cross_check, ["file"]),
+    (("spindle",), "spindle detection and category", None, []),
+    (("spindle", "detect"), None, cmd_spindle_detect, ["file", "u", "v"]),
+    (("spindle", "category"), None, cmd_spindle_category,
+     ["file", "u", "v"]),
+    (("spindle", "presentation"), None, cmd_spindle_presentation,
+     ["file", "u", "v"]),
+    (("embed-check",), "hom-set separation and σ-injectivity",
+     cmd_embed_check, ["file", "functor", _max_len(3)]),
+    (("monoid",), "homogeneous presentation word problem", None, []),
+    (("monoid", "class"), None, cmd_monoid_class, ["file", "word"]),
+    (("monoid", "equal"), None, cmd_monoid_equal, ["file", "left", "right"]),
+    (("monoid", "atoms"), None, cmd_monoid_atoms, ["file"]),
+    (("monoid", "crm"), None, cmd_monoid_crm, ["file", _WORDS, _max_len(8)]),
+    (("monoid", "m6"), None, cmd_monoid_m6, [_max_len(5)]),
+    (("present",), "emit presentations", None, []),
+    (("present", "universal-group"), None, cmd_present_universal_group,
+     ["file"]),
+]
+
 
 def build_parser():
     top = argparse.ArgumentParser(
@@ -383,139 +388,38 @@ def build_parser():
         description="Universal monoids of finite categories: normal forms, "
                     "gcds, interval monoids, spindles, floating homotopy "
                     "groups, embeddability checks.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    side = argparse.ArgumentParser(add_help=False)
-    side.add_argument("--side", choices=("left", "right"), default="left")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common],
-                       help="parse and validate any input file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("nf", parents=[common],
-                       help="normal form of a word over a category")
-    p.add_argument("file")
-    p.add_argument("word")
-    p.set_defaults(func=cmd_nf)
-
-    p = sub.add_parser("mult", parents=[common],
-                       help="multiply two elements of Um(S)")
-    p.add_argument("file")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=cmd_mult)
-
-    p = sub.add_parser("gcd", parents=[common, side],
-                       help="gcd of a family of elements")
-    p.add_argument("file")
-    p.add_argument("words", nargs="+")
-    p.set_defaults(func=cmd_gcd)
-
-    p = sub.add_parser("lcm", parents=[common, side],
-                       help="lcm of two generator arrows")
-    p.add_argument("file")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_lcm)
-
-    p = sub.add_parser("greedy", parents=[common],
-                       help="greedy normal form with verification")
-    p.add_argument("file")
-    p.add_argument("word")
-    p.set_defaults(func=cmd_greedy)
-
-    p = sub.add_parser("check", parents=[],
-                       help="structural property reports")
-    csub = p.add_subparsers(dest="what", required=True)
-    c = csub.add_parser("category", parents=[common])
-    c.add_argument("file")
-    c.set_defaults(func=cmd_check_category)
-    c = csub.add_parser("gcd-monoid", parents=[common])
-    c.add_argument("file")
-    c.set_defaults(func=cmd_check_gcd_monoid)
-
-    p = sub.add_parser("barycentric", parents=[common],
-                       help="barycentric subdivision poset of a complex")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_barycentric)
-
-    p = sub.add_parser("chain-complex", parents=[common],
-                       help="chain complex of a poset")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_chain_complex)
-
-    p = sub.add_parser("homotopy", parents=[common],
-                       help="floating homotopy decomposition of a complex")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_homotopy)
-
-    p = sub.add_parser("cross-check", parents=[common],
-                       help="homotopy route vs abelianization route")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_cross_check)
-
-    p = sub.add_parser("spindle", help="spindle detection and category")
-    ssub = p.add_subparsers(dest="what", required=True)
-    for name, func in (("detect", cmd_spindle_detect),
-                       ("category", cmd_spindle_category),
-                       ("presentation", cmd_spindle_presentation)):
-        s = ssub.add_parser(name, parents=[common])
-        s.add_argument("file")
-        s.add_argument("u")
-        s.add_argument("v")
-        s.set_defaults(func=func)
-
-    p = sub.add_parser("embed-check", parents=[common],
-                       help="hom-set separation and σ-injectivity")
-    p.add_argument("file")
-    p.add_argument("functor")
-    p.add_argument("--max-len", type=int, default=3)
-    p.set_defaults(func=cmd_embed_check)
-
-    p = sub.add_parser("monoid", help="homogeneous presentation word problem")
-    msub = p.add_subparsers(dest="what", required=True)
-    m = msub.add_parser("class", parents=[common])
-    m.add_argument("file")
-    m.add_argument("word")
-    m.set_defaults(func=cmd_monoid_class)
-    m = msub.add_parser("equal", parents=[common])
-    m.add_argument("file")
-    m.add_argument("left")
-    m.add_argument("right")
-    m.set_defaults(func=cmd_monoid_equal)
-    m = msub.add_parser("atoms", parents=[common])
-    m.add_argument("file")
-    m.set_defaults(func=cmd_monoid_atoms)
-    m = msub.add_parser("crm", parents=[common])
-    m.add_argument("file")
-    m.add_argument("words", nargs="+")
-    m.add_argument("--max-len", type=int, default=8)
-    m.set_defaults(func=cmd_monoid_crm)
-    m = msub.add_parser("m6", parents=[common])
-    m.add_argument("--max-len", type=int, default=5)
-    m.set_defaults(func=cmd_monoid_m6)
-
-    p = sub.add_parser("present", help="emit presentations")
-    psub = p.add_subparsers(dest="what", required=True)
-    g = psub.add_parser("universal-group", parents=[common])
-    g.add_argument("file")
-    g.set_defaults(func=cmd_present_universal_group)
-
+    groups = {(): top.add_subparsers(dest="command", required=True)}
+    for path, help_, func, specs in COMMANDS:
+        p = groups[path[:-1]].add_parser(
+            path[-1], **({"help": help_} if help_ else {}))
+        if func is None:
+            groups[path] = p.add_subparsers(dest="what", required=True)
+            continue
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        for spec in specs:
+            if isinstance(spec, str):
+                p.add_argument(spec)
+            else:
+                p.add_argument(spec[0], **spec[1])
+        p.set_defaults(func=func)
     return top
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text, obj = args.func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CatmonError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(json.dumps(obj, sort_keys=True))
+    else:
+        print(text, end="" if text.endswith("\n") else "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -39,6 +39,28 @@ def test_parse_errors_exit_2(capsys):
     assert "UnknownArrow" in capsys.readouterr().err
 
 
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    f = tmp_path / "binary.poset"
+    f.write_bytes(b"\xff\xfe")
+    assert main(["validate", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {f}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
+def test_negative_bounds_are_usage_errors(capsys):
+    for argv in (["embed-check", "data/c6.category", "data/c6_z3.functor",
+                  "--max-len", "-1"],
+                 ["monoid", "crm", "--max-len", "-1", "data/c6.monoid", "a"],
+                 ["monoid", "m6", "--max-len", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "invalid non-negative int value" in err, argv
+        assert "Traceback" not in err, argv
+
+
 def test_precondition_errors_exit_2(capsys):
     assert main(["spindle", "detect", "data/diamond.poset", "a", "b"]) == 2
     assert "NotComparable" in capsys.readouterr().err
