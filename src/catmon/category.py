@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import (AssociativityViolation, BadComposability, BadIdentity,
                      EmptyFamily, InvalidStructure, MissingComposite,
                      SizeLimitExceeded, UnknownArrow)
+from .poset import _greatest, _members
 
 MAX_ARROWS_ENV = "CATMON_MAX_ARROWS"
 DEFAULT_MAX_ARROWS = 10000
@@ -40,7 +41,12 @@ class GcdCategoryReport:
 
 class FiniteCategory:
     def __init__(self, objects, arrows, identity, comp):
-        limit = int(os.environ.get(MAX_ARROWS_ENV, DEFAULT_MAX_ARROWS))
+        raw = os.environ.get(MAX_ARROWS_ENV, str(DEFAULT_MAX_ARROWS))
+        try:
+            limit = int(raw)
+        except ValueError:
+            raise SizeLimitExceeded(
+                f"{MAX_ARROWS_ENV}={raw!r} is not an integer") from None
         if len(arrows) > limit:
             raise SizeLimitExceeded(
                 f"{len(arrows)} arrows exceeds limit {limit} "
@@ -250,20 +256,13 @@ class FiniteCategory:
         rdiv = self._analyze()[1]
         return bool(rdiv[self._index[b]] >> self._index[a] & 1)
 
-    def _mask_arrows(self, mask):
-        out = []
-        while mask:
-            out.append(self.arrows[(mask & -mask).bit_length() - 1])
-            mask &= mask - 1
-        return tuple(out)
-
     def left_divisors(self, b):
         self._check(b)
-        return self._mask_arrows(self._analyze()[0][self._index[b]])
+        return _members(self._analyze()[0][self._index[b]], self.arrows)
 
     def right_divisors(self, b):
         self._check(b)
-        return self._mask_arrows(self._analyze()[1][self._index[b]])
+        return _members(self._analyze()[1][self._index[b]], self.arrows)
 
     def right_multiples(self, a):
         """All b that a left-divides (a's right-multiple set)."""
@@ -290,24 +289,12 @@ class FiniteCategory:
                 return x
         return None
 
-    def _greatest(self, div, common):
-        """The greatest member of the arrow bitmask ``common``: the arrow i
-        in it with ``common`` inside its divisor mask ``div[i]``, or None."""
-        if common <= 0:
-            return None
-        m = common
-        while m:
-            i = (m & -m).bit_length() - 1
-            if common & ~div[i] == 0:
-                return self.arrows[i]
-            m &= m - 1
-        return None
-
     def _gcd_from_masks(self, div, idxs):
         common = -1
         for i in idxs:
             common &= div[i]
-        return self._greatest(div, common)
+        i = _greatest(common, div)
+        return None if i is None else self.arrows[i]
 
     def left_gcd(self, a, b):
         """Greatest common left-divisor of a and b, or None."""

@@ -10,6 +10,29 @@ from __future__ import annotations
 from .errors import CyclicCovers, InvalidStructure, RedundantCover
 
 
+def _members(mask, items):
+    """The items whose indices are the set bits of ``mask``, in index order."""
+    out = []
+    while mask:
+        out.append(items[(mask & -mask).bit_length() - 1])
+        mask &= mask - 1
+    return tuple(out)
+
+
+def _greatest(mask, below):
+    """Index of the greatest member of bitmask ``mask``: the i in it with
+    ``mask`` inside ``below[i]``; None if there is none (or ``mask <= 0``)."""
+    if mask <= 0:
+        return None
+    m = mask
+    while m:
+        i = (m & -m).bit_length() - 1
+        if mask & ~below[i] == 0:
+            return i
+        m &= m - 1
+    return None
+
+
 class Poset:
     def __init__(self, elements, covers):
         elems = tuple(sorted(elements))
@@ -114,26 +137,20 @@ class Poset:
     def comparable(self, x, y):
         return self.leq(x, y) or self.leq(y, x)
 
-    def _members(self, mask):
-        out = []
-        while mask:
-            out.append(self.elements[(mask & -mask).bit_length() - 1])
-            mask &= mask - 1
-        return tuple(out)
-
     def up_set(self, a):
-        return self._members(self._up[self.index(a)])
+        return _members(self._up[self.index(a)], self.elements)
 
     def down_set(self, a):
-        return self._members(self._dn[self.index(a)])
+        return _members(self._dn[self.index(a)], self.elements)
 
     def closed_interval(self, u, v):
-        return self._members(self._up[self.index(u)] & self._dn[self.index(v)])
+        return _members(self._up[self.index(u)] & self._dn[self.index(v)],
+                        self.elements)
 
     def open_interval(self, u, v):
         m = self._up[self.index(u)] & self._dn[self.index(v)]
         m &= ~(1 << self.index(u)) & ~(1 << self.index(v))
-        return self._members(m)
+        return _members(m, self.elements)
 
     def minimal_elements(self):
         cov_tgt = {y for _, y in self.covers}
@@ -215,26 +232,16 @@ class Poset:
         cand = self._dn[self.index(y1)] & self._dn[self.index(y2)]
         if lo is not None:
             cand &= self._up[self.index(lo)]
-        m = cand
-        while m:
-            i = (m & -m).bit_length() - 1
-            if cand & ~self._dn[i] == 0:
-                return self.elements[i]
-            m &= m - 1
-        return None
+        i = _greatest(cand, self._dn)
+        return None if i is None else self.elements[i]
 
     def join_within(self, y1, y2, hi=None):
         """Least common upper bound of y1,y2 inside down_set(hi), if any."""
         cand = self._up[self.index(y1)] & self._up[self.index(y2)]
         if hi is not None:
             cand &= self._dn[self.index(hi)]
-        m = cand
-        while m:
-            i = (m & -m).bit_length() - 1
-            if cand & ~self._up[i] == 0:
-                return self.elements[i]
-            m &= m - 1
-        return None
+        i = _greatest(cand, self._up)  # greatest in the reversed order
+        return None if i is None else self.elements[i]
 
     def __eq__(self, other):
         return (isinstance(other, Poset) and self.elements == other.elements

@@ -17,6 +17,7 @@ from .errors import (CategoryMismatch, EmptyElement, EmptyFamily,
                      GreedyViolation, InvalidStructure, NotCancellative,
                      NotConical, NotAGenerator, SourceMismatch,
                      TargetMismatch)
+from .poset import _greatest
 
 DROP = "dropIdentity"
 COMPOSE = "compose"
@@ -285,9 +286,10 @@ def gcd_family(side, xs):
                 break
             common &= div[index[f]]
         else:
-            c = cat._greatest(div, common)
-            if c is None:
+            i = _greatest(common, div)
+            if i is None:
                 return None
+            c = cat.arrows[i]
             if c not in cat._identities:
                 stem += (c,)
     return _reduced(cat, stem if left else stem[::-1])

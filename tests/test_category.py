@@ -101,6 +101,9 @@ def test_size_guard(monkeypatch):
         cat_of_poset(Poset("ab", [("a", "b")]))
     monkeypatch.setenv("CATMON_MAX_ARROWS", "100")
     assert cat_of_poset(Poset("ab", [("a", "b")])).size == 3
+    monkeypatch.setenv("CATMON_MAX_ARROWS", "abc")
+    with pytest.raises(SizeLimitExceeded, match="CATMON_MAX_ARROWS='abc'"):
+        cat_of_poset(Poset("ab", [("a", "b")]))
 
 
 def test_poset_categories_validate_conical_cancellative():
