@@ -317,6 +317,7 @@ def cmd_present_universal_group(args):
 # -- parser ------------------------------------------------------------------
 
 def _non_negative_int(text):
+    """argparse type of search bounds; non-integers keep int's message."""
     try:
         n = int(text)
     except ValueError:
@@ -390,6 +391,7 @@ def build_parser():
                     "groups, embeddability checks.")
     groups = {(): top.add_subparsers(dest="command", required=True)}
     for path, help_, func, specs in COMMANDS:
+        # help=None would still list the command in its group's help.
         p = groups[path[:-1]].add_parser(
             path[-1], **({"help": help_} if help_ else {}))
         if func is None:
@@ -397,10 +399,8 @@ def build_parser():
             continue
         p.add_argument("--format", choices=("text", "json"), default="text")
         for spec in specs:
-            if isinstance(spec, str):
-                p.add_argument(spec)
-            else:
-                p.add_argument(spec[0], **spec[1])
+            name, kw = (spec, {}) if isinstance(spec, str) else spec
+            p.add_argument(name, **kw)
         p.set_defaults(func=func)
     return top
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .category import FiniteCategory
 from .errors import CategoryMismatch, InvalidStructure, NotIsotone
 from .groups import FreeGroupWord, GroupSpec
+from .poset import _greatest, _members
 from .universal import ReducedSeq, multiply, unit
 
 
@@ -59,21 +60,20 @@ def gcd_criterion(poset):
     (a, y1, y2) with no meet above a (resp. no join below a).
     """
     witnesses = {}
-    left_ok = right_ok = True
-    for a in poset.elements:
-        up = poset.up_set(a)
-        for i, y1 in enumerate(up):
-            for y2 in up[i + 1:]:
-                if poset.meet_within(y1, y2, lo=a) is None:
-                    left_ok = False
-                    witnesses.setdefault("left", (a, y1, y2))
-        dn = poset.down_set(a)
-        for i, y1 in enumerate(dn):
-            for y2 in dn[i + 1:]:
-                if poset.join_within(y1, y2, hi=a) is None:
-                    right_ok = False
-                    witnesses.setdefault("right", (a, y1, y2))
-    return GcdCriterionReport(left_ok, right_ok, witnesses)
+    els = poset.elements
+    # The meet of y1, y2 in up(a) is the greatest member of
+    # down(y1) & down(y2) & up(a); a join in down(a) is the same search in
+    # the reversed order.
+    for side, above, below in (("left", poset._up, poset._dn),
+                               ("right", poset._dn, poset._up)):
+        for a, mask in enumerate(above):
+            ys = _members(mask, range(len(els)))
+            for i, y1 in enumerate(ys):
+                for y2 in ys[i + 1:]:
+                    if _greatest(below[y1] & below[y2] & mask, below) is None:
+                        witnesses.setdefault(side, (els[a], els[y1], els[y2]))
+    return GcdCriterionReport("left" not in witnesses,
+                              "right" not in witnesses, witnesses)
 
 
 class IsotoneMap:
