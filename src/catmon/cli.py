@@ -389,15 +389,19 @@ def build_parser():
         description="Universal monoids of finite categories: normal forms, "
                     "gcds, interval monoids, spindles, floating homotopy "
                     "groups, embeddability checks.")
+    # Copying --format in from a parent parser is cheaper than one
+    # add_argument per leaf.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
     groups = {(): top.add_subparsers(dest="command", required=True)}
     for path, help_, func, specs in COMMANDS:
         # help=None would still list the command in its group's help.
         p = groups[path[:-1]].add_parser(
-            path[-1], **({"help": help_} if help_ else {}))
+            path[-1], parents=[fmt] if func else [],
+            **({"help": help_} if help_ else {}))
         if func is None:
             groups[path] = p.add_subparsers(dest="what", required=True)
             continue
-        p.add_argument("--format", choices=("text", "json"), default="text")
         for spec in specs:
             name, kw = (spec, {}) if isinstance(spec, str) else spec
             p.add_argument(name, **kw)
