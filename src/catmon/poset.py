@@ -21,7 +21,8 @@ def _members(mask, items):
 
 def _greatest(mask, below):
     """Index of the greatest member of bitmask ``mask``: the i in it with
-    ``mask`` inside ``below[i]``; None if there is none (or ``mask <= 0``)."""
+    ``mask`` inside ``below[i]``.  None if there is none, or if ``mask`` is
+    0 or -1 (-1 is the meet of an empty family of masks)."""
     if mask <= 0:
         return None
     m = mask
