@@ -4,7 +4,9 @@ A complex is stored as facets (maximal simplices); faces are generated on
 demand.  Inputs where one listed simplex contains another are rejected so
 that files stay canonical.  The barycentric subdivision is returned as the
 poset of all nonempty faces ordered by inclusion, with each face named by
-joining its sorted vertices with commas.
+joining its sorted vertices with commas; a complex in which two faces would
+get the same name (vertices ``a``, ``b`` and ``a,b`` with the edge ``{a, b}``)
+has no barycentric subdivision here.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ class SimplicialComplex:
             if not t:
                 raise InvalidStructure("empty simplex")
             for v in t:
-                if not v or any(ch.isspace() for ch in v) or "," in v:
+                if not v or any(ch.isspace() for ch in v):
                     raise InvalidStructure(f"bad vertex id {v!r}")
             fs.append(t)
         fs = sorted(set(fs))
@@ -93,6 +95,11 @@ def barycentric(complex_):
     """Poset of nonempty faces of the complex, ordered by inclusion."""
     faces = complex_.faces()
     names = {f: face_name(f) for f in faces}
+    named = {}
+    for f, name in names.items():
+        if named.setdefault(name, f) != f:
+            raise InvalidStructure(
+                f"faces {named[name]} and {f} would both be named {name!r}")
     le = [(names[a], names[b]) for a in faces for b in faces
           if set(a) <= set(b)]
     return Poset.from_order(names.values(), le)

@@ -85,10 +85,6 @@ class NotCancellative(CatmonError):
     category lacking it."""
 
 
-class NotGcdCategory(CatmonError):
-    """An operation requiring a gcd-category was called on something else."""
-
-
 class NotAGenerator(CatmonError):
     """A single-arrow element was required (lcm works at generator level)."""
 

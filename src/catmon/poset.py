@@ -34,6 +34,22 @@ def _greatest(mask, below):
     return None
 
 
+def _paths_to_tops(starts, ups):
+    """Every path that begins at a start, steps along ``ups`` and ends at an
+    element with no ups, in sorted order.  Walked with an explicit stack, so
+    a chain of any length fits."""
+    chains = []
+    stack = [(e,) for e in starts]
+    while stack:
+        chain = stack.pop()
+        nxt = ups[chain[-1]]
+        if nxt:
+            stack.extend(chain + (y,) for y in nxt)
+        else:
+            chains.append(chain)
+    return tuple(sorted(chains))
+
+
 class Poset:
     def __init__(self, elements, covers):
         elems = tuple(sorted(elements))
@@ -195,38 +211,19 @@ class Poset:
 
     def maximal_chains(self):
         """All maximal chains of P, each ascending, in sorted order."""
-        chains = []
-        ups = {e: sorted(self.upper_covers(e)) for e in self.elements}
-
-        def walk(chain):
-            e = chain[-1]
-            if not ups[e]:
-                chains.append(tuple(chain))
-                return
-            for y in ups[e]:
-                walk(chain + [y])
-
-        for e in sorted(self.minimal_elements()):
-            walk([e])
-        return tuple(sorted(chains))
+        ups = {e: [] for e in self.elements}
+        for x, y in self.covers:
+            ups[x].append(y)
+        return _paths_to_tops(sorted(self.minimal_elements()), ups)
 
     def maximal_chains_in(self, u, v):
         """Maximal chains of the closed interval [u,v], ascending."""
         inside = set(self.closed_interval(u, v))
-        chains = []
-
-        def walk(chain):
-            e = chain[-1]
-            if e == v:
-                chains.append(tuple(chain))
-                return
-            nxt = sorted(y for y in self.upper_covers(e) if y in inside)
-            for y in nxt:
-                walk(chain + [y])
-
-        if u in inside:
-            walk([u])
-        return tuple(sorted(chains))
+        ups = {e: [] for e in inside}
+        for x, y in self.covers:
+            if x in inside and y in inside:
+                ups[x].append(y)
+        return _paths_to_tops([u] if u in inside else [], ups)
 
     def meet_within(self, y1, y2, lo=None):
         """Greatest common lower bound of y1,y2 inside up_set(lo), if any."""

@@ -29,9 +29,18 @@ class MonoidPresentation:
                         f"relation uses unknown generator {g!r}")
             rels.append((lhs, rhs))
         self.relations = tuple(rels)
+        self._homogeneous = all(len(l) == len(r) for l, r in rels)
+        # side length -> {side: the sides it may be rewritten to}, relations
+        # read both ways; empty and unchanged rewrites do nothing, so skipped
+        self._rewrites = {}
+        for lhs, rhs in rels:
+            for side, other in ((lhs, rhs), (rhs, lhs)):
+                if side and side != other:
+                    self._rewrites.setdefault(len(side), {}).setdefault(
+                        side, set()).add(other)
 
     def is_homogeneous(self):
-        return all(len(l) == len(r) for l, r in self.relations)
+        return self._homogeneous
 
     def __repr__(self):
         return (f"MonoidPresentation({len(self.generators)} generators, "
@@ -48,32 +57,34 @@ def _word(w):
     return tuple(w)
 
 
-def congruence_class(pres, word):
-    """All words equal to the given one modulo the relations (finite orbit)."""
-    _require_homogeneous(pres)
-    start = _word(word)
-    rules = []
-    for lhs, rhs in pres.relations:
-        rules.append((lhs, rhs))
-        rules.append((rhs, lhs))
-    seen = {start}
-    frontier = [start]
+def _closure(pres, word):
+    """The congruence class of a tuple word, as a new set.  The caller has
+    checked that pres is homogeneous, so every member has len(word)."""
+    n = len(word)
+    rewrites = [(k, rules) for k, rules in pres._rewrites.items() if k <= n]
+    seen = {word}
+    frontier = [word]
     while frontier:
         w = frontier.pop()
-        for lhs, rhs in rules:
-            k = len(lhs)
-            for i in range(len(w) - k + 1):
-                if w[i:i + k] == lhs:
+        for k, rules in rewrites:
+            for i in range(n - k + 1):
+                for rhs in rules.get(w[i:i + k], ()):
                     w2 = w[:i] + rhs + w[i + k:]
                     if w2 not in seen:
                         seen.add(w2)
                         frontier.append(w2)
-    return frozenset(seen)
+    return seen
+
+
+def congruence_class(pres, word):
+    """All words equal to the given one modulo the relations (finite orbit)."""
+    _require_homogeneous(pres)
+    return frozenset(_closure(pres, _word(word)))
 
 
 def equal_in_monoid(pres, u, v):
     _require_homogeneous(pres)
-    return _word(v) in congruence_class(pres, u)
+    return _word(v) in _closure(pres, _word(u))
 
 
 @dataclass(frozen=True)
@@ -93,7 +104,7 @@ def atoms(pres):
     _require_homogeneous(pres)
     classes = {}
     for g in pres.generators:
-        cls = congruence_class(pres, (g,))
+        cls = _closure(pres, (g,))
         if any(len(w) != 1 for w in cls):
             raise InvalidStructure(
                 f"class of {g} has a word of length != 1; presentation is "
@@ -123,25 +134,30 @@ def common_right_multiple(pres, xs, max_len=8):
 
     Only words starting with xs[0] are enumerated: any common right multiple
     has a representative of that shape, and divisibility is tested against
-    the whole congruence class anyway.
+    the whole congruence class anyway.  Each layer keeps only the first word
+    met of each class: u ~ v implies ug ~ vg, and the first word of a class
+    precedes its other words in every later layer, so the lexicographically
+    first word of each class of each layer is still reached.
     """
     _require_homogeneous(pres)
     xs = [_word(x) for x in xs]
     if not xs:
         raise InvalidStructure("empty family")
     gens = sorted(pres.generators)
-    seen_classes = set()
     layer = [xs[0]]
     length = len(xs[0])
     while length <= max_len:
+        seen = set()
+        firsts = []
         for w in layer:
-            cls = congruence_class(pres, w)
-            if cls in seen_classes:
+            if w in seen:
                 continue
-            seen_classes.add(cls)
+            cls = _closure(pres, w)
             if all(left_divides_mod(pres, x, cls) for x in xs):
                 return w
-        layer = [w + (g,) for w in layer for g in gens]
+            seen |= cls
+            firsts.append(w)
+        layer = [w + (g,) for w in firsts for g in gens]
         length += 1
     return None
 
@@ -207,7 +223,7 @@ def verify_m6_embedding(max_len=5):
         for w in words:
             if w in seen:
                 continue
-            cls = congruence_class(pres, w)
+            cls = _closure(pres, w)
             seen.update(cls)
             count += 1
             images = {_m6_image(m) for m in cls}

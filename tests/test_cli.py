@@ -123,3 +123,26 @@ def test_spindle_category_output_reloads(capsys):
     from catmon.formats import load_category
     cat = load_category(text, "spindle")
     assert set(cat.hom("0", "1")) == {"chain:a", "chain:b"}
+
+
+def test_barycentric_output_feeds_chain_complex_and_cross_check(
+        tmp_path, capsys):
+    assert main(["barycentric", "data/triangle.complex"]) == 0
+    f = tmp_path / "triangle.poset"
+    f.write_text(capsys.readouterr().out)
+    assert main(["cross-check", str(f)]) == 0
+    assert capsys.readouterr().out == (
+        "HG free rank: 6  abelianization rank: 6  agree: YES\n")
+    assert main(["chain-complex", str(f)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "complex\nsimplex x x,y x,y,z\n")
+
+
+def test_chain_complex_of_a_long_chain(tmp_path, capsys):
+    names = [f"x{i:04d}" for i in range(1100)]
+    f = tmp_path / "chain.poset"
+    f.write_text("poset\nelem " + " ".join(names) + "\n" + "".join(
+        f"cover {x} {y}\n" for x, y in zip(names, names[1:])))
+    assert main(["chain-complex", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert out == "complex\nsimplex " + " ".join(names) + "\n"

@@ -26,9 +26,20 @@ def test_bad_vertex_names_rejected():
     with pytest.raises(InvalidStructure):
         SimplicialComplex([["a b"]])
     with pytest.raises(InvalidStructure):
-        SimplicialComplex([["a,b"]])
-    with pytest.raises(InvalidStructure):
         SimplicialComplex([[]])
+
+
+def test_vertex_ids_may_contain_commas():
+    # the vertices of a chain complex of a barycentric subdivision are
+    # face names such as "x,y"
+    k = SimplicialComplex([["x", "x,y", "x,y,z"]])
+    assert k.vertices == ("x", "x,y", "x,y,z")
+
+
+def test_barycentric_rejects_faces_with_one_name():
+    k = SimplicialComplex([["a", "b"], ["a,b"]])
+    with pytest.raises(InvalidStructure, match="both be named 'a,b'"):
+        barycentric(k)
 
 
 def test_faces_edges_triangles_dimension():

@@ -74,6 +74,13 @@ def test_maximal_chains_in_interval():
     assert p.maximal_chains_in("o", "a") == (("o", "a"),)
 
 
+def test_maximal_chains_of_a_long_chain():
+    names = [f"x{i:04d}" for i in range(1100)]
+    p = Poset(names, list(zip(names, names[1:])))
+    assert p.maximal_chains() == (tuple(names),)
+    assert p.maximal_chains_in(names[5], names[-5]) == (tuple(names[5:-4]),)
+
+
 def test_meet_join_within_match_brute_force():
     for p in posets_up_to(4, labeled_posets):
         for a in p.elements:

@@ -41,6 +41,29 @@ def closure_oracle(pres, word):
         out |= new
 
 
+def crm_oracle(pres, xs, max_len):
+    """Every word that starts with xs[0], shortest then lexicographically
+    first, tested against its whole class; no word or class is skipped."""
+    head = tuple(xs[0])
+    for n in range(len(head), max_len + 1):
+        for tail in itertools.product(sorted(pres.generators),
+                                      repeat=n - len(head)):
+            cls = closure_oracle(pres, head + tail)
+            if all(any(w[:len(x)] == tuple(x) for w in cls) for x in xs):
+                return head + tail
+    return None
+
+
+def random_homogeneous_presentation(rng):
+    gens = "abc"[:rng.randint(2, 3)]
+    relations = []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(1, 3)
+        relations.append((tuple(rng.choice(gens) for _ in range(k)),
+                          tuple(rng.choice(gens) for _ in range(k))))
+    return MonoidPresentation(gens, relations)
+
+
 def test_presentation_validation():
     with pytest.raises(InvalidStructure):
         MonoidPresentation("aa", [])
@@ -53,15 +76,73 @@ def test_presentation_validation():
 
 
 def test_word_problem_requires_homogeneous():
-    pres = MonoidPresentation("ab", [(("a", "b"), ("a",))])
-    with pytest.raises(NotHomogeneous):
-        congruence_class(pres, ("a",))
-    with pytest.raises(NotHomogeneous):
-        equal_in_monoid(pres, ("a",), ("b",))
-    with pytest.raises(NotHomogeneous):
-        common_right_multiple(pres, [("a",)])
-    with pytest.raises(NotHomogeneous):
-        atoms(pres)
+    for relations in ([(("a", "b"), ("a",))],
+                      [(("a", "b"), ("b", "a")), ((), ("a",))],
+                      [(("a",), ("a",)), ((), ()), (("b",), ())]):
+        pres = MonoidPresentation("ab", relations)
+        assert not pres.is_homogeneous()
+        calls = [
+            lambda: congruence_class(pres, ("a",)),
+            lambda: congruence_class(pres, ()),
+            lambda: equal_in_monoid(pres, ("a",), ("b",)),
+            lambda: equal_in_monoid(pres, ("a", "b"), ("b",)),
+            lambda: common_right_multiple(pres, [("a",)]),
+            lambda: common_right_multiple(pres, [("a",), ("b",)], 0),
+            lambda: atoms(pres),
+        ]
+        for call in calls:
+            with pytest.raises(NotHomogeneous):
+                call()
+
+
+def test_redundant_relations_change_nothing():
+    base = [(("a", "b"), ("b", "a")), (("a", "b", "a"), ("b", "a", "b"))]
+    padded = MonoidPresentation("abc", base + [
+        (("b", "a"), ("a", "b")),            # duplicate, read the other way
+        (("a", "b"), ("b", "a")),            # duplicate
+        (("c",), ("c",)),                    # both sides equal
+        (("a", "b", "a"), ("a", "b", "a")),
+        ((), ()),
+    ])
+    plain = MonoidPresentation("abc", base)
+    assert padded.is_homogeneous()
+    for n in range(5):
+        for w in itertools.product("abc", repeat=n):
+            cls = congruence_class(padded, w)
+            assert cls == congruence_class(plain, w)
+            assert cls == closure_oracle(padded, w)
+    for xs in ([("a",), ("b",)], [("c",), ("a",)], [("b", "a"), ("c",)]):
+        assert (common_right_multiple(padded, xs, 4)
+                == common_right_multiple(plain, xs, 4)
+                == crm_oracle(plain, xs, 4))
+    assert atoms(padded) == atoms(plain)
+
+
+def test_only_trivial_relations_give_singleton_classes():
+    pres = MonoidPresentation("ab", [((), ()), (("a",), ("a",))])
+    assert pres.is_homogeneous()
+    for n in range(4):
+        for w in itertools.product("ab", repeat=n):
+            assert congruence_class(pres, w) == {w}
+    assert equal_in_monoid(pres, (), ())
+    assert not equal_in_monoid(pres, ("a", "b"), ("b", "a"))
+    assert common_right_multiple(pres, [("a",), ("b",)], 4) is None
+    assert atoms(pres).all_distinct
+
+
+def test_common_right_multiple_matches_search_without_dedup():
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(150):
+        pres = random_homogeneous_presentation(rng)
+        xs = [tuple(rng.choice(pres.generators)
+                    for _ in range(rng.randint(1, 2)))
+              for _ in range(rng.randint(1, 3))]
+        max_len = rng.randint(2, 5)
+        got = common_right_multiple(pres, xs, max_len)
+        assert got == crm_oracle(pres, xs, max_len), (pres.relations, xs)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_congruence_class_matches_closure_oracle():
