@@ -1,0 +1,7 @@
+"""``python -m catmon <command> ...`` runs the command-line tool."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

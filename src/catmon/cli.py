@@ -8,10 +8,16 @@ precondition error.
 Every ``cmd_*`` handler returns ``(exit code, text, JSON object)``; ``main``
 is the only code that writes stdout.  The ``COMMANDS`` table declares every
 subcommand and its arguments.
+
+The parser is built once per process, on the first ``main`` call, and
+reused by every later call: argparse keeps no per-call state in it (each
+parse makes a fresh namespace, and help reads the terminal width when it
+is printed).  Importing this module builds nothing.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -409,8 +415,12 @@ def build_parser():
     return top
 
 
+# The one parser ``main`` uses, built on first use.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, text, obj = args.func(args)
     except ParseError as e:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (GroupMismatch, InvalidStructure, MissingImage,
                      SeparationRequired)
+from .presentations import format_word, free_reduce, invert_word
 
 
 @dataclass(frozen=True)
@@ -53,19 +54,13 @@ class FreeGroupWord:
     def __init__(self, spec, letters):
         if spec.kind != "free":
             raise GroupMismatch("FreeGroupWord needs a free group spec")
+        letters = tuple(letters)
         alphabet = set(spec.letters)
-        out = []
-        for g, e in letters:
+        for g, _ in letters:
             if g not in alphabet:
                 raise InvalidStructure(f"letter {g!r} not in the alphabet")
-            if e not in (1, -1):
-                raise InvalidStructure(f"exponent must be ±1, got {e!r}")
-            if out and out[-1][0] == g and out[-1][1] == -e:
-                out.pop()
-            else:
-                out.append((g, e))
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "letters", tuple(out))
+        object.__setattr__(self, "letters", free_reduce(letters))
 
     def __setattr__(self, *_):
         raise AttributeError("immutable")
@@ -74,8 +69,7 @@ class FreeGroupWord:
         return not self.letters
 
     def inverse(self):
-        return FreeGroupWord(self.spec,
-                             [(g, -e) for g, e in reversed(self.letters)])
+        return FreeGroupWord(self.spec, invert_word(self.letters))
 
     def __eq__(self, other):
         return (isinstance(other, FreeGroupWord) and self.spec == other.spec
@@ -85,9 +79,7 @@ class FreeGroupWord:
         return hash((self.spec, self.letters))
 
     def __str__(self):
-        if not self.letters:
-            return "1"
-        return " ".join(g if e == 1 else f"{g}^-1" for g, e in self.letters)
+        return format_word(self.letters)
 
     __repr__ = __str__
 

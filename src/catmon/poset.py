@@ -34,6 +34,17 @@ def _greatest(mask, below):
     return None
 
 
+def _transposed(up):
+    """The down-masks of the order whose up-masks are ``up``."""
+    dn = [0] * len(up)
+    for i, m in enumerate(up):
+        while m:
+            j = (m & -m).bit_length() - 1
+            dn[j] |= 1 << i
+            m &= m - 1
+    return dn
+
+
 def _paths_to_tops(starts, ups):
     """Every path that begins at a start, steps along ``ups`` and ends at an
     element with no ups, in sorted order.  Walked with an explicit stack, so
@@ -72,13 +83,7 @@ class Poset:
         self.covers = tuple(sorted(seen))
         self._idx = idx
         self._up = self._closure()
-        self._dn = [0] * len(elems)
-        for i in range(len(elems)):
-            m = self._up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                self._dn[j] |= 1 << i
-                m &= m - 1
+        self._dn = _transposed(self._up)
         self._reject_redundant()
 
     def _closure(self):
@@ -121,20 +126,27 @@ class Poset:
     def from_order(cls, elements, le_pairs):
         """Build from any set of (x,y) meaning x <= y; covers are derived."""
         elems = sorted(set(elements))
-        rel = {(x, y) for x, y in le_pairs if x != y}
-        changed = True
-        while changed:  # transitive closure of the given relation
-            changed = False
-            for x, y in list(rel):
-                for y2, z in list(rel):
-                    if y2 == y and (x, z) not in rel and x != z:
-                        rel.add((x, z))
-                        changed = True
-        for x, y in rel:
-            if (y, x) in rel:
+        idx = {e: i for i, e in enumerate(elems)}
+        ids = range(len(elems))
+        up = [1 << i for i in ids]
+        for x, y in le_pairs:
+            if x not in idx or y not in idx:
+                raise InvalidStructure(f"pair ({x},{y}) uses unknown element")
+            up[idx[x]] |= 1 << idx[y]
+        for k in ids:  # Warshall: close through each k in turn
+            for i in ids:
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        dn = _transposed(up)
+        covers = []
+        for i, x in enumerate(elems):
+            above = up[i] & ~(1 << i)
+            if above & dn[i]:
+                y = elems[(above & dn[i]).bit_length() - 1]
                 raise CyclicCovers(f"{x} and {y} are mutually below each other")
-        covers = [(x, y) for x, y in rel
-                  if not any((x, z) in rel and (z, y) in rel for z in elems)]
+            for j in _members(above, ids):
+                if up[i] & dn[j] == (1 << i) | (1 << j):
+                    covers.append((x, elems[j]))
         return cls(elems, covers)
 
     # -- order queries ------------------------------------------------------

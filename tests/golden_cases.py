@@ -121,11 +121,15 @@ CASES = [
 
 
 def run_case(argv):
-    """Run one CLI invocation in-process; returns (exit code, stdout text)."""
+    """Run one CLI invocation in-process; returns (exit code, stdout text).
+    An argparse exit (usage error, --help) gives its SystemExit code."""
     from catmon.cli import main
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
     return code, out.getvalue()
 
 

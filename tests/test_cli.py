@@ -1,4 +1,8 @@
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,3 +150,118 @@ def test_chain_complex_of_a_long_chain(tmp_path, capsys):
     assert main(["chain-complex", str(f)]) == 0
     out = capsys.readouterr().out
     assert out == "complex\nsimplex " + " ".join(names) + "\n"
+
+
+def test_reused_parser_keeps_no_state(monkeypatch, capsys):
+    """One process, every golden case twice in a shuffled order, mixed with
+    usage errors, --help, and calls that drop an option the call before
+    them set: each output is as if the parser were new."""
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = [[(argv, code, golden_path(name).read_text())]
+              for name, argv, code in CASES]
+    crm = ["monoid", "crm", "--format", "json", "data/c6.monoid", "a", "b"]
+    # An expected output of None: the same output every time, checked below.
+    extras = [
+        [(["monoid", "crm", "--max-len", "-1", "data/c6.monoid", "a"], 2,
+          None)],
+        [(["nf", "--help"], 0, None)],
+        [(["monoid", "--help"], 0, None)],
+        [(["gcd", "--side", "right", "--format", "json", "data/c6.category",
+           "abar", "bbar"], 0, golden_path("gcd_right_json").read_text()),
+         (["gcd", "--format", "json", "data/c6.category", "abar", "bbar"],
+          0, '{"gcd": "c", "side": "left"}\n')],
+        [(crm[:2] + ["--max-len", "4"] + crm[2:], 0,
+          '{"crm": "a b\'", "max_len": 4}\n'),
+         (crm, 0, golden_path("monoid_crm_ab_json").read_text())],
+    ]
+    steps = golden * 2 + extras * 2
+    random.Random(5).shuffle(steps)
+    first = {}
+    for step in steps:
+        for argv, code, out in step:
+            got = run_case(argv) + (capsys.readouterr().err,)
+            assert got[0] == code, argv
+            if out is None:
+                assert first.setdefault(tuple(argv), got) == got, argv
+            else:
+                assert got[1:] == (out, ""), argv
+    assert first[("nf", "--help")][1].startswith("usage: catmon nf [-h]")
+    assert first[("monoid", "--help")][1].startswith(
+        "usage: catmon monoid [-h]")
+    assert "invalid non-negative int value: '-1'" in first[
+        ("monoid", "crm", "--max-len", "-1", "data/c6.monoid", "a")][2]
+
+
+# kind of a data file -> the subcommands that read it; None marks the file
+_FUZZ_COMMANDS = {
+    "poset": [["validate", None], ["check", "gcd-monoid", None],
+              ["chain-complex", None], ["cross-check", None]],
+    "complex": [["validate", None], ["homotopy", None],
+                ["barycentric", None]],
+    "category": [["validate", None], ["check", "gcd-monoid", None],
+                 ["check", "category", None],
+                 ["present", "universal-group", None]],
+    "monoid": [["validate", None], ["monoid", "atoms", None]],
+    "functor": [["validate", None],
+                ["embed-check", "data/c6.category", None]],
+}
+_FUZZ_TOKENS = ["x", "", "[", "->", "=", "^-1", "a,b", "rel", "gen"]
+
+
+def _mutate(lines, rng):
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        i = rng.randrange(len(lines))
+        op = rng.choice(("delete", "duplicate", "swap", "drop", "replace"))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split()
+            if not tokens:
+                continue
+            k = rng.randrange(len(tokens))
+            if op == "drop":
+                del tokens[k]
+            else:
+                tokens[k] = rng.choice(_FUZZ_TOKENS)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_data_files_exit_cleanly(tmp_path, capsys):
+    """Seeded line mutations of every data file: each subcommand for the
+    file's kind exits 0, 1 or 2, and only argparse's SystemExit may leave
+    main."""
+    rng = random.Random(11)
+    sources = sorted((ROOT / "data").iterdir())
+    assert {f.suffix[1:] for f in sources} == set(_FUZZ_COMMANDS)
+    for n in range(600):
+        src = sources[n % len(sources)]
+        text = _mutate(src.read_text().splitlines(), rng)
+        mutant = tmp_path / f"mutant{src.suffix}"
+        mutant.write_text(text)
+        for template in _FUZZ_COMMANDS[src.suffix[1:]]:
+            argv = [str(mutant) if a is None else a for a in template]
+            try:
+                code, _ = run_case(argv)
+            except Exception as e:
+                pytest.fail(f"{argv[:-1]} on a mutant of {src.name} raised "
+                            f"{e!r}; mutant:\n{text}")
+            assert code in (0, 1, 2), (argv, src.name, text)
+            capsys.readouterr()
+
+
+def test_python_m_catmon_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "catmon", "nf", "data/c6.category", "a b'"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden_path("nf_cross").read_text()

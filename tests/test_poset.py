@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from catmon import CyclicCovers, Poset, RedundantCover
 
-from helpers import labeled_posets, natural_posets, poset_classes, posets_up_to
+from helpers import (labeled_posets, natural_posets, poset_classes,
+                     posets_up_to, random_poset)
 
 DIAMOND = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
 
@@ -29,6 +31,24 @@ def test_from_order_recovers_covers():
     rebuilt = Poset.from_order("oabi", le)
     assert rebuilt == DIAMOND
     assert sorted(rebuilt.covers) == sorted(DIAMOND.covers)
+
+
+def test_from_order_matches_the_hasse_diagram_on_random_posets():
+    rng = random.Random(17)
+    for _ in range(150):
+        p = random_poset(rng, max_n=8)
+        le = [(x, y) for x in p.elements for y in p.elements if p.leq(x, y)]
+        rng.shuffle(le)
+        # a cover: x < y with nothing strictly between, read off the pairs
+        lt = {(x, y) for x, y in le if x != y}
+        covers = sorted((x, y) for x, y in lt if not any(
+            (x, z) in lt and (z, y) in lt for z in p.elements))
+        rebuilt = Poset.from_order(p.elements, le)
+        assert list(rebuilt.covers) == covers
+        assert rebuilt == Poset(p.elements, covers)
+        # covers plus some implied pairs: only a closure recovers the rest
+        some = rng.sample(sorted(lt), len(lt) // 2)
+        assert Poset.from_order(p.elements, covers + some) == rebuilt
 
 
 def test_redundant_cover_rejected():
