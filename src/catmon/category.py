@@ -12,12 +12,13 @@ computed against these relations via per-arrow divisor bitmasks.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (AssociativityViolation, BadComposability, BadIdentity,
                      EmptyFamily, InvalidStructure, MissingComposite,
                      SizeLimitExceeded, UnknownArrow)
-from .poset import _greatest, _members
+from .poset import _greatest, _members, _pair_without_greatest
 
 MAX_ARROWS_ENV = "CATMON_MAX_ARROWS"
 DEFAULT_MAX_ARROWS = 10000
@@ -121,10 +122,30 @@ class FiniteCategory:
             e = self.identity[t]
             if self.comp[(f, e)] != f:
                 raise BadIdentity(f"{f};{e} != {f}")
-        for f, (_, tf) in ends.items():
+        # Every composite has the right endpoints by now, so (f;g);h and
+        # f;(g;h) both lie in hom(src f, tgt h): a triple can only fail when
+        # that hom-set has two or more arrows.  Only those triples are walked,
+        # in the order of the full loop, so the first violation is the same;
+        # a thin category (every Cat(P)) costs no triple at all.
+        fat = {}  # s -> targets t with |hom(s, t)| >= 2
+        for (s, t), k in Counter(ends.values()).items():
+            if k >= 2:
+                fat.setdefault(s, set()).add(t)
+        tails = {}  # (s, o) -> the h in by_src[o] whose hom(s, tgt h) is fat
+        for f, (sf, tf) in ends.items():
+            targets = fat.get(sf)
+            if not targets:
+                continue
             for g in by_src[tf]:
+                tg = ends[g][1]
+                hs = tails.get((sf, tg))
+                if hs is None:
+                    hs = tails[(sf, tg)] = [h for h in by_src[tg]
+                                            if ends[h][1] in targets]
+                if not hs:
+                    continue
                 fg = self.comp[(f, g)]
-                for h in by_src[ends[g][1]]:
+                for h in hs:
                     if self.comp[(fg, h)] != self.comp[(f, self.comp[(g, h)])]:
                         raise AssociativityViolation(
                             f"({f};{g});{h} != {f};({g};{h})")
@@ -361,23 +382,21 @@ class FiniteCategory:
             witnesses["left_cancellative"] = lw
         if rw:
             witnesses["right_cancellative"] = rw
-        left_ok, right_ok = True, True
+        ldiv, rdiv = self._analyze()[:2]
+        idx = self._index
         for o in self.objects:
-            out = self.arrows_from(o)
-            for i, a in enumerate(out):
-                for b in out[i + 1:]:
-                    if self.left_gcd(a, b) is None:
-                        left_ok = False
-                        witnesses.setdefault("left_gcds", (a, b))
-            into = self.arrows_to(o)
-            for i, a in enumerate(into):
-                for b in into[i + 1:]:
-                    if self.right_gcd(a, b) is None:
-                        right_ok = False
-                        witnesses.setdefault("right_gcds", (a, b))
-        self._gcd_report = GcdCategoryReport(cw is None, lw is None,
-                                             rw is None, left_ok, right_ok,
-                                             witnesses)
+            for side, div, fibres in (("left_gcds", ldiv, self._by_src),
+                                      ("right_gcds", rdiv, self._by_tgt)):
+                if side in witnesses:
+                    continue
+                pair = _pair_without_greatest([idx[f] for f in fibres[o]],
+                                              div, div)
+                if pair is not None:
+                    witnesses[side] = tuple(self.arrows[i] for i in pair)
+        self._gcd_report = GcdCategoryReport(
+            cw is None, lw is None, rw is None,
+            "left_gcds" not in witnesses, "right_gcds" not in witnesses,
+            witnesses)
         return self._gcd_report
 
     def __repr__(self):

@@ -100,6 +100,7 @@ def barycentric(complex_):
         if named.setdefault(name, f) != f:
             raise InvalidStructure(
                 f"faces {named[name]} and {f} would both be named {name!r}")
-    le = [(names[a], names[b]) for a in faces for b in faces
-          if set(a) <= set(b)]
-    return Poset.from_order(names.values(), le)
+    # A face covers exactly the faces one vertex smaller.
+    covers = [(names[f[:i] + f[i + 1:]], name) for f, name in names.items()
+              if len(f) > 1 for i in range(len(f))]
+    return Poset(names.values(), covers)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .category import FiniteCategory
 from .errors import CategoryMismatch, InvalidStructure, NotIsotone
 from .groups import FreeGroupWord, GroupSpec
-from .poset import _greatest, _members
+from .poset import _members, _pair_without_greatest
 from .universal import ReducedSeq, multiply, unit
 
 
@@ -68,10 +68,11 @@ def gcd_criterion(poset):
                                ("right", poset._dn, poset._up)):
         for a, mask in enumerate(above):
             ys = _members(mask, range(len(els)))
-            for i, y1 in enumerate(ys):
-                for y2 in ys[i + 1:]:
-                    if _greatest(below[y1] & below[y2] & mask, below) is None:
-                        witnesses.setdefault(side, (els[a], els[y1], els[y2]))
+            pair = _pair_without_greatest(
+                ys, {y: below[y] & mask for y in ys}, below)
+            if pair is not None:
+                witnesses[side] = (els[a], els[pair[0]], els[pair[1]])
+                break
     return GcdCriterionReport("left" not in witnesses,
                               "right" not in witnesses, witnesses)
 

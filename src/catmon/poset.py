@@ -34,6 +34,26 @@ def _greatest(mask, below):
     return None
 
 
+def _pair_without_greatest(idxs, div, below):
+    """The first pair (a, b), a before b in ``idxs``, whose common divisors
+    ``div[a] & div[b]`` have no greatest member under ``below``; None if
+    every pair has one.  Each a must lie in ``div[a]`` and each ``div[a]``
+    inside ``below[a]``.  So when one mask holds the other (comparable
+    pairs), its owner is the greatest and the search is skipped; the search
+    runs once per distinct common mask."""
+    have_greatest = set()
+    for i, a in enumerate(idxs):
+        da = div[a]
+        for b in idxs[i + 1:]:
+            common = da & div[b]
+            if common == da or common == div[b] or common in have_greatest:
+                continue
+            if _greatest(common, below) is None:
+                return a, b
+            have_greatest.add(common)
+    return None
+
+
 def _transposed(up):
     """The down-masks of the order whose up-masks are ``up``."""
     dn = [0] * len(up)

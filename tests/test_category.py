@@ -6,8 +6,10 @@ from catmon import (
     AssociativityViolation,
     BadComposability,
     BadIdentity,
+    CatmonError,
     EmptyFamily,
     FiniteCategory,
+    GcdCategoryReport,
     MissingComposite,
     Poset,
     SizeLimitExceeded,
@@ -16,8 +18,11 @@ from catmon import (
 )
 
 from helpers import (
+    cyclic_category,
+    idempotent_category,
     labeled_posets,
     make_category,
+    nilpotent_category,
     pair_groupoid,
     poset_classes,
     posets_up_to,
@@ -93,6 +98,50 @@ def test_validation_associativity():
             ("fg", "h"): "q1", ("f", "gh"): "q2"}
     with pytest.raises(AssociativityViolation):
         make_category(["w", "x", "y", "z"], arrows, comp)
+
+
+def first_associativity_failure(ends, comp):
+    """The message for the first failing triple of a scan over every
+    composable triple, in the order the validator walks them; None if the
+    table is associative."""
+    for f, (_, tf) in ends.items():
+        for g, (sg, tg) in ends.items():
+            if sg != tf:
+                continue
+            for h, (sh, _) in ends.items():
+                if sh == tg and (comp[(comp[(f, g)], h)]
+                                 != comp[(f, comp[(g, h)])]):
+                    return f"({f};{g});{h} != {f};({g};{h})"
+    return None
+
+
+def test_validation_reports_the_first_failing_triple_of_a_full_scan():
+    rng = random.Random(47)
+    cats = [random_category(rng) for _ in range(120)]
+    cats += [pair_groupoid(3), cyclic_category(3), cyclic_category(4),
+             idempotent_category(), nilpotent_category()]
+    failures = 0
+    for cat in cats:
+        ends = {f: (cat.src(f), cat.tgt(f)) for f in cat.arrows}
+        # Only a composite between non-identities can be changed without
+        # breaking a unit law, and only to an arrow parallel to it.
+        entries = [(pair, [x for x in cat.hom(*ends[h]) if x != h])
+                   for pair, h in cat.comp.items()
+                   if not any(cat.is_identity(f) for f in pair)]
+        entries = [(pair, alts) for pair, alts in entries if alts]
+        for pair, alts in rng.sample(entries, min(4, len(entries))):
+            comp = dict(cat.comp)
+            comp[pair] = rng.choice(alts)
+            expected = first_associativity_failure(ends, comp)
+            try:
+                FiniteCategory(cat.objects, ends, cat.identity, comp)
+            except CatmonError as exc:
+                assert (type(exc), str(exc)) == \
+                    (AssociativityViolation, expected)
+                failures += 1
+            else:
+                assert expected is None
+    assert failures >= 30
 
 
 def test_size_guard(monkeypatch):
@@ -223,6 +272,51 @@ def test_gcd_category_report_on_examples():
     assert not report.holds
     groupoid = pair_groupoid(2).gcd_category_report()
     assert not groupoid.conical and groupoid.left_cancellative
+
+
+def pairwise_gcd_report(cat):
+    """The report from a left_gcd / right_gcd call on every pair of arrows
+    with a common source (left) or target (right)."""
+    witnesses = {}
+    for key, f in (("conical", cat.conical_witness),
+                   ("left_cancellative", cat.left_cancellation_witness),
+                   ("right_cancellative", cat.right_cancellation_witness)):
+        if f():
+            witnesses[key] = f()
+    for o in cat.objects:
+        for key, fibre, gcd in (("left_gcds", cat.arrows_from(o), cat.left_gcd),
+                                ("right_gcds", cat.arrows_to(o), cat.right_gcd)):
+            for i, a in enumerate(fibre):
+                for b in fibre[i + 1:]:
+                    if gcd(a, b) is None:
+                        witnesses.setdefault(key, (a, b))
+    return GcdCategoryReport(
+        "conical" not in witnesses, "left_cancellative" not in witnesses,
+        "right_cancellative" not in witnesses, "left_gcds" not in witnesses,
+        "right_gcds" not in witnesses, witnesses)
+
+
+def test_gcd_category_report_matches_a_pairwise_gcd_scan():
+    rng = random.Random(59)
+    cats = [random_category(rng) for _ in range(300)]
+    cats += [cat_of_poset(p) for p in posets_up_to(5, labeled_posets)]
+    cats += [cat.opposite() for cat in cats[:300]]
+    # Right gcds fail at object a, before left gcds fail at object z.
+    cats.append(cat_of_poset(Poset("apqrsmnuvz", [
+        ("p", "r"), ("p", "s"), ("q", "r"), ("q", "s"), ("r", "a"),
+        ("s", "a"), ("z", "m"), ("z", "n"), ("m", "u"), ("m", "v"),
+        ("n", "u"), ("n", "v")])))
+    flags = set()
+    for cat in cats:
+        expected = pairwise_gcd_report(cat)
+        report = cat.gcd_category_report()
+        assert report == expected
+        assert list(report.witnesses) == list(expected.witnesses)
+        flags.add((report.conical, report.left_cancellative,
+                   report.right_cancellative, report.left_gcds,
+                   report.right_gcds))
+    for i in range(5):  # every flag is seen failing and holding
+        assert {f[i] for f in flags} == {True, False}
 
 
 def test_opposite_is_involutive_and_swaps_sides():

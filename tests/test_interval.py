@@ -2,8 +2,12 @@ import random
 
 import pytest
 
+import catmon.category
+import catmon.interval
+import catmon.poset
 from catmon import (
     FreeGroupWord,
+    GcdCriterionReport,
     GroupSpec,
     IntervalFunctor,
     IsotoneMap,
@@ -22,7 +26,8 @@ from catmon import (
     unit,
 )
 
-from helpers import labeled_posets, poset_classes, posets_up_to, random_element
+from helpers import (labeled_posets, poset_classes, posets_up_to, random_element,
+                     random_poset)
 
 DIAMOND = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
 NONLATTICE = Poset("opqrs", [("o", "p"), ("o", "q"), ("p", "r"), ("p", "s"),
@@ -67,6 +72,58 @@ def test_criterion_agrees_with_category_report():
     for p in poset_classes(5):
         assert gcd_criterion(p).holds == \
             cat_of_poset(p).gcd_category_report().holds
+
+
+def pairwise_criterion(p):
+    """gcd_criterion by a meet (join) search for every pair of the up-set
+    (down-set) of every element."""
+    witnesses = {}
+    els = p.elements
+    for side, above, below in (("left", p._up, p._dn),
+                               ("right", p._dn, p._up)):
+        for a, mask in enumerate(above):
+            ys = [y for y in range(len(els)) if mask >> y & 1]
+            for i, y1 in enumerate(ys):
+                for y2 in ys[i + 1:]:
+                    common = below[y1] & below[y2] & mask
+                    if catmon.poset._greatest(common, below) is None:
+                        witnesses.setdefault(side, (els[a], els[y1], els[y2]))
+    return GcdCriterionReport("left" not in witnesses,
+                              "right" not in witnesses, witnesses)
+
+
+def test_gcd_criterion_matches_a_pairwise_meet_search():
+    posets = list(posets_up_to(5, labeled_posets))
+    rng = random.Random(61)
+    posets += [random_poset(rng, max_n=8) for _ in range(200)]
+    sides = set()
+    for p in posets:
+        report = gcd_criterion(p)
+        assert report == pairwise_criterion(p)
+        sides.add((report.left_ok, report.right_ok))
+    assert sides == {(True, True), (True, False), (False, True),
+                     (False, False)}
+
+
+def test_comparable_pairs_skip_the_greatest_member_search(monkeypatch):
+    calls = []
+
+    def counted(mask, below):
+        calls.append(mask)
+        return greatest(mask, below)
+
+    greatest = catmon.poset._greatest
+    for module in (catmon.poset, catmon.category, catmon.interval):
+        if hasattr(module, "_greatest"):
+            monkeypatch.setattr(module, "_greatest", counted)
+    els = [f"c{i:02d}" for i in range(32)]
+    chain = Poset(els, list(zip(els, els[1:])))  # every pair comparable
+    assert cat_of_poset(chain).gcd_category_report().holds
+    assert gcd_criterion(chain).holds
+    assert calls == []
+    assert not gcd_criterion(NONLATTICE).holds  # the counter does count
+    assert not cat_of_poset(NONLATTICE).gcd_category_report().holds
+    assert calls
 
 
 def test_embed_free_group_is_a_homomorphism():
