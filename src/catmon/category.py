@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import (AssociativityViolation, BadComposability, BadIdentity,
                      EmptyFamily, InvalidStructure, MissingComposite,
                      SizeLimitExceeded, UnknownArrow)
-from .poset import _greatest, _members, _pair_without_greatest
+from .poset import _greatest, _is_id, _members, _pair_without_greatest
 
 MAX_ARROWS_ENV = "CATMON_MAX_ARROWS"
 DEFAULT_MAX_ARROWS = 10000
@@ -77,7 +77,7 @@ class FiniteCategory:
     def _validate(self):
         objset = set(self.objects)
         for f, (s, t) in self._endpoints.items():
-            if not f or any(ch.isspace() for ch in f):
+            if not _is_id(f):
                 raise InvalidStructure(f"bad arrow id {f!r}")
             if s not in objset or t not in objset:
                 raise InvalidStructure(f"arrow {f} has unknown endpoint")

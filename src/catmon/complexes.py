@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InvalidStructure
-from .poset import Poset
+from .poset import Poset, _is_id
 
 
 class SimplicialComplex:
@@ -24,7 +24,7 @@ class SimplicialComplex:
             if not t:
                 raise InvalidStructure("empty simplex")
             for v in t:
-                if not v or any(ch.isspace() for ch in v):
+                if not _is_id(v):
                     raise InvalidStructure(f"bad vertex id {v!r}")
             fs.append(t)
         fs = sorted(set(fs))

@@ -22,22 +22,43 @@ def interval_name(x, y):
     return f"[{x},{y}]"
 
 
-def cat_of_poset(poset):
-    """The category of closed intervals of a poset."""
+def _interval_walk(poset):
+    """The closed intervals of a poset, in index space.
+
+    Returns ``(ups, names, arrows)``: ``ups[i]`` is the tuple of indices j
+    with elements[i] ≤ elements[j], in index order (i among them);
+    ``names[i][j]`` is the name of [elements[i], elements[j]] for those j
+    (None elsewhere); ``arrows`` maps each name to its endpoints, in walk
+    order.  Each interval is named once, so every composite built from
+    ``names`` reuses one string whose hash is already cached.
+    """
+    els = poset.elements
+    ids = range(len(els))
+    ups = [_members(mask, ids) for mask in poset._up]
+    names = []
     arrows = {}
-    for x in poset.elements:
-        for y in poset.up_set(x):
-            name = interval_name(x, y)
+    for i, x in enumerate(els):
+        row = [None] * len(els)
+        for j in ups[i]:
+            name = interval_name(x, els[j])
             if name in arrows:
                 raise InvalidStructure(f"interval name clash at {name}")
-            arrows[name] = (x, y)
-    identity = {x: interval_name(x, x) for x in poset.elements}
+            arrows[name] = (x, els[j])
+            row[j] = name
+        names.append(row)
+    return ups, names, arrows
+
+
+def cat_of_poset(poset):
+    """The category of closed intervals of a poset."""
+    ups, names, arrows = _interval_walk(poset)
+    identity = {x: names[i][i] for i, x in enumerate(poset.elements)}
     comp = {}
-    for x in poset.elements:
-        for y in poset.up_set(x):
-            for z in poset.up_set(y):
-                comp[(interval_name(x, y), interval_name(y, z))] = \
-                    interval_name(x, z)
+    for i, row in enumerate(names):
+        for j in ups[i]:
+            f, after = row[j], names[j]
+            for k in ups[j]:
+                comp[(f, after[k])] = row[k]
     return FiniteCategory(poset.elements, arrows, identity, comp)
 
 

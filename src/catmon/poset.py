@@ -10,6 +10,12 @@ from __future__ import annotations
 from .errors import CyclicCovers, InvalidStructure, RedundantCover
 
 
+def _is_id(s):
+    """Whether ``s`` can name an element, arrow or vertex: nonempty, with no
+    whitespace."""
+    return s.split() == [s]
+
+
 def _members(mask, items):
     """The items whose indices are the set bits of ``mask``, in index order."""
     out = []
@@ -87,7 +93,7 @@ class Poset:
         if len(set(elems)) != len(elems):
             raise InvalidStructure("duplicate poset elements")
         for e in elems:
-            if not e or any(ch.isspace() for ch in e):
+            if not _is_id(e):
                 raise InvalidStructure(f"bad element id {e!r}")
         idx = {e: i for i, e in enumerate(elems)}
         seen = set()

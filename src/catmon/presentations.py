@@ -3,12 +3,13 @@ homotopy constructions.
 
 Words are flat tuples of (generator, exponent) with exponent +1 or -1; free
 reduction cancels adjacent inverse pairs.  The abelianization rank is the
-number of generators minus the exact integer rank of the relator exponent
-matrix (computed over the rationals, which equals the rank over Z).
+number of generators minus the rank of the relator exponent matrix,
+computed exactly by fraction-free elimination over the integers (rank over Z
+equals rank over Q).
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from .errors import InvalidStructure
 
@@ -79,34 +80,35 @@ class GroupPresentation:
         return len(self.generators) - self.relator_matrix_rank()
 
     def relator_matrix_rank(self):
+        """Rank of the relator exponent matrix.
+
+        Rows are sparse ``{column: int}`` dicts with no zero entries.  The
+        basis holds one row per leading (least) column; a new row is reduced
+        against it with ``row·a − top·b``, which clears the leading column,
+        and divided by the gcd of its entries.  A row that reaches zero is
+        dependent; every other row adds one to the rank.
+        """
         idx = {g: i for i, g in enumerate(self.generators)}
-        rows = []
+        basis = {}
         for r in self.relators:
-            row = [0] * len(self.generators)
+            row = {}
             for g, e in r:
-                row[idx[g]] += e
-            if any(row):
-                rows.append([Fraction(v) for v in row])
-        rank = 0
-        cols = len(self.generators)
-        pivot_col = 0
-        while rows and pivot_col < cols:
-            piv = next((i for i, row in enumerate(rows) if row[pivot_col]),
-                       None)
-            if piv is None:
-                pivot_col += 1
-                continue
-            rows[0], rows[piv] = rows[piv], rows[0]
-            top = rows[0]
-            for row in rows[1:]:
-                if row[pivot_col]:
-                    f = row[pivot_col] / top[pivot_col]
-                    for j in range(pivot_col, cols):
-                        row[j] -= f * top[j]
-            rows = [row for row in rows[1:] if any(row)]
-            rank += 1
-            pivot_col += 1
-        return rank
+                c = idx[g]
+                row[c] = row.get(c, 0) + e
+            row = {c: v for c, v in row.items() if v}
+            while row:
+                lead = min(row)
+                top = basis.get(lead)
+                if top is None:
+                    basis[lead] = row
+                    break
+                a, b = top[lead], row[lead]
+                out = {c: v * a for c, v in row.items()}
+                for c, v in top.items():
+                    out[c] = out.get(c, 0) - v * b
+                d = gcd(*out.values())
+                row = {c: v // d for c, v in out.items() if v}
+        return len(basis)
 
     def free_rank(self):
         """Number of generators when there are no relators, else None."""

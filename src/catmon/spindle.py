@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .category import FiniteCategory
 from .errors import HeightTooSmall, InvalidStructure, NotComparable, NotExtreme
-from .interval import interval_name
+from .interval import _interval_walk
 from .presented import MonoidPresentation
 
 
@@ -76,32 +76,28 @@ def spindle_category(poset, spindle):
     if not is_extreme_spindle(poset, spindle):
         raise NotExtreme(f"{spindle.u} not minimal or {spindle.v} not maximal")
     u, v = spindle.u, spindle.v
+    ui, vi = poset.index(u), poset.index(v)
+    ups, names, arrows = _interval_walk(poset)
     class_of = {}
     for chain in spindle.chains:
         name = chain_arrow_name(chain)
         for m in chain[1:-1]:
-            class_of[m] = name
-    arrows = {}
-    for x in poset.elements:
-        for y in poset.up_set(x):
-            if (x, y) != (u, v):
-                arrows[interval_name(x, y)] = (x, y)
+            class_of[poset.index(m)] = name
+    del arrows[names[ui][vi]]
     for chain in spindle.chains:
         arrows[chain_arrow_name(chain)] = (u, v)
-    identity = {x: interval_name(x, x) for x in poset.elements}
+    identity = {x: names[i][i] for i, x in enumerate(poset.elements)}
     comp = {}
-    for x in poset.elements:
-        for y in poset.up_set(x):
-            if (x, y) == (u, v):
+    for i, row in enumerate(names):
+        for j in ups[i]:
+            if i == ui and j == vi:
                 continue
-            for z in poset.up_set(y):
-                if (y, z) == (u, v):
+            f, after = row[j], names[j]
+            for k in ups[j]:
+                if j == ui and k == vi:
                     continue
-                f, g = interval_name(x, y), interval_name(y, z)
-                if (x, z) == (u, v):
-                    comp[(f, g)] = class_of[y]
-                else:
-                    comp[(f, g)] = interval_name(x, z)
+                comp[(f, after[k])] = (class_of[j] if i == ui and k == vi
+                                       else row[k])
     for chain in spindle.chains:
         name = chain_arrow_name(chain)
         comp[(identity[u], name)] = name
@@ -115,21 +111,17 @@ def spindle_presentation(poset, spindle):
     [u,v]."""
     if not is_extreme_spindle(poset, spindle):
         raise NotExtreme(f"{spindle.u} not minimal or {spindle.v} not maximal")
-    u, v = spindle.u, spindle.v
-    gens = []
-    for x in poset.elements:
-        for y in poset.up_set(x):
-            if x != y and (x, y) != (u, v):
-                gens.append(interval_name(x, y))
+    ui, vi = poset.index(spindle.u), poset.index(spindle.v)
+    ups, names, _ = _interval_walk(poset)
+    gens = [row[j] for i, row in enumerate(names) for j in ups[i]
+            if j != i and not (i == ui and j == vi)]
     relations = []
-    for x in poset.elements:
-        for y in poset.up_set(x):
-            if y == x:
+    for i, row in enumerate(names):
+        for j in ups[i]:
+            if j == i:
                 continue
-            for z in poset.up_set(y):
-                if z == y or (x, z) == (u, v):
-                    continue
-                relations.append(
-                    ((interval_name(x, z),),
-                     (interval_name(x, y), interval_name(y, z))))
+            after = names[j]
+            for k in ups[j]:
+                if k != j and not (i == ui and k == vi):
+                    relations.append(((row[k],), (row[j], after[k])))
     return MonoidPresentation(gens, relations)

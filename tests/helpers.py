@@ -8,13 +8,16 @@ cross-checks.
 
 import itertools
 import random
+from fractions import Fraction
 
 from catmon import (
     FiniteCategory,
     Poset,
     SimplicialComplex,
     cat_of_poset,
+    chain_arrow_name,
     elements_up_to,
+    interval_name,
     multiply,
 )
 
@@ -461,3 +464,82 @@ def brute_divides(side, x, y, pool):
     if side == "left":
         return any(multiply(x, z) == y for z in pool)
     return any(multiply(z, x) == y for z in pool)
+
+
+# -- reference builders -------------------------------------------------------
+
+def reference_interval_category(poset):
+    """The arrows, identity and composition dicts of Cat(P), from ``leq``."""
+    els = poset.elements
+    le = [(x, y) for x in els for y in els if poset.leq(x, y)]
+    arrows = {interval_name(x, y): (x, y) for x, y in le}
+    identity = {x: interval_name(x, x) for x in els}
+    comp = {(interval_name(x, y), interval_name(y, z)): interval_name(x, z)
+            for x, y in le for z in els if poset.leq(y, z)}
+    return arrows, identity, comp
+
+
+def reference_spindle_category(poset, spindle):
+    """The arrows, identity and composition dicts of Cat(P,u,v): Cat(P)
+    with [u,v] replaced by one arrow per maximal chain of [u,v]."""
+    u, v = spindle.u, spindle.v
+    uv = interval_name(u, v)
+    arrows, identity, interval_comp = reference_interval_category(poset)
+    del arrows[uv]
+    class_of = {m: chain_arrow_name(chain)
+                for chain in spindle.chains for m in chain[1:-1]}
+    comp = {}
+    for (f, g), h in interval_comp.items():
+        if uv not in (f, g):
+            comp[(f, g)] = class_of[arrows[f][1]] if h == uv else h
+    for chain in spindle.chains:
+        name = chain_arrow_name(chain)
+        arrows[name] = (u, v)
+        comp[(identity[u], name)] = comp[(name, identity[v])] = name
+    return arrows, identity, comp
+
+
+def reference_spindle_presentation(poset, spindle):
+    """Generators and relations of the spindle presentation, in the order of
+    a scan of the strict intervals [x,y] by x, then y, then z above y."""
+    u, v = spindle.u, spindle.v
+    els = poset.elements
+    lt = [(x, y) for x in els for y in els if poset.lt(x, y)]
+    gens = [interval_name(x, y) for x, y in lt if (x, y) != (u, v)]
+    relations = [((interval_name(x, z),),
+                  (interval_name(x, y), interval_name(y, z)))
+                 for x, y in lt for z in els
+                 if poset.lt(y, z) and (x, z) != (u, v)]
+    return tuple(gens), tuple(relations)
+
+
+def rational_rank(generators, relators):
+    """Rank of the relator exponent matrix by dense Gaussian elimination over
+    the rationals."""
+    idx = {g: i for i, g in enumerate(generators)}
+    rows = []
+    for r in relators:
+        row = [0] * len(generators)
+        for g, e in r:
+            row[idx[g]] += e
+        if any(row):
+            rows.append([Fraction(v) for v in row])
+    rank = 0
+    cols = len(generators)
+    pivot_col = 0
+    while rows and pivot_col < cols:
+        piv = next((i for i, row in enumerate(rows) if row[pivot_col]), None)
+        if piv is None:
+            pivot_col += 1
+            continue
+        rows[0], rows[piv] = rows[piv], rows[0]
+        top = rows[0]
+        for row in rows[1:]:
+            if row[pivot_col]:
+                f = row[pivot_col] / top[pivot_col]
+                for j in range(pivot_col, cols):
+                    row[j] -= f * top[j]
+        rows = [row for row in rows[1:] if any(row)]
+        rank += 1
+        pivot_col += 1
+    return rank

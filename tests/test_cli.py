@@ -265,3 +265,13 @@ def test_python_m_catmon_runs_the_cli():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == golden_path("nf_cross").read_text()
+
+
+def test_cold_import_loads_no_fractions_or_decimal():
+    probe = ("import sys; sys.path.insert(0, 'src'); import catmon, "
+             "catmon.cli; print(sorted({'fractions', 'decimal'} & "
+             "set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", probe], cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -10,6 +10,7 @@ from catmon import (
     GcdCriterionReport,
     GroupSpec,
     IntervalFunctor,
+    InvalidStructure,
     IsotoneMap,
     NotIsotone,
     Poset,
@@ -27,7 +28,7 @@ from catmon import (
 )
 
 from helpers import (labeled_posets, poset_classes, posets_up_to, random_element,
-                     random_poset)
+                     random_poset, reference_interval_category)
 
 DIAMOND = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
 NONLATTICE = Poset("opqrs", [("o", "p"), ("o", "q"), ("p", "r"), ("p", "s"),
@@ -52,6 +53,28 @@ def test_interval_name_and_endpoint_recovery():
     cat = cat_of_poset(DIAMOND)
     for f in cat.arrows:
         assert f == interval_name(cat.src(f), cat.tgt(f))
+
+
+def test_cat_of_poset_matches_a_reference_built_from_leq():
+    rng = random.Random(21)
+    for _ in range(300):
+        q = random_poset(rng, max_n=7)
+        # relabel, so that index order and the order disagree
+        new = dict(zip(q.elements, rng.sample(q.elements, len(q.elements))))
+        p = Poset(q.elements, [(new[x], new[y]) for x, y in q.covers])
+        cat = cat_of_poset(p)
+        arrows, identity, comp = reference_interval_category(p)
+        assert cat._endpoints == arrows
+        assert cat.identity == identity
+        assert cat.comp == comp
+
+
+def test_interval_name_clash_is_rejected():
+    # [a,b,c] names both the interval from a to b,c and from a,b to c
+    p = Poset(["a", "b,c", "a,b", "c"], [("a", "b,c"), ("a,b", "c")])
+    with pytest.raises(InvalidStructure, match=r"interval name clash at "
+                       r"\[a,b,c\]"):
+        cat_of_poset(p)
 
 
 def test_gcd_criterion_on_examples():

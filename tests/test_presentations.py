@@ -12,6 +12,8 @@ from catmon import (
     substitute,
 )
 
+from helpers import rational_rank
+
 
 def random_word(rng, letters="xyz", n=8):
     return tuple((rng.choice(letters), rng.choice((1, -1)))
@@ -83,3 +85,43 @@ def test_free_rank_only_without_relators():
     assert GroupPresentation(["x", "y"], []).free_rank() == 2
     assert GroupPresentation(["x"], [(("x", 1), ("x", 1))]).free_rank() \
         is None
+
+
+def power(g, k):
+    """The word g^k, written with exponents ±1."""
+    return ((g, 1 if k > 0 else -1),) * abs(k)
+
+
+def test_relator_matrix_rank_with_growing_pivots():
+    x3y_2 = power("x", 3) + power("y", -2)
+    x2y5 = power("x", 2) + power("y", 5)
+    assert GroupPresentation(["x", "y"], [x3y_2, x2y5]) \
+        .relator_matrix_rank() == 2
+    assert GroupPresentation(["x", "y"], [x3y_2, x3y_2 + x3y_2]) \
+        .relator_matrix_rank() == 1
+    assert GroupPresentation(["x", "y", "z"], [(), power("x", 1) + power(
+        "x", -1)]).relator_matrix_rank() == 0
+
+
+def random_relator(rng, gens):
+    """A product of random powers, with cancelling pairs mixed in."""
+    word = ()
+    for _ in range(rng.randint(0, 4)):
+        g = rng.choice(gens)
+        word += power(g, rng.randint(-5, 5))
+        if rng.random() < 0.3:
+            h = rng.choice(gens)
+            word += ((h, 1), (h, -1)) if rng.random() < 0.5 else \
+                ((h, -1), (h, 1))
+    return word
+
+
+def test_relator_matrix_rank_matches_rational_elimination():
+    rng = random.Random(31)
+    for _ in range(2500):
+        gens = "xyzuvw"[:rng.randint(1, 6)]
+        relators = [random_relator(rng, gens)
+                    for _ in range(rng.randint(0, 8))]
+        pres = GroupPresentation(gens, relators)
+        assert pres.relator_matrix_rank() == rational_rank(gens, relators), \
+            (gens, relators)

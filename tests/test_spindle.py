@@ -15,7 +15,8 @@ from catmon import (
     spindle_presentation,
 )
 
-from helpers import natural_posets, posets_up_to
+from helpers import (natural_posets, posets_up_to, reference_spindle_category,
+                     reference_spindle_presentation)
 
 DIAMOND = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
 CHAIN3 = Poset("012", [("0", "1"), ("1", "2")])
@@ -124,20 +125,40 @@ def test_spindle_category_gcd_formula():
                     interval_name(u, m)
 
 
+def extreme_spindles(poset):
+    for u in poset.minimal_elements():
+        for v in poset.maximal_elements():
+            if poset.lt(u, v) and poset.open_interval(u, v):
+                sp = detect_spindle(poset, u, v)
+                if sp is not None:
+                    yield sp
+
+
 def test_spindle_categories_of_gcd_posets_are_gcd_categories():
     checked = 0
     for p in posets_up_to(5, natural_posets):
-        for u in p.minimal_elements():
-            for v in p.maximal_elements():
-                if not p.lt(u, v) or not p.open_interval(u, v):
-                    continue
-                sp = detect_spindle(p, u, v)
-                if sp is None:
-                    continue
-                cat = spindle_category(p, sp)
-                if gcd_criterion(p).holds:
-                    assert cat.gcd_category_report().holds
-                    checked += 1
+        for sp in extreme_spindles(p):
+            cat = spindle_category(p, sp)
+            if gcd_criterion(p).holds:
+                assert cat.gcd_category_report().holds
+                checked += 1
+    assert checked > 100
+
+
+def test_spindle_builders_match_references():
+    fixtures = [DIAMOND, CHAIN3, CHAIN4, TWO_CLASS]
+    checked = 0
+    for poset in fixtures + list(posets_up_to(5, natural_posets)):
+        for sp in extreme_spindles(poset):
+            cat = spindle_category(poset, sp)
+            arrows, identity, comp = reference_spindle_category(poset, sp)
+            assert cat._endpoints == arrows
+            assert cat.identity == identity
+            assert cat.comp == comp
+            pres = spindle_presentation(poset, sp)
+            assert (pres.generators, pres.relations) == \
+                reference_spindle_presentation(poset, sp)
+            checked += 1
     assert checked > 100
 
 
