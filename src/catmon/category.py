@@ -110,10 +110,14 @@ class FiniteCategory:
         by_src = {o: [] for o in self.objects}
         for f, (s, _) in ends.items():
             by_src[s].append(f)
-        for f, (_, t) in ends.items():
-            for g in by_src[t]:
-                if (f, g) not in self.comp:
-                    raise MissingComposite(f"no composite for {f};{g}")
+        # Every key is a composable pair by now, and keys are distinct, so
+        # the table is total iff it has one entry per composable pair; the
+        # pairs are walked only to name the first one missing.
+        if len(self.comp) != sum(len(by_src[t]) for _, t in ends.values()):
+            for f, (_, t) in ends.items():
+                for g in by_src[t]:
+                    if (f, g) not in self.comp:
+                        raise MissingComposite(f"no composite for {f};{g}")
         for o, e in self.identity.items():
             for f in by_src[o]:
                 if self.comp[(e, f)] != f:

@@ -6,6 +6,17 @@ so the class of a word is computed by closing under single relation rewrites
 in both directions at every position.  Common right multiples are found by a
 breadth-first search over representative words up to a length bound; absence
 within the bound is reported as bounded, never as a theorem.
+
+Words enter through ``_word``, the one check that every letter is a
+generator.  The searches over all classes of a length (``crm`` and the m6
+check) grow each class one letter at a time with ``_grow``: a class is a list
+whose first word, ``cls[0]``, is its representative u, and the class of u·g
+starts from the seeds u'·g, u' in cls.  A rewrite of a seed at a window
+inside u' gives u''·g with u'' in cls, another seed, so only the windows
+that end at the new letter are scanned on seeds; the words they add get a
+full scan.  What a search carries along a class is monotone in the same way
+(a left divisor of u divides u·g, and the image of u·g under a substitution
+is the image of u followed by that of g), so only the added words are tested.
 """
 from __future__ import annotations
 
@@ -19,7 +30,7 @@ class MonoidPresentation:
         self.generators = tuple(generators)
         if len(set(self.generators)) != len(self.generators):
             raise InvalidStructure("duplicate generators")
-        gens = set(self.generators)
+        self._gens = gens = frozenset(self.generators)
         rels = []
         for lhs, rhs in relations:
             lhs, rhs = tuple(lhs), tuple(rhs)
@@ -53,38 +64,104 @@ def _require_homogeneous(pres):
             "word-problem operations need length-preserving relations")
 
 
-def _word(w):
-    return tuple(w)
+def _word(pres, w):
+    """w as a tuple word, checked to use only generators of pres."""
+    w = tuple(w)
+    if not pres._gens.issuperset(w):
+        bad = next(g for g in w if g not in pres._gens)
+        raise InvalidStructure(f"word uses unknown generator {bad!r}")
+    return w
+
+
+def _spread(pres, n, seen, out, start):
+    """Scan every window of the words out[start:], and of each word this
+    appends, for rewrites; a word not yet in seen is added to seen and
+    appended to out.  Returns out.  The caller has checked that pres is
+    homogeneous, so every word found has length n; a rule longer than n
+    has no window."""
+    rewrites = pres._rewrites.items()
+    i = start
+    while i < len(out):
+        w = out[i]
+        i += 1
+        for k, rules in rewrites:
+            for j in range(n - k + 1):
+                for rhs in rules.get(w[j:j + k], ()):
+                    w2 = w[:j] + rhs + w[j + k:]
+                    if w2 not in seen:
+                        seen.add(w2)
+                        out.append(w2)
+    return out
 
 
 def _closure(pres, word):
-    """The congruence class of a tuple word, as a new set.  The caller has
-    checked that pres is homogeneous, so every member has len(word)."""
-    n = len(word)
-    rewrites = [(k, rules) for k, rules in pres._rewrites.items() if k <= n]
+    """The congruence class of a tuple word, as a new set."""
     seen = {word}
-    frontier = [word]
-    while frontier:
-        w = frontier.pop()
-        for k, rules in rewrites:
-            for i in range(n - k + 1):
-                for rhs in rules.get(w[i:i + k], ()):
-                    w2 = w[:i] + rhs + w[i + k:]
-                    if w2 not in seen:
-                        seen.add(w2)
-                        frontier.append(w2)
+    _spread(pres, len(word), seen, [word], 0)
     return seen
+
+
+def _grow(pres, cls, g):
+    """The class of u·g, given the whole class cls of u with u = cls[0].
+
+    The result is a list: first the seeds u'·g for u' in cls, in cls's order
+    (so u·g comes first), then the words that rewrites add.  A seed's
+    windows inside u' rewrite it to another seed, so seeds are scanned only
+    at the window of each rule length that ends at g."""
+    n = len(cls[0]) + 1
+    tail = (g,)
+    out = [u + tail for u in cls]
+    seen = set(out)
+    start = len(out)
+    for k, rules in pres._rewrites.items():
+        if k > n:
+            continue
+        i = n - k
+        for w in out[:start]:
+            for rhs in rules.get(w[i:], ()):
+                w2 = w[:i] + rhs
+                if w2 not in seen:
+                    seen.add(w2)
+                    out.append(w2)
+    return _spread(pres, n, seen, out, start) if len(out) > start else out
+
+
+def _class_walk(pres, gens, cls, state, carry, layers):
+    """Yield (class, state) for each class of the words cls[0]·w, w of 1 to
+    layers letters over gens, once per length, shortest first.
+
+    Each layer grows every class of the one before by each g in gens, in
+    order, and skips u·g when it lies in a class already met in this layer,
+    so each class is met first at its first word in that order, which is
+    the class's cls[0].  A grown class's state is carry(state, grown,
+    start), where state is the shorter class's and grown[start:] are the
+    words that rewrites added."""
+    layer = [(cls, state)]
+    for depth in range(1, layers + 1):
+        seen = set()
+        grown_layer = []
+        for cls, state in layer:
+            for g in gens:
+                if cls[0] + (g,) in seen:
+                    continue
+                grown = _grow(pres, cls, g)
+                seen.update(grown)
+                grown_state = carry(state, grown, len(cls))
+                yield grown, grown_state
+                if depth < layers:
+                    grown_layer.append((grown, grown_state))
+        layer = grown_layer
 
 
 def congruence_class(pres, word):
     """All words equal to the given one modulo the relations (finite orbit)."""
     _require_homogeneous(pres)
-    return frozenset(_closure(pres, _word(word)))
+    return frozenset(_closure(pres, _word(pres, word)))
 
 
 def equal_in_monoid(pres, u, v):
     _require_homogeneous(pres)
-    return _word(v) in _closure(pres, _word(u))
+    return _word(pres, v) in _closure(pres, _word(pres, u))
 
 
 @dataclass(frozen=True)
@@ -124,7 +201,7 @@ def atoms(pres):
 
 def left_divides_mod(pres, x, w_class):
     """Does x left-divide w modulo the congruence (w given by its class)?"""
-    x = _word(x)
+    x = _word(pres, x)
     return any(member[:len(x)] == x for member in w_class)
 
 
@@ -138,27 +215,41 @@ def common_right_multiple(pres, xs, max_len=8):
     met of each class: u ~ v implies ug ~ vg, and the first word of a class
     precedes its other words in every later layer, so the lexicographically
     first word of each class of each layer is still reached.
+
+    The layers are walked by ``_class_walk``, and each class carries a
+    mask whose bit i says that xs[i] left-divides some word of the class.
+    x | u implies x | u·g, so a grown class keeps its mask and only the
+    words that rewrites added are tested, except that an x as long as the
+    class's words divides a seed u'·g only by being it, so it is tested on
+    the whole class.
     """
     _require_homogeneous(pres)
-    xs = [_word(x) for x in xs]
+    xs = [_word(pres, x) for x in xs]
     if not xs:
         raise InvalidStructure("empty family")
-    gens = sorted(pres.generators)
-    layer = [xs[0]]
-    length = len(xs[0])
-    while length <= max_len:
-        seen = set()
-        firsts = []
-        for w in layer:
-            if w in seen:
-                continue
-            cls = _closure(pres, w)
-            if all(left_divides_mod(pres, x, cls) for x in xs):
-                return w
-            seen |= cls
-            firsts.append(w)
-        layer = [w + (g,) for w in firsts for g in gens]
-        length += 1
+    full = (1 << len(xs)) - 1
+    head = xs[0]
+    if len(head) > max_len:
+        return None
+
+    def mask(m, cls, start):
+        length = len(cls[0])
+        for i, x in enumerate(xs):
+            k = len(x)
+            if not m >> i & 1 and k <= length:
+                words = cls if k == length else cls[start:]
+                if any(w[:k] == x for w in words):
+                    m |= 1 << i
+        return m
+
+    cls = [head, *(_closure(pres, head) - {head})]
+    m = mask(0, cls, 0)
+    if m == full:
+        return head
+    for cls, m in _class_walk(pres, sorted(pres.generators), cls, m, mask,
+                              max_len - len(head)):
+        if m == full:
+            return cls[0]
     return None
 
 
@@ -205,7 +296,13 @@ def _m6_image(word):
 def verify_m6_embedding(max_len=5):
     """Check the substitution a↦a, b↦b, c↦ax, d↦by, e↦xb, f↦ya: both defining
     relations must become word identities in the free monoid on {a,b,x,y},
-    and distinct congruence classes up to max_len must have distinct images."""
+    and distinct congruence classes up to max_len must have distinct images.
+
+    The classes are walked by ``_class_walk`` from the empty word, and each
+    carries the image of its words.  The image of u·g is the image of u
+    followed by that of g, so a grown class's image is its shorter class's
+    extended by one letter's, and only the words that rewrites added have
+    their image taken, to check that it is constant on the class."""
     pres = m6_presentation()
     checks = []
     for lhs, rhs in pres.relations:
@@ -213,25 +310,20 @@ def verify_m6_embedding(max_len=5):
         checks.append((lhs, rhs, li, ri, li == ri))
     relations_hold = all(ok for *_, ok in checks)
 
-    seen = set()
-    image_of_class = {}
+    def image(img, cls, start):
+        img += M6_SUBSTITUTION[cls[0][-1]]
+        if any(_m6_image(w) != img for w in cls[start:]):
+            raise InvalidStructure(
+                "substitution is not constant on a congruence class")
+        return img
+
+    images = set()
     injective = True
     count = 0
-    words = [()]
-    for _ in range(max_len):
-        words = [w + (g,) for w in words for g in pres.generators]
-        for w in words:
-            if w in seen:
-                continue
-            cls = _closure(pres, w)
-            seen.update(cls)
-            count += 1
-            images = {_m6_image(m) for m in cls}
-            if len(images) != 1:
-                raise InvalidStructure(
-                    "substitution is not constant on a congruence class")
-            img = images.pop()
-            if img in image_of_class:
-                injective = False
-            image_of_class[img] = cls
+    for _, img in _class_walk(pres, pres.generators, [()], (), image,
+                              max_len):
+        count += 1
+        if img in images:
+            injective = False
+        images.add(img)
     return M6Report(tuple(checks), relations_hold, max_len, count, injective)

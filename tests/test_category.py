@@ -71,6 +71,28 @@ def test_validation_missing_composite():
         make_category(["x", "y", "z"], arrows, {})
 
 
+def test_missing_composite_names_the_first_missing_pair():
+    """With composites deleted from seeded random categories, the error
+    names the first missing pair of a full scan over the pairs in arrow
+    order; arrow order is shuffled so that the first pair varies."""
+    rng = random.Random(21)
+    for _ in range(150):
+        cat = random_category(rng)
+        names = list(cat.arrows)
+        rng.shuffle(names)
+        arrows = {f: (cat.src(f), cat.tgt(f)) for f in names}
+        comp = dict(cat.comp)
+        for pair in rng.sample(sorted(comp), min(len(comp),
+                                                 rng.randint(1, 2))):
+            del comp[pair]
+        first = next((f, g) for f, (_, t) in arrows.items()
+                     for g, (s, _) in arrows.items()
+                     if s == t and (f, g) not in comp)
+        with pytest.raises(MissingComposite) as exc:
+            FiniteCategory(cat.objects, arrows, cat.identity, comp)
+        assert str(exc.value) == f"no composite for {first[0]};{first[1]}"
+
+
 def test_validation_bad_composability_and_unknown():
     arrows = {"f": ("x", "y"), "g": ("y", "z")}
     with pytest.raises(BadComposability):

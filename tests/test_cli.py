@@ -121,6 +121,18 @@ def test_monoid_class_of_empty_word(capsys):
     assert capsys.readouterr().out == "1\n"
 
 
+def test_monoid_words_with_unknown_letters_exit_2(capsys):
+    for argv in (["monoid", "class", "data/c6.monoid", "z"],
+                 ["monoid", "equal", "data/c6.monoid", "z", "z"],
+                 ["monoid", "equal", "data/c6.monoid", "a", "a z"],
+                 ["monoid", "crm", "data/c6.monoid", "a", "z"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == ("error: InvalidStructure: word uses unknown "
+                                "generator 'z'\n"), argv
+
+
 def test_spindle_category_output_reloads(capsys):
     assert main(["spindle", "category", "data/diamond.poset", "0", "1"]) == 0
     text = capsys.readouterr().out

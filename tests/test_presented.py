@@ -19,6 +19,7 @@ from catmon import (
     verify_m6_embedding,
 )
 from catmon.formats import load_monoid
+from catmon.presented import _grow, _m6_image
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -264,3 +265,102 @@ def test_builtin_presentations_match_data_files():
         loaded = load_monoid((DATA / fname).read_text(), fname)
         assert loaded.generators == built.generators
         assert loaded.relations == built.relations
+
+
+def test_words_with_unknown_letters_are_rejected():
+    pres = c6_presentation()
+    calls = [
+        lambda: congruence_class(pres, ("z",)),
+        lambda: congruence_class(pres, ("a", "b'", "x")),
+        lambda: equal_in_monoid(pres, ("z",), ("z",)),
+        lambda: equal_in_monoid(pres, ("a",), ("z",)),
+        lambda: common_right_multiple(pres, [("a",), ("z",)]),
+        lambda: common_right_multiple(pres, [("z",)], 0),
+        lambda: left_divides_mod(pres, ("z",), {("a",)}),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidStructure, match="unknown generator"):
+            call()
+    # a letter is checked as one token, not as the characters of a string
+    with pytest.raises(InvalidStructure, match="'ab'"):
+        congruence_class(pres, ["ab"])
+
+
+def _classes_up_to(pres, n):
+    """Every class of words of length <= n, once each, as sets."""
+    out = {}
+    for k in range(n + 1):
+        for w in itertools.product(pres.generators, repeat=k):
+            if w not in out:
+                cls = frozenset(closure_oracle(pres, w))
+                out.update(dict.fromkeys(cls, cls))
+    return set(out.values())
+
+
+def test_grow_matches_closure_oracle():
+    """_grow(cls, g) is the class of cls[0]·g for every class up to length
+    4 and every generator g, with a random member as representative; the
+    seeds come first, in cls's order.  b3's relation has length 3 and the
+    random presentations mix lengths 1, 2 and 3, so the windows that end at
+    the new letter are taken at every rule length."""
+    rng = random.Random(8)
+    presentations = [c6_presentation(), m6_presentation(),
+                     braid3_presentation()]
+    presentations += [random_homogeneous_presentation(rng)
+                      for _ in range(12)]
+    assert {len(l) for p in presentations for l, _ in p.relations} == \
+        {1, 2, 3}
+    for pres in presentations:
+        for cls in _classes_up_to(pres, 4):
+            members = sorted(cls)
+            rep = members[rng.randrange(len(members))]
+            listed = [rep] + [w for w in members if w != rep]
+            for g in pres.generators:
+                grown = _grow(pres, listed, g)
+                assert len(grown) == len(set(grown))
+                assert set(grown) == closure_oracle(pres, rep + (g,)), \
+                    (pres.relations, rep, g)
+                assert grown[:len(listed)] == [w + (g,) for w in listed]
+
+
+def test_crm_tests_a_later_divisor_as_long_as_the_layer():
+    # xs[1] = "b a'" is longer than xs[0] = "a" and first divides at length
+    # 2, where it is not a prefix of the representative "a b'" but is the
+    # other word of its class
+    pres = c6_presentation()
+    assert common_right_multiple(pres, [("a",), ("b", "a'")], 2) == \
+        ("a", "b'")
+    assert common_right_multiple(pres, [("a",), ("b", "a'")], 1) is None
+    # an x longer than every word up to max_len divides nothing
+    assert common_right_multiple(pres, [("a",), ("a", "b", "c")], 2) is None
+    assert common_right_multiple(pres, [("a",), ("a", "b", "c")], 3) == \
+        ("a", "b", "c")
+    b3 = braid3_presentation()
+    assert common_right_multiple(b3, [("a",), ("b", "a", "b")], 3) == \
+        ("a", "b", "a")
+    assert common_right_multiple(b3, [("a", "b"), ("b", "a", "b", "b")],
+                                 4) == ("a", "b", "a", "b")
+
+
+def test_crm_bound_below_the_first_word_is_none():
+    pres = c6_presentation()
+    assert common_right_multiple(pres, [("a", "b'")], 1) is None
+    assert common_right_multiple(pres, [("a", "b'")], 2) == ("a", "b'")
+    assert common_right_multiple(pres, [("a", "b'"), ("b",)], 0) is None
+    assert common_right_multiple(pres, [()], 0) == ()
+
+
+def test_m6_embedding_matches_brute_force():
+    pres = m6_presentation()
+    for n in range(1, 5):
+        classes = _classes_up_to(pres, n) - {frozenset({()})}
+        by_image = {}
+        for k in range(1, n + 1):
+            for w in itertools.product(pres.generators, repeat=k):
+                by_image.setdefault(_m6_image(w), set()).add(w)
+        # injective on classes: the words of one image lie in one class
+        injective = all(ws <= closure_oracle(pres, min(ws))
+                        for ws in by_image.values())
+        report = verify_m6_embedding(n)
+        assert report.class_count == len(classes)
+        assert report.injective is injective is True
