@@ -6,8 +6,10 @@ is defined exactly when ``tgt(f) == src(g)``.  Validation checks that the
 table is total on composable pairs, associative, and neutral on identities.
 
 Divisibility is arrow-level: ``a`` left-divides ``b`` when ``b = a;x`` for
-some ``x``, and right-divides when ``b = x;a``.  Greatest common divisors are
-computed against these relations via per-arrow divisor bitmasks.
+some ``x``, and right-divides when ``b = x;a``.  Each divisibility method
+(``divides``, ``divisors``, ``quotient``, ``gcd``, ``lcm``) takes the side
+first, ``"left"`` or ``"right"``, and runs one algorithm on that side's
+per-arrow divisor bitmasks and fibres.
 """
 from __future__ import annotations
 
@@ -22,6 +24,16 @@ from .poset import _greatest, _is_id, _members, _pair_without_greatest
 
 MAX_ARROWS_ENV = "CATMON_MAX_ARROWS"
 DEFAULT_MAX_ARROWS = 10000
+
+
+def _endpoint_of(side):
+    """The endpoint a side reads: 0 (source) for "left", 1 (target) for
+    "right".  The one check of a ``side`` argument."""
+    if side == "left":
+        return 0
+    if side == "right":
+        return 1
+    raise InvalidStructure(f"side must be 'left' or 'right', got {side!r}")
 
 
 @dataclass(frozen=True)
@@ -225,43 +237,50 @@ class FiniteCategory:
                     and (f not in self._identities
                          or g not in self._identities)):
                 conical_witness = (f, g)
-        left_witness = None  # (a, x, y) with a;x = a;y, x != y
-        right_witness = None  # (a, x, y) with x;a = y;a, x != y
-        for a in self.arrows:
-            seen = {}
-            for x in self._by_src[self._endpoints[a][1]]:
-                p = self.comp[(a, x)]
-                if p in seen and left_witness is None:
-                    left_witness = (a, seen[p], x)
-                seen.setdefault(p, x)
-            seen = {}
-            for x in self._by_tgt[self._endpoints[a][0]]:
-                p = self.comp[(x, a)]
-                if p in seen and right_witness is None:
-                    right_witness = (a, seen[p], x)
-                seen.setdefault(p, x)
-        self._analysis = (ldiv, rdiv, conical_witness, left_witness,
-                          right_witness)
+        sides = []
+        for div, end, fibres in ((ldiv, 0, self._by_src),
+                                 (rdiv, 1, self._by_tgt)):
+            # (a, x, y) with x != y and a;x = a;y (left) or x;a = y;a (right)
+            witness = None
+            for a in self.arrows:
+                seen = {}
+                for x in fibres[self._endpoints[a][1 - end]]:
+                    p = self.comp[(x, a) if end else (a, x)]
+                    if p in seen:
+                        witness = (a, seen[p], x)
+                        break
+                    seen[p] = x
+                if witness is not None:
+                    break
+            sides.append((div, end, fibres, witness))
+        self._analysis = (conical_witness, tuple(sides))
         return self._analysis
+
+    def _side(self, side):
+        """How ``side`` reads the category: (divisor masks, endpoint index,
+        fibres over that endpoint, cancellation witness or None).  Left reads
+        sources (``ldiv``, ``_by_src``), right reads targets (``rdiv``,
+        ``_by_tgt``)."""
+        return self._analyze()[1][_endpoint_of(side)]
 
     def conical_witness(self):
         """A composable pair of arrows, not both identities, whose composite
         is an identity; None if the category is conical."""
-        return self._analyze()[2]
+        return self._analyze()[0]
 
     def is_conical(self):
         return self.conical_witness() is None
 
     def left_cancellation_witness(self):
         """(a, x, y) with a;x = a;y and x != y, or None."""
-        return self._analyze()[3]
+        return self._side("left")[3]
 
     def is_left_cancellative(self):
         return self.left_cancellation_witness() is None
 
     def right_cancellation_witness(self):
         """(a, x, y) with x;a = y;a and x != y, or None."""
-        return self._analyze()[4]
+        return self._side("right")[3]
 
     def is_right_cancellative(self):
         return self.right_cancellation_witness() is None
@@ -269,93 +288,54 @@ class FiniteCategory:
     def is_cancellative(self):
         return self.is_left_cancellative() and self.is_right_cancellative()
 
-    def left_divides(self, a, b):
+    def divides(self, side, a, b):
+        """Whether a left-divides b (b = a;x) or right-divides it (b = x;a)."""
+        div = self._side(side)[0]
         self._check(a)
         self._check(b)
-        ldiv = self._analyze()[0]
-        return bool(ldiv[self._index[b]] >> self._index[a] & 1)
+        return bool(div[self._index[b]] >> self._index[a] & 1)
 
-    def right_divides(self, a, b):
+    def divisors(self, side, b):
+        div = self._side(side)[0]
+        self._check(b)
+        return _members(div[self._index[b]], self.arrows)
+
+    def quotient(self, side, a, b):
+        """Some x with b = a;x (left) or b = x;a (right), or None; unique
+        when the category is cancellative on that side."""
+        _, end, fibres, _ = self._side(side)
         self._check(a)
         self._check(b)
-        rdiv = self._analyze()[1]
-        return bool(rdiv[self._index[b]] >> self._index[a] & 1)
-
-    def left_divisors(self, b):
-        self._check(b)
-        return _members(self._analyze()[0][self._index[b]], self.arrows)
-
-    def right_divisors(self, b):
-        self._check(b)
-        return _members(self._analyze()[1][self._index[b]], self.arrows)
-
-    def right_multiples(self, a):
-        """All b that a left-divides (a's right-multiple set)."""
-        self._check(a)
-        ldiv = self._analyze()[0]
-        bit = 1 << self._index[a]
-        return tuple(b for b in self.arrows if ldiv[self._index[b]] & bit)
-
-    def left_quotient(self, a, b):
-        """Some x with b = a;x, or None (unique when left cancellative)."""
-        self._check(a)
-        self._check(b)
-        for x in self._by_src[self._endpoints[a][1]]:
-            if self.comp[(a, x)] == b:
+        for x in fibres[self._endpoints[a][1 - end]]:
+            if self.comp[(x, a) if end else (a, x)] == b:
                 return x
         return None
 
-    def right_quotient(self, a, b):
-        """Some x with b = x;a, or None (unique when right cancellative)."""
-        self._check(a)
-        self._check(b)
-        for x in self._by_tgt[self._endpoints[a][0]]:
-            if self.comp[(x, a)] == b:
-                return x
-        return None
-
-    def _gcd_from_masks(self, div, idxs):
+    def gcd(self, side, fam):
+        """Greatest common left- or right-divisor of a nonempty family, or
+        None."""
+        div = self._side(side)[0]
+        fam = tuple(fam)
+        if not fam:
+            raise EmptyFamily("gcd of an empty family")
         common = -1
-        for i in idxs:
-            common &= div[i]
+        for f in fam:
+            self._check(f)
+            common &= div[self._index[f]]
         i = _greatest(common, div)
         return None if i is None else self.arrows[i]
 
-    def left_gcd(self, a, b):
-        """Greatest common left-divisor of a and b, or None."""
-        return self.left_gcd_family((a, b))
-
-    def right_gcd(self, a, b):
-        return self.right_gcd_family((a, b))
-
-    def left_gcd_family(self, fam):
-        fam = tuple(fam)
-        if not fam:
-            raise EmptyFamily("gcd of an empty family")
-        for f in fam:
-            self._check(f)
-        return self._gcd_from_masks(self._analyze()[0],
-                                    [self._index[f] for f in fam])
-
-    def right_gcd_family(self, fam):
-        fam = tuple(fam)
-        if not fam:
-            raise EmptyFamily("gcd of an empty family")
-        for f in fam:
-            self._check(f)
-        return self._gcd_from_masks(self._analyze()[1],
-                                    [self._index[f] for f in fam])
-
-    def left_lcm(self, a, b):
-        """Least common right-multiple under left divisibility, or None."""
+    def lcm(self, side, a, b):
+        """Least common multiple under side divisibility (for left, the least
+        common right-multiple), or None."""
+        div = self._side(side)[0]
         self._check(a)
         self._check(b)
-        ldiv = self._analyze()[0]
         ai, bi = self._index[a], self._index[b]
         cand = [i for i in range(len(self.arrows))
-                if ldiv[i] >> ai & 1 and ldiv[i] >> bi & 1]
+                if div[i] >> ai & 1 and div[i] >> bi & 1]
         for i in cand:
-            if all(ldiv[j] >> i & 1 for j in cand):
+            if all(div[j] >> i & 1 for j in cand):
                 return self.arrows[i]
         return None
 
@@ -378,27 +358,26 @@ class FiniteCategory:
             return self._gcd_report
         witnesses = {}
         cw = self.conical_witness()
-        lw = self.left_cancellation_witness()
-        rw = self.right_cancellation_witness()
         if cw:
             witnesses["conical"] = cw
-        if lw:
-            witnesses["left_cancellative"] = lw
-        if rw:
-            witnesses["right_cancellative"] = rw
-        ldiv, rdiv = self._analyze()[:2]
+        for side in ("left", "right"):
+            w = self._side(side)[3]
+            if w:
+                witnesses[f"{side}_cancellative"] = w
         idx = self._index
         for o in self.objects:
-            for side, div, fibres in (("left_gcds", ldiv, self._by_src),
-                                      ("right_gcds", rdiv, self._by_tgt)):
-                if side in witnesses:
+            for side in ("left", "right"):
+                key = f"{side}_gcds"
+                if key in witnesses:
                     continue
+                div, _, fibres, _ = self._side(side)
                 pair = _pair_without_greatest([idx[f] for f in fibres[o]],
                                               div, div)
                 if pair is not None:
-                    witnesses[side] = tuple(self.arrows[i] for i in pair)
+                    witnesses[key] = tuple(self.arrows[i] for i in pair)
         self._gcd_report = GcdCategoryReport(
-            cw is None, lw is None, rw is None,
+            cw is None, "left_cancellative" not in witnesses,
+            "right_cancellative" not in witnesses,
             "left_gcds" not in witnesses, "right_gcds" not in witnesses,
             witnesses)
         return self._gcd_report

@@ -6,17 +6,18 @@ reduced one by dropping identities and composing adjacent composable pairs
 (the rewriting system is confluent), and multiplication is concatenate-then-
 reduce.  Divisibility, gcds, lcms of generators, and the greedy normal form
 are computed by structural criteria on the sequences plus arrow-level
-divisibility in S; right-hand versions go through the opposite category.
+divisibility in S.  The right-hand versions read each sequence back to
+front, so one prefix criterion serves both sides, with S read on the side
+the caller names.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import FiniteCategory
+from .category import _endpoint_of
 from .errors import (CategoryMismatch, EmptyElement, EmptyFamily,
-                     GreedyViolation, InvalidStructure, NotCancellative,
-                     NotConical, NotAGenerator, SourceMismatch,
-                     TargetMismatch)
+                     InvalidStructure, NotCancellative, NotConical,
+                     NotAGenerator, SourceMismatch, TargetMismatch)
 from .poset import _greatest
 
 DROP = "dropIdentity"
@@ -77,10 +78,10 @@ def _reduced(category, arrows):
 
     Use only where ``arrows`` is reduced by construction: every entry is a
     non-identity arrow of ``category`` and no two neighbours are composable.
-    That holds for pieces of elements already over ``category`` (prefixes,
-    suffixes, reversals into the opposite category) and for joins of such
-    pieces at a boundary the caller has shown cannot compose.  Input from
-    outside goes through ``ReducedSeq(...)``, which checks all of it.
+    That holds for pieces of elements already over ``category`` (prefixes
+    and suffixes) and for joins of such pieces at a boundary the caller has
+    shown cannot compose.  Input from outside goes through
+    ``ReducedSeq(...)``, which checks all of it.
     """
     seq = object.__new__(ReducedSeq)
     _set_category(seq, category)
@@ -161,7 +162,7 @@ def multiply(x, y):
         return y
     if not ys:
         return x
-    if cat._analyze()[2] is None:
+    if cat._analyze()[0] is None:
         # Conical: at most one composition can fire, at the boundary, and
         # its composite is no identity and composes with neither neighbour.
         f, g = xs[-1], ys[0]
@@ -190,17 +191,9 @@ def components(x):
 
 
 def _require_conical(cat):
-    if not cat.is_conical():
-        raise NotConical(f"witness pair {cat.conical_witness()}")
-
-
-def _check_side(side):
-    if side not in ("left", "right"):
-        raise InvalidStructure(f"side must be 'left' or 'right', got {side!r}")
-
-
-def _reversed_seq(x, op):
-    return _reduced(op, x.arrows[::-1])
+    witness = cat._analyze()[0]
+    if witness is not None:
+        raise NotConical(f"witness pair {witness}")
 
 
 def divides(side, x, y):
@@ -210,56 +203,48 @@ def divides(side, x, y):
     x does not divide y; the quotient ReducedSeq when S is cancellative on
     that side (making it unique); True otherwise.
     """
-    _check_side(side)
-    if x.category is not y.category:
-        raise CategoryMismatch("operands live over different categories")
     cat = x.category
+    _, end, _, witness = cat._side(side)
+    if y.category is not cat:
+        raise CategoryMismatch("operands live over different categories")
     _require_conical(cat)
-    if side == "right":
-        op = cat.opposite()
-        res = divides("left", _reversed_seq(x, op), _reversed_seq(y, op))
-        if isinstance(res, ReducedSeq):
-            return _reversed_seq(res, cat)
-        return res
-    m = x.length
-    quotient = None
-    if x.arrows == y.arrows[:m]:
-        quotient = y.arrows[m:]
-    elif (m >= 1 and m <= y.length
-          and x.arrows[:m - 1] == y.arrows[:m - 1]):
-        u, v = x.arrows[m - 1], y.arrows[m - 1]
-        if cat.left_divides(u, v) and u != v:
-            w = cat.left_quotient(u, v)
-            quotient = (w,) + y.arrows[m:]
-    if quotient is None:
+    # Orient the entry tuples so that x is tested as a prefix of y.
+    xs, ys = (x.arrows[::-1], y.arrows[::-1]) if end else (x.arrows, y.arrows)
+    m = len(xs)
+    if xs == ys[:m]:
+        quotient = ys[m:]
+    elif m <= len(ys) and xs[:-1] == ys[:m - 1]:
+        # Only the last entries differ: u = xs[-1] must divide v = ys[m - 1].
+        w = cat.quotient(side, xs[-1], ys[m - 1])
+        if w is None:
+            return None
+        quotient = (w,) + ys[m:]
+    else:
         return None
-    if not cat.is_left_cancellative():
+    if witness is not None:
         return True
-    # A suffix of y, perhaps led by w with v = u;w: u != v makes w no
-    # identity, and w ends where v does, so the quotient stays reduced.
-    return _reduced(cat, quotient)
+    # A piece of y, perhaps led (left) or ended (right) by w with v = u;w or
+    # v = w;u: u != v makes w no identity, and w meets the rest of y where v
+    # did, so the quotient stays reduced.
+    return _reduced(cat, quotient[::-1] if end else quotient)
 
 
 def gcd_family(side, xs):
     """Greatest common divisor of a nonempty family, or None if absent."""
-    _check_side(side)
     xs = tuple(xs)
     if not xs:
+        _endpoint_of(side)  # a bad side is named before an empty family
         raise EmptyFamily("gcd of an empty family")
     cat = xs[0].category
-    left = side == "left"
+    div, end, _, witness = cat._side(side)
     # Orient the entry tuples so the common part is always a prefix.
     words = []
     for x in xs:
         if x.category is not cat:
             raise CategoryMismatch("family members live over different "
                                    "categories")
-        words.append(x.arrows if left else x.arrows[::-1])
-    ldiv, rdiv, conical_witness, left_witness, right_witness = \
-        cat._analyze()
-    if conical_witness is not None:
-        raise NotConical(f"witness pair {conical_witness}")
-    witness = left_witness if left else right_witness
+        words.append(x.arrows[::-1] if end else x.arrows)
+    _require_conical(cat)
     if witness is not None:
         raise NotCancellative(f"witness {witness}")
     # The common prefix of all words is that of the least and the greatest.
@@ -274,10 +259,8 @@ def gcd_family(side, xs):
         # arrow-level gcd c extends the stem; otherwise the stem is the gcd.
         # The stem's last entry composes with none of them, so not with c
         # either: the result is reduced.
-        end = 0 if left else 1
         endpoints = cat._endpoints
         index = cat._index
-        div = ldiv if left else rdiv
         shared = endpoints[lo[m]][end]
         common = -1
         for w in words:
@@ -292,7 +275,7 @@ def gcd_family(side, xs):
             c = cat.arrows[i]
             if c not in cat._identities:
                 stem += (c,)
-    return _reduced(cat, stem if left else stem[::-1])
+    return _reduced(cat, stem[::-1] if end else stem)
 
 
 def gcd_pair(side, x, y):
@@ -301,44 +284,31 @@ def gcd_pair(side, x, y):
 
 def lcm_pair(side, x, y):
     """Least common multiple of two standard generators ε(a), ε(b)."""
-    _check_side(side)
-    if x.category is not y.category:
-        raise CategoryMismatch("operands live over different categories")
     cat = x.category
+    end = cat._side(side)[1]
+    if y.category is not cat:
+        raise CategoryMismatch("operands live over different categories")
     if x.length != 1 or y.length != 1:
         raise NotAGenerator("lcm is defined for standard generators only")
     a, b = x.arrows[0], y.arrows[0]
-    if side == "left":
-        if cat.src(a) != cat.src(b):
-            raise SourceMismatch(f"{a} and {b} have different sources")
-        m = cat.left_lcm(a, b)
-    else:
-        if cat.tgt(a) != cat.tgt(b):
+    if cat._endpoints[a][end] != cat._endpoints[b][end]:
+        if end:
             raise TargetMismatch(f"{a} and {b} have different targets")
-        op = cat.opposite()
-        m = op.left_lcm(a, b)
+        raise SourceMismatch(f"{a} and {b} have different sources")
+    m = cat.lcm(side, a, b)
     return None if m is None else generator(cat, m)
 
 
 def greedy_normal_form(x):
-    """The entries of x, with the greedy property of each head verified.
+    """The greedy normal form of x, which is the tuple of its entries.
 
-    Head i must be the largest arrow of S left-dividing the suffix starting
-    at i: every same-source arrow whose generator divides the suffix must
-    left-divide the head in S.
+    Head i must be the largest arrow of S left-dividing the suffix y that
+    starts at i.  A generator ε(a) divides a nonunit reduced y exactly when a
+    left-divides y's first entry in S (``divides``' one-letter case), and
+    that entry is the head; so every head is greedy already.  Only the
+    condition ``divides`` rests on, a conical S, is checked.
     """
-    cat = x.category
-    _require_conical(cat)
-    for i in range(x.length):
-        suffix = _reduced(cat, x.arrows[i:])
-        head = x.arrows[i]
-        for a in cat.arrows_from(cat.src(head)):
-            if cat.is_identity(a):
-                continue
-            if divides("left", generator(cat, a), suffix) is not None:
-                if not cat.left_divides(a, head):
-                    raise GreedyViolation(
-                        f"{a} divides the suffix at {i} but not head {head}")
+    _require_conical(x.category)
     return x.arrows
 
 

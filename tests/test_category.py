@@ -196,16 +196,16 @@ def test_divides_matches_brute_scan():
                 witnesses = [x for x in cat.arrows
                              if cat.composable(a, x)
                              and cat.compose(a, x) == b]
-                assert cat.left_divides(a, b) == bool(witnesses)
+                assert cat.divides("left", a, b) == bool(witnesses)
                 if witnesses:
-                    x = cat.left_quotient(a, b)
+                    x = cat.quotient("left", a, b)
                     assert cat.compose(a, x) == b
                 witnesses = [x for x in cat.arrows
                              if cat.composable(x, a)
                              and cat.compose(x, a) == b]
-                assert cat.right_divides(a, b) == bool(witnesses)
+                assert cat.divides("right", a, b) == bool(witnesses)
                 if witnesses:
-                    x = cat.right_quotient(a, b)
+                    x = cat.quotient("right", a, b)
                     assert cat.compose(x, a) == b
 
 
@@ -217,11 +217,11 @@ def test_divisor_sets_match_brute_scan():
             brute = {a for a in cat.arrows if any(
                 cat.composable(a, x) and cat.compose(a, x) == b
                 for x in cat.arrows)}
-            assert set(cat.left_divisors(b)) == brute
+            assert set(cat.divisors("left", b)) == brute
             brute = {a for a in cat.arrows if any(
                 cat.composable(x, a) and cat.compose(x, a) == b
                 for x in cat.arrows)}
-            assert set(cat.right_divisors(b)) == brute
+            assert set(cat.divisors("right", b)) == brute
 
 
 def test_left_divisibility_antisymmetric_on_source_fibers():
@@ -236,7 +236,7 @@ def test_left_divisibility_antisymmetric_on_source_fibers():
             for b in cat.arrows:
                 if cat.src(a) != cat.src(b):
                     continue
-                if cat.left_divides(a, b) and cat.left_divides(b, a):
+                if cat.divides("left", a, b) and cat.divides("left", b, a):
                     assert a == b
 
 
@@ -246,41 +246,63 @@ def test_gcd_is_a_greatest_common_divisor():
     for cat in cats:
         for a in cat.arrows:
             for b in cat.arrows:
-                common = set(cat.left_divisors(a)) & set(cat.left_divisors(b))
+                common = (set(cat.divisors("left", a))
+                          & set(cat.divisors("left", b)))
                 greatest = [m for m in common
-                            if all(cat.left_divides(d, m) for d in common)]
-                g = cat.left_gcd(a, b)
+                            if all(cat.divides("left", d, m) for d in common)]
+                g = cat.gcd("left", (a, b))
                 if g is None:
                     assert not greatest
                 else:
                     assert g in greatest
-                    assert all(cat.left_divides(d, g) for d in common)
+                    assert all(cat.divides("left", d, g) for d in common)
 
 
 def test_gcd_family_reduces_to_pairs_and_rejects_empty():
     cat = DIAMOND_CAT
-    assert cat.left_gcd_family(["[o,a]", "[o,i]"]) == "[o,a]"
-    assert cat.left_gcd_family(["[o,a]", "[o,b]", "[o,i]"]) == "[o,o]"
+    assert cat.gcd("left", ["[o,a]", "[o,i]"]) == "[o,a]"
+    assert cat.gcd("left", ["[o,a]", "[o,b]", "[o,i]"]) == "[o,o]"
     with pytest.raises(EmptyFamily):
-        cat.left_gcd_family([])
+        cat.gcd("left", [])
 
 
-def test_left_lcm_matches_brute_force():
-    cats = [cat_of_poset(p) for p in poset_classes(4)] + [DIAMOND_CAT]
+def check_lcm_against_brute_force(side, cats):
+    """cat.lcm(side, ...) on every pair sharing the side's endpoint: a
+    common multiple that divides every common multiple, when one exists."""
     for cat in cats:
+        cat_endpoint = cat.src if side == "left" else cat.tgt
         for a in cat.arrows:
             for b in cat.arrows:
-                if cat.src(a) != cat.src(b):
+                if cat_endpoint(a) != cat_endpoint(b):
                     continue
-                common = [m for m in cat.arrows
-                          if cat.left_divides(a, m) and cat.left_divides(b, m)]
+                common = [m for m in cat.arrows if cat.divides(side, a, m)
+                          and cat.divides(side, b, m)]
                 least = [m for m in common
-                         if all(cat.left_divides(m, c) for c in common)]
-                m = cat.left_lcm(a, b)
+                         if all(cat.divides(side, m, c) for c in common)]
+                m = cat.lcm(side, a, b)
                 if m is None:
                     assert not least
                 else:
                     assert m in least
+
+
+def test_left_lcm_matches_brute_force():
+    cats = [cat_of_poset(p) for p in poset_classes(4)] + [DIAMOND_CAT]
+    check_lcm_against_brute_force("left", cats)
+
+
+def test_right_lcm_matches_brute_force():
+    rng = random.Random(61)
+    cats = [cat_of_poset(p) for p in poset_classes(4)] + [DIAMOND_CAT]
+    cats += [random_category(rng) for _ in range(40)]
+    check_lcm_against_brute_force("right", cats)
+    # Right lcms in S are left lcms in the opposite category.
+    for cat in cats:
+        op = cat.opposite()
+        assert [cat.lcm("right", a, b) for a in cat.arrows
+                for b in cat.arrows] == [op.lcm("left", a, b)
+                                         for a in cat.arrows
+                                         for b in cat.arrows]
 
 
 def test_gcd_category_report_on_examples():
@@ -297,8 +319,8 @@ def test_gcd_category_report_on_examples():
 
 
 def pairwise_gcd_report(cat):
-    """The report from a left_gcd / right_gcd call on every pair of arrows
-    with a common source (left) or target (right)."""
+    """The report from a cat.gcd call on every pair of arrows with a common
+    source (left) or target (right)."""
     witnesses = {}
     for key, f in (("conical", cat.conical_witness),
                    ("left_cancellative", cat.left_cancellation_witness),
@@ -306,12 +328,12 @@ def pairwise_gcd_report(cat):
         if f():
             witnesses[key] = f()
     for o in cat.objects:
-        for key, fibre, gcd in (("left_gcds", cat.arrows_from(o), cat.left_gcd),
-                                ("right_gcds", cat.arrows_to(o), cat.right_gcd)):
+        for side, fibre in (("left", cat.arrows_from(o)),
+                            ("right", cat.arrows_to(o))):
             for i, a in enumerate(fibre):
                 for b in fibre[i + 1:]:
-                    if gcd(a, b) is None:
-                        witnesses.setdefault(key, (a, b))
+                    if cat.gcd(side, (a, b)) is None:
+                        witnesses.setdefault(f"{side}_gcds", (a, b))
     return GcdCategoryReport(
         "conical" not in witnesses, "left_cancellative" not in witnesses,
         "right_cancellative" not in witnesses, "left_gcds" not in witnesses,

@@ -45,7 +45,9 @@ def test_from_order_matches_the_hasse_diagram_on_random_posets():
             (x, z) in lt and (z, y) in lt for z in p.elements))
         rebuilt = Poset.from_order(p.elements, le)
         assert list(rebuilt.covers) == covers
-        assert rebuilt == Poset(p.elements, covers)
+        checked = Poset(p.elements, covers)
+        assert rebuilt == checked
+        assert (rebuilt._up, rebuilt._dn) == (checked._up, checked._dn)
         # covers plus some implied pairs: only a closure recovers the rest
         some = rng.sample(sorted(lt), len(lt) // 2)
         assert Poset.from_order(p.elements, covers + some) == rebuilt

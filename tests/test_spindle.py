@@ -102,8 +102,8 @@ def test_spindle_category_diamond():
     assert set(cat.hom("o", "i")) == {za, zb}
     assert cat.compose("[o,a]", "[a,i]") == za
     assert cat.compose("[o,b]", "[b,i]") == zb
-    assert cat.left_divides("[o,a]", za)
-    assert not cat.left_divides("[o,a]", zb)
+    assert cat.divides("left", "[o,a]", za)
+    assert not cat.divides("left", "[o,a]", zb)
     assert cat.gcd_category_report().holds
 
 
@@ -121,7 +121,7 @@ def test_spindle_category_gcd_formula():
                 if x == v:
                     continue
                 m = poset_max(poset, [e for e in chain if poset.leq(e, x)])
-                assert cat.left_gcd(interval_name(u, x), z) == \
+                assert cat.gcd("left", (interval_name(u, x), z)) == \
                     interval_name(u, m)
 
 

@@ -1,11 +1,14 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from catmon import (
+    CatmonError,
     CategoryMismatch,
     EmptyFamily,
+    FiniteCategory,
     InvalidStructure,
     NotAGenerator,
     NotCancellative,
@@ -13,6 +16,7 @@ from catmon import (
     Poset,
     ReducedSeq,
     SourceMismatch,
+    TargetMismatch,
     UnknownArrow,
     cat_of_poset,
     components,
@@ -29,6 +33,7 @@ from catmon import (
     unit,
     universal_group_presentation,
 )
+from catmon.cli import main
 
 from helpers import (
     brute_divides,
@@ -284,7 +289,7 @@ def test_arrow_gcd_lifts_through_generators():
         cat = cat_of_poset(p)
         for a in cat.arrows:
             for b in cat.arrows:
-                g = cat.left_gcd(a, b)
+                g = cat.gcd("left", (a, b))
                 lifted = gcd_family("left", [generator(cat, a),
                                              generator(cat, b)])
                 if g is not None and lifted is not None:
@@ -299,7 +304,7 @@ def test_adjunction_between_generators_and_first_entries():
             ea = generator(cat, a)
             for b in pool:
                 lhs = divides("left", ea, b) is not None
-                rhs = cat.left_divides(a, components(b)[0])
+                rhs = cat.divides("left", a, components(b)[0])
                 assert lhs == rhs
 
 
@@ -342,19 +347,100 @@ def test_lcm_pair_preconditions():
 
 
 def test_greedy_normal_form_heads_are_maximal():
-    cat = DCAT
-    for x in elements_up_to(cat, 3):
-        factors = greedy_normal_form(x)
-        assert factors == x.arrows
-        assert product([generator(cat, f) for f in factors], cat) == x
-        for i in range(len(factors)):
-            suffix = ReducedSeq(cat, factors[i:])
-            head = factors[i]
-            for a in cat.arrows_from(cat.src(head)):
-                if cat.is_identity(a):
+    # left[y] comes from an exhaustive product scan, not from divides: every
+    # generator dividing a suffix must left-divide its head in S.
+    rng = random.Random(17)
+    cats = [DCAT]
+    while len(cats) < 8:
+        cat = random_category_bounded(rng, max_elements=120)
+        if cat.is_conical():
+            cats.append(cat)
+    for cat in cats:
+        pool, left, _ = divisibility_tables(cat, 3)
+        for x in pool:
+            factors = greedy_normal_form(x)
+            assert factors == x.arrows
+            assert product([generator(cat, f) for f in factors], cat) == x
+            for i, head in enumerate(factors):
+                y = ReducedSeq(cat, factors[i:])
+                gens = [d.arrows[0] for d in left[y] if d.length == 1]
+                assert head in gens
+                assert all(cat.divides("left", a, head) for a in gens)
+    with pytest.raises(NotConical):
+        greedy_normal_form(unit(pair_groupoid(2)))
+
+
+def outcome(f, *args):
+    """The entries of a ReducedSeq result, any other result, or the class of
+    the CatmonError raised."""
+    try:
+        res = f(*args)
+    except CatmonError as e:
+        return type(e)
+    return res.arrows if isinstance(res, ReducedSeq) else res
+
+
+def mirrored(f, *xs):
+    """outcome of the left side of f, with a result read back to front."""
+    res = outcome(f, "left", *xs)
+    return res[::-1] if isinstance(res, tuple) else res
+
+
+def test_right_side_matches_the_left_side_of_the_opposite():
+    # Reference: reverse the operands into cat.opposite(), run the left-side
+    # operation there, and reverse the result back.
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(40):
+        cat = random_category_bounded(rng, max_elements=60, max_len=2)
+        op = cat.opposite()
+        els = elements_up_to(cat, 2)
+        rev = {x: ReducedSeq(op, x.arrows[::-1]) for x in els}
+        for x in els:
+            for y in els:
+                got = outcome(divides, "right", x, y)
+                assert got == mirrored(divides, rev[x], rev[y])
+                seen.add(tuple if isinstance(got, tuple) else got)
+                got = outcome(gcd_family, "right", (x, y))
+                assert got == mirrored(gcd_family, (rev[x], rev[y]))
+                seen.add(tuple if isinstance(got, tuple) else got)
+                if x.length != 1 or y.length != 1:
                     continue
-                if divides("left", generator(cat, a), suffix) is not None:
-                    assert cat.left_divides(a, head)
+                got = outcome(lcm_pair, "right", x, y)
+                a, b = x.arrows[0], y.arrows[0]
+                if cat.tgt(a) != cat.tgt(b):
+                    assert got is TargetMismatch
+                else:
+                    assert got == mirrored(lcm_pair, rev[x], rev[y])
+    # Conical and not, cancellative on the right and not, gcds found.
+    assert {None, True, tuple, NotConical, NotCancellative} <= seen
+
+
+def test_um_operations_never_build_the_opposite(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("opposite() was built")
+
+    monkeypatch.setattr(FiniteCategory, "opposite", refuse)
+    cat = cat_of_poset(NONLATTICE)
+    els = elements_up_to(cat, 2)
+    for x in els:
+        for y in els:
+            divides("right", x, y)
+            gcd_family("right", (x, y))
+            if x.length == y.length == 1 and \
+                    cat.tgt(x.arrows[0]) == cat.tgt(y.arrows[0]):
+                lcm_pair("right", x, y)
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    assert main(["lcm", "--side", "right", "data/c6.category",
+                 "a'", "b'"]) == 0
+    assert capsys.readouterr().out == "lcm: cbar\n"
+    # A bad side is named before mismatched categories or an empty family.
+    x, other = generator(DCAT, "[o,a]"), generator(cat, "[o,p]")
+    bad_side = "side must be 'left' or 'right', got 'up'"
+    for f, args in ((divides, (x, other)), (gcd_family, ((x, other),)),
+                    (lcm_pair, (x, other)), (gcd_family, ((),))):
+        with pytest.raises(InvalidStructure, match=bad_side):
+            f("up", *args)
 
 
 def test_universal_group_presentation_of_the_diamond():
