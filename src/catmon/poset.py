@@ -87,46 +87,14 @@ def _paths_to_tops(starts, ups):
     return tuple(sorted(chains))
 
 
-def _check_ids(elems):
-    for e in elems:
-        if not _is_id(e):
-            raise InvalidStructure(f"bad element id {e!r}")
-
-
-def _closure(idx, covers):
-    """The up-masks of the reflexive-transitive closure of ``covers``."""
-    n = len(idx)
-    succ = [[] for _ in range(n)]
-    indeg = [0] * n
-    for x, y in covers:
-        succ[idx[x]].append(idx[y])
-        indeg[idx[y]] += 1
-    # Kahn's algorithm; leftovers mean a cycle.
-    order, queue = [], [i for i in range(n) if indeg[i] == 0]
-    while queue:
-        i = queue.pop()
-        order.append(i)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    if len(order) != n:
-        raise CyclicCovers("cover relation contains a cycle")
-    up = [0] * n
-    for i in reversed(order):
-        m = 1 << i
-        for j in succ[i]:
-            m |= up[j]
-        up[i] = m
-    return up
-
-
 class Poset:
     def __init__(self, elements, covers):
         elems = tuple(sorted(elements))
         if len(set(elems)) != len(elems):
             raise InvalidStructure("duplicate poset elements")
-        _check_ids(elems)
+        for e in elems:
+            if not _is_id(e):
+                raise InvalidStructure(f"bad element id {e!r}")
         idx = {e: i for i, e in enumerate(elems)}
         seen = set()
         for x, y in covers:
@@ -137,17 +105,38 @@ class Poset:
             if (x, y) in seen:
                 raise InvalidStructure(f"duplicate cover ({x},{y})")
             seen.add((x, y))
-        covers = tuple(sorted(seen))
-        up = _closure(idx, covers)
-        self._finish(elems, covers, idx, up, _transposed(up))
+        self.elements = elems
+        self.covers = tuple(sorted(seen))
+        self._idx = idx
+        self._up = self._closure()
+        self._dn = _transposed(self._up)
         self._reject_redundant()
 
-    def _finish(self, elems, covers, idx, up, dn):
-        self.elements = elems
-        self.covers = covers
-        self._idx = idx
-        self._up = up
-        self._dn = dn
+    def _closure(self):
+        n = len(self.elements)
+        succ = [[] for _ in range(n)]
+        indeg = [0] * n
+        for x, y in self.covers:
+            succ[self._idx[x]].append(self._idx[y])
+            indeg[self._idx[y]] += 1
+        # Kahn's algorithm; leftovers mean a cycle.
+        order, queue = [], [i for i in range(n) if indeg[i] == 0]
+        while queue:
+            i = queue.pop()
+            order.append(i)
+            for j in succ[i]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    queue.append(j)
+        if len(order) != n:
+            raise CyclicCovers("cover relation contains a cycle")
+        up = [0] * n
+        for i in reversed(order):
+            m = 1 << i
+            for j in succ[i]:
+                m |= up[j]
+            up[i] = m
+        return up
 
     def _reject_redundant(self):
         for x, y in self.covers:
@@ -161,10 +150,8 @@ class Poset:
 
     @classmethod
     def from_order(cls, elements, le_pairs):
-        """Build from any set of (x,y) meaning x <= y; covers are derived.
-        They form a Hasse diagram by construction, so they are not checked
-        again."""
-        elems = tuple(sorted(set(elements)))
+        """Build from any set of (x,y) meaning x <= y; covers are derived."""
+        elems = sorted(set(elements))
         idx = {e: i for i, e in enumerate(elems)}
         ids = range(len(elems))
         up = [1 << i for i in ids]
@@ -186,10 +173,7 @@ class Poset:
             for j in _members(above, ids):
                 if up[i] & dn[j] == (1 << i) | (1 << j):
                     covers.append((x, elems[j]))
-        _check_ids(elems)
-        poset = object.__new__(cls)
-        poset._finish(elems, tuple(covers), idx, up, dn)
-        return poset
+        return cls(elems, covers)
 
     # -- order queries ------------------------------------------------------
 

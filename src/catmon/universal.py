@@ -236,7 +236,9 @@ def gcd_family(side, xs):
         _endpoint_of(side)  # a bad side is named before an empty family
         raise EmptyFamily("gcd of an empty family")
     cat = xs[0].category
-    div, end, _, witness = cat._side(side)
+    # One read of the analysis per call: this is the gcd hot path.
+    conical_witness, sides = cat._analyze()
+    div, end, _, witness = sides[_endpoint_of(side)]
     # Orient the entry tuples so the common part is always a prefix.
     words = []
     for x in xs:
@@ -244,7 +246,8 @@ def gcd_family(side, xs):
             raise CategoryMismatch("family members live over different "
                                    "categories")
         words.append(x.arrows[::-1] if end else x.arrows)
-    _require_conical(cat)
+    if conical_witness is not None:
+        raise NotConical(f"witness pair {conical_witness}")
     if witness is not None:
         raise NotCancellative(f"witness {witness}")
     # The common prefix of all words is that of the least and the greatest.
