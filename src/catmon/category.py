@@ -107,16 +107,19 @@ class FiniteCategory:
             raise BadIdentity("two objects share an identity arrow")
 
         ends = self._endpoints
+        get = ends.get
         for (f, g), h in self.comp.items():
-            if f not in ends or g not in ends:
+            ef, eg = get(f), get(g)
+            if ef is None or eg is None:
                 raise UnknownArrow(f"composition entry ({f},{g}) uses an "
                                    "unknown arrow")
-            if ends[f][1] != ends[g][0]:
+            if ef[1] != eg[0]:
                 raise BadComposability(
                     f"table defines {f};{g} but tgt({f}) != src({g})")
-            if h not in ends:
+            eh = get(h)
+            if eh is None:
                 raise UnknownArrow(f"composite {f};{g} = {h} is unknown")
-            if ends[h] != (ends[f][0], ends[g][1]):
+            if eh != (ef[0], eg[1]):
                 raise InvalidStructure(
                     f"composite {f};{g} = {h} has wrong endpoints")
         by_src = {o: [] for o in self.objects}
@@ -228,30 +231,41 @@ class FiniteCategory:
         idx = self._index
         ldiv = [0] * n  # ldiv[b]: arrows a with b = a;x
         rdiv = [0] * n  # rdiv[b]: arrows a with b = x;a
-        conical_witness = None
         for (f, g), h in self.comp.items():
             hi = idx[h]
             ldiv[hi] |= 1 << idx[f]
             rdiv[hi] |= 1 << idx[g]
-            if (conical_witness is None and h in self._identities
-                    and (f not in self._identities
-                         or g not in self._identities)):
-                conical_witness = (f, g)
+        # The flags are decided by counting; the ordered scans below run only
+        # to name the first witness once a count says that one exists.
+        # Conical iff ldiv[e] is e alone for every identity e: a pair f;g = e,
+        # not both identities, has f != e (f = e forces g = e), which puts a
+        # second bit into ldiv[e]; and any a;x = e with a != e is such a pair.
+        # Left-cancellative iff the masks hold one bit per composite: the
+        # table has one entry per composable pair (a, x), and (a, x) -> the
+        # bit a of ldiv[a;x] is onto, and one-to-one iff a;x = a;y forces
+        # x = y.  Right-cancellative is the same count on rdiv.
+        ids = self._identities
+        conical_witness = None
+        if any(ldiv[idx[e]] != 1 << idx[e] for e in ids):
+            conical_witness = next(
+                (f, g) for (f, g), h in self.comp.items()
+                if h in ids and (f not in ids or g not in ids))
         sides = []
         for div, end, fibres in ((ldiv, 0, self._by_src),
                                  (rdiv, 1, self._by_tgt)):
             # (a, x, y) with x != y and a;x = a;y (left) or x;a = y;a (right)
             witness = None
-            for a in self.arrows:
-                seen = {}
-                for x in fibres[self._endpoints[a][1 - end]]:
-                    p = self.comp[(x, a) if end else (a, x)]
-                    if p in seen:
-                        witness = (a, seen[p], x)
+            if sum(m.bit_count() for m in div) != len(self.comp):
+                for a in self.arrows:
+                    seen = {}
+                    for x in fibres[self._endpoints[a][1 - end]]:
+                        p = self.comp[(x, a) if end else (a, x)]
+                        if p in seen:
+                            witness = (a, seen[p], x)
+                            break
+                        seen[p] = x
+                    if witness is not None:
                         break
-                    seen[p] = x
-                if witness is not None:
-                    break
             sides.append((div, end, fibres, witness))
         self._analysis = (conical_witness, tuple(sides))
         return self._analysis

@@ -14,7 +14,8 @@ class ParseError(CatmonError):
 
 
 class SizeLimitExceeded(CatmonError):
-    """A structure exceeds the arrow-count guard (see CATMON_MAX_ARROWS)."""
+    """A structure exceeds the arrow-count guard (see CATMON_MAX_ARROWS), or
+    a word search would hold more classes than its layer guard allows."""
 
 
 # --- category / poset / complex validation -------------------------------

@@ -22,7 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidStructure, NotHomogeneous
+from .errors import InvalidStructure, NotHomogeneous, SizeLimitExceeded
+
+# The most classes one layer of a class walk may hold: len(gens) ** layers
+# bounds the deepest layer, and every class of a layer is held at once.
+MAX_LAYER_CLASSES = 1_000_000
 
 
 class MonoidPresentation:
@@ -135,7 +139,19 @@ def _class_walk(pres, gens, cls, state, carry, layers):
     so each class is met first at its first word in that order, which is
     the class's cls[0].  A grown class's state is carry(state, grown,
     start), where state is the shorter class's and grown[start:] are the
-    words that rewrites added."""
+    words that rewrites added.
+
+    Raises SizeLimitExceeded before any class is grown when len(gens) **
+    layers, the bound on the deepest layer, exceeds MAX_LAYER_CLASSES."""
+    if len(gens) > 1:  # otherwise every layer holds at most one class
+        bound = 1
+        for _ in range(layers):
+            bound *= len(gens)
+            if bound > MAX_LAYER_CLASSES:
+                raise SizeLimitExceeded(
+                    f"a walk of {layers} letters over {len(gens)} generators "
+                    f"may hold {len(gens)}**{layers} classes in one layer, "
+                    f"over the limit of {MAX_LAYER_CLASSES}")
     layer = [(cls, state)]
     for depth in range(1, layers + 1):
         seen = set()

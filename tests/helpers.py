@@ -420,6 +420,36 @@ def random_element(cat, rng, max_len=4):
     return reduce_sequence(cat, random_raw_sequence(cat, rng, max_len))[0]
 
 
+# -- brute-force conicality / cancellation oracles ----------------------------
+
+def brute_conical_witness(cat):
+    """The first table entry (f, g) whose composite is an identity, f and g
+    not both identities; None if there is none."""
+    ids = set(cat.identity.values())
+    for (f, g), h in cat.comp.items():
+        if h in ids and not (f in ids and g in ids):
+            return (f, g)
+    return None
+
+
+def brute_cancellation_witness(cat, side):
+    """(a, y, x) for the first a in cat.arrows, then the first x of its
+    fibre, with a;x = a;y (left) or x;a = y;a (right) for an earlier y of
+    the fibre, y the first such; None if the side cancels."""
+    for a in cat.arrows:
+        if side == "left":
+            fibre = [x for x in cat.arrows if cat.src(x) == cat.tgt(a)]
+            prod = [cat.comp[(a, x)] for x in fibre]
+        else:
+            fibre = [x for x in cat.arrows if cat.tgt(x) == cat.src(a)]
+            prod = [cat.comp[(x, a)] for x in fibre]
+        for j, x in enumerate(fibre):
+            for i in range(j):
+                if prod[i] == prod[j]:
+                    return (a, fibre[i], x)
+    return None
+
+
 # -- brute-force divisibility / gcd oracles -------------------------------------
 
 def divisibility_tables(cat, max_len):

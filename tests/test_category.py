@@ -16,8 +16,11 @@ from catmon import (
     UnknownArrow,
     cat_of_poset,
 )
+from catmon.formats import load_poset
 
 from helpers import (
+    brute_cancellation_witness,
+    brute_conical_witness,
     cyclic_category,
     idempotent_category,
     labeled_posets,
@@ -184,6 +187,69 @@ def test_poset_categories_validate_conical_cancellative():
         assert cat.is_left_cancellative() and cat.is_right_cancellative()
     for p in poset_classes(5):
         cat = cat_of_poset(p)
+        assert cat.is_conical() and cat.is_cancellative()
+
+
+def unit_idempotent_category():
+    """The monoid {1, s, e, se} with ss = 1, ee = e and se = es: not conical
+    (s;s = 1) and not cancellative (e;1 = e;e), a flag combination that
+    random_category never draws."""
+    o = ("o", "o")
+    comp = {("s", "s"): "id:o", ("s", "e"): "se", ("s", "se"): "e",
+            ("e", "s"): "se", ("e", "e"): "e", ("e", "se"): "se",
+            ("se", "s"): "e", ("se", "e"): "se", ("se", "se"): "e"}
+    return make_category(["o"], {"s": o, "e": o, "se": o}, comp)
+
+
+def test_witnesses_are_the_first_of_an_ordered_scan():
+    rng = random.Random(61)
+    cats = [random_category(rng) for _ in range(300)]
+    cats.append(unit_idempotent_category())
+    keys = ("conical", "left_cancellative", "right_cancellative")
+    seen = set()
+    for cat in cats:
+        expected = {}
+        for key, w in zip(keys, (
+                brute_conical_witness(cat),
+                brute_cancellation_witness(cat, "left"),
+                brute_cancellation_witness(cat, "right"))):
+            if w is not None:
+                expected[key] = w
+        assert cat.conical_witness() == expected.get("conical")
+        assert cat.left_cancellation_witness() == \
+            expected.get("left_cancellative")
+        assert cat.right_cancellation_witness() == \
+            expected.get("right_cancellative")
+        witnesses = cat.gcd_category_report().witnesses
+        assert [(k, w) for k, w in witnesses.items() if k in keys] == \
+            list(expected.items())
+        seen.update(expected)
+    assert seen == set(keys)
+    assert cats[-1].gcd_category_report().witnesses == {
+        "conical": ("s", "s"), "left_cancellative": ("e", "e", "id:o"),
+        "right_cancellative": ("e", "e", "id:o")}
+
+
+class CountingDict(dict):
+    """A dict that counts its item reads."""
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_analysis_of_a_conical_cancellative_category_reads_no_composite():
+    with open("data/diamond.poset") as fh:
+        diamond = load_poset(fh.read(), "data/diamond.poset")
+    chain = Poset([f"p{i}" for i in range(10)],
+                  [(f"p{i}", f"p{i + 1}") for i in range(9)])
+    for poset in (diamond, chain):
+        cat = cat_of_poset(poset)
+        cat.comp = CountingDict(cat.comp)
+        cat._analysis = None
+        cat._analyze()
+        assert cat.comp.reads == 0
         assert cat.is_conical() and cat.is_cancellative()
 
 

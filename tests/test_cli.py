@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -287,3 +288,16 @@ def test_cold_import_loads_no_fractions_or_decimal():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_word_walks_past_the_layer_guard_exit_2_at_once(capsys):
+    for argv, estimate in (
+            (["monoid", "m6", "--max-len", "10"], "6**10"),
+            (["monoid", "crm", "data/c6.monoid", "a", "b", "c",
+              "--max-len", "10"], "6**9")):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: SizeLimitExceeded"), err
+        assert estimate in err and "Traceback" not in err, err

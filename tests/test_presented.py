@@ -8,6 +8,7 @@ from catmon import (
     InvalidStructure,
     MonoidPresentation,
     NotHomogeneous,
+    SizeLimitExceeded,
     atoms,
     braid3_presentation,
     c6_presentation,
@@ -19,7 +20,7 @@ from catmon import (
     verify_m6_embedding,
 )
 from catmon.formats import load_monoid
-from catmon.presented import _grow, _m6_image
+from catmon.presented import MAX_LAYER_CLASSES, _grow, _m6_image
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -364,3 +365,23 @@ def test_m6_embedding_matches_brute_force():
         report = verify_m6_embedding(n)
         assert report.class_count == len(classes)
         assert report.injective is injective is True
+
+
+def test_class_walks_are_refused_past_the_layer_guard():
+    c6, b3 = c6_presentation(), braid3_presentation()
+    # the longest walks the suite, goldens, README and benchmark ask for
+    assert 6 ** 7 <= MAX_LAYER_CLASSES < 6 ** 8
+    with pytest.raises(SizeLimitExceeded, match=r"6\*\*8 classes"):
+        verify_m6_embedding(8)
+    with pytest.raises(SizeLimitExceeded, match=r"6\*\*1000000000 classes"):
+        verify_m6_embedding(10 ** 9)
+    with pytest.raises(SizeLimitExceeded, match=r"6\*\*8 classes"):
+        common_right_multiple(c6, [("a",), ("b",), ("c",)], 9)
+    with pytest.raises(SizeLimitExceeded, match=r"2\*\*20 classes"):
+        common_right_multiple(b3, [("a",), ("b", "b")], 21)
+    # a head that already answers, or that is longer than the bound, walks
+    # nothing, so nothing is refused
+    assert common_right_multiple(c6, [("a",)], 10 ** 9) == ("a",)
+    assert common_right_multiple(c6, [("a", "b")], 1) is None
+    one = MonoidPresentation("a", [])
+    assert common_right_multiple(one, [("a",), ("a", "a")], 50) == ("a", "a")
