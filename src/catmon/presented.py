@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from .errors import InvalidStructure, NotHomogeneous, SizeLimitExceeded
 
-# The most classes one layer of a class walk may hold: len(gens) ** layers
-# bounds the deepest layer, and every class of a layer is held at once.
+# The most classes one layer of a class walk may hold: len(gens) ** depth
+# bounds the classes of a layer, and every class of a layer is held at once.
 MAX_LAYER_CLASSES = 1_000_000
 
 
@@ -130,6 +130,19 @@ def _grow(pres, cls, g):
     return _spread(pres, n, seen, out, start) if len(out) > start else out
 
 
+def _guard_layer(n_gens, depth):
+    """Raise SizeLimitExceeded when the words of depth letters over n_gens
+    generators, n_gens ** depth of them, may fall into more than
+    MAX_LAYER_CLASSES classes.  With two or more generators a depth past
+    the limit's bit length is over it, so the power is never taken there."""
+    if n_gens > 1 and (depth > MAX_LAYER_CLASSES.bit_length()
+                       or n_gens ** depth > MAX_LAYER_CLASSES):
+        raise SizeLimitExceeded(
+            f"a layer of {depth} letters over {n_gens} generators may hold "
+            f"{n_gens}**{depth} classes, over the limit of "
+            f"{MAX_LAYER_CLASSES}")
+
+
 def _class_walk(pres, gens, cls, state, carry, layers):
     """Yield (class, state) for each class of the words cls[0]·w, w of 1 to
     layers letters over gens, once per length, shortest first.
@@ -141,19 +154,11 @@ def _class_walk(pres, gens, cls, state, carry, layers):
     start), where state is the shorter class's and grown[start:] are the
     words that rewrites added.
 
-    Raises SizeLimitExceeded before any class is grown when len(gens) **
-    layers, the bound on the deepest layer, exceeds MAX_LAYER_CLASSES."""
-    if len(gens) > 1:  # otherwise every layer holds at most one class
-        bound = 1
-        for _ in range(layers):
-            bound *= len(gens)
-            if bound > MAX_LAYER_CLASSES:
-                raise SizeLimitExceeded(
-                    f"a walk of {layers} letters over {len(gens)} generators "
-                    f"may hold {len(gens)}**{layers} classes in one layer, "
-                    f"over the limit of {MAX_LAYER_CLASSES}")
+    Each layer is checked with ``_guard_layer`` before any of its classes
+    is grown, so a caller that stops at an early layer is never refused."""
     layer = [(cls, state)]
     for depth in range(1, layers + 1):
+        _guard_layer(len(gens), depth)
         seen = set()
         grown_layer = []
         for cls, state in layer:
@@ -333,6 +338,7 @@ def verify_m6_embedding(max_len=5):
                 "substitution is not constant on a congruence class")
         return img
 
+    _guard_layer(len(pres.generators), max_len)  # every layer is walked
     images = set()
     injective = True
     count = 0

@@ -3,12 +3,11 @@ import os
 import random
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
-from catmon import Poset, cat_of_poset
+from catmon import Poset, cat_of_poset, presented
 from catmon.cli import main
 from catmon.formats import dump_category
 
@@ -290,14 +289,25 @@ def test_cold_import_loads_no_fractions_or_decimal():
     assert proc.stdout == "[]\n"
 
 
-def test_word_walks_past_the_layer_guard_exit_2_at_once(capsys):
-    for argv, estimate in (
-            (["monoid", "m6", "--max-len", "10"], "6**10"),
-            (["monoid", "crm", "data/c6.monoid", "a", "b", "c",
-              "--max-len", "10"], "6**9")):
-        start = time.perf_counter()
-        assert main(argv) == 2, argv
-        assert time.perf_counter() - start < 1, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error: SizeLimitExceeded"), err
-        assert estimate in err and "Traceback" not in err, err
+def test_word_walks_past_the_layer_guard_exit_2(capsys, monkeypatch):
+    def no_grow(*args):
+        raise AssertionError("a class was grown")
+
+    # the m6 check walks every layer, so it is refused before any is grown
+    grow = presented._grow
+    monkeypatch.setattr(presented, "_grow", no_grow)
+    assert main(["monoid", "m6", "--max-len", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SizeLimitExceeded"), err
+    assert "6**10" in err and "Traceback" not in err, err
+    monkeypatch.setattr(presented, "_grow", grow)
+    # crm answers from a layer below the limit, and with no answer there is
+    # refused at the first layer past it
+    assert main(["monoid", "crm", "data/c6.monoid", "a", "b",
+                 "--max-len", "9"]) == 0
+    assert capsys.readouterr().out == "crm: a b'\n"
+    assert main(["monoid", "crm", "data/c6.monoid", "a", "b", "c",
+                 "--max-len", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SizeLimitExceeded"), err
+    assert "6**8" in err and "Traceback" not in err, err

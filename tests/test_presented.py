@@ -17,6 +17,7 @@ from catmon import (
     equal_in_monoid,
     left_divides_mod,
     m6_presentation,
+    presented,
     verify_m6_embedding,
 )
 from catmon.formats import load_monoid
@@ -367,21 +368,37 @@ def test_m6_embedding_matches_brute_force():
         assert report.injective is injective is True
 
 
-def test_class_walks_are_refused_past_the_layer_guard():
+def test_class_walks_are_refused_at_the_first_layer_past_the_guard(
+        monkeypatch):
     c6, b3 = c6_presentation(), braid3_presentation()
     # the longest walks the suite, goldens, README and benchmark ask for
     assert 6 ** 7 <= MAX_LAYER_CLASSES < 6 ** 8
+    # the m6 check walks every layer, so it is refused before the walk
     with pytest.raises(SizeLimitExceeded, match=r"6\*\*8 classes"):
         verify_m6_embedding(8)
     with pytest.raises(SizeLimitExceeded, match=r"6\*\*1000000000 classes"):
         verify_m6_embedding(10 ** 9)
-    with pytest.raises(SizeLimitExceeded, match=r"6\*\*8 classes"):
-        common_right_multiple(c6, [("a",), ("b",), ("c",)], 9)
-    with pytest.raises(SizeLimitExceeded, match=r"2\*\*20 classes"):
-        common_right_multiple(b3, [("a",), ("b", "b")], 21)
+    # crm returns an answer from a layer below the limit at any max_len
+    assert common_right_multiple(c6, [("a",), ("b",)], 9) == ("a", "b'")
+    assert common_right_multiple(c6, [("a",), ("b",)], 10 ** 9) == \
+        ("a", "b'")
+    assert common_right_multiple(b3, [("a",), ("b",)], 30) == ("a", "b", "a")
+    assert common_right_multiple(b3, [("a",), ("b", "b")], 21) == \
+        ("a", "b", "a", "a")
     # a head that already answers, or that is longer than the bound, walks
     # nothing, so nothing is refused
     assert common_right_multiple(c6, [("a",)], 10 ** 9) == ("a",)
     assert common_right_multiple(c6, [("a", "b")], 1) is None
     one = MonoidPresentation("a", [])
     assert common_right_multiple(one, [("a",), ("a", "a")], 50) == ("a", "a")
+    # a family with no common multiple walks every layer below the limit
+    # and is refused at the first one past it: over a, b with no relations
+    # that is 2 + 4 + ... + 64 grown classes, then 2**7 > 100
+    free = MonoidPresentation("ab", [])
+    grown = []
+    monkeypatch.setattr(presented, "MAX_LAYER_CLASSES", 100)
+    monkeypatch.setattr(presented, "_grow",
+                        lambda *a: grown.append(a) or _grow(*a))
+    with pytest.raises(SizeLimitExceeded, match=r"2\*\*7 classes"):
+        common_right_multiple(free, [("a",), ("b",)], 30)
+    assert len(grown) == 126
