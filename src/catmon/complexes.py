@@ -10,6 +10,7 @@ has no barycentric subdivision here.
 """
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 from .errors import InvalidStructure
@@ -58,22 +59,29 @@ class SimplicialComplex:
     def dimension(self):
         return max(len(f) for f in self.facets) - 1
 
+    def _bfs(self):
+        """Breadth-first search from the least vertex, visiting neighbours
+        in sorted order: the set of vertices reached and the tree edges,
+        each a sorted pair, in sorted order."""
+        adj = {v: set() for v in self.vertices}
+        for x, y in self.edges():
+            adj[x].add(y)
+            adj[y].add(x)
+        root = self.vertices[0]
+        seen = {root}
+        tree = []
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in sorted(adj[x]):
+                if y not in seen:
+                    seen.add(y)
+                    tree.append((x, y) if x < y else (y, x))
+                    queue.append(y)
+        return seen, tuple(sorted(tree))
+
     def is_connected(self):
-        if len(self.vertices) <= 1:
-            return True
-        parent = {v: v for v in self.vertices}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for f in self.facets:
-            for v in f[1:]:
-                parent[find(v)] = find(f[0])
-        roots = {find(v) for v in self.vertices}
-        return len(roots) == 1
+        return len(self._bfs()[0]) == len(self.vertices)
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)

@@ -90,11 +90,6 @@ class NotAGenerator(CatmonError):
     """A single-arrow element was required (lcm works at generator level)."""
 
 
-class GreedyViolation(CatmonError):
-    """Internal consistency failure of the greedy normal form; indicates a
-    bug, never expected on valid input."""
-
-
 # --- posets / maps ---------------------------------------------------------
 
 class NotIsotone(CatmonError):

@@ -11,6 +11,7 @@ word map σ is injective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (GroupMismatch, InvalidStructure, MissingImage,
                      SeparationRequired)
@@ -210,7 +211,9 @@ class CategoryFunctor:
 
     Identity arrows default to the group identity; every other arrow must be
     given an image.  Functoriality is not enforced here — check_separation
-    reports it, so violations can be exhibited rather than rejected.
+    reports it, so violations can be exhibited rather than rejected.  The
+    separation report and the highlighting expansion that σ needs are worked
+    out once, on first use.
     """
 
     def __init__(self, category, target, images):
@@ -232,6 +235,14 @@ class CategoryFunctor:
     def image(self, arrow):
         self.category._check(arrow)
         return self.images[arrow]
+
+    @cached_property
+    def _separation(self):
+        return check_separation(self)
+
+    @cached_property
+    def _expansion(self):
+        return highlighting_expansion(self)
 
 
 @dataclass(frozen=True)
@@ -280,18 +291,23 @@ def highlighting_expansion(functor):
     return CategoryFunctor(cat, prod, images)
 
 
+def _sigma(functor, x):
+    """σ(x), for a functor whose separation criterion holds."""
+    expanded = functor._expansion
+    return group_product(expanded.target,
+                         [expanded.image(f) for f in x.arrows])
+
+
 def sigma_image(x, functor):
     """σ(x): the free-product normal form of the expanded images of the
     entries of x.  Requires the separation criterion to hold."""
     if x.category is not functor.category:
         raise SeparationRequired("element and functor categories differ")
-    report = check_separation(functor)
+    report = functor._separation
     if not report.holds:
         raise SeparationRequired(
             f"functor does not separate hom-sets: {report.violating_pair}")
-    expanded = highlighting_expansion(functor)
-    return group_product(expanded.target,
-                         [expanded.image(f) for f in x.arrows])
+    return _sigma(functor, x)
 
 
 @dataclass(frozen=True)
@@ -308,17 +324,15 @@ def embeddability_verdict(functor, max_len=3):
     all elements up to the length bound (a sampled check — the criterion
     itself guarantees injectivity everywhere)."""
     from .universal import elements_up_to
-    report = check_separation(functor)
+    report = functor._separation
     if not report.holds:
         return EmbeddabilityReport(report, False,
                                    "criterion not satisfied by this functor",
                                    max_len, None)
-    expanded = highlighting_expansion(functor)
     seen = {}
     injective = True
     for x in elements_up_to(functor.category, max_len):
-        w = group_product(expanded.target,
-                          [expanded.image(f) for f in x.arrows])
+        w = _sigma(functor, x)
         if w in seen and seen[w] != x:
             injective = False
             break

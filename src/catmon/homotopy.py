@@ -9,7 +9,6 @@ total free rank is certified, otherwise the presentation itself is reported.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
@@ -44,24 +43,10 @@ class SpanningTree:
 
 def spanning_tree(complex_):
     """BFS tree from the lexicographically least vertex."""
-    if not complex_.is_connected():
+    reached, edges = complex_._bfs()
+    if len(reached) != len(complex_.vertices):
         raise Disconnected("complex is not connected")
-    adj = {v: set() for v in complex_.vertices}
-    for x, y in complex_.edges():
-        adj[x].add(y)
-        adj[y].add(x)
-    root = complex_.vertices[0]
-    seen = {root}
-    edges = []
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in sorted(adj[x]):
-            if y not in seen:
-                seen.add(y)
-                edges.append(tuple(sorted((x, y))))
-                queue.append(y)
-    return SpanningTree(root, tuple(sorted(edges)))
+    return SpanningTree(complex_.vertices[0], edges)
 
 
 def tietze_collapse(pres, tree):

@@ -7,6 +7,8 @@ by other covers) are rejected rather than repaired, so files stay canonical.
 """
 from __future__ import annotations
 
+import heapq
+
 from .errors import CyclicCovers, InvalidStructure, RedundantCover
 
 
@@ -60,31 +62,37 @@ def _pair_without_greatest(idxs, div, below):
     return None
 
 
-def _transposed(up):
-    """The down-masks of the order whose up-masks are ``up``."""
-    dn = [0] * len(up)
-    for i, m in enumerate(up):
-        while m:
-            j = (m & -m).bit_length() - 1
-            dn[j] |= 1 << i
-            m &= m - 1
-    return dn
-
-
-def _paths_to_tops(starts, ups):
-    """Every path that begins at a start, steps along ``ups`` and ends at an
-    element with no ups, in sorted order.  Walked with an explicit stack, so
-    a chain of any length fits."""
-    chains = []
-    stack = [(e,) for e in starts]
-    while stack:
-        chain = stack.pop()
-        nxt = ups[chain[-1]]
-        if nxt:
-            stack.extend(chain + (y,) for y in nxt)
-        else:
-            chains.append(chain)
-    return tuple(sorted(chains))
+def _close(n, edges):
+    """Kahn's algorithm on indices 0..n-1 with ``edges`` (i, j) meaning i
+    below j, taking the least free index first.  Returns the successors of
+    each index, that order (the lexicographically least linear extension
+    when indices follow the sorted elements), and the up- and down-masks,
+    closed along it.  Leftover indices mean a cycle."""
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i, j in edges:
+        succ[i].append(j)
+        indeg[j] += 1
+    heap = [i for i in range(n) if indeg[i] == 0]  # ascending, so a heap
+    order = []
+    while heap:
+        i = heapq.heappop(heap)
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, j)
+    if len(order) != n:
+        raise CyclicCovers("cover relation contains a cycle")
+    up = [1 << i for i in range(n)]
+    dn = up[:]
+    for i in order:
+        for j in succ[i]:
+            dn[j] |= dn[i]
+    for i in reversed(order):
+        for j in succ[i]:
+            up[i] |= up[j]
+    return succ, order, up, dn
 
 
 class Poset:
@@ -108,35 +116,9 @@ class Poset:
         self.elements = elems
         self.covers = tuple(sorted(seen))
         self._idx = idx
-        self._up = self._closure()
-        self._dn = _transposed(self._up)
+        self._succ, self._order, self._up, self._dn = _close(
+            len(elems), [(idx[x], idx[y]) for x, y in self.covers])
         self._reject_redundant()
-
-    def _closure(self):
-        n = len(self.elements)
-        succ = [[] for _ in range(n)]
-        indeg = [0] * n
-        for x, y in self.covers:
-            succ[self._idx[x]].append(self._idx[y])
-            indeg[self._idx[y]] += 1
-        # Kahn's algorithm; leftovers mean a cycle.
-        order, queue = [], [i for i in range(n) if indeg[i] == 0]
-        while queue:
-            i = queue.pop()
-            order.append(i)
-            for j in succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-        if len(order) != n:
-            raise CyclicCovers("cover relation contains a cycle")
-        up = [0] * n
-        for i in reversed(order):
-            m = 1 << i
-            for j in succ[i]:
-                m |= up[j]
-            up[i] = m
-        return up
 
     def _reject_redundant(self):
         for x, y in self.covers:
@@ -153,24 +135,16 @@ class Poset:
         """Build from any set of (x,y) meaning x <= y; covers are derived."""
         elems = sorted(set(elements))
         idx = {e: i for i, e in enumerate(elems)}
-        ids = range(len(elems))
-        up = [1 << i for i in ids]
+        edges = []
         for x, y in le_pairs:
             if x not in idx or y not in idx:
                 raise InvalidStructure(f"pair ({x},{y}) uses unknown element")
-            up[idx[x]] |= 1 << idx[y]
-        for k in ids:  # Warshall: close through each k in turn
-            for i in ids:
-                if up[i] >> k & 1:
-                    up[i] |= up[k]
-        dn = _transposed(up)
+            if x != y:
+                edges.append((idx[x], idx[y]))
+        _, _, up, dn = _close(len(elems), edges)
         covers = []
         for i, x in enumerate(elems):
-            above = up[i] & ~(1 << i)
-            if above & dn[i]:
-                y = elems[(above & dn[i]).bit_length() - 1]
-                raise CyclicCovers(f"{x} and {y} are mutually below each other")
-            for j in _members(above, ids):
+            for j in _members(up[i] & ~(1 << i), range(len(elems))):
                 if up[i] & dn[j] == (1 << i) | (1 << j):
                     covers.append((x, elems[j]))
         return cls(elems, covers)
@@ -208,12 +182,12 @@ class Poset:
         return _members(m, self.elements)
 
     def minimal_elements(self):
-        cov_tgt = {y for _, y in self.covers}
-        return tuple(e for e in self.elements if e not in cov_tgt)
+        return tuple(e for i, e in enumerate(self.elements)
+                     if self._dn[i] == 1 << i)
 
     def maximal_elements(self):
-        cov_src = {x for x, _ in self.covers}
-        return tuple(e for e in self.elements if e not in cov_src)
+        return tuple(e for i, e in enumerate(self.elements)
+                     if self._up[i] == 1 << i)
 
     def least_element(self):
         full = (1 << len(self.elements)) - 1
@@ -223,45 +197,44 @@ class Poset:
         return None
 
     def upper_covers(self, x):
-        return tuple(y for a, y in self.covers if a == x)
+        return tuple(self.elements[j] for j in self._succ[self.index(x)])
 
     def sort_by_order(self, xs):
         """Sort a chain (pairwise comparable set) into ascending order."""
-        return tuple(sorted(xs, key=lambda e: len(self.down_set(e))))
+        return tuple(sorted(
+            xs, key=lambda e: self._dn[self.index(e)].bit_count()))
 
     def linear_extension(self):
-        """Kahn's topological sort, lexicographic smallest-first tie-break."""
-        import heapq
-        indeg = {e: 0 for e in self.elements}
-        for _, y in self.covers:
-            indeg[y] += 1
-        heap = [e for e in self.elements if indeg[e] == 0]
-        heapq.heapify(heap)
-        out = []
-        while heap:
-            e = heapq.heappop(heap)
-            out.append(e)
-            for y in self.upper_covers(e):
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    heapq.heappush(heap, y)
-        return tuple(out)
+        """The lexicographically least linear extension."""
+        return tuple(self.elements[i] for i in self._order)
+
+    def _chains(self, starts, inside):
+        """Maximal chains of the elements in bitmask ``inside`` that begin
+        at an element of ``starts``, ascending, in sorted order.  Walked
+        with an explicit stack, so a chain of any length fits."""
+        els, succ = self.elements, self._succ
+        ups = {els[i]: [els[j] for j in succ[i] if inside >> j & 1]
+               for i in range(len(els)) if inside >> i & 1}
+        chains = []
+        stack = [(e,) for e in starts]
+        while stack:
+            chain = stack.pop()
+            nxt = ups[chain[-1]]
+            if nxt:
+                stack.extend(chain + (y,) for y in nxt)
+            else:
+                chains.append(chain)
+        return tuple(sorted(chains))
 
     def maximal_chains(self):
         """All maximal chains of P, each ascending, in sorted order."""
-        ups = {e: [] for e in self.elements}
-        for x, y in self.covers:
-            ups[x].append(y)
-        return _paths_to_tops(sorted(self.minimal_elements()), ups)
+        return self._chains(self.minimal_elements(),
+                            (1 << len(self.elements)) - 1)
 
     def maximal_chains_in(self, u, v):
         """Maximal chains of the closed interval [u,v], ascending."""
-        inside = set(self.closed_interval(u, v))
-        ups = {e: [] for e in inside}
-        for x, y in self.covers:
-            if x in inside and y in inside:
-                ups[x].append(y)
-        return _paths_to_tops([u] if u in inside else [], ups)
+        inside = self._up[self.index(u)] & self._dn[self.index(v)]
+        return self._chains([u] if inside else [], inside)
 
     def meet_within(self, y1, y2, lo=None):
         """Greatest common lower bound of y1,y2 inside up_set(lo), if any."""

@@ -196,18 +196,12 @@ class AtomsReport:
 
 
 def atoms(pres):
-    """Every generator of a homogeneous presentation is an atom (its class
-    has only length-1 words, never a product of two nonempty ones); this
-    verifies that and reports which generators are identified with others."""
+    """Every generator of a homogeneous presentation is an atom: its
+    relations keep a word's length, so its class has only length-1 words,
+    never a product of two nonempty ones.  Reports which generators are
+    identified with others."""
     _require_homogeneous(pres)
-    classes = {}
-    for g in pres.generators:
-        cls = _closure(pres, (g,))
-        if any(len(w) != 1 for w in cls):
-            raise InvalidStructure(
-                f"class of {g} has a word of length != 1; presentation is "
-                "not homogeneous")
-        classes[g] = cls
+    classes = {g: _closure(pres, (g,)) for g in pres.generators}
     merged = []
     done = set()
     for g in pres.generators:

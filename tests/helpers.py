@@ -171,6 +171,58 @@ def complex_classes(n):
     return _complex_class_cache[n]
 
 
+def random_complex(rng, max_vertices=11, max_facets=5):
+    """A random complex on vertex names that sort unlike their numbers
+    ("v10" < "v2"); single vertices and disconnected complexes occur."""
+    names = [f"v{i}" for i in range(rng.randint(1, max_vertices))]
+    sets = {frozenset(rng.sample(names, rng.randint(1, min(3, len(names)))))
+            for _ in range(rng.randint(1, max_facets))}
+    return SimplicialComplex([sorted(s) for s in sets
+                              if not any(s < t for t in sets)])
+
+
+def brute_connected(complex_):
+    """Merge facets that share a vertex until none do; connected when one
+    vertex set is left."""
+    parts = [set(f) for f in complex_.facets]
+    merged = True
+    while merged:
+        merged = False
+        for a, b in itertools.combinations(range(len(parts)), 2):
+            if parts[a] & parts[b]:
+                parts[a] |= parts.pop(b)
+                merged = True
+                break
+    return len(parts) == 1
+
+
+def brute_bfs_tree(complex_):
+    """The breadth-first tree from the least vertex, built layer by layer:
+    a vertex hangs from its earliest-visited neighbour in the previous
+    layer, and a layer is visited by parent, then by name.  The sorted tree
+    edges, or None if some vertex is never reached."""
+    near = {v: set() for v in complex_.vertices}
+    for f in complex_.facets:
+        for x, y in itertools.combinations(f, 2):
+            near[x].add(y)
+            near[y].add(x)
+    layer = [complex_.vertices[0]]
+    reached = set(layer)
+    edges = []
+    while layer:
+        pos = {x: i for i, x in enumerate(layer)}
+        nxt = {}
+        for y in complex_.vertices:
+            if y not in reached and near[y] & set(layer):
+                nxt[y] = min(near[y] & set(layer), key=pos.get)
+        edges += [tuple(sorted((x, y))) for y, x in nxt.items()]
+        reached |= set(nxt)
+        layer = sorted(nxt, key=lambda y: (pos[nxt[y]], y))
+    if len(reached) != len(complex_.vertices):
+        return None
+    return tuple(sorted(edges))
+
+
 # -- random category mixture ---------------------------------------------------
 
 def make_category(objects, arrows, comp):

@@ -1,0 +1,42 @@
+"""Tooling checks on the exception hierarchy in src/catmon."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "catmon"
+
+
+def _trees():
+    return [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))]
+
+
+def _raised_names(tree):
+    """Names of the classes in ``raise X`` and ``raise X(...)`` statements."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+            elif isinstance(exc, ast.Attribute):
+                yield exc.attr
+
+
+def test_every_leaf_error_is_raised_somewhere():
+    trees = _trees()
+    bases = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [b.id for b in node.bases
+                                    if isinstance(b, ast.Name)]
+
+    def is_error(name):
+        return name == "CatmonError" or any(
+            is_error(b) for b in bases.get(name, ()))
+
+    errors = {name for name in bases if name != "CatmonError"
+              and is_error(name)}
+    leaves = {name for name in errors
+              if not any(name in bases[other] for other in errors)}
+    raised = {name for tree in trees for name in _raised_names(tree)}
+    assert len(leaves) > 20
+    assert sorted(leaves - raised) == []

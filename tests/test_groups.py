@@ -272,6 +272,21 @@ def test_sigma_image_requires_separation():
         sigma_image(elements_up_to(other, 1)[0], functor)
 
 
+def test_sigma_checks_and_expands_once_per_functor(monkeypatch):
+    import catmon.groups as groups
+    calls = {"check_separation": 0, "highlighting_expansion": 0}
+    for name in calls:
+        def counted(functor, _real=getattr(groups, name), _name=name):
+            calls[_name] += 1
+            return _real(functor)
+        monkeypatch.setattr(groups, name, counted)
+    cat, functor = c6_setup()
+    xs = elements_up_to(cat, 2)
+    for i in range(50):
+        sigma_image(xs[i % len(xs)], functor)
+    assert calls == {"check_separation": 1, "highlighting_expansion": 1}
+
+
 def test_sigma_injective_on_short_elements():
     cat, functor = c6_setup()
     for psi in [functor]:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from catmon import (
@@ -15,7 +17,8 @@ from catmon import (
     tietze_collapse,
 )
 
-from helpers import labeled_complexes, labeled_posets, posets_up_to
+from helpers import (brute_bfs_tree, brute_connected, labeled_complexes,
+                     labeled_posets, posets_up_to, random_complex)
 
 SQUARE = SimplicialComplex([("1", "2"), ("2", "3"), ("3", "4"), ("1", "4")])
 TRIANGLE = SimplicialComplex([("x", "y", "z")])
@@ -88,6 +91,24 @@ def test_tietze_collapse_rejects_foreign_tree_edges():
     with pytest.raises(InvalidStructure):
         tietze_collapse(floating_presentation(SQUARE),
                         SpanningTree("1", (("1", "9"),)))
+
+
+def test_one_search_matches_the_oracles_on_random_complexes():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(400):
+        k = random_complex(rng)
+        tree = brute_bfs_tree(k)
+        connected = k.is_connected()
+        assert connected == brute_connected(k) == (tree is not None)
+        seen.add((len(k.vertices) == 1, connected))
+        if connected:
+            assert spanning_tree(k) == SpanningTree(k.vertices[0], tree)
+        else:
+            with pytest.raises(Disconnected,
+                               match="^complex is not connected$"):
+                spanning_tree(k)
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_floating_decomposition_square():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from catmon import CyclicCovers, Poset, RedundantCover
+from catmon import CyclicCovers, InvalidStructure, Poset, RedundantCover
 
 from helpers import (labeled_posets, natural_posets, poset_classes,
                      posets_up_to, random_poset)
@@ -24,6 +24,8 @@ def test_order_queries_on_diamond():
     assert p.maximal_elements() == ("i",)
     assert p.least_element() == "o"
     assert p.upper_covers("o") == ("a", "b")
+    with pytest.raises(InvalidStructure, match="unknown poset element"):
+        p.upper_covers("ghost")
 
 
 def test_from_order_recovers_covers():
@@ -59,10 +61,13 @@ def test_redundant_cover_rejected():
 
 
 def test_cyclic_covers_rejected():
-    with pytest.raises(CyclicCovers):
+    with pytest.raises(CyclicCovers,
+                       match="^cover relation contains a cycle$"):
         Poset("ab", [("a", "b"), ("b", "a")])
     with pytest.raises(CyclicCovers):
         Poset.from_order("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+    with pytest.raises(CyclicCovers):
+        Poset.from_order("abc", [("a", "a"), ("a", "b"), ("b", "a")])
 
 
 def test_linear_extension_is_lex_least():
