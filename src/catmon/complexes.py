@@ -29,16 +29,18 @@ class SimplicialComplex:
                     raise InvalidStructure(f"bad vertex id {v!r}")
             fs.append(t)
         fs = sorted(set(fs))
-        for a in fs:
-            for b in fs:
-                if a != b and set(a) <= set(b):
+        self.vertices = tuple(sorted({v for f in fs for v in f}))
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        masks = [sum(map(bit.get, f)) for f in fs]
+        for a, ma in zip(fs, masks):
+            for b, mb in zip(fs, masks):
+                if ma != mb and ma & mb == ma:
                     raise InvalidStructure(
                         f"simplex {a} is a face of {b}; list only maximal "
                         "simplices")
         if not fs:
             raise InvalidStructure("complex has no simplices")
         self.facets = tuple(fs)
-        self.vertices = tuple(sorted({v for f in fs for v in f}))
 
     def faces(self, dim=None):
         """All nonempty faces, or just those of the given dimension."""

@@ -15,7 +15,7 @@ from .category import FiniteCategory
 from .errors import CategoryMismatch, InvalidStructure, NotIsotone
 from .groups import FreeGroupWord, GroupSpec
 from .poset import _members, _pair_without_greatest
-from .universal import ReducedSeq, multiply, unit
+from .universal import reduce_sequence
 
 
 def interval_name(x, y):
@@ -23,14 +23,12 @@ def interval_name(x, y):
 
 
 def _interval_walk(poset):
-    """The closed intervals of a poset, in index space.
+    """Cat(P)'s tables ``(arrows, identity, comp)``, as ``FiniteCategory``
+    takes them.
 
-    Returns ``(ups, names, arrows)``: ``ups[i]`` is the tuple of indices j
-    with elements[i] ≤ elements[j], in index order (i among them);
-    ``names[i][j]`` is the name of [elements[i], elements[j]] for those j
-    (None elsewhere); ``arrows`` maps each name to its endpoints, in walk
-    order.  Each interval is named once, so every composite built from
-    ``names`` reuses one string whose hash is already cached.
+    Each interval [x,y] is named once, by x then y in index order, so every
+    pasting [x,y];[y,z] = [x,z] reuses strings whose hashes are cached; the
+    pastings are listed by x, then y, then z.
     """
     els = poset.elements
     ids = range(len(els))
@@ -46,20 +44,19 @@ def _interval_walk(poset):
             arrows[name] = (x, els[j])
             row[j] = name
         names.append(row)
-    return ups, names, arrows
-
-
-def cat_of_poset(poset):
-    """The category of closed intervals of a poset."""
-    ups, names, arrows = _interval_walk(poset)
-    identity = {x: names[i][i] for i, x in enumerate(poset.elements)}
+    identity = {x: names[i][i] for i, x in enumerate(els)}
     comp = {}
     for i, row in enumerate(names):
         for j in ups[i]:
             f, after = row[j], names[j]
             for k in ups[j]:
                 comp[(f, after[k])] = row[k]
-    return FiniteCategory(poset.elements, arrows, identity, comp)
+    return arrows, identity, comp
+
+
+def cat_of_poset(poset):
+    """The category of closed intervals of a poset."""
+    return FiniteCategory(poset.elements, *_interval_walk(poset))
 
 
 @dataclass(frozen=True)
@@ -129,15 +126,10 @@ class IntervalFunctor:
         if x.category is not self.source_category:
             raise CategoryMismatch(
                 "element does not live over this functor's source category")
-        cat = self.target_category
-        out = unit(cat)
-        f = self.map
-        for arrow in x.arrows:
-            lo, hi = x.category.src(arrow), x.category.tgt(arrow)
-            image = interval_name(f(lo), f(hi))
-            if not cat.is_identity(image):
-                out = multiply(out, ReducedSeq(cat, (image,)))
-        return out
+        cat, f = x.category, self.map
+        images = [interval_name(f(cat.src(a)), f(cat.tgt(a)))
+                  for a in x.arrows]
+        return reduce_sequence(self.target_category, images)[0]
 
 
 def embed_free_group(x):

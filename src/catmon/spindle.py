@@ -5,7 +5,8 @@ interval ]u,v[ is an equivalence relation — equivalently, when any two
 distinct maximal chains of [u,v] meet exactly in {u,v}; both criteria are
 computed and compared.  For an extreme spindle (u minimal, v maximal in P)
 the spindle category replaces the single arrow [u,v] of Cat(P) by one arrow
-per maximal chain.
+per maximal chain.  It is built as an edit of Cat(P)'s composition table,
+and its presentation as a filter of that table.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 from .category import FiniteCategory
 from .errors import HeightTooSmall, InvalidStructure, NotComparable, NotExtreme
-from .interval import _interval_walk
+from .interval import _interval_walk, interval_name
+from .poset import _members
 from .presented import MonoidPresentation
 
 
@@ -37,17 +39,17 @@ def detect_spindle(poset, u, v):
     """
     if not poset.lt(u, v):
         raise NotComparable(f"{u} < {v} does not hold")
-    inner = poset.open_interval(u, v)
+    up, dn = poset._up, poset._dn
+    ui, vi = poset.index(u), poset.index(v)
+    inner = up[ui] & dn[vi] & ~(1 << ui | 1 << vi)
     if not inner:
         raise HeightTooSmall(f"[{u},{v}] has height < 2")
-    equivalence = True
-    for x in inner:
-        for y in inner:
-            if not poset.comparable(x, y):
-                continue
-            for z in inner:
-                if poset.comparable(y, z) and not poset.comparable(x, z):
-                    equivalence = False
+    # Comparability on ]u,v[ is transitive iff each element's comparable set
+    # there is also the comparable set of every element in it.
+    ids = range(len(up))
+    near = {i: (up[i] | dn[i]) & inner for i in _members(inner, ids)}
+    equivalence = all(near[j] == mask for mask in near.values()
+                      for j in _members(mask, ids))
     chains = poset.maximal_chains_in(u, v)
     ends = {u, v}
     chains_ok = all(set(c1) & set(c2) == ends
@@ -68,38 +70,24 @@ def is_extreme_spindle(poset, spindle):
 def spindle_category(poset, spindle):
     """Cat(P,u,v): Cat(P) with [u,v] replaced by one arrow per maximal chain.
 
-    Extremality makes the composition total: nothing composes into u or out
-    of v except identities, so chain arrows only ever meet identities, and
-    [x,y];[y,z] lands on the chain arrow of y's class exactly when (x,z) is
-    (u,v).
+    Cat(P)'s table is edited in place.  Extremality makes that enough:
+    nothing composes into u or out of v except identities, so [u,v] sits in
+    two identity pastings only, chain arrows only ever meet identities, and
+    [u,m];[m,v] lands on the chain arrow of m's chain.
     """
     if not is_extreme_spindle(poset, spindle):
         raise NotExtreme(f"{spindle.u} not minimal or {spindle.v} not maximal")
     u, v = spindle.u, spindle.v
-    ui, vi = poset.index(u), poset.index(v)
-    ups, names, arrows = _interval_walk(poset)
-    class_of = {}
+    arrows, identity, comp = _interval_walk(poset)
+    uv = interval_name(u, v)
+    del arrows[uv], comp[(identity[u], uv)], comp[(uv, identity[v])]
     for chain in spindle.chains:
         name = chain_arrow_name(chain)
+        if name in arrows:
+            raise InvalidStructure(f"chain arrow name clash at {name}")
+        arrows[name] = (u, v)
         for m in chain[1:-1]:
-            class_of[poset.index(m)] = name
-    del arrows[names[ui][vi]]
-    for chain in spindle.chains:
-        arrows[chain_arrow_name(chain)] = (u, v)
-    identity = {x: names[i][i] for i, x in enumerate(poset.elements)}
-    comp = {}
-    for i, row in enumerate(names):
-        for j in ups[i]:
-            if i == ui and j == vi:
-                continue
-            f, after = row[j], names[j]
-            for k in ups[j]:
-                if j == ui and k == vi:
-                    continue
-                comp[(f, after[k])] = (class_of[j] if i == ui and k == vi
-                                       else row[k])
-    for chain in spindle.chains:
-        name = chain_arrow_name(chain)
+            comp[(interval_name(u, m), interval_name(m, v))] = name
         comp[(identity[u], name)] = name
         comp[(name, identity[v])] = name
     return FiniteCategory(poset.elements, arrows, identity, comp)
@@ -107,21 +95,13 @@ def spindle_category(poset, spindle):
 
 def spindle_presentation(poset, spindle):
     """Monoid presentation of Um(Cat(P,u,v)): generators are the strict
-    intervals other than [u,v], relations are the pastings that stay off
-    [u,v]."""
+    intervals other than [u,v], relations are the pastings of them that stay
+    off [u,v]."""
     if not is_extreme_spindle(poset, spindle):
         raise NotExtreme(f"{spindle.u} not minimal or {spindle.v} not maximal")
-    ui, vi = poset.index(spindle.u), poset.index(spindle.v)
-    ups, names, _ = _interval_walk(poset)
-    gens = [row[j] for i, row in enumerate(names) for j in ups[i]
-            if j != i and not (i == ui and j == vi)]
-    relations = []
-    for i, row in enumerate(names):
-        for j in ups[i]:
-            if j == i:
-                continue
-            after = names[j]
-            for k in ups[j]:
-                if k != j and not (i == ui and k == vi):
-                    relations.append(((row[k],), (row[j], after[k])))
+    arrows, identity, comp = _interval_walk(poset)
+    skip = {*identity.values(), interval_name(spindle.u, spindle.v)}
+    gens = [f for f in arrows if f not in skip]
+    relations = [((h,), (f, g)) for (f, g), h in comp.items()
+                 if f not in skip and g not in skip and h not in skip]
     return MonoidPresentation(gens, relations)

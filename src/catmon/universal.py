@@ -319,19 +319,16 @@ def universal_group_presentation(cat):
     """Presentation of the universal group: one generator per non-identity
     arrow, one relator per composable pair of non-identity arrows."""
     from .presentations import GroupPresentation
-    gens = cat.non_identities()
-    genset = set(gens)
+    ids = cat._identities
     relators = []
-    for f in gens:
-        for g in cat.arrows_from(cat.tgt(f)):
-            if g not in genset:
-                continue
-            h = cat.compose(f, g)
-            word = [(f, 1), (g, 1)]
-            if h in genset:
-                word.append((h, -1))
-            relators.append(tuple(word))
-    return GroupPresentation(gens, relators)
+    for (f, g), h in sorted(cat.comp.items()):
+        if f in ids or g in ids:
+            continue
+        word = [(f, 1), (g, 1)]
+        if h not in ids:
+            word.append((h, -1))
+        relators.append(tuple(word))
+    return GroupPresentation(cat.non_identities(), relators)
 
 
 def elements_up_to(cat, max_len):

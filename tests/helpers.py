@@ -21,7 +21,7 @@ from catmon import (
     multiply,
 )
 
-LETTERS = "abcdefgh"
+LETTERS = "abcdefghij"
 
 
 # -- poset enumeration --------------------------------------------------------
@@ -593,6 +593,24 @@ def reference_spindle_presentation(poset, spindle):
                  for x, y in lt for z in els
                  if poset.lt(y, z) and (x, z) != (u, v)]
     return tuple(gens), tuple(relations)
+
+
+def reference_universal_group_presentation(cat):
+    """Generators and relators of the universal group presentation: for each
+    non-identity f, each non-identity g out of tgt(f), the relator f g h⁻¹
+    (just f g when h = f;g is an identity)."""
+    gens = cat.non_identities()
+    relators = []
+    for f in gens:
+        for g in cat.arrows_from(cat.tgt(f)):
+            if g not in gens:
+                continue
+            h = cat.compose(f, g)
+            word = [(f, 1), (g, 1)]
+            if h in gens:
+                word.append((h, -1))
+            relators.append(tuple(word))
+    return gens, tuple(relators)
 
 
 def rational_rank(generators, relators):

@@ -116,6 +116,17 @@ def test_spindle_no_exits_1(tmp_path, capsys):
     assert main(["spindle", "presentation", str(f), "u", "v"]) == 1
 
 
+def test_spindle_category_chain_name_clash_exits_2(tmp_path, capsys):
+    f = tmp_path / "clash.poset"
+    f.write_text("poset\nelem u a b a,b v\ncover u a\ncover a b\n"
+                 "cover b v\ncover u a,b\ncover a,b v\n")
+    assert main(["spindle", "category", str(f), "u", "v"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: InvalidStructure: chain arrow name clash "
+                            "at chain:a,b\n")
+
+
 def test_monoid_class_of_empty_word(capsys):
     assert main(["monoid", "class", "data/b3.monoid", ""]) == 0
     assert capsys.readouterr().out == "1\n"

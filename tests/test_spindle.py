@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from catmon import (
     HeightTooSmall,
+    InvalidStructure,
     NotComparable,
     NotExtreme,
     Poset,
@@ -15,8 +18,8 @@ from catmon import (
     spindle_presentation,
 )
 
-from helpers import (natural_posets, posets_up_to, reference_spindle_category,
-                     reference_spindle_presentation)
+from helpers import (natural_posets, posets_up_to, random_poset,
+                     reference_spindle_category, reference_spindle_presentation)
 
 DIAMOND = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
 CHAIN3 = Poset("012", [("0", "1"), ("1", "2")])
@@ -27,6 +30,10 @@ TWO_CLASS = Poset("owxyi", [("o", "w"), ("o", "x"), ("x", "y"),
 # ]u,v[ = {x, y, z} where x,z and y,z are comparable but x,y are not
 NON_SPINDLE = Poset("uxyzv", [("u", "x"), ("u", "y"), ("x", "z"),
                               ("y", "z"), ("z", "v")])
+# u < a < b < v and u < "a,b" < v: both chains would be named chain:a,b
+CHAIN_CLASH = Poset(["u", "a", "b", "a,b", "v"],
+                    [("u", "a"), ("a", "b"), ("b", "v"),
+                     ("u", "a,b"), ("a,b", "v")])
 
 
 def brute_spindle_criteria(poset, u, v):
@@ -77,6 +84,23 @@ def test_both_criteria_agree_on_small_posets():
                 comparable, meets = brute_spindle_criteria(p, u, v)
                 assert comparable == meets
                 assert (detect_spindle(p, u, v) is not None) == comparable
+    # Larger posets, so that ]u,v[ often has four or more elements.
+    rng = random.Random(7)
+    wide = {True: 0, False: 0}
+    for _ in range(100):
+        p = random_poset(rng, max_n=10)
+        while len(p.elements) < 6:
+            p = random_poset(rng, max_n=10)
+        for u in p.elements:
+            for v in p.elements:
+                inner = p.open_interval(u, v) if p.lt(u, v) else ()
+                if not inner:
+                    continue
+                comparable, _ = brute_spindle_criteria(p, u, v)
+                assert (detect_spindle(p, u, v) is not None) == comparable
+                if len(inner) >= 4:
+                    wide[comparable] += 1
+    assert wide[True] >= 20 and wide[False] >= 50
 
 
 def test_is_extreme_spindle():
@@ -123,6 +147,14 @@ def test_spindle_category_gcd_formula():
                 m = poset_max(poset, [e for e in chain if poset.leq(e, x)])
                 assert cat.gcd("left", (interval_name(u, x), z)) == \
                     interval_name(u, m)
+
+
+def test_spindle_category_rejects_chain_name_clash():
+    sp = detect_spindle(CHAIN_CLASH, "u", "v")
+    assert [chain_arrow_name(c) for c in sp.chains] == ["chain:a,b"] * 2
+    with pytest.raises(InvalidStructure,
+                       match="^chain arrow name clash at chain:a,b$"):
+        spindle_category(CHAIN_CLASH, sp)
 
 
 def extreme_spindles(poset):

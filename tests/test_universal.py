@@ -45,6 +45,7 @@ from helpers import (
     random_category,
     random_category_bounded,
     random_raw_sequence,
+    reference_universal_group_presentation,
 )
 
 DIAMOND = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
@@ -452,6 +453,29 @@ def test_universal_group_presentation_of_the_diamond():
         (("[o,b]", 1), ("[b,i]", 1), ("[o,i]", -1)),
     ])
     assert pres.abelianization_rank() == 3
+
+
+def test_universal_group_presentation_matches_reference():
+    rng = random.Random(20171207)
+    non_conical = 0
+    for _ in range(300):
+        cat = random_category(rng)
+        pres = universal_group_presentation(cat)
+        assert (pres.generators, tuple(pres.relators)) == \
+            reference_universal_group_presentation(cat)
+        non_conical += cat._analyze()[0] is not None
+    assert non_conical >= 30
+
+
+def test_universal_group_presentation_trusts_the_category(monkeypatch):
+    cats = [DCAT, pair_groupoid(3), idempotent_category()]
+
+    def refuse(self, f):
+        raise AssertionError(f"_check({f!r}) called")
+
+    monkeypatch.setattr(FiniteCategory, "_check", refuse)
+    for cat in cats:
+        assert universal_group_presentation(cat).relators
 
 
 def test_elements_up_to_matches_filtered_tuples():
