@@ -14,9 +14,17 @@ whose first word, ``cls[0]``, is its representative u, and the class of u·g
 starts from the seeds u'·g, u' in cls.  A rewrite of a seed at a window
 inside u' gives u''·g with u'' in cls, another seed, so only the windows
 that end at the new letter are scanned on seeds; the words they add get a
-full scan.  What a search carries along a class is monotone in the same way
-(a left divisor of u divides u·g, and the image of u·g under a substitution
-is the image of u followed by that of g), so only the added words are tested.
+full scan.  Most letters need not even that: a letter g is hot for a class
+when some rule side is a suffix of some u'·g, and quiet otherwise.  Every
+window of u'·g either ends at g or lies inside u', so the class of u·g for a
+quiet g is exactly its seeds.  Another (class, letter) pair of the layer
+whose class held a seed u'·g would have that seed, u'·g with u' in cls, as
+its first word, and so be this same pair; so a quiet class is disjoint from
+every other class of the layer, and is taken with no rewrite scan and no
+dedup bookkeeping.  What a search carries along a class is monotone as
+the seeds are (a left divisor of u divides u·g, and the image of u·g under a
+substitution is the image of u followed by that of g), so only the added
+words are tested.
 """
 from __future__ import annotations
 
@@ -53,6 +61,14 @@ class MonoidPresentation:
                 if side and side != other:
                     self._rewrites.setdefault(len(side), {}).setdefault(
                         side, set()).add(other)
+        # side length k -> {side[:-1]: {side[-1]}}: a word u whose last k - 1
+        # letters are a key gets a rewrite window at the end of u·g exactly
+        # for the g in that key's set
+        self._fires = {}
+        for k, rules in self._rewrites.items():
+            fires = self._fires[k] = {}
+            for side in rules:
+                fires.setdefault(side[:-1], set()).add(side[-1])
 
     def is_homogeneous(self):
         return self._homogeneous
@@ -111,7 +127,9 @@ def _grow(pres, cls, g):
     The result is a list: first the seeds u'·g for u' in cls, in cls's order
     (so u·g comes first), then the words that rewrites add.  A seed's
     windows inside u' rewrite it to another seed, so seeds are scanned only
-    at the window of each rule length that ends at g."""
+    at the window of each rule length that ends at g.  ``_class_walk``
+    calls it only for letters hot for cls: for a quiet g no such window is
+    a rule side, and the class of u·g is the seeds alone."""
     n = len(cls[0]) + 1
     tail = (g,)
     out = [u + tail for u in cls]
@@ -154,19 +172,42 @@ def _class_walk(pres, gens, cls, state, carry, layers):
     start), where state is the shorter class's and grown[start:] are the
     words that rewrites added.
 
+    Once per class, the letters hot for it are read off ``pres._fires``: g
+    is hot when the last k - 1 letters of some word of cls and g make a
+    rule side of length k.  A hot letter is grown by ``_grow`` and checked
+    against the classes met so far.  A quiet letter's class is its seeds,
+    [u'·g for u' in cls], with no scan.  It needs no check and is not
+    recorded: a class met earlier in the layer that held some u'·g would
+    be the class of that same (cls, g) pair, and the words u'·g, each
+    ending in g after a word of cls, lie in no class grown from another
+    pair.
+
     Each layer is checked with ``_guard_layer`` before any of its classes
     is grown, so a caller that stops at an early layer is never refused."""
+    # (letters before the last, {those letters: last letters}) per length
+    fires = [(k - 1, tails) for k, tails in pres._fires.items()]
     layer = [(cls, state)]
     for depth in range(1, layers + 1):
         _guard_layer(len(gens), depth)
         seen = set()
         grown_layer = []
         for cls, state in layer:
+            n = len(cls[0])
+            hot = set()
+            for k, tails in fires:
+                if k <= n:
+                    for w in cls:
+                        last = tails.get(w[n - k:])
+                        if last:
+                            hot |= last
             for g in gens:
-                if cls[0] + (g,) in seen:
-                    continue
-                grown = _grow(pres, cls, g)
-                seen.update(grown)
+                if g in hot:
+                    if cls[0] + (g,) in seen:
+                        continue
+                    grown = _grow(pres, cls, g)
+                    seen.update(grown)
+                else:
+                    grown = [w + (g,) for w in cls]
                 grown_state = carry(state, grown, len(cls))
                 yield grown, grown_state
                 if depth < layers:
@@ -181,8 +222,13 @@ def congruence_class(pres, word):
 
 
 def equal_in_monoid(pres, u, v):
+    """Whether u and v are equal modulo the relations.  Homogeneous
+    relations keep a word's length, so words of different lengths are
+    unequal without a closure."""
     _require_homogeneous(pres)
-    return _word(pres, v) in _closure(pres, _word(pres, u))
+    v = _word(pres, v)
+    u = _word(pres, u)
+    return len(u) == len(v) and v in _closure(pres, u)
 
 
 @dataclass(frozen=True)
@@ -236,7 +282,8 @@ def common_right_multiple(pres, xs, max_len=8):
     x | u implies x | u·g, so a grown class keeps its mask and only the
     words that rewrites added are tested, except that an x as long as the
     class's words divides a seed u'·g only by being it, so it is tested on
-    the whole class.
+    the whole class.  A class that rewrites added nothing to, with no x as
+    long as its words, keeps its mask untested.
     """
     _require_homogeneous(pres)
     xs = [_word(pres, x) for x in xs]
@@ -247,8 +294,12 @@ def common_right_multiple(pres, xs, max_len=8):
     if len(head) > max_len:
         return None
 
+    lengths = {len(x) for x in xs}
+
     def mask(m, cls, start):
         length = len(cls[0])
+        if start == len(cls) and length not in lengths:
+            return m
         for i, x in enumerate(xs):
             k = len(x)
             if not m >> i & 1 and k <= length:
@@ -327,7 +378,8 @@ def verify_m6_embedding(max_len=5):
 
     def image(img, cls, start):
         img += M6_SUBSTITUTION[cls[0][-1]]
-        if any(_m6_image(w) != img for w in cls[start:]):
+        if start < len(cls) and any(_m6_image(w) != img
+                                    for w in cls[start:]):
             raise InvalidStructure(
                 "substitution is not constant on a congruence class")
         return img

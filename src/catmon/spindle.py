@@ -10,6 +10,7 @@ and its presentation as a filter of that table.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .category import FiniteCategory
@@ -36,6 +37,11 @@ def detect_spindle(poset, u, v):
     Primary criterion: comparability restricted to ]u,v[ is transitive
     (reflexivity and symmetry are automatic).  Cross-checked against the
     chain criterion: distinct maximal chains of [u,v] meet exactly in {u,v}.
+    That holds iff every element of ]u,v[ has exactly one upper and one
+    lower cover in [u,v], since then one inner element fixes its whole
+    chain, and two covers on either side give two chains through it; so it
+    is decided from the covers, and the maximal chains, one per class, are
+    listed only for a spindle.
     """
     if not poset.lt(u, v):
         raise NotComparable(f"{u} < {v} does not hold")
@@ -50,16 +56,17 @@ def detect_spindle(poset, u, v):
     near = {i: (up[i] | dn[i]) & inner for i in _members(inner, ids)}
     equivalence = all(near[j] == mask for mask in near.values()
                       for j in _members(mask, ids))
-    chains = poset.maximal_chains_in(u, v)
-    ends = {u, v}
-    chains_ok = all(set(c1) & set(c2) == ends
-                    for i, c1 in enumerate(chains) for c2 in chains[i + 1:])
+    inside = inner | 1 << ui | 1 << vi
+    covers = {i: [j for j in poset._succ[i] if inside >> j & 1]
+              for i in (ui, *near)}
+    lower = Counter(j for ups in covers.values() for j in ups)
+    chains_ok = all(len(covers[i]) == 1 and lower[i] == 1 for i in near)
     if equivalence != chains_ok:
         raise InvalidStructure(
             "spindle criteria disagree — this is a bug")
     if not equivalence:
         return None
-    return Spindle(u, v, chains)
+    return Spindle(u, v, poset.maximal_chains_in(u, v))
 
 
 def is_extreme_spindle(poset, spindle):

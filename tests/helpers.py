@@ -20,6 +20,14 @@ from catmon import (
     interval_name,
     multiply,
 )
+from catmon.presented import (
+    M6_SUBSTITUTION,
+    _closure,
+    _guard_layer,
+    _m6_image,
+    _spread,
+    m6_presentation,
+)
 
 LETTERS = "abcdefghij"
 
@@ -611,6 +619,95 @@ def reference_universal_group_presentation(cat):
                 word.append((h, -1))
             relators.append(tuple(word))
     return gens, tuple(relators)
+
+
+def reference_grow(pres, cls, g):
+    """The class of cls[0]·g: the seeds u'·g, u' in cls, in cls's order,
+    then the words that rewrites add, with every seed scanned at the window
+    of each rule length that ends at g."""
+    n = len(cls[0]) + 1
+    out = [u + (g,) for u in cls]
+    seen = set(out)
+    start = len(out)
+    for k, rules in pres._rewrites.items():
+        if k > n:
+            continue
+        for w in out[:start]:
+            for rhs in rules.get(w[n - k:], ()):
+                w2 = w[:n - k] + rhs
+                if w2 not in seen:
+                    seen.add(w2)
+                    out.append(w2)
+    return _spread(pres, n, seen, out, start)
+
+
+def reference_class_walk(pres, gens, cls, state, carry, layers):
+    """Yield (class, state) for each class of the words cls[0]·w, w of 1 to
+    layers letters over gens, layer by layer, every (class, letter) pair
+    grown by ``reference_grow`` and skipped when its first word lies in a
+    class already met in the layer."""
+    layer = [(cls, state)]
+    for depth in range(1, layers + 1):
+        _guard_layer(len(gens), depth)
+        seen = set()
+        grown_layer = []
+        for cls, state in layer:
+            for g in gens:
+                if cls[0] + (g,) in seen:
+                    continue
+                grown = reference_grow(pres, cls, g)
+                seen.update(grown)
+                grown_state = carry(state, grown, len(cls))
+                yield grown, grown_state
+                grown_layer.append((grown, grown_state))
+        layer = grown_layer
+
+
+def reference_common_right_multiple(pres, xs, max_len):
+    """``common_right_multiple`` over ``reference_class_walk``, every x not
+    yet known to divide tested on the added words of each class (on the
+    whole class when x is as long as its words)."""
+    xs = [tuple(x) for x in xs]
+    full = (1 << len(xs)) - 1
+    head = xs[0]
+    if len(head) > max_len:
+        return None
+
+    def mask(m, cls, start):
+        length = len(cls[0])
+        for i, x in enumerate(xs):
+            k = len(x)
+            if not m >> i & 1 and k <= length:
+                words = cls if k == length else cls[start:]
+                if any(w[:k] == x for w in words):
+                    m |= 1 << i
+        return m
+
+    cls = [head, *(_closure(pres, head) - {head})]
+    m = mask(0, cls, 0)
+    if m == full:
+        return head
+    for cls, m in reference_class_walk(pres, sorted(pres.generators), cls,
+                                       m, mask, max_len - len(head)):
+        if m == full:
+            return cls[0]
+    return None
+
+
+def reference_m6_classes(max_len):
+    """(class count, injective) of the m6 substitution on the classes of
+    words of 1 to max_len letters, walked by ``reference_class_walk``, with
+    the image of every added word checked against its class's."""
+    pres = m6_presentation()
+
+    def image(img, cls, start):
+        img += M6_SUBSTITUTION[cls[0][-1]]
+        assert all(_m6_image(w) == img for w in cls[start:])
+        return img
+
+    images = [img for _, img in reference_class_walk(
+        pres, pres.generators, [()], (), image, max_len)]
+    return len(images), len(set(images)) == len(images)
 
 
 def rational_rank(generators, relators):

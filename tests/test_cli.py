@@ -301,17 +301,20 @@ def test_cold_import_loads_no_fractions_or_decimal():
 
 
 def test_word_walks_past_the_layer_guard_exit_2(capsys, monkeypatch):
+    walk = presented._class_walk
+
     def no_grow(*args):
-        raise AssertionError("a class was grown")
+        # every grown class, quiet or hot, is yielded by the walk
+        for _ in walk(*args):
+            raise AssertionError("a class was grown")
 
     # the m6 check walks every layer, so it is refused before any is grown
-    grow = presented._grow
-    monkeypatch.setattr(presented, "_grow", no_grow)
+    monkeypatch.setattr(presented, "_class_walk", no_grow)
     assert main(["monoid", "m6", "--max-len", "10"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: SizeLimitExceeded"), err
     assert "6**10" in err and "Traceback" not in err, err
-    monkeypatch.setattr(presented, "_grow", grow)
+    monkeypatch.setattr(presented, "_class_walk", walk)
     # crm answers from a layer below the limit, and with no answer there is
     # refused at the first layer past it
     assert main(["monoid", "crm", "data/c6.monoid", "a", "b",

@@ -22,6 +22,11 @@ from catmon import (
 )
 from catmon.formats import load_monoid
 from catmon.presented import MAX_LAYER_CLASSES, _grow, _m6_image
+from helpers import (
+    reference_class_walk,
+    reference_common_right_multiple,
+    reference_m6_classes,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -288,6 +293,22 @@ def test_words_with_unknown_letters_are_rejected():
         congruence_class(pres, ["ab"])
 
 
+def test_equal_in_monoid_compares_lengths_before_any_closure(monkeypatch):
+    pres = c6_presentation()
+
+    def no_closure(*args):
+        raise AssertionError("a closure was taken")
+
+    monkeypatch.setattr(presented, "_closure", no_closure)
+    assert equal_in_monoid(pres, ("a", "b'"), ("b",)) is False
+    assert equal_in_monoid(pres, (), ("b", "a'")) is False
+    # both words are still checked first, v before u
+    with pytest.raises(InvalidStructure, match="'z'"):
+        equal_in_monoid(pres, ("y",), ("z", "a"))
+    with pytest.raises(InvalidStructure, match="'y'"):
+        equal_in_monoid(pres, ("y",), ("a", "b"))
+
+
 def _classes_up_to(pres, n):
     """Every class of words of length <= n, once each, as sets."""
     out = {}
@@ -323,6 +344,81 @@ def test_grow_matches_closure_oracle():
                 assert set(grown) == closure_oracle(pres, rep + (g,)), \
                     (pres.relations, rep, g)
                 assert grown[:len(listed)] == [w + (g,) for w in listed]
+
+
+def test_class_walk_matches_reference_walk():
+    """The walk yields the classes of the reference walk, which grows every
+    (class, letter) pair with a full seed scan: the same sets with the same
+    first words and the same states, in the same order, up to length 5,
+    both from the empty word (as the m6 check walks) and from the class of
+    a one-letter head (as crm walks).  Among the presentations are a
+    length-1 rule, which makes its letters hot for every class, and
+    relations whose two sides share their first letter."""
+    rng = random.Random(13)
+    presentations = [
+        c6_presentation(), m6_presentation(), braid3_presentation(),
+        MonoidPresentation("ab", [(("a",), ("b",))]),
+        MonoidPresentation("abc", [(("a", "b"), ("a", "c")),
+                                   (("b", "c", "a"), ("b", "a", "c"))])]
+    presentations += [random_homogeneous_presentation(rng)
+                      for _ in range(12)]
+    assert {len(l) for p in presentations for l, _ in p.relations} == \
+        {1, 2, 3}
+
+    def carry(state, grown, start):
+        return state, frozenset(grown[start:])
+
+    for pres in presentations:
+        head = (min(pres.generators),)
+        head_class = [head, *sorted(congruence_class(pres, head) - {head})]
+        for gens, cls, layers in [(pres.generators, [()], 5),
+                                  (sorted(pres.generators), head_class, 4)]:
+            got, want = ([(frozenset(c), c[0], state) for c, state in
+                          walk(pres, gens, cls, None, carry, layers)]
+                         for walk in (presented._class_walk,
+                                      reference_class_walk))
+            assert got == want, pres.relations
+
+
+def test_m6_walk_grows_only_hot_letters(monkeypatch):
+    """Of the 7436 classes of m6 up to length 5, 6970 come from a letter at
+    which no rule can fire and are taken as their seeds; only the other 466
+    are grown with a rewrite scan."""
+    grown = []
+    monkeypatch.setattr(presented, "_grow",
+                        lambda *a: grown.append(a) or _grow(*a))
+    assert verify_m6_embedding(5).class_count == 7436
+    assert len(grown) == 466
+
+
+def test_crm_and_m6_match_reference_walk():
+    """crm on 996 families over c6, m6 and b3 (a generator and a word of
+    one or two letters either way round, and three distinct generators),
+    with bounds 3 to 5, and the m6 check up to length 6, agree with the
+    same searches over the reference walk."""
+    families = []
+    for pres in (c6_presentation(), m6_presentation(),
+                 braid3_presentation()):
+        gens = pres.generators
+        pairs = list(itertools.product(gens, repeat=2))
+        families += [(pres, [(g,), w]) for g in gens
+                     for w in [(h,) for h in gens] + pairs]
+        families += [(pres, [w, (g,)]) for g in gens for w in pairs]
+        families += [(pres, [(g,) for g in t])
+                     for t in itertools.combinations(gens, 3)]
+    assert len(families) == 996
+    found = 0
+    for i, (pres, xs) in enumerate(families):
+        max_len = 3 + i % 3
+        got = common_right_multiple(pres, xs, max_len)
+        assert got == reference_common_right_multiple(pres, xs, max_len), \
+            (pres.relations, xs, max_len)
+        found += got is not None
+    assert found == 208
+    for n in range(7):
+        report = verify_m6_embedding(n)
+        assert (report.class_count, report.injective) == \
+            reference_m6_classes(n)
 
 
 def test_crm_tests_a_later_divisor_as_long_as_the_layer():
@@ -393,12 +489,19 @@ def test_class_walks_are_refused_at_the_first_layer_past_the_guard(
     assert common_right_multiple(one, [("a",), ("a", "a")], 50) == ("a", "a")
     # a family with no common multiple walks every layer below the limit
     # and is refused at the first one past it: over a, b with no relations
-    # that is 2 + 4 + ... + 64 grown classes, then 2**7 > 100
+    # that is 2 + 4 + ... + 64 grown classes, then 2**7 > 100.  Every grown
+    # class is yielded by the walk, quiet or hot, so the yields are counted
     free = MonoidPresentation("ab", [])
     grown = []
+    walk = presented._class_walk
+
+    def counted_walk(*args):
+        for item in walk(*args):
+            grown.append(item)
+            yield item
+
     monkeypatch.setattr(presented, "MAX_LAYER_CLASSES", 100)
-    monkeypatch.setattr(presented, "_grow",
-                        lambda *a: grown.append(a) or _grow(*a))
+    monkeypatch.setattr(presented, "_class_walk", counted_walk)
     with pytest.raises(SizeLimitExceeded, match=r"2\*\*7 classes"):
         common_right_multiple(free, [("a",), ("b",)], 30)
     assert len(grown) == 126

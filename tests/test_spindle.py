@@ -103,6 +103,26 @@ def test_both_criteria_agree_on_small_posets():
     assert wide[True] >= 20 and wide[False] >= 50
 
 
+def test_detect_spindle_lists_chains_only_for_a_spindle(monkeypatch):
+    # a ladder of 30 ranks of two elements, every cover between ranks, with
+    # a bottom and a top: [bot,top] has 2**30 maximal chains
+    ranks = [("bot",)] + [(f"x{r}", f"y{r}") for r in range(30)] + [("top",)]
+    ladder = Poset([e for rank in ranks for e in rank],
+                   [(x, y) for lo, hi in zip(ranks, ranks[1:])
+                    for x in lo for y in hi])
+    chains = Poset._chains
+
+    def no_chains(*args):
+        raise AssertionError("maximal chains listed")
+
+    monkeypatch.setattr(Poset, "_chains", no_chains)
+    assert detect_spindle(ladder, "bot", "top") is None
+    assert detect_spindle(NON_SPINDLE, "u", "v") is None
+    monkeypatch.setattr(Poset, "_chains", chains)
+    assert detect_spindle(TWO_CLASS, "o", "i").chains == \
+        (("o", "w", "i"), ("o", "x", "y", "i"))
+
+
 def test_is_extreme_spindle():
     assert is_extreme_spindle(DIAMOND, detect_spindle(DIAMOND, "o", "i"))
     assert is_extreme_spindle(CHAIN3, detect_spindle(CHAIN3, "0", "2"))
