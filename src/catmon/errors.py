@@ -14,8 +14,10 @@ class ParseError(CatmonError):
 
 
 class SizeLimitExceeded(CatmonError):
-    """A structure exceeds the arrow-count guard (see CATMON_MAX_ARROWS), or
-    a word search would hold more classes than its layer guard allows."""
+    """A structure exceeds the arrow-count guard (see CATMON_MAX_ARROWS), a
+    word search would hold more classes than its layer guard allows, or
+    Um(S) has more elements up to a length than the element walk may list
+    (the same limit, presented.MAX_LAYER_CLASSES, counted before the walk)."""
 
 
 # --- category / poset / complex validation -------------------------------

@@ -7,6 +7,14 @@ into G, each arrow x is sent to sr(x)⁻¹·ψ(x)·tg(x) inside Fg(objects) * G.
 When ψ is injective on every hom-set, the expanded images multiply to
 distinct free-product normal forms on distinct reduced sequences, so the
 word map σ is injective.
+
+Words are checked once, by the public constructors ``FreeGroupWord``,
+``FreeAbelianWord`` and ``FreeProductWord``: input from outside (files,
+``inject``, the tests) goes through them.  Products and inverses of valid
+words of one group are valid, so ``group_product`` (the identity is its
+empty product) and ``inverse`` build their results with ``_word`` and
+check nothing again.  A word hashes only its payload; equality also
+compares the group.
 """
 from __future__ import annotations
 
@@ -38,13 +46,7 @@ class GroupSpec:
         return cls("product", factors=tuple(factors))
 
     def identity(self):
-        if self.kind == "free":
-            return FreeGroupWord(self, ())
-        if self.kind == "zn":
-            return FreeAbelianWord(self, (0,) * self.n)
-        if self.kind == "product":
-            return FreeProductWord(self, ())
-        raise InvalidStructure(f"unknown group kind {self.kind!r}")
+        return group_product(self, ())
 
 
 class FreeGroupWord:
@@ -70,14 +72,15 @@ class FreeGroupWord:
         return not self.letters
 
     def inverse(self):
-        return FreeGroupWord(self.spec, invert_word(self.letters))
+        return _word(FreeGroupWord, self.spec, "letters",
+                     invert_word(self.letters))
 
     def __eq__(self, other):
         return (isinstance(other, FreeGroupWord) and self.spec == other.spec
                 and self.letters == other.letters)
 
     def __hash__(self):
-        return hash((self.spec, self.letters))
+        return hash(self.letters)
 
     def __str__(self):
         return format_word(self.letters)
@@ -106,14 +109,15 @@ class FreeAbelianWord:
         return not any(self.vector)
 
     def inverse(self):
-        return FreeAbelianWord(self.spec, [-v for v in self.vector])
+        return _word(FreeAbelianWord, self.spec, "vector",
+                     tuple(-v for v in self.vector))
 
     def __eq__(self, other):
         return (isinstance(other, FreeAbelianWord) and self.spec == other.spec
                 and self.vector == other.vector)
 
     def __hash__(self):
-        return hash((self.spec, self.vector))
+        return hash(self.vector)
 
     def __str__(self):
         return "(" + ",".join(str(v) for v in self.vector) + ")"
@@ -152,15 +156,15 @@ class FreeProductWord:
         return not self.syllables
 
     def inverse(self):
-        return FreeProductWord(
-            self.spec, [(i, w.inverse()) for i, w in reversed(self.syllables)])
+        sylls = tuple((i, w.inverse()) for i, w in reversed(self.syllables))
+        return _word(FreeProductWord, self.spec, "syllables", sylls)
 
     def __eq__(self, other):
         return (isinstance(other, FreeProductWord) and self.spec == other.spec
                 and self.syllables == other.syllables)
 
     def __hash__(self):
-        return hash((self.spec, self.syllables))
+        return hash(self.syllables)
 
     def __str__(self):
         if not self.syllables:
@@ -170,33 +174,61 @@ class FreeProductWord:
     __repr__ = __str__
 
 
+def _word(cls, spec, field, value):
+    """A word of class ``cls`` over ``spec`` with payload ``field = value``,
+    unchecked.
+
+    Use only where ``value`` is built from parts of valid words of ``spec``:
+    a product or inverse of such words is valid.  Input from outside goes
+    through the class's constructor, which checks all of it.
+    """
+    word = object.__new__(cls)
+    object.__setattr__(word, "spec", spec)
+    object.__setattr__(word, field, value)
+    return word
+
+
 def group_multiply(a, b):
     """Normal-form product of two words of the same group."""
-    if a.spec != b.spec:
-        raise GroupMismatch("operands live in different groups")
-    if isinstance(a, FreeGroupWord):
-        return FreeGroupWord(a.spec, a.letters + b.letters)
-    if isinstance(a, FreeAbelianWord):
-        return FreeAbelianWord(a.spec,
-                               [u + v for u, v in zip(a.vector, b.vector)])
-    if isinstance(a, FreeProductWord):
-        sylls = list(a.syllables)
-        for i, w in b.syllables:
-            if sylls and sylls[-1][0] == i:
-                merged = group_multiply(sylls.pop()[1], w)
-                if not merged.is_identity():
-                    sylls.append((i, merged))
-            else:
-                sylls.append((i, w))
-        return FreeProductWord(a.spec, sylls)
-    raise InvalidStructure(f"unknown word type {type(a).__name__}")
+    return group_product(a.spec, (a, b))
 
 
 def group_product(spec, words):
-    acc = spec.identity()
+    """Normal-form product of a sequence of words of the group ``spec``.
+
+    The one product kernel.  Words are checked once, by the public
+    constructors; a product of valid words of one group is valid, so it is
+    built without re-checking.  Only each operand's group is checked here.
+    Then the product is folded in one pass: one free reduction of the
+    joined letters, one vector sum, or one syllable list in which
+    neighbours of one factor merge by that factor's product (a trivial
+    merge is dropped).  The word is built once, at the end.
+    """
+    words = tuple(words)
     for w in words:
-        acc = group_multiply(acc, w)
-    return acc
+        if w.spec is not spec and w.spec != spec:
+            raise GroupMismatch("operands live in different groups")
+    kind = spec.kind
+    if kind == "free":
+        return _word(FreeGroupWord, spec, "letters",
+                     free_reduce([g for w in words for g in w.letters]))
+    if kind == "zn":
+        vector = (tuple(map(sum, zip(*(w.vector for w in words))))
+                  if words else (0,) * spec.n)
+        return _word(FreeAbelianWord, spec, "vector", vector)
+    if kind == "product":
+        factors = spec.factors
+        sylls = []
+        for w in words:
+            for i, s in w.syllables:
+                if sylls and sylls[-1][0] == i:
+                    merged = group_product(factors[i], (sylls.pop()[1], s))
+                    if not merged.is_identity():
+                        sylls.append((i, merged))
+                else:
+                    sylls.append((i, s))
+        return _word(FreeProductWord, spec, "syllables", tuple(sylls))
+    raise InvalidStructure(f"unknown group kind {kind!r}")
 
 
 def inject(product_spec, factor_index, word):
@@ -294,8 +326,8 @@ def highlighting_expansion(functor):
 def _sigma(functor, x):
     """σ(x), for a functor whose separation criterion holds."""
     expanded = functor._expansion
-    return group_product(expanded.target,
-                         [expanded.image(f) for f in x.arrows])
+    images = expanded.images
+    return group_product(expanded.target, [images[f] for f in x.arrows])
 
 
 def sigma_image(x, functor):
@@ -322,7 +354,10 @@ class EmbeddabilityReport:
 def embeddability_verdict(functor, max_len=3):
     """Run the separation criterion; on success, confirm σ-injectivity on
     all elements up to the length bound (a sampled check — the criterion
-    itself guarantees injectivity everywhere)."""
+    itself guarantees injectivity everywhere).
+
+    The elements are counted before any is built: past the size guard of
+    ``universal.elements_up_to`` this raises ``SizeLimitExceeded``."""
     from .universal import elements_up_to
     report = functor._separation
     if not report.holds:

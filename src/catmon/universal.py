@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from .category import _endpoint_of
 from .errors import (CategoryMismatch, EmptyElement, EmptyFamily,
                      InvalidStructure, NotCancellative, NotConical,
-                     NotAGenerator, SourceMismatch, TargetMismatch)
+                     NotAGenerator, SizeLimitExceeded, SourceMismatch,
+                     TargetMismatch)
 from .poset import _greatest
+from .presented import MAX_LAYER_CLASSES
 
 DROP = "dropIdentity"
 COMPOSE = "compose"
@@ -331,8 +333,41 @@ def universal_group_presentation(cat):
     return GroupPresentation(cat.non_identities(), relators)
 
 
+def _guard_elements(cat, max_len):
+    """Raise SizeLimitExceeded when Um(cat) has more than MAX_LAYER_CLASSES
+    elements of length at most max_len.
+
+    The count is exact and builds nothing: the reduced sequences of length
+    k ending in f number the sum, over the e not composable with f (tgt e
+    != src f), of those of length k - 1 ending in e.  It stops at an empty
+    layer or once the total passes the limit.
+    """
+    ends = cat._endpoints
+    count = dict.fromkeys(cat.non_identities(), 1)
+    total = 1
+    for k in range(1, max_len + 1):
+        layer = sum(count.values())
+        if not layer:
+            return
+        total += layer
+        if total > MAX_LAYER_CLASSES:
+            raise SizeLimitExceeded(
+                f"Um(S) has {total} elements of length at most {k}, over "
+                f"the limit of {MAX_LAYER_CLASSES} (max_len {max_len})")
+        into = {}
+        for e, c in count.items():
+            t = ends[e][1]
+            into[t] = into.get(t, 0) + c
+        count = {f: layer - into.get(ends[f][0], 0) for f in count}
+
+
 def elements_up_to(cat, max_len):
-    """All elements of Um(S) of length at most max_len, shortest first."""
+    """All elements of Um(S) of length at most max_len, shortest first.
+
+    Refused with SizeLimitExceeded, before any is built, when there are
+    more than MAX_LAYER_CLASSES of them.
+    """
+    _guard_elements(cat, max_len)
     out = [unit(cat)]
     layer = [()]
     gens = cat.non_identities()

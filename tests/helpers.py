@@ -12,6 +12,10 @@ from fractions import Fraction
 
 from catmon import (
     FiniteCategory,
+    FreeAbelianWord,
+    FreeGroupWord,
+    FreeProductWord,
+    GroupMismatch,
     Poset,
     SimplicialComplex,
     cat_of_poset,
@@ -619,6 +623,55 @@ def reference_universal_group_presentation(cat):
                 word.append((h, -1))
             relators.append(tuple(word))
     return gens, tuple(relators)
+
+
+def reference_identity(spec):
+    """The identity of a group, built by its public constructor."""
+    if spec.kind == "free":
+        return FreeGroupWord(spec, ())
+    if spec.kind == "zn":
+        return FreeAbelianWord(spec, (0,) * spec.n)
+    return FreeProductWord(spec, ())
+
+
+def reference_group_multiply(a, b):
+    """a·b by the pairwise fold, each step rebuilt and re-checked by the
+    public constructors."""
+    if a.spec != b.spec:
+        raise GroupMismatch("operands live in different groups")
+    if isinstance(a, FreeGroupWord):
+        return FreeGroupWord(a.spec, a.letters + b.letters)
+    if isinstance(a, FreeAbelianWord):
+        return FreeAbelianWord(a.spec,
+                               [u + v for u, v in zip(a.vector, b.vector)])
+    sylls = list(a.syllables)
+    for i, w in b.syllables:
+        if sylls and sylls[-1][0] == i:
+            merged = reference_group_multiply(sylls.pop()[1], w)
+            if not merged.is_identity():
+                sylls.append((i, merged))
+        else:
+            sylls.append((i, w))
+    return FreeProductWord(a.spec, sylls)
+
+
+def reference_group_product(spec, words):
+    """The product of words of one group, folded left from the identity."""
+    acc = reference_identity(spec)
+    for w in words:
+        acc = reference_group_multiply(acc, w)
+    return acc
+
+
+def reference_inverse(word):
+    """The inverse of a word, built by the public constructors."""
+    if isinstance(word, FreeGroupWord):
+        return FreeGroupWord(word.spec,
+                             [(g, -e) for g, e in reversed(word.letters)])
+    if isinstance(word, FreeAbelianWord):
+        return FreeAbelianWord(word.spec, [-v for v in word.vector])
+    return FreeProductWord(word.spec, [(i, reference_inverse(w))
+                                       for i, w in reversed(word.syllables)])
 
 
 def reference_grow(pres, cls, g):

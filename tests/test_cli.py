@@ -325,3 +325,20 @@ def test_word_walks_past_the_layer_guard_exit_2(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: SizeLimitExceeded"), err
     assert "6**8" in err and "Traceback" not in err, err
+
+
+def test_element_walk_past_the_size_guard_exits_2(capsys, monkeypatch):
+    from catmon import universal
+
+    def no_element(*args):
+        raise AssertionError("an element was built")
+
+    # Um(c6) has 2,330,248 elements of length at most 6: the walk is
+    # refused before it builds one
+    monkeypatch.setattr(universal, "_reduced", no_element)
+    assert main(["embed-check", "data/c6.category", "data/c6_z3.functor",
+                 "--max-len", "9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SizeLimitExceeded"), err
+    assert "2330248" in err and "max_len 9" in err, err
+    assert "Traceback" not in err, err

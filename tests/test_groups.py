@@ -26,7 +26,12 @@ from catmon import (
 )
 from catmon.formats import load_category, load_functor
 
-from helpers import labeled_posets, posets_up_to
+from helpers import (
+    labeled_posets,
+    posets_up_to,
+    reference_group_product,
+    reference_inverse,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -151,6 +156,15 @@ def test_group_multiply_rejects_mixed_groups():
     with pytest.raises(GroupMismatch):
         group_multiply(GroupSpec.zn(1).identity(),
                        GroupSpec.free(("x",)).identity())
+    free = GroupSpec.free(("x",))
+    prod = GroupSpec.product(free, GroupSpec.zn(1))
+    x = FreeGroupWord(free, (("x", 1),))
+    foreign = FreeGroupWord(GroupSpec.free(("x", "y")), (("x", 1),))
+    for spec, words in ((free, [x, foreign, x]),
+                        (GroupSpec.zn(2), [GroupSpec.zn(3).identity()]),
+                        (prod, [inject(prod, 0, x), x])):
+        with pytest.raises(GroupMismatch):
+            group_product(spec, words)
 
 
 def test_category_functor_validation():
@@ -316,3 +330,107 @@ def test_embeddability_verdict():
     assert verdict.verdict == "criterion not satisfied by this functor"
     assert verdict.sigma_injective is None
     assert verdict.separation.violating_pair == ("a", "b")
+
+
+def _payload(w):
+    """A word as plain nested data: its group and its normal form."""
+    if isinstance(w, FreeProductWord):
+        return w.spec, tuple((i, _payload(s)) for i, s in w.syllables)
+    if isinstance(w, FreeGroupWord):
+        return w.spec, w.letters
+    return w.spec, w.vector
+
+
+def test_group_product_matches_the_pairwise_fold():
+    rng = random.Random(14)
+    free = GroupSpec.free(("o", "p", "q"))
+    zn = GroupSpec.zn(2)
+    inner = GroupSpec.product(free, zn)
+    nested = GroupSpec.product(inner, GroupSpec.free(("r",)), zn)
+
+    def random_word(spec):
+        if spec.kind == "free":
+            return FreeGroupWord(spec, [(rng.choice(spec.letters),
+                                         rng.choice((1, -1)))
+                                        for _ in range(rng.randint(0, 4))])
+        if spec.kind == "zn":
+            return FreeAbelianWord(spec, [rng.randint(-1, 1)
+                                          for _ in range(spec.n)])
+        word = reference_group_product(spec, [])
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(len(spec.factors))
+            piece = inject(spec, i, random_word(spec.factors[i]))
+            word = reference_group_product(spec, [word, piece])
+        return word
+
+    cases = 0
+    for spec in (free, zn, inner, nested):
+        for _ in range(150):
+            words = [random_word(spec) for _ in range(rng.randint(0, 5))]
+            if rng.random() < 0.3:
+                # the product cancels to the identity
+                words += [reference_inverse(w) for w in reversed(words)]
+            elif rng.random() < 0.3:
+                # neighbours cancel down to a merge several syllables deep
+                w = random_word(spec)
+                words[1:1] = [w, reference_inverse(w)]
+            got = group_product(spec, words)
+            want = reference_group_product(spec, words)
+            assert got == want and hash(got) == hash(want)
+            assert str(got) == str(want)
+            assert _payload(got) == _payload(want)
+            assert type(got) is type(want)
+            if len(words) == 2:
+                assert group_multiply(*words) == want
+            inv = got.inverse()
+            assert _payload(inv) == _payload(reference_inverse(want))
+            assert group_product(spec, [got, inv]).is_identity()
+            cases += 1
+    assert cases >= 500
+
+
+def test_sigma_builds_no_word_through_a_checking_constructor(monkeypatch):
+    cat, functor = c6_setup()
+    functor._separation
+    functor._expansion
+    xs = elements_up_to(cat, 2)
+    before = [str(sigma_image(x, functor)) for x in xs]
+
+    def refuse(self, *args):
+        raise AssertionError("a word was re-checked")
+
+    for cls in (FreeGroupWord, FreeAbelianWord, FreeProductWord):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    verdict = embeddability_verdict(functor, 3)
+    assert verdict.embeds and verdict.sigma_injective is True
+    assert [str(sigma_image(x, functor)) for x in xs] == before
+    w = sigma_image(xs[-1], functor)
+    assert group_multiply(w, w.inverse()).is_identity()
+
+
+def test_word_hash_follows_equality():
+    free = GroupSpec.free(("x", "y"))
+    w = FreeGroupWord(free, [("x", 1), ("y", -1)])
+    twin = FreeGroupWord(GroupSpec.free(("x", "y")), [("x", 1), ("y", -1)])
+    assert w == twin and hash(w) == hash(twin)
+    assert group_product(free, [w]) == w
+    assert hash(group_product(free, [w])) == hash(w)
+    assert hash(FreeAbelianWord(GroupSpec.zn(2), (1, -1))) == \
+        hash(group_product(GroupSpec.zn(2), [
+            FreeAbelianWord(GroupSpec.zn(2), (1, 0)),
+            FreeAbelianWord(GroupSpec.zn(2), (0, -1))]))
+
+    # equal payloads over different groups are different words and keys
+    small = FreeGroupWord(GroupSpec.free(("x",)), [("x", 1)])
+    large = FreeGroupWord(GroupSpec.free(("x", "y")), [("x", 1)])
+    assert small.letters == large.letters and small != large
+    assert len({small: 0, large: 1}) == 2
+
+    f = GroupSpec.free(("x",))
+    p1 = GroupSpec.product(f, GroupSpec.zn(1))
+    p2 = GroupSpec.product(f, GroupSpec.zn(2))
+    x = FreeGroupWord(f, [("x", 1)])
+    u, v = inject(p1, 0, x), inject(p2, 0, x)
+    assert u.syllables == v.syllables and u != v
+    assert len({u: 0, v: 1}) == 2
+    assert inject(p1, 0, x) == u and hash(inject(p1, 0, x)) == hash(u)

@@ -15,6 +15,7 @@ from catmon import (
     NotConical,
     Poset,
     ReducedSeq,
+    SizeLimitExceeded,
     SourceMismatch,
     TargetMismatch,
     UnknownArrow,
@@ -492,3 +493,22 @@ def test_elements_up_to_matches_filtered_tuples():
         assert {x.arrows for x in got} == expect
         assert len(got) == len(expect)
         assert [x.length for x in got] == sorted(x.length for x in got)
+
+
+def test_element_guard_counts_exactly(monkeypatch):
+    import catmon.universal as universal
+    rng = random.Random(14)
+    cats = [random_category(rng) for _ in range(60)]
+    cats += [idempotent_category(), pair_groupoid(3)]
+    for cat in cats:
+        for n in range(4):
+            size = len(elements_up_to(cat, n))
+            # a limit equal to the count admits the walk, one below refuses
+            monkeypatch.setattr(universal, "MAX_LAYER_CLASSES", size)
+            assert len(elements_up_to(cat, n)) == size
+            if size > 1:
+                monkeypatch.setattr(universal, "MAX_LAYER_CLASSES", size - 1)
+                with pytest.raises(SizeLimitExceeded,
+                                   match=f" {size} elements"):
+                    elements_up_to(cat, n)
+            monkeypatch.undo()
