@@ -10,12 +10,22 @@ some ``x``, and right-divides when ``b = x;a``.  Each divisibility method
 (``divides``, ``divisors``, ``quotient``, ``gcd``, ``lcm``) takes the side
 first, ``"left"`` or ``"right"``, and runs one algorithm on that side's
 per-arrow divisor bitmasks and fibres.
+
+Validation runs once, at the API boundary: ``FiniteCategory(...)`` checks
+every table it is given, and it is what ``formats.load_category`` and
+``spindle.spindle_category`` (whose ``Spindle`` a caller can build by hand)
+call.  Tables catmon builds itself from values already checked go through
+the private ``_category``, which skips ``_validate``: Cat(P) from a
+validated ``Poset`` (``interval.cat_of_poset``) and the opposite of a
+validated category.  Both builders share one set-up, so the arrow limit
+(``CATMON_MAX_ARROWS``) holds on either path.
 """
 from __future__ import annotations
 
 import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (AssociativityViolation, BadComposability, BadIdentity,
                      EmptyFamily, InvalidStructure, MissingComposite,
@@ -54,6 +64,12 @@ class GcdCategoryReport:
 
 class FiniteCategory:
     def __init__(self, objects, arrows, identity, comp):
+        self._set_up(objects, arrows, identity, comp, validate=True)
+
+    def _set_up(self, objects, arrows, identity, comp, validate):
+        """The one set-up of both builders: the arrow limit, the tables and
+        the indexes, with ``_validate`` between the tables and the indexes
+        when ``validate`` is set (the indexes assume known endpoints)."""
         raw = os.environ.get(MAX_ARROWS_ENV, str(DEFAULT_MAX_ARROWS))
         try:
             limit = int(raw)
@@ -65,13 +81,12 @@ class FiniteCategory:
                 f"{len(arrows)} arrows exceeds limit {limit} "
                 f"(set {MAX_ARROWS_ENV} to raise it)")
         self.objects = tuple(sorted(objects))
-        if len(set(self.objects)) != len(self.objects):
-            raise InvalidStructure("duplicate objects")
         self._endpoints = dict(arrows)
         self.arrows = tuple(sorted(self._endpoints))
         self.identity = dict(identity)
         self.comp = dict(comp)
-        self._validate()
+        if validate:
+            self._validate()
         self._index = {f: i for i, f in enumerate(self.arrows)}
         self._identities = frozenset(self.identity.values())
         self._by_src = {o: [] for o in self.objects}
@@ -88,6 +103,8 @@ class FiniteCategory:
 
     def _validate(self):
         objset = set(self.objects)
+        if len(objset) != len(self.objects):
+            raise InvalidStructure("duplicate objects")
         for f, (s, t) in self._endpoints.items():
             if not _is_id(f):
                 raise InvalidStructure(f"bad arrow id {f!r}")
@@ -356,7 +373,7 @@ class FiniteCategory:
     def opposite(self):
         """The opposite category (arrows reversed); cached, involutive."""
         if self._opposite is None:
-            op = FiniteCategory(
+            op = _category(
                 self.objects,
                 {f: (t, s) for f, (s, t) in self._endpoints.items()},
                 self.identity,
@@ -385,7 +402,8 @@ class FiniteCategory:
                 if key in witnesses:
                     continue
                 div, _, fibres, _ = self._side(side)
-                pair = _pair_without_greatest([idx[f] for f in fibres[o]],
+                fibre = [idx[f] for f in fibres[o]]
+                pair = _pair_without_greatest(combinations(fibre, 2),
                                               div, div)
                 if pair is not None:
                     witnesses[key] = tuple(self.arrows[i] for i in pair)
@@ -399,3 +417,26 @@ class FiniteCategory:
     def __repr__(self):
         return (f"FiniteCategory({len(self.objects)} objects, "
                 f"{len(self.arrows)} arrows)")
+
+
+def _category(objects, arrows, identity, comp):
+    """A ``FiniteCategory`` on tables catmon built itself, not validated.
+
+    Use only where the tables are valid by construction; the set-up, and so
+    the arrow limit, is the same as ``FiniteCategory(...)``'s.  The callers:
+
+    - ``interval.cat_of_poset``: one arrow [x,y] per x <= y of a validated
+      ``Poset``, with endpoints (x, y), names checked distinct by the walk
+      and free of whitespace since the elements are; [x,x] is x's identity;
+      the table holds [x,y];[y,z] = [x,z] for every x <= y <= z, which is
+      every composable pair.  Each hom-set has one arrow, so the table is
+      associative and the identities are neutral.
+    - ``FiniteCategory.opposite``: a valid category's tables with every
+      arrow and composite reversed, which is valid again.
+
+    Input from outside goes through ``FiniteCategory(...)``, which checks
+    all of it.
+    """
+    cat = object.__new__(FiniteCategory)
+    cat._set_up(objects, arrows, identity, comp, validate=False)
+    return cat

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import FiniteCategory
+from .category import _category
 from .errors import CategoryMismatch, InvalidStructure, NotIsotone
 from .groups import FreeGroupWord, GroupSpec
 from .poset import _members, _pair_without_greatest
@@ -55,8 +55,10 @@ def _interval_walk(poset):
 
 
 def cat_of_poset(poset):
-    """The category of closed intervals of a poset."""
-    return FiniteCategory(poset.elements, *_interval_walk(poset))
+    """The category of closed intervals of a poset.  Its tables are valid by
+    construction (see ``category._category``), so they are not validated
+    again."""
+    return _category(poset.elements, *_interval_walk(poset))
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,17 @@ class GcdCriterionReport:
         return self.left_ok and self.right_ok
 
 
+def _incomparable_pairs(ys, later, mask):
+    """The pairs (y, z), y in ``ys`` and z in ``later[y] & mask``, in index
+    order."""
+    for y in ys:
+        m = later[y] & mask
+        while m:
+            low = m & -m
+            m ^= low
+            yield y, low.bit_length() - 1
+
+
 def gcd_criterion(poset):
     """Order-theoretic test for HM(P) being a (left/right) gcd-monoid.
 
@@ -79,15 +92,22 @@ def gcd_criterion(poset):
     """
     witnesses = {}
     els = poset.elements
+    ids = range(len(els))
+    up, dn = poset._up, poset._dn
+    # In an up-set a comparable pair has a meet, the smaller one (a join in
+    # a down-set, the larger), so only incomparable pairs are searched:
+    # later[y] is the elements after y incomparable to it.
+    full = (1 << len(els)) - 1
+    later = [full >> y + 1 << y + 1 & ~(up[y] | dn[y]) for y in ids]
     # The meet of y1, y2 in up(a) is the greatest member of
     # down(y1) & down(y2) & up(a); a join in down(a) is the same search in
     # the reversed order.
-    for side, above, below in (("left", poset._up, poset._dn),
-                               ("right", poset._dn, poset._up)):
+    for side, above, below in (("left", up, dn), ("right", dn, up)):
         for a, mask in enumerate(above):
-            ys = _members(mask, range(len(els)))
+            ys = _members(mask, ids)
             pair = _pair_without_greatest(
-                ys, {y: below[y] & mask for y in ys}, below)
+                _incomparable_pairs(ys, later, mask),
+                {y: below[y] & mask for y in ys}, below)
             if pair is not None:
                 witnesses[side] = (els[a], els[pair[0]], els[pair[1]])
                 break

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import heapq
 
-from .errors import CyclicCovers, InvalidStructure, RedundantCover
+from .errors import (CyclicCovers, InvalidStructure, RedundantCover,
+                     SizeLimitExceeded)
+from .presented import MAX_LAYER_CLASSES
 
 
 def _is_id(s):
@@ -42,24 +44,40 @@ def _greatest(mask, below):
     return None
 
 
-def _pair_without_greatest(idxs, div, below):
-    """The first pair (a, b), a before b in ``idxs``, whose common divisors
+def _pair_without_greatest(pairs, div, below):
+    """The first of ``pairs`` (a, b) whose common divisors
     ``div[a] & div[b]`` have no greatest member under ``below``; None if
     every pair has one.  Each a must lie in ``div[a]`` and each ``div[a]``
     inside ``below[a]``.  So when one mask holds the other (comparable
     pairs), its owner is the greatest and the search is skipped; the search
-    runs once per distinct common mask."""
+    runs once per distinct common mask.  The caller picks the pairs, so it
+    can leave out those it knows have a greatest member."""
     have_greatest = set()
-    for i, a in enumerate(idxs):
-        da = div[a]
-        for b in idxs[i + 1:]:
-            common = da & div[b]
-            if common == da or common == div[b] or common in have_greatest:
-                continue
-            if _greatest(common, below) is None:
-                return a, b
-            have_greatest.add(common)
+    for a, b in pairs:
+        da, db = div[a], div[b]
+        common = da & db
+        if common == da or common == db or common in have_greatest:
+            continue
+        if _greatest(common, below) is None:
+            return a, b
+        have_greatest.add(common)
     return None
+
+
+def _walk_chains(starts, ups):
+    """The maximal paths up ``ups`` (element -> its upper covers) from each
+    of ``starts``, in sorted order.  Walked with an explicit stack, so a
+    chain of any length fits."""
+    chains = []
+    stack = [(e,) for e in starts]
+    while stack:
+        chain = stack.pop()
+        nxt = ups[chain[-1]]
+        if nxt:
+            stack.extend(chain + (y,) for y in nxt)
+        else:
+            chains.append(chain)
+    return tuple(sorted(chains))
 
 
 def _close(n, edges):
@@ -210,21 +228,28 @@ class Poset:
 
     def _chains(self, starts, inside):
         """Maximal chains of the elements in bitmask ``inside`` that begin
-        at an element of ``starts``, ascending, in sorted order.  Walked
-        with an explicit stack, so a chain of any length fits."""
+        at an element of ``starts``, ascending, in sorted order.
+
+        Refused with SizeLimitExceeded, before any is listed, when there
+        are more than MAX_LAYER_CLASSES of them.  The count is exact: one
+        pass down the linear extension gives each element the number of
+        maximal chains from it, the sum over its upper covers inside, or 1
+        at the top.
+        """
         els, succ = self.elements, self._succ
-        ups = {els[i]: [els[j] for j in succ[i] if inside >> j & 1]
-               for i in range(len(els)) if inside >> i & 1}
-        chains = []
-        stack = [(e,) for e in starts]
-        while stack:
-            chain = stack.pop()
-            nxt = ups[chain[-1]]
-            if nxt:
-                stack.extend(chain + (y,) for y in nxt)
-            else:
-                chains.append(chain)
-        return tuple(sorted(chains))
+        ups = {}
+        count = {}
+        for i in reversed(self._order):
+            if inside >> i & 1:
+                nxt = [j for j in succ[i] if inside >> j & 1]
+                ups[els[i]] = [els[j] for j in nxt]
+                count[i] = sum(count[j] for j in nxt) or 1
+        total = sum(count[self._idx[e]] for e in starts)
+        if total > MAX_LAYER_CLASSES:
+            raise SizeLimitExceeded(
+                f"{total} maximal chains, over the limit of "
+                f"{MAX_LAYER_CLASSES}")
+        return _walk_chains(starts, ups)
 
     def maximal_chains(self):
         """All maximal chains of P, each ascending, in sorted order."""

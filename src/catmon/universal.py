@@ -61,7 +61,8 @@ class ReducedSeq:
                 and self.arrows == other.arrows)
 
     def __hash__(self):
-        return hash((id(self.category), self.arrows))
+        # Equal elements share a category, so the arrows alone decide.
+        return hash(self.arrows)
 
     def __repr__(self):
         return f"ReducedSeq({' '.join(self.arrows) or '1'})"

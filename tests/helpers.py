@@ -15,6 +15,7 @@ from catmon import (
     FreeAbelianWord,
     FreeGroupWord,
     FreeProductWord,
+    GcdCriterionReport,
     GroupMismatch,
     Poset,
     SimplicialComplex,
@@ -24,6 +25,7 @@ from catmon import (
     interval_name,
     multiply,
 )
+from catmon.poset import _greatest
 from catmon.presented import (
     M6_SUBSTITUTION,
     _closure,
@@ -561,6 +563,25 @@ def brute_divides(side, x, y, pool):
 
 
 # -- reference builders -------------------------------------------------------
+
+def reference_gcd_criterion(poset):
+    """gcd_criterion by a meet (join) search for every pair of the up-set
+    (down-set) of every element, comparable pairs included; the witness is
+    the first failing pair of that all-pairs loop."""
+    witnesses = {}
+    els = poset.elements
+    for side, above, below in (("left", poset._up, poset._dn),
+                               ("right", poset._dn, poset._up)):
+        for a, mask in enumerate(above):
+            ys = [y for y in range(len(els)) if mask >> y & 1]
+            for i, y1 in enumerate(ys):
+                for y2 in ys[i + 1:]:
+                    common = below[y1] & below[y2] & mask
+                    if _greatest(common, below) is None:
+                        witnesses.setdefault(side, (els[a], els[y1], els[y2]))
+    return GcdCriterionReport("left" not in witnesses,
+                              "right" not in witnesses, witnesses)
+
 
 def reference_interval_category(poset):
     """The arrows, identity and composition dicts of Cat(P), from ``leq``."""

@@ -10,13 +10,19 @@ from catmon import (
     EmptyFamily,
     FiniteCategory,
     GcdCategoryReport,
+    IntervalFunctor,
+    IsotoneMap,
     MissingComposite,
     Poset,
     SizeLimitExceeded,
     UnknownArrow,
     cat_of_poset,
+    cross_check,
+    detect_spindle,
+    spindle_category,
 )
-from catmon.formats import load_poset
+from catmon.formats import dump_category, load_category, load_poset
+from catmon.interval import _interval_walk
 
 from helpers import (
     brute_cancellation_witness,
@@ -30,6 +36,7 @@ from helpers import (
     poset_classes,
     posets_up_to,
     random_category,
+    random_poset,
 )
 
 DIAMOND_CAT = cat_of_poset(
@@ -437,3 +444,51 @@ def test_opposite_is_involutive_and_swaps_sides():
     assert op.compose("c", "a") == "d"
     assert not op.is_left_cancellative()
     assert op.is_right_cancellative()
+
+
+def test_trusted_builds_match_the_validating_build():
+    rng = random.Random(15)
+    posets = list(posets_up_to(5, labeled_posets))
+    posets += [random_poset(rng) for _ in range(300)]
+    cats = []
+    for p in posets:
+        trusted = cat_of_poset(p)
+        checked = FiniteCategory(p.elements, *_interval_walk(p))
+        cats.append((trusted, checked))
+    rng = random.Random(16)
+    for _ in range(100):
+        cat = random_category(rng)
+        ends = {f: (t, s) for f, (s, t) in cat._endpoints.items()}
+        comp = {(g, f): h for (f, g), h in cat.comp.items()}
+        cats.append((cat.opposite(),
+                     FiniteCategory(cat.objects, ends, cat.identity, comp)))
+    for trusted, checked in cats:
+        assert trusted.objects == checked.objects
+        assert trusted._endpoints == checked._endpoints
+        assert trusted.arrows == checked.arrows
+        assert trusted.identity == checked.identity
+        assert trusted.comp == checked.comp
+        assert trusted._analyze() == checked._analyze()
+
+
+def test_internal_builders_trust_their_tables(monkeypatch):
+    def no_validate(self):
+        raise AssertionError("validated")
+
+    diamond = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
+    text = dump_category(cat_of_poset(diamond))
+    monkeypatch.setattr(FiniteCategory, "_validate", no_validate)
+    cat = cat_of_poset(diamond)
+    assert cat.gcd_category_report().holds
+    assert cat.opposite().opposite() is cat
+    assert cross_check(diamond).agree
+    functor = IntervalFunctor(IsotoneMap(diamond, diamond, {
+        "o": "o", "a": "a", "b": "a", "i": "i"}))
+    assert functor.target_category.size == cat.size
+    # input from outside, and a Spindle a caller can build, are checked
+    with pytest.raises(AssertionError, match="validated"):
+        load_category(text)
+    with pytest.raises(AssertionError, match="validated"):
+        FiniteCategory(cat.objects, cat._endpoints, cat.identity, cat.comp)
+    with pytest.raises(AssertionError, match="validated"):
+        spindle_category(diamond, detect_spindle(diamond, "o", "i"))

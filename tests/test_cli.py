@@ -342,3 +342,43 @@ def test_element_walk_past_the_size_guard_exits_2(capsys, monkeypatch):
     assert err.startswith("error: SizeLimitExceeded"), err
     assert "2330248" in err and "max_len 9" in err, err
     assert "Traceback" not in err, err
+
+
+def test_faces_past_the_size_guard_exit_2(tmp_path, capsys, monkeypatch):
+    from catmon import complexes
+
+    def no_faces(*args):
+        raise AssertionError("a face was listed")
+
+    # one 24-vertex simplex has 2**24 - 1 faces: refused before any is listed
+    monkeypatch.setattr(complexes, "combinations", no_faces)
+    f = tmp_path / "simplex24.complex"
+    f.write_text("complex\nsimplex " + " ".join(
+        f"v{i:02d}" for i in range(24)) + "\n")
+    assert main(["barycentric", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SizeLimitExceeded"), err
+    assert "16777215 faces" in err and "Traceback" not in err, err
+
+
+def test_chains_past_the_size_guard_exit_2(tmp_path, capsys, monkeypatch):
+    from catmon import poset
+
+    def no_chains(*args):
+        raise AssertionError("a chain was listed")
+
+    # the ladder: a bottom, then 30 ranks of two, every cover between
+    # neighbouring ranks, so 2**30 maximal chains
+    ranks = [["b"]] + [[f"r{k:02d}x", f"r{k:02d}y"] for k in range(30)]
+    covers = [f"cover {x} {y}\n" for lo, hi in zip(ranks, ranks[1:])
+              for x in lo for y in hi]
+    f = tmp_path / "ladder.poset"
+    f.write_text("poset\nelem " + " ".join(e for r in ranks for e in r)
+                 + "\n" + "".join(covers))
+    monkeypatch.setattr(poset, "_walk_chains", no_chains)
+    for command in ("chain-complex", "cross-check"):
+        assert main([command, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SizeLimitExceeded"), err
+        assert "1073741824 maximal chains" in err, err
+        assert "Traceback" not in err, err

@@ -1,4 +1,5 @@
-"""Tooling checks on the exception hierarchy in src/catmon."""
+"""Tooling checks on the source in src/catmon: the exception hierarchy, and
+which modules build a validated FiniteCategory."""
 import ast
 from pathlib import Path
 
@@ -7,6 +8,16 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "catmon"
 
 def _trees():
     return [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))]
+
+
+def _called_names(tree):
+    """Names of the callables in ``X(...)`` and ``m.X(...)`` calls."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                yield node.func.id
+            elif isinstance(node.func, ast.Attribute):
+                yield node.func.attr
 
 
 def _raised_names(tree):
@@ -40,3 +51,12 @@ def test_every_leaf_error_is_raised_somewhere():
     raised = {name for tree in trees for name in _raised_names(tree)}
     assert len(leaves) > 20
     assert sorted(leaves - raised) == []
+
+
+def test_only_the_input_boundaries_build_a_validated_category():
+    # Tables catmon builds itself go through category._category; the
+    # validating constructor is for files and for a hand-built Spindle.
+    callers = {p.name for p in sorted(SRC.glob("*.py"))
+               if "FiniteCategory" in _called_names(
+                   ast.parse(p.read_text(), str(p)))}
+    assert callers == {"formats.py", "spindle.py"}

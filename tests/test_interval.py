@@ -7,13 +7,14 @@ import catmon.interval
 import catmon.poset
 from catmon import (
     FreeGroupWord,
-    GcdCriterionReport,
     GroupSpec,
     IntervalFunctor,
     InvalidStructure,
     IsotoneMap,
     NotIsotone,
     Poset,
+    SimplicialComplex,
+    barycentric,
     cat_of_poset,
     elements_up_to,
     embed_free_group,
@@ -27,14 +28,17 @@ from catmon import (
     unit,
 )
 
-from helpers import (labeled_posets, poset_classes, posets_up_to, random_element,
-                     random_poset, reference_interval_category)
+from helpers import (labeled_posets, poset_classes, posets_up_to, random_complex,
+                     random_element, random_poset, reference_gcd_criterion,
+                     reference_interval_category)
 
 DIAMOND = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
 NONLATTICE = Poset("opqrs", [("o", "p"), ("o", "q"), ("p", "r"), ("p", "s"),
                              ("q", "r"), ("q", "s")])
 VEE = Poset("opq", [("o", "p"), ("o", "q")])
 CHAIN3 = Poset("omi", [("o", "m"), ("m", "i")])
+CHAIN32 = Poset([f"c{i:02d}" for i in range(32)],
+                [(f"c{i:02d}", f"c{i + 1:02d}") for i in range(31)])
 
 
 def test_cat_of_poset_structure():
@@ -97,32 +101,38 @@ def test_criterion_agrees_with_category_report():
             cat_of_poset(p).gcd_category_report().holds
 
 
-def pairwise_criterion(p):
-    """gcd_criterion by a meet (join) search for every pair of the up-set
-    (down-set) of every element."""
-    witnesses = {}
-    els = p.elements
-    for side, above, below in (("left", p._up, p._dn),
-                               ("right", p._dn, p._up)):
-        for a, mask in enumerate(above):
-            ys = [y for y in range(len(els)) if mask >> y & 1]
-            for i, y1 in enumerate(ys):
-                for y2 in ys[i + 1:]:
-                    common = below[y1] & below[y2] & mask
-                    if catmon.poset._greatest(common, below) is None:
-                        witnesses.setdefault(side, (els[a], els[y1], els[y2]))
-    return GcdCriterionReport("left" not in witnesses,
-                              "right" not in witnesses, witnesses)
+def spindle_posets():
+    """u < chains < v for a few chain shapes, with and without a cover
+    that crosses two chains."""
+    out = []
+    for lengths in ((1, 2), (2, 1, 3), (2, 2, 2), (3, 3, 3, 3)):
+        chains = [[f"m{j}{t}" for t in range(k)]
+                  for j, k in enumerate(lengths)]
+        covers = []
+        for ch in chains:
+            covers += [("u", ch[0])] + list(zip(ch, ch[1:])) + [(ch[-1], "v")]
+        elements = ["u", "v"] + [m for ch in chains for m in ch]
+        out.append(Poset(elements, covers))
+        if lengths[0] > 1 and lengths[-1] > 1:
+            out.append(Poset(elements, covers + [(chains[-1][0],
+                                                  chains[0][-1])]))
+    return out
 
 
 def test_gcd_criterion_matches_a_pairwise_meet_search():
     posets = list(posets_up_to(5, labeled_posets))
     rng = random.Random(61)
-    posets += [random_poset(rng, max_n=8) for _ in range(200)]
+    posets += [random_poset(rng, max_n=8) for _ in range(300)]
+    posets += spindle_posets() + [CHAIN32]
+    posets += [barycentric(SimplicialComplex([tuple("abcdef"[:n])]))
+               for n in (3, 4, 5, 6)]
+    rng = random.Random(62)
+    posets += [barycentric(random_complex(rng, max_vertices=7))
+               for _ in range(30)]
     sides = set()
     for p in posets:
         report = gcd_criterion(p)
-        assert report == pairwise_criterion(p)
+        assert report == reference_gcd_criterion(p)
         sides.add((report.left_ok, report.right_ok))
     assert sides == {(True, True), (True, False), (False, True),
                      (False, False)}
@@ -130,23 +140,35 @@ def test_gcd_criterion_matches_a_pairwise_meet_search():
 
 def test_comparable_pairs_skip_the_greatest_member_search(monkeypatch):
     calls = []
+    visited = []
 
     def counted(mask, below):
         calls.append(mask)
         return greatest(mask, below)
 
+    def recorded(pairs, div, below):
+        pairs = list(pairs)
+        visited.extend(pairs)
+        return kernel(pairs, div, below)
+
     greatest = catmon.poset._greatest
+    kernel = catmon.interval._pair_without_greatest
     for module in (catmon.poset, catmon.category, catmon.interval):
         if hasattr(module, "_greatest"):
             monkeypatch.setattr(module, "_greatest", counted)
-    els = [f"c{i:02d}" for i in range(32)]
-    chain = Poset(els, list(zip(els, els[1:])))  # every pair comparable
-    assert cat_of_poset(chain).gcd_category_report().holds
-    assert gcd_criterion(chain).holds
-    assert calls == []
-    assert not gcd_criterion(NONLATTICE).holds  # the counter does count
+    monkeypatch.setattr(catmon.interval, "_pair_without_greatest", recorded)
+    assert cat_of_poset(CHAIN32).gcd_category_report().holds
+    assert gcd_criterion(CHAIN32).holds
+    assert calls == [] and visited == []
+    assert not gcd_criterion(NONLATTICE).holds  # the counters do count
     assert not cat_of_poset(NONLATTICE).gcd_category_report().holds
     assert calls
+    for p in (NONLATTICE, DIAMOND, *spindle_posets()):
+        visited.clear()
+        gcd_criterion(p)
+        assert visited, p  # each has an incomparable pair
+        for y, z in visited:
+            assert not p.comparable(p.elements[y], p.elements[z])
 
 
 def test_embed_free_group_is_a_homomorphism():
