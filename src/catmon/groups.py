@@ -13,8 +13,10 @@ Words are checked once, by the public constructors ``FreeGroupWord``,
 ``inject``, the tests) goes through them.  Products and inverses of valid
 words of one group are valid, so ``group_product`` (the identity is its
 empty product) and ``inverse`` build their results with ``_word`` and
-check nothing again.  A word hashes only its payload; equality also
-compares the group.
+check nothing again.  A word hashes only its payload, on first use, and
+keeps the hash in a slot: a product shares its operands' factor words, so
+hashing it hashes only the syllables it made.  Equality also compares the
+group.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ class GroupSpec:
 class FreeGroupWord:
     """A reduced word in a free group: tuple of (letter, ±1)."""
 
-    __slots__ = ("spec", "letters")
+    __slots__ = ("spec", "letters", "_hash")
 
     def __init__(self, spec, letters):
         if spec.kind != "free":
@@ -80,7 +82,10 @@ class FreeGroupWord:
                 and self.letters == other.letters)
 
     def __hash__(self):
-        return hash(self.letters)
+        try:
+            return self._hash
+        except AttributeError:
+            return _keep_hash(self, self.letters)
 
     def __str__(self):
         return format_word(self.letters)
@@ -91,7 +96,7 @@ class FreeGroupWord:
 class FreeAbelianWord:
     """An element of Z^n as an integer vector."""
 
-    __slots__ = ("spec", "vector")
+    __slots__ = ("spec", "vector", "_hash")
 
     def __init__(self, spec, vector):
         if spec.kind != "zn":
@@ -117,7 +122,10 @@ class FreeAbelianWord:
                 and self.vector == other.vector)
 
     def __hash__(self):
-        return hash(self.vector)
+        try:
+            return self._hash
+        except AttributeError:
+            return _keep_hash(self, self.vector)
 
     def __str__(self):
         return "(" + ",".join(str(v) for v in self.vector) + ")"
@@ -129,7 +137,7 @@ class FreeProductWord:
     """Normal form in a free product: alternating nontrivial syllables,
     each a word of one factor, tagged with the factor index."""
 
-    __slots__ = ("spec", "syllables")
+    __slots__ = ("spec", "syllables", "_hash")
 
     def __init__(self, spec, syllables):
         if spec.kind != "product":
@@ -164,7 +172,10 @@ class FreeProductWord:
                 and self.syllables == other.syllables)
 
     def __hash__(self):
-        return hash(self.syllables)
+        try:
+            return self._hash
+        except AttributeError:
+            return _keep_hash(self, self.syllables)
 
     def __str__(self):
         if not self.syllables:
@@ -172,6 +183,13 @@ class FreeProductWord:
         return " ".join(str(w) for _, w in self.syllables)
 
     __repr__ = __str__
+
+
+def _keep_hash(word, payload):
+    """Hash payload and keep the hash in word's slot."""
+    h = hash(payload)
+    object.__setattr__(word, "_hash", h)
+    return h
 
 
 def _word(cls, spec, field, value):
@@ -323,11 +341,12 @@ def highlighting_expansion(functor):
     return CategoryFunctor(cat, prod, images)
 
 
-def _sigma(functor, x):
-    """σ(x), for a functor whose separation criterion holds."""
+def _sigma(functor, arrows):
+    """σ of the element with these arrows, for a functor whose separation
+    criterion holds."""
     expanded = functor._expansion
     images = expanded.images
-    return group_product(expanded.target, [images[f] for f in x.arrows])
+    return group_product(expanded.target, [images[f] for f in arrows])
 
 
 def sigma_image(x, functor):
@@ -339,7 +358,7 @@ def sigma_image(x, functor):
     if not report.holds:
         raise SeparationRequired(
             f"functor does not separate hom-sets: {report.violating_pair}")
-    return _sigma(functor, x)
+    return _sigma(functor, x.arrows)
 
 
 @dataclass(frozen=True)
@@ -351,26 +370,52 @@ class EmbeddabilityReport:
     sigma_injective: bool | None
 
 
+# The key of a σ word in the verdict's walk; a module name so that a test can
+# make every key collide.
+_sigma_key = hash
+
+
 def embeddability_verdict(functor, max_len=3):
     """Run the separation criterion; on success, confirm σ-injectivity on
     all elements up to the length bound (a sampled check — the criterion
     itself guarantees injectivity everywhere).
 
     The elements are counted before any is built: past the size guard of
-    ``universal.elements_up_to`` this raises ``SizeLimitExceeded``."""
-    from .universal import elements_up_to
+    ``universal._element_walk`` this raises ``SizeLimitExceeded``.  Then
+    they are walked one letter at a time, each carrying its σ word:
+    σ(x·f) is the product of σ(x) and ψ'(f), so no image is multiplied out
+    from its letters, and only the layer being extended keeps its words.
+    ``seen`` maps the hash of each σ word to the arrows of its element.  On
+    a hit, σ of the stored element is rebuilt and compared exactly: equal
+    words of distinct elements answer no, and a word that only shares a
+    hash is kept whole in ``spilled``, which later words also probe.
+    """
+    from .universal import _element_walk
     report = functor._separation
     if not report.holds:
         return EmbeddabilityReport(report, False,
                                    "criterion not satisfied by this functor",
                                    max_len, None)
+    expanded = functor._expansion
+    prod, images = expanded.target, expanded.images
+
+    def times(w, f):
+        return group_product(prod, (w, images[f]))
+
+    key = _sigma_key
     seen = {}
+    spilled = set()
     injective = True
-    for x in elements_up_to(functor.category, max_len):
-        w = _sigma(functor, x)
-        if w in seen and seen[w] != x:
+    for arrows, w in _element_walk(functor.category, max_len,
+                                   prod.identity(), times):
+        k = key(w)
+        first = seen.get(k)
+        if first is None:
+            seen[k] = arrows
+        elif w in spilled or _sigma(functor, first) == w:
             injective = False
             break
-        seen[w] = x
+        else:
+            spilled.add(w)
     return EmbeddabilityReport(report, True, "Um(S) embeds into a group",
                                max_len, injective)

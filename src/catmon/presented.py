@@ -21,7 +21,10 @@ quiet g is exactly its seeds.  Another (class, letter) pair of the layer
 whose class held a seed u'·g would have that seed, u'·g with u' in cls, as
 its first word, and so be this same pair; so a quiet class is disjoint from
 every other class of the layer, and is taken with no rewrite scan and no
-dedup bookkeeping.  What a search carries along a class is monotone as
+dedup bookkeeping.  On the last layer a quiet class is not even listed:
+nothing grows it further, so the walk hands its caller the shorter class
+and the run of quiet letters, a fan, and the caller reads what it needs of
+each u·g off cls and g.  What a search carries along a class is monotone as
 the seeds are (a left divisor of u divides u·g, and the image of u·g under a
 substitution is the image of u followed by that of g), so only the added
 words are tested.
@@ -162,8 +165,11 @@ def _guard_layer(n_gens, depth):
 
 
 def _class_walk(pres, gens, cls, state, carry, layers):
-    """Yield (class, state) for each class of the words cls[0]·w, w of 1 to
-    layers letters over gens, once per length, shortest first.
+    """Walk the classes of the words cls[0]·w, w of 1 to layers letters over
+    gens, once per length, shortest first.  Yields (class, state, None) for
+    a class, and (cls, state, letters) for a fan: the class of each
+    cls[0]·g, g in letters, is [u'·g for u' in cls], where cls and state
+    are the shorter class and its state.
 
     Each layer grows every class of the one before by each g in gens, in
     order, and skips u·g when it lies in a class already met in this layer,
@@ -180,7 +186,11 @@ def _class_walk(pres, gens, cls, state, carry, layers):
     recorded: a class met earlier in the layer that held some u'·g would
     be the class of that same (cls, g) pair, and the words u'·g, each
     ending in g after a word of cls, lie in no class grown from another
-    pair.
+    pair.  On the last layer nothing grows a quiet class further, so it is
+    neither built nor carried: each run of consecutive quiet letters of a
+    class is yielded as one fan, in its place among the hot letters, so the
+    (class, letter) order is kept.  A caller that needs a fan class's state
+    builds its seeds and calls carry(state, seeds, len(cls)) itself.
 
     Each layer is checked with ``_guard_layer`` before any of its classes
     is grown, so a caller that stops at an early layer is never refused."""
@@ -189,6 +199,7 @@ def _class_walk(pres, gens, cls, state, carry, layers):
     layer = [(cls, state)]
     for depth in range(1, layers + 1):
         _guard_layer(len(gens), depth)
+        last = depth == layers
         seen = set()
         grown_layer = []
         for cls, state in layer:
@@ -197,21 +208,30 @@ def _class_walk(pres, gens, cls, state, carry, layers):
             for k, tails in fires:
                 if k <= n:
                     for w in cls:
-                        last = tails.get(w[n - k:])
-                        if last:
-                            hot |= last
+                        tail = tails.get(w[n - k:])
+                        if tail:
+                            hot |= tail
+            fan = []
             for g in gens:
-                if g in hot:
+                if g not in hot:
+                    if last:
+                        fan.append(g)
+                        continue
+                    grown = [w + (g,) for w in cls]
+                else:
+                    if fan:
+                        yield cls, state, fan
+                        fan = []
                     if cls[0] + (g,) in seen:
                         continue
                     grown = _grow(pres, cls, g)
                     seen.update(grown)
-                else:
-                    grown = [w + (g,) for w in cls]
                 grown_state = carry(state, grown, len(cls))
-                yield grown, grown_state
-                if depth < layers:
+                yield grown, grown_state, None
+                if not last:
                     grown_layer.append((grown, grown_state))
+            if fan:
+                yield cls, state, fan
         layer = grown_layer
 
 
@@ -283,7 +303,9 @@ def common_right_multiple(pres, xs, max_len=8):
     words that rewrites added are tested, except that an x as long as the
     class's words divides a seed u'·g only by being it, so it is tested on
     the whole class.  A class that rewrites added nothing to, with no x as
-    long as its words, keeps its mask untested.
+    long as its words, keeps its mask untested.  So a fan's classes keep
+    the shorter class's mask, which is not full, unless some x is as long
+    as their words; then only their seeds are tested.
     """
     _require_homogeneous(pres)
     xs = [_word(pres, x) for x in xs]
@@ -312,10 +334,16 @@ def common_right_multiple(pres, xs, max_len=8):
     m = mask(0, cls, 0)
     if m == full:
         return head
-    for cls, m in _class_walk(pres, sorted(pres.generators), cls, m, mask,
-                              max_len - len(head)):
-        if m == full:
-            return cls[0]
+    for cls, m, fan in _class_walk(pres, sorted(pres.generators), cls, m,
+                                   mask, max_len - len(head)):
+        if fan is None:
+            if m == full:
+                return cls[0]
+        elif len(cls[0]) + 1 in lengths:
+            for g in fan:
+                seeds = [w + (g,) for w in cls]
+                if mask(m, seeds, len(seeds)) == full:
+                    return seeds[0]
     return None
 
 
@@ -368,7 +396,10 @@ def verify_m6_embedding(max_len=5):
     carries the image of its words.  The image of u·g is the image of u
     followed by that of g, so a grown class's image is its shorter class's
     extended by one letter's, and only the words that rewrites added have
-    their image taken, to check that it is constant on the class."""
+    their image taken, to check that it is constant on the class.  A fan's
+    classes are only counted, and their images taken as the shorter
+    class's extended by each letter's.  The substitution is injective on
+    the classes when the set of images is as large as the class count."""
     pres = m6_presentation()
     checks = []
     for lhs, rhs in pres.relations:
@@ -386,12 +417,14 @@ def verify_m6_embedding(max_len=5):
 
     _guard_layer(len(pres.generators), max_len)  # every layer is walked
     images = set()
-    injective = True
     count = 0
-    for _, img in _class_walk(pres, pres.generators, [()], (), image,
-                              max_len):
-        count += 1
-        if img in images:
-            injective = False
-        images.add(img)
-    return M6Report(tuple(checks), relations_hold, max_len, count, injective)
+    for _, img, fan in _class_walk(pres, pres.generators, [()], (), image,
+                                   max_len):
+        if fan is None:
+            count += 1
+            images.add(img)
+        else:
+            count += len(fan)
+            images.update([img + M6_SUBSTITUTION[g] for g in fan])
+    return M6Report(tuple(checks), relations_hold, max_len, count,
+                    len(images) == count)

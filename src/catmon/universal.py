@@ -362,23 +362,43 @@ def _guard_elements(cat, max_len):
         count = {f: layer - into.get(ends[f][0], 0) for f in count}
 
 
+def _element_walk(cat, max_len, state, carry):
+    """Yield (arrows, state) for each element of Um(cat) of length at most
+    max_len, shortest first: the unit with the given state, then each layer
+    in the order of the elements one shorter, each followed in turn by every
+    non-identity f that does not compose with its last entry (tgt of it !=
+    src f).  The state of x·f is carry(state of x, f).
+
+    Only the layer being extended is held, as (arrows, last target,
+    state); the last layer is yielded and dropped.  Refused with
+    SizeLimitExceeded, before any element is yielded, when there are more
+    than MAX_LAYER_CLASSES elements.
+    """
+    _guard_elements(cat, max_len)
+    ends = cat._endpoints
+    gens = [(f, *ends[f]) for f in cat.non_identities()]
+    yield (), state
+    layer = [((), object(), state)]  # the unit's end meets no src
+    for depth in range(1, max_len + 1):
+        last = depth == max_len
+        nxt = []
+        for seq, end, st in layer:
+            for f, src, tgt in gens:
+                if src == end:
+                    continue
+                arrows = seq + (f,)
+                grown = carry(st, f)
+                yield arrows, grown
+                if not last:
+                    nxt.append((arrows, tgt, grown))
+        layer = nxt
+
+
 def elements_up_to(cat, max_len):
     """All elements of Um(S) of length at most max_len, shortest first.
 
     Refused with SizeLimitExceeded, before any is built, when there are
     more than MAX_LAYER_CLASSES of them.
     """
-    _guard_elements(cat, max_len)
-    out = [unit(cat)]
-    layer = [()]
-    gens = cat.non_identities()
-    for _ in range(max_len):
-        nxt = []
-        for seq in layer:
-            for f in gens:
-                if seq and cat.composable(seq[-1], f):
-                    continue
-                nxt.append(seq + (f,))
-        out.extend(_reduced(cat, s) for s in nxt)
-        layer = nxt
-    return out
+    return [_reduced(cat, arrows) for arrows, _ in
+            _element_walk(cat, max_len, None, lambda state, f: None)]

@@ -53,16 +53,38 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
 
 
 def test_negative_bounds_are_usage_errors(capsys):
-    for argv in (["embed-check", "data/c6.category", "data/c6_z3.functor",
-                  "--max-len", "-1"],
-                 ["monoid", "crm", "--max-len", "-1", "data/c6.monoid", "a"],
-                 ["monoid", "m6", "--max-len", "-3"]):
+    for argv, kind in (
+            (["embed-check", "data/c6.category", "data/c6_z3.functor",
+              "--max-len", "-1"], "positive"),
+            (["monoid", "crm", "--max-len", "-1", "data/c6.monoid", "a"],
+             "non-negative"),
+            (["monoid", "m6", "--max-len", "-3"], "positive")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
-        assert "invalid non-negative int value" in err, argv
+        assert f"invalid {kind} int value" in err, argv
         assert "Traceback" not in err, argv
+
+
+def test_checks_up_to_length_zero_are_usage_errors(capsys):
+    # a check of no class or element would answer a vacuous YES
+    for argv in (["embed-check", "data/c6.category", "data/c6_z3.functor",
+                  "--max-len", "0"],
+                 ["monoid", "m6", "--max-len", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "YES" not in err, argv
+        assert "invalid positive int value: '0'" in err, argv
+        assert "Traceback" not in err, argv
+    assert main(["monoid", "m6", "--max-len", "1"]) == 0
+    assert "classes: 6  injective: YES" in capsys.readouterr().out
+    # a search up to length 0 answers honestly that it found nothing
+    assert main(["monoid", "crm", "--max-len", "0", "data/c6.monoid",
+                 "a"]) == 1
+    assert capsys.readouterr().out == "crm: none up to 0\n"
 
 
 def test_precondition_errors_exit_2(capsys):

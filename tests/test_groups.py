@@ -24,11 +24,15 @@ from catmon import (
     inject,
     sigma_image,
 )
+from catmon import groups
+from catmon.cli import main
 from catmon.formats import load_category, load_functor
+from catmon.groups import SeparationReport, _sigma
 
 from helpers import (
     labeled_posets,
     posets_up_to,
+    random_category_bounded,
     reference_group_product,
     reference_inverse,
 )
@@ -434,3 +438,105 @@ def test_word_hash_follows_equality():
     assert u.syllables == v.syllables and u != v
     assert len({u: 0, v: 1}) == 2
     assert inject(p1, 0, x) == u and hash(inject(p1, 0, x)) == hash(u)
+
+
+def test_second_hash_of_a_sigma_word_hashes_no_factor(monkeypatch):
+    cat, functor = c6_setup()
+    w = sigma_image(elements_up_to(cat, 3)[-1], functor)
+    first = hash(w)
+    calls = []
+    for cls in (FreeGroupWord, FreeAbelianWord):
+        def counted(self, _real=cls.__hash__):
+            calls.append(self)
+            return _real(self)
+        monkeypatch.setattr(cls, "__hash__", counted)
+    # seven syllables, each a factor word, none of them hashed again
+    assert len(w.syllables) == 7
+    assert hash(w) == first
+    assert calls == []
+    # a new word of the same normal form asks each factor word once
+    assert hash(FreeProductWord(w.spec, w.syllables)) == first
+    assert len(calls) == 7
+
+
+def _brute_force_injective(functor, max_len):
+    """σ-injectivity up to max_len by an exact dict of every σ word."""
+    seen = {}
+    for x in elements_up_to(functor.category, max_len):
+        w = _sigma(functor, x.arrows)
+        if w in seen:
+            return False
+        seen[w] = x
+    return True
+
+
+def _walked(functor, images=None):
+    """functor with its separation taken as holding, and with these
+    expanded images (its own expansion's by default), so that the verdict
+    walks whatever σ they give."""
+    functor.__dict__["_separation"] = SeparationReport(True, True, None)
+    if images is not None:
+        functor.__dict__["_expansion"] = CategoryFunctor(
+            functor.category, functor._expansion.target, images)
+    return functor
+
+
+def test_sigma_walk_matches_brute_force():
+    """The verdict's one-letter σ walk answers as an exact dict over
+    elements_up_to and _sigma does, on random bounded categories: with the
+    expansion of the trivial functor, which merges parallel arrows, and
+    with random images drawn from a few words of a small free product, whose
+    products often meet, also across lengths."""
+    rng = random.Random(16)
+    answers = {True: 0, False: 0}
+    for i in range(60):
+        cat = random_category_bounded(rng, max_elements=150)
+        functor = trivial_functor(cat)
+        images = None
+        if i % 2:
+            prod = functor._expansion.target
+            p = inject(prod, 0, FreeGroupWord(prod.factors[0], [
+                (cat.objects[0], 1)]))
+            z = inject(prod, 1, FreeAbelianWord(prod.factors[1], [1]))
+            pool = [p, p.inverse(), z, group_multiply(p, z),
+                    group_multiply(z, p)]
+            images = {f: rng.choice(pool) for f in cat.non_identities()}
+        functor = _walked(functor, images)
+        for max_len in (1, 3):
+            want = _brute_force_injective(functor, max_len)
+            verdict = embeddability_verdict(functor, max_len)
+            assert verdict.sigma_injective is want, (cat.arrows, images)
+            answers[want] += 1
+    assert answers[True] >= 20 and answers[False] >= 20, answers
+
+
+def test_sigma_walk_is_exact_when_every_key_collides(monkeypatch):
+    """With every σ word given the same key, each is compared exactly with
+    the first and probed in the spill set: the answers do not change."""
+    cat, functor = c6_setup()
+    merged = _walked(trivial_functor(cat))
+    want = [embeddability_verdict(functor, 3).sigma_injective,
+            embeddability_verdict(merged, 2).sigma_injective]
+    assert want == [True, False]
+    monkeypatch.setattr(groups, "_sigma_key", lambda w: 0)
+    assert [embeddability_verdict(functor, 3).sigma_injective,
+            embeddability_verdict(merged, 2).sigma_injective] == want
+
+
+def test_embed_check_reports_merged_sigma_words(monkeypatch, capsys):
+    """With the expanded image of b patched to that of a, σ merges the
+    elements b and a, and embed-check says NO with exit 1."""
+    real = groups.highlighting_expansion
+
+    def merging(functor):
+        expanded = real(functor)
+        images = dict(expanded.images)
+        images["b"] = images["a"]
+        return CategoryFunctor(expanded.category, expanded.target, images)
+
+    monkeypatch.setattr(groups, "highlighting_expansion", merging)
+    assert main(["embed-check", "data/c6.category",
+                 "data/c6_z3.functor"]) == 1
+    assert capsys.readouterr().out == (
+        "functorial: YES  separating: YES  verdict: Um(S) embeds into a "
+        "group  sigma-injective up to 3: NO\n")

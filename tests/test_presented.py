@@ -348,7 +348,8 @@ def test_grow_matches_closure_oracle():
 
 def test_class_walk_matches_reference_walk():
     """The walk yields the classes of the reference walk, which grows every
-    (class, letter) pair with a full seed scan: the same sets with the same
+    (class, letter) pair with a full seed scan, once each fan is expanded
+    into the seed classes of its letters: the same sets with the same
     first words and the same states, in the same order, up to length 5,
     both from the empty word (as the m6 check walks) and from the class of
     a one-letter head (as crm walks).  Among the presentations are a
@@ -368,16 +369,29 @@ def test_class_walk_matches_reference_walk():
     def carry(state, grown, start):
         return state, frozenset(grown[start:])
 
+    def expanded(walk):
+        for c, state, fan in walk:
+            if fan is None:
+                yield c, state
+                continue
+            for g in fan:
+                seeds = [w + (g,) for w in c]
+                yield seeds, carry(state, seeds, len(c))
+
+    fans = 0
     for pres in presentations:
         head = (min(pres.generators),)
         head_class = [head, *sorted(congruence_class(pres, head) - {head})]
         for gens, cls, layers in [(pres.generators, [()], 5),
                                   (sorted(pres.generators), head_class, 4)]:
-            got, want = ([(frozenset(c), c[0], state) for c, state in
-                          walk(pres, gens, cls, None, carry, layers)]
-                         for walk in (presented._class_walk,
-                                      reference_class_walk))
+            walk = list(presented._class_walk(pres, gens, cls, None, carry,
+                                              layers))
+            fans += sum(fan is not None for *_, fan in walk)
+            got, want = ([(frozenset(c), c[0], state) for c, state in items]
+                         for items in (expanded(walk), reference_class_walk(
+                             pres, gens, cls, None, carry, layers)))
             assert got == want, pres.relations
+    assert fans
 
 
 def test_m6_walk_grows_only_hot_letters(monkeypatch):
@@ -388,6 +402,30 @@ def test_m6_walk_grows_only_hot_letters(monkeypatch):
     monkeypatch.setattr(presented, "_grow",
                         lambda *a: grown.append(a) or _grow(*a))
     assert verify_m6_embedding(5).class_count == 7436
+    assert len(grown) == 466
+
+
+def test_m6_walk_fans_out_its_last_layer(monkeypatch):
+    """Of the 7436 classes of m6 up to length 5, 5736 are quiet classes of
+    the last layer: they reach the check as letters of fans, and no list
+    is built for them.  The walk builds the other 1700, and grows 466."""
+    grown = []
+    monkeypatch.setattr(presented, "_grow",
+                        lambda *a: grown.append(a) or _grow(*a))
+    walk = presented._class_walk
+    items = []
+
+    def recorded_walk(*args):
+        for item in walk(*args):
+            items.append(item)
+            yield item
+
+    monkeypatch.setattr(presented, "_class_walk", recorded_walk)
+    report = verify_m6_embedding(5)
+    assert (report.class_count, report.injective) == (7436, True)
+    assert sum(fan is None for *_, fan in items) == 1700
+    assert sum(len(fan) for *_, fan in items if fan is not None) == 5736
+    assert all(len(c[0]) == 4 for c, _, fan in items if fan is not None)
     assert len(grown) == 466
 
 
@@ -438,6 +476,45 @@ def test_crm_tests_a_later_divisor_as_long_as_the_layer():
         ("a", "b", "a")
     assert common_right_multiple(b3, [("a", "b"), ("b", "a", "b", "b")],
                                  4) == ("a", "b", "a", "b")
+
+
+def test_crm_finds_a_divisor_as_long_as_the_bound_in_a_fan(monkeypatch):
+    """A last member as long as the bound divides a class of the last
+    layer only by being one of its words.  When that class is in a fan,
+    crm tests the fan's seeds, and it answers as the reference walk does:
+    the family is a head and a random word of the class of head·tail."""
+    rng = random.Random(21)
+    presentations = [c6_presentation(), m6_presentation(),
+                     braid3_presentation()]
+    presentations += [random_homogeneous_presentation(rng)
+                      for _ in range(9)]
+    walk = presented._class_walk
+    last = []
+
+    def recorded_walk(*args):
+        for item in walk(*args):
+            last[:] = [item]
+            yield item
+
+    monkeypatch.setattr(presented, "_class_walk", recorded_walk)
+    from_fans = 0
+    for pres in presentations:
+        gens = sorted(pres.generators)
+        for _ in range(30):
+            max_len = rng.randint(2, 4)
+            head = tuple(rng.choice(gens) for _ in range(rng.randint(1, 2)))
+            tail = tuple(rng.choice(gens)
+                         for _ in range(max_len - len(head)))
+            x = rng.choice(sorted(congruence_class(pres, head + tail)))
+            xs = [head, x]
+            last.clear()
+            got = common_right_multiple(pres, xs, max_len)
+            assert got == reference_common_right_multiple(
+                pres, xs, max_len), (pres.relations, xs, max_len)
+            assert got is not None and len(got) == max_len
+            # a head as long as the bound answers with no walk
+            from_fans += bool(last) and last[0][2] is not None
+    assert from_fans >= 100
 
 
 def test_crm_bound_below_the_first_word_is_none():
