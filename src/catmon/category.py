@@ -17,23 +17,22 @@ every table it is given, and it is what ``formats.load_category`` and
 call.  Tables catmon builds itself from values already checked go through
 the private ``_category``, which skips ``_validate``: Cat(P) from a
 validated ``Poset`` (``interval.cat_of_poset``) and the opposite of a
-validated category.  Both builders share one set-up, so the arrow limit
-(``CATMON_MAX_ARROWS``) holds on either path.
+validated category.  Both builders share one set-up.  The arrow limit
+(``limits.max_arrows``) is checked where tables come from outside, in
+``FiniteCategory(...)``; Cat(P) is priced before its walk, and an opposite
+has its source's arrows.
 """
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (AssociativityViolation, BadComposability, BadIdentity,
                      EmptyFamily, InvalidStructure, MissingComposite,
-                     SizeLimitExceeded, UnknownArrow)
+                     UnknownArrow)
+from .limits import max_arrows, require
 from .poset import _greatest, _is_id, _members, _pair_without_greatest
-
-MAX_ARROWS_ENV = "CATMON_MAX_ARROWS"
-DEFAULT_MAX_ARROWS = 10000
 
 
 def _endpoint_of(side):
@@ -64,22 +63,13 @@ class GcdCategoryReport:
 
 class FiniteCategory:
     def __init__(self, objects, arrows, identity, comp):
+        require(len(arrows), "arrows", max_arrows())
         self._set_up(objects, arrows, identity, comp, validate=True)
 
     def _set_up(self, objects, arrows, identity, comp, validate):
-        """The one set-up of both builders: the arrow limit, the tables and
-        the indexes, with ``_validate`` between the tables and the indexes
-        when ``validate`` is set (the indexes assume known endpoints)."""
-        raw = os.environ.get(MAX_ARROWS_ENV, str(DEFAULT_MAX_ARROWS))
-        try:
-            limit = int(raw)
-        except ValueError:
-            raise SizeLimitExceeded(
-                f"{MAX_ARROWS_ENV}={raw!r} is not an integer") from None
-        if len(arrows) > limit:
-            raise SizeLimitExceeded(
-                f"{len(arrows)} arrows exceeds limit {limit} "
-                f"(set {MAX_ARROWS_ENV} to raise it)")
+        """The one set-up of both builders: the tables and the indexes,
+        with ``_validate`` between the tables and the indexes when
+        ``validate`` is set (the indexes assume known endpoints)."""
         self.objects = tuple(sorted(objects))
         self._endpoints = dict(arrows)
         self.arrows = tuple(sorted(self._endpoints))
@@ -422,17 +412,20 @@ class FiniteCategory:
 def _category(objects, arrows, identity, comp):
     """A ``FiniteCategory`` on tables catmon built itself, not validated.
 
-    Use only where the tables are valid by construction; the set-up, and so
-    the arrow limit, is the same as ``FiniteCategory(...)``'s.  The callers:
+    Use only where the tables are valid by construction and their size
+    was priced; the set-up is the same as ``FiniteCategory(...)``'s.  The
+    callers:
 
     - ``interval.cat_of_poset``: one arrow [x,y] per x <= y of a validated
       ``Poset``, with endpoints (x, y), names checked distinct by the walk
       and free of whitespace since the elements are; [x,x] is x's identity;
       the table holds [x,y];[y,z] = [x,z] for every x <= y <= z, which is
       every composable pair.  Each hom-set has one arrow, so the table is
-      associative and the identities are neutral.
+      associative and the identities are neutral.  Its arrows are counted
+      against the arrow limit before the walk.
     - ``FiniteCategory.opposite``: a valid category's tables with every
-      arrow and composite reversed, which is valid again.
+      arrow and composite reversed, which is valid again, with its
+      source's count of arrows.
 
     Input from outside goes through ``FiniteCategory(...)``, which checks
     all of it.

@@ -14,9 +14,9 @@ from collections import deque
 from itertools import combinations
 from math import comb
 
-from .errors import InvalidStructure, SizeLimitExceeded
+from .errors import InvalidStructure
+from .limits import require
 from .poset import Poset, _is_id
-from .presented import MAX_LAYER_CLASSES
 
 
 class SimplicialComplex:
@@ -48,7 +48,7 @@ class SimplicialComplex:
         """All nonempty faces, or just those of the given dimension.
 
         Refused with SizeLimitExceeded, before any is listed, when the
-        facets have more than MAX_LAYER_CLASSES of them, counting a face
+        facets have more than ``limits.MAX_COUNT`` of them, counting a face
         once per facet that holds it: the sum over facets F of 2^|F| - 1,
         or of C(|F|, dim + 1) for one dimension.
         """
@@ -56,11 +56,7 @@ class SimplicialComplex:
             count = sum((1 << len(f)) - 1 for f in self.facets)
         else:
             count = sum(comb(len(f), dim + 1) for f in self.facets)
-        if count > MAX_LAYER_CLASSES:
-            what = "faces" if dim is None else f"faces of dimension {dim}"
-            raise SizeLimitExceeded(
-                f"the facets have {count} {what}, over the limit of "
-                f"{MAX_LAYER_CLASSES}")
+        require(count, "faces" if dim is None else f"faces of dimension {dim}")
         out = set()
         for f in self.facets:
             sizes = range(1, len(f) + 1) if dim is None else [dim + 1]

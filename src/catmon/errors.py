@@ -14,10 +14,10 @@ class ParseError(CatmonError):
 
 
 class SizeLimitExceeded(CatmonError):
-    """A structure exceeds the arrow-count guard (see CATMON_MAX_ARROWS), a
-    word search would hold more classes than its layer guard allows, or
-    Um(S) has more elements up to a length than the element walk may list
-    (the same limit, presented.MAX_LAYER_CLASSES, counted before the walk)."""
+    """A construction, priced before it is built, is over its size limit:
+    a category's arrows (CATMON_MAX_ARROWS), or the elements, classes,
+    chains, faces or group dimensions of one construction
+    (``limits.MAX_COUNT``).  Raised only by ``limits``."""
 
 
 # --- category / poset / complex validation -------------------------------

@@ -14,6 +14,7 @@ from .errors import ParseError
 from .groups import (CategoryFunctor, FreeAbelianWord, FreeGroupWord,
                      GroupSpec)
 from .interval import IsotoneMap
+from .limits import require
 from .poset import Poset
 from .presentations import GroupPresentation, format_word, parse_word
 from .presented import MonoidPresentation
@@ -190,25 +191,35 @@ def dump_monoid(pres):
 # -- functor -------------------------------------------------------------------
 
 def parse_functor(text, name="<functor>"):
-    """Raw parse: (target descriptor tokens, [(arrow, value tokens)])."""
+    """Raw parse: (target descriptor tokens, [(lineno, arrow, value
+    tokens)]), with at most one image per arrow.  A ``zn`` dimension is a
+    nonnegative integer, priced against ``limits.MAX_COUNT``."""
     rows = _header(_rows(text, name), "functor", name)
     target = None
     images = []
+    imaged = set()
     for lineno, tokens in rows:
         if tokens[0] == "target":
             if target is not None:
                 _fail(name, lineno, "duplicate target line")
             if tokens[1:2] == ["zn"] and len(tokens) == 3:
                 try:
-                    target = ("zn", int(tokens[2]))
+                    n = int(tokens[2])
                 except ValueError:
+                    n = -1  # refused below, as a negative one is
+                if n < 0:
                     _fail(name, lineno, f"bad dimension {tokens[2]!r}")
+                require(n, "dimensions of target zn")
+                target = ("zn", n)
             elif tokens[1:2] == ["free"]:
                 target = ("free", tuple(tokens[2:]))
             else:
                 _fail(name, lineno, "expected 'target zn <n>' or "
                                     "'target free <letters>'")
         elif tokens[0] == "image" and len(tokens) >= 2:
+            if tokens[1] in imaged:
+                _fail(name, lineno, f"duplicate image for {tokens[1]!r}")
+            imaged.add(tokens[1])
             images.append((lineno, tokens[1], tokens[2:]))
         else:
             _fail(name, lineno, "expected 'target ...' or "

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .category import _category
 from .errors import CategoryMismatch, InvalidStructure, NotIsotone
 from .groups import FreeGroupWord, GroupSpec
+from .limits import max_arrows, require
 from .poset import _members, _pair_without_greatest
 from .universal import reduce_sequence
 
@@ -26,10 +27,14 @@ def _interval_walk(poset):
     """Cat(P)'s tables ``(arrows, identity, comp)``, as ``FiniteCategory``
     takes them.
 
-    Each interval [x,y] is named once, by x then y in index order, so every
+    Cat(P) has one arrow per comparable pair, which ``poset._up`` counts;
+    that count is checked against the arrow limit before any interval is
+    named, since the pastings grow as the cube of the elements.  Each
+    interval [x,y] is named once, by x then y in index order, so every
     pasting [x,y];[y,z] = [x,z] reuses strings whose hashes are cached; the
     pastings are listed by x, then y, then z.
     """
+    require(sum(m.bit_count() for m in poset._up), "arrows", max_arrows())
     els = poset.elements
     ids = range(len(els))
     ups = [_members(mask, ids) for mask in poset._up]

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import heapq
 
-from .errors import (CyclicCovers, InvalidStructure, RedundantCover,
-                     SizeLimitExceeded)
-from .presented import MAX_LAYER_CLASSES
+from .errors import CyclicCovers, InvalidStructure, RedundantCover
+from .limits import require
 
 
 def _is_id(s):
@@ -231,7 +230,7 @@ class Poset:
         at an element of ``starts``, ascending, in sorted order.
 
         Refused with SizeLimitExceeded, before any is listed, when there
-        are more than MAX_LAYER_CLASSES of them.  The count is exact: one
+        are more than ``limits.MAX_COUNT`` of them.  The count is exact: one
         pass down the linear extension gives each element the number of
         maximal chains from it, the sum over its upper covers inside, or 1
         at the top.
@@ -244,11 +243,7 @@ class Poset:
                 nxt = [j for j in succ[i] if inside >> j & 1]
                 ups[els[i]] = [els[j] for j in nxt]
                 count[i] = sum(count[j] for j in nxt) or 1
-        total = sum(count[self._idx[e]] for e in starts)
-        if total > MAX_LAYER_CLASSES:
-            raise SizeLimitExceeded(
-                f"{total} maximal chains, over the limit of "
-                f"{MAX_LAYER_CLASSES}")
+        require(sum(count[self._idx[e]] for e in starts), "maximal chains")
         return _walk_chains(starts, ups)
 
     def maximal_chains(self):

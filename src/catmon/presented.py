@@ -27,17 +27,15 @@ and the run of quiet letters, a fan, and the caller reads what it needs of
 each u·g off cls and g.  What a search carries along a class is monotone as
 the seeds are (a left divisor of u divides u·g, and the image of u·g under a
 substitution is the image of u followed by that of g), so only the added
-words are tested.
+words are tested.  Every class of a layer is held at once, so each layer is
+priced by ``limits.require`` before any of its classes is grown.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidStructure, NotHomogeneous, SizeLimitExceeded
-
-# The most classes one layer of a class walk may hold: len(gens) ** depth
-# bounds the classes of a layer, and every class of a layer is held at once.
-MAX_LAYER_CLASSES = 1_000_000
+from .errors import InvalidStructure, NotHomogeneous
+from .limits import require
 
 
 class MonoidPresentation:
@@ -152,16 +150,12 @@ def _grow(pres, cls, g):
 
 
 def _guard_layer(n_gens, depth):
-    """Raise SizeLimitExceeded when the words of depth letters over n_gens
-    generators, n_gens ** depth of them, may fall into more than
-    MAX_LAYER_CLASSES classes.  With two or more generators a depth past
-    the limit's bit length is over it, so the power is never taken there."""
-    if n_gens > 1 and (depth > MAX_LAYER_CLASSES.bit_length()
-                       or n_gens ** depth > MAX_LAYER_CLASSES):
-        raise SizeLimitExceeded(
-            f"a layer of {depth} letters over {n_gens} generators may hold "
-            f"{n_gens}**{depth} classes, over the limit of "
-            f"{MAX_LAYER_CLASSES}")
+    """Price one layer of a class walk against ``limits.MAX_COUNT``: every
+    class of a layer is held at once, and the n_gens ** depth words of
+    depth letters bound its classes.  The power is passed as a pair, so a
+    depth past the limit's bit length never takes it."""
+    require((n_gens, depth), f"classes a layer of {depth} letters over "
+                             f"{n_gens} generators may hold")
 
 
 def _class_walk(pres, gens, cls, state, carry, layers):

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from .category import _endpoint_of
 from .errors import (CategoryMismatch, EmptyElement, EmptyFamily,
                      InvalidStructure, NotCancellative, NotConical,
-                     NotAGenerator, SizeLimitExceeded, SourceMismatch,
-                     TargetMismatch)
+                     NotAGenerator, SourceMismatch, TargetMismatch)
+from .limits import require
 from .poset import _greatest
-from .presented import MAX_LAYER_CLASSES
 
 DROP = "dropIdentity"
 COMPOSE = "compose"
@@ -335,8 +334,8 @@ def universal_group_presentation(cat):
 
 
 def _guard_elements(cat, max_len):
-    """Raise SizeLimitExceeded when Um(cat) has more than MAX_LAYER_CLASSES
-    elements of length at most max_len.
+    """Price the elements of Um(cat) of length at most max_len against
+    ``limits.MAX_COUNT``.
 
     The count is exact and builds nothing: the reduced sequences of length
     k ending in f number the sum, over the e not composable with f (tgt e
@@ -351,10 +350,8 @@ def _guard_elements(cat, max_len):
         if not layer:
             return
         total += layer
-        if total > MAX_LAYER_CLASSES:
-            raise SizeLimitExceeded(
-                f"Um(S) has {total} elements of length at most {k}, over "
-                f"the limit of {MAX_LAYER_CLASSES} (max_len {max_len})")
+        require(total, f"elements of Um(S) of length at most {k} "
+                       f"(max_len {max_len})")
         into = {}
         for e, c in count.items():
             t = ends[e][1]
@@ -372,7 +369,7 @@ def _element_walk(cat, max_len, state, carry):
     Only the layer being extended is held, as (arrows, last target,
     state); the last layer is yielded and dropped.  Refused with
     SizeLimitExceeded, before any element is yielded, when there are more
-    than MAX_LAYER_CLASSES elements.
+    than ``limits.MAX_COUNT`` elements.
     """
     _guard_elements(cat, max_len)
     ends = cat._endpoints
@@ -398,7 +395,7 @@ def elements_up_to(cat, max_len):
     """All elements of Um(S) of length at most max_len, shortest first.
 
     Refused with SizeLimitExceeded, before any is built, when there are
-    more than MAX_LAYER_CLASSES of them.
+    more than ``limits.MAX_COUNT`` of them.
     """
     return [_reduced(cat, arrows) for arrows, _ in
             _element_walk(cat, max_len, None, lambda state, f: None)]

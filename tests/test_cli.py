@@ -250,7 +250,8 @@ _FUZZ_COMMANDS = {
     "functor": [["validate", None],
                 ["embed-check", "data/c6.category", None]],
 }
-_FUZZ_TOKENS = ["x", "", "[", "->", "=", "^-1", "a,b", "rel", "gen"]
+_FUZZ_TOKENS = ["x", "", "[", "->", "=", "^-1", "a,b", "rel", "gen", "-3",
+                "10000000000000000000"]
 
 
 def _mutate(lines, rng):
@@ -404,3 +405,44 @@ def test_chains_past_the_size_guard_exit_2(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: SizeLimitExceeded"), err
         assert "1073741824 maximal chains" in err, err
         assert "Traceback" not in err, err
+
+
+def test_cat_of_a_chain_past_the_arrow_limit_exits_2(tmp_path, capsys,
+                                                      monkeypatch):
+    from catmon import interval
+
+    def no_interval(*args):
+        raise AssertionError("an interval was named")
+
+    # Cat of a 150-chain has 150 * 151 / 2 = 11325 arrows, over the default
+    # limit of 10000: refused before any interval is named, by both spindle
+    # commands (the presentation builds no category)
+    els = [f"x{i:03d}" for i in range(150)]
+    f = tmp_path / "chain150.poset"
+    f.write_text("poset\nelem " + " ".join(els) + "\n" + "".join(
+        f"cover {x} {y}\n" for x, y in zip(els, els[1:])))
+    monkeypatch.setattr(interval, "interval_name", no_interval)
+    for command in ("category", "presentation"):
+        assert main(["spindle", command, str(f), "x000", "x149"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert captured.err.startswith("error: SizeLimitExceeded"), \
+            captured.err
+        assert "11325 arrows" in captured.err, captured.err
+        assert "Traceback" not in captured.err, captured.err
+
+
+def test_functor_target_dimensions_are_checked(tmp_path, capsys):
+    cat = tmp_path / "point.category"
+    cat.write_text("category\nobj x\n")
+    functor = tmp_path / "f.functor"
+    for k, expected in (
+            ("-3", f"error: {functor}:2: bad dimension '-3'"),
+            ("10000000000000000000", "error: SizeLimitExceeded: "
+             "10000000000000000000 dimensions of target zn")):
+        functor.write_text(f"functor\ntarget zn {k}\n")
+        assert main(["embed-check", str(cat), str(functor)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "", k
+        assert captured.err.startswith(expected), captured.err
+        assert "Traceback" not in captured.err, captured.err

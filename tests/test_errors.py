@@ -1,5 +1,6 @@
-"""Tooling checks on the source in src/catmon: the exception hierarchy, and
-which modules build a validated FiniteCategory."""
+"""Tooling checks on the source in src/catmon: the exception hierarchy,
+which modules build a validated FiniteCategory, and where size policy
+lives."""
 import ast
 from pathlib import Path
 
@@ -60,3 +61,35 @@ def test_only_the_input_boundaries_build_a_validated_category():
                if "FiniteCategory" in _called_names(
                    ast.parse(p.read_text(), str(p)))}
     assert callers == {"formats.py", "spindle.py"}
+
+
+def _imported_modules(tree):
+    """The modules named in ``import m`` and ``from m import ...``
+    statements, and in ``from . import m``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is not None:
+                yield node.module
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def _reads_environ(tree):
+    return any(isinstance(node, ast.Attribute) and node.attr == "environ"
+               for node in ast.walk(tree))
+
+
+def test_size_policy_lives_in_limits():
+    # one module raises SizeLimitExceeded and reads the environment, and
+    # the foundation modules price their constructions without the
+    # word-problem engine
+    trees = {p.name: ast.parse(p.read_text(), str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name for name, tree in trees.items()
+            if "SizeLimitExceeded" in _raised_names(tree)} == {"limits.py"}
+    assert {name for name, tree in trees.items()
+            if _reads_environ(tree)} == {"limits.py"}
+    for name in ("poset.py", "complexes.py", "universal.py"):
+        assert "presented" not in set(_imported_modules(trees[name])), name

@@ -8,6 +8,7 @@ from catmon import (
     ParseError,
     Poset,
     SimplicialComplex,
+    SizeLimitExceeded,
 )
 from catmon.formats import (
     dump_category,
@@ -118,8 +119,23 @@ def test_functor_loading():
         load_functor("functor\ntarget zn 3\nimage a 1 0\n", cat, "f")
     with pytest.raises(ParseError, match="duplicate target"):
         load_functor("functor\ntarget zn 3\ntarget zn 3\n", cat, "f")
+    # a second image for an arrow is refused at its line, not kept
+    with pytest.raises(ParseError, match=r"^f:16: duplicate image for 'a'$"):
+        load_functor(read("c6_z3.functor") + "image a 5 5 5\n", cat, "f")
     with pytest.raises(ParseError, match="missing target"):
         load_functor("functor\nimage a 1\n", cat, "f")
+
+
+def test_functor_target_dimension_is_checked():
+    cat = load_category("category\nobj x\n")
+    assert load_functor("functor\ntarget zn 0\n", cat).target.n == 0
+    for bad in ("-3", "three", "-10000000000000000000"):
+        with pytest.raises(ParseError, match=rf"^f:2: bad dimension '{bad}'"):
+            load_functor(f"functor\ntarget zn {bad}\n", cat, "f")
+    # priced before any group word is built
+    with pytest.raises(SizeLimitExceeded,
+                       match="^10000000000000000000 dimensions of target zn"):
+        load_functor("functor\ntarget zn 10000000000000000000\n", cat, "f")
 
 
 def test_functor_free_target_and_identity_image():

@@ -1,0 +1,81 @@
+"""Every size guard prices its construction exactly: a limit equal to the
+count admits it, one less refuses it, and the message names the count.
+Only ``limits.MAX_COUNT`` is patched (and ``CATMON_MAX_ARROWS`` for the
+arrow limit)."""
+import re
+from pathlib import Path
+
+import pytest
+
+from catmon import (Poset, SimplicialComplex, SizeLimitExceeded,
+                    cat_of_poset, elements_up_to, limits, verify_m6_embedding)
+from catmon.formats import load_category, parse_functor
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+C6 = (DATA / "c6.category").read_text()
+
+
+def _count_limit(monkeypatch, n):
+    monkeypatch.setattr(limits, "MAX_COUNT", n)
+
+
+def _arrow_limit(monkeypatch, n):
+    monkeypatch.setenv("CATMON_MAX_ARROWS", str(n))
+
+
+def _ladder(ranks):
+    """A bottom, then ranks of two, every cover between neighbouring ranks:
+    2**ranks maximal chains."""
+    levels = [["b"]] + [[f"r{k}x", f"r{k}y"] for k in range(ranks)]
+    return Poset([e for r in levels for e in r],
+                 [(x, y) for lo, hi in zip(levels, levels[1:])
+                  for x in lo for y in hi])
+
+
+# (guard, its count, how the message shows it, what it counts, the limit
+# it reads, the construction)
+GUARDS = [
+    ("arrows of a loaded category", 15, "15", "arrows", _arrow_limit,
+     lambda: load_category(C6)),
+    ("Cat(P) before its walk", 10, "10", "arrows", _arrow_limit,
+     lambda: cat_of_poset(Poset("abcd", [("a", "b"), ("b", "c"),
+                                         ("c", "d")]))),
+    ("class-walk layers", 6 ** 3, "6**3", "classes", _count_limit,
+     lambda: verify_m6_embedding(3)),
+    ("Um(S) elements", 1 + 12 + 135, "148", "elements", _count_limit,
+     lambda: elements_up_to(load_category(C6), 2)),
+    ("faces", 2 ** 5 - 1, "31", "faces", _count_limit,
+     lambda: SimplicialComplex([list("abcde")]).faces()),
+    ("chains", 2 ** 4, "16", "maximal chains", _count_limit,
+     lambda: _ladder(4).maximal_chains()),
+    ("zn dimensions", 7, "7", "dimensions", _count_limit,
+     lambda: parse_functor("functor\ntarget zn 7\n")),
+]
+
+
+@pytest.mark.parametrize("guard, count, shown, what, set_limit, build",
+                         GUARDS, ids=[g[0] for g in GUARDS])
+def test_every_guard_admits_its_limit_and_refuses_one_less(
+        monkeypatch, guard, count, shown, what, set_limit, build):
+    set_limit(monkeypatch, count)
+    build()
+    set_limit(monkeypatch, count - 1)
+    with pytest.raises(SizeLimitExceeded, match=rf"^{re.escape(shown)} "
+                       rf"{what}\b.*, over the limit of {count - 1}$"):
+        build()
+
+
+def test_the_arrow_limit_defaults_to_ten_thousand(monkeypatch):
+    monkeypatch.delenv("CATMON_MAX_ARROWS", raising=False)
+    assert limits.max_arrows() == 10_000
+
+
+def test_a_power_is_priced_exactly_and_past_the_bit_length_untaken():
+    # 10**6 has 20 bits: 2**20 is taken and compared, 2**21 is over from
+    # its exponent alone, and a base of 0 or 1 is never over
+    limits.require((2, 19), "words")
+    for exponent in (20, 21):
+        with pytest.raises(SizeLimitExceeded, match=rf"^2\*\*{exponent} "):
+            limits.require((2, exponent), "words")
+    for base in (0, 1):
+        limits.require((base, 10 ** 9), "words")

@@ -20,8 +20,9 @@ from catmon import (
     presented,
     verify_m6_embedding,
 )
+from catmon import limits
 from catmon.formats import load_monoid
-from catmon.presented import MAX_LAYER_CLASSES, _grow, _m6_image
+from catmon.presented import _grow, _m6_image
 from helpers import (
     reference_class_walk,
     reference_common_right_multiple,
@@ -545,7 +546,7 @@ def test_class_walks_are_refused_at_the_first_layer_past_the_guard(
         monkeypatch):
     c6, b3 = c6_presentation(), braid3_presentation()
     # the longest walks the suite, goldens, README and benchmark ask for
-    assert 6 ** 7 <= MAX_LAYER_CLASSES < 6 ** 8
+    assert 6 ** 7 <= limits.MAX_COUNT < 6 ** 8
     # the m6 check walks every layer, so it is refused before the walk
     with pytest.raises(SizeLimitExceeded, match=r"6\*\*8 classes"):
         verify_m6_embedding(8)
@@ -577,7 +578,7 @@ def test_class_walks_are_refused_at_the_first_layer_past_the_guard(
             grown.append(item)
             yield item
 
-    monkeypatch.setattr(presented, "MAX_LAYER_CLASSES", 100)
+    monkeypatch.setattr(limits, "MAX_COUNT", 100)
     monkeypatch.setattr(presented, "_class_walk", counted_walk)
     with pytest.raises(SizeLimitExceeded, match=r"2\*\*7 classes"):
         common_right_multiple(free, [("a",), ("b",)], 30)

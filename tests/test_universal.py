@@ -496,7 +496,7 @@ def test_elements_up_to_matches_filtered_tuples():
 
 
 def test_element_guard_counts_exactly(monkeypatch):
-    import catmon.universal as universal
+    from catmon import limits
     rng = random.Random(14)
     cats = [random_category(rng) for _ in range(60)]
     cats += [idempotent_category(), pair_groupoid(3)]
@@ -504,11 +504,11 @@ def test_element_guard_counts_exactly(monkeypatch):
         for n in range(4):
             size = len(elements_up_to(cat, n))
             # a limit equal to the count admits the walk, one below refuses
-            monkeypatch.setattr(universal, "MAX_LAYER_CLASSES", size)
+            monkeypatch.setattr(limits, "MAX_COUNT", size)
             assert len(elements_up_to(cat, n)) == size
             if size > 1:
-                monkeypatch.setattr(universal, "MAX_LAYER_CLASSES", size - 1)
+                monkeypatch.setattr(limits, "MAX_COUNT", size - 1)
                 with pytest.raises(SizeLimitExceeded,
-                                   match=f" {size} elements"):
+                                   match=f"^{size} elements "):
                     elements_up_to(cat, n)
             monkeypatch.undo()
