@@ -25,6 +25,7 @@ from functools import cached_property
 
 from .errors import (GroupMismatch, InvalidStructure, MissingImage,
                      SeparationRequired)
+from .limits import require
 from .presentations import format_word, free_reduce, invert_word
 
 
@@ -41,6 +42,10 @@ class GroupSpec:
 
     @classmethod
     def zn(cls, n):
+        """Z^n, for an int n from 0 to ``limits.MAX_COUNT``."""
+        if n < 0:
+            raise InvalidStructure(f"negative dimension {n} for zn")
+        require(n, "dimensions of target zn")
         return cls("zn", n=n)
 
     @classmethod

@@ -8,9 +8,19 @@ breadth-first search over representative words up to a length bound; absence
 within the bound is reported as bounded, never as a theorem.
 
 Words enter through ``_word``, the one check that every letter is a
-generator.  The searches over all classes of a length (``crm`` and the m6
-check) grow each class one letter at a time with ``_grow``: a class is a list
-whose first word, ``cls[0]``, is its representative u, and the class of u·g
+generator, and are then coded as ints.  Each generator's digit is its index
+in ``generators``; with base B = max(#generators, 2), the word d₁…dₙ is
+Σ dᵢ·B^(n−i).  A code does not hold its length: every word of a class, or
+of a layer of a walk, has the same length n, which travels beside the codes.
+Appending g is w·B + g, the k letters that end p letters before the end of
+w are w // B^p % B^k, and a rewrite of that window adds (rhs − side)·B^p,
+so the rewrite tables hold these deltas keyed by the side's code.  x of k
+letters left-divides w when w // B^(n−k) is x.  A code is decoded to a
+tuple only where a public result is returned.
+
+The searches over all classes of a length (``crm`` and the m6 check) grow
+each class one letter at a time with ``_grow``: a class is a list whose
+first word, ``cls[0]``, is its representative u, and the class of u·g
 starts from the seeds u'·g, u' in cls.  A rewrite of a seed at a window
 inside u' gives u''·g with u'' in cls, another seed, so only the windows
 that end at the new letter are scanned on seeds; the words they add get a
@@ -28,14 +38,16 @@ each u·g off cls and g.  What a search carries along a class is monotone as
 the seeds are (a left divisor of u divides u·g, and the image of u·g under a
 substitution is the image of u followed by that of g), so only the added
 words are tested.  Every class of a layer is held at once, so each layer is
-priced by ``limits.require`` before any of its classes is grown.
+priced by ``limits.require`` before any of its classes is grown.  A single
+class cannot be priced before it is built, so a closure counts its words as
+it grows and is refused once they pass ``limits.MAX_COUNT``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import limits
 from .errors import InvalidStructure, NotHomogeneous
-from .limits import require
 
 
 class MonoidPresentation:
@@ -54,22 +66,37 @@ class MonoidPresentation:
             rels.append((lhs, rhs))
         self.relations = tuple(rels)
         self._homogeneous = all(len(l) == len(r) for l, r in rels)
-        # side length -> {side: the sides it may be rewritten to}, relations
-        # read both ways; empty and unchanged rewrites do nothing, so skipped
-        self._rewrites = {}
+        self._digit = {g: i for i, g in enumerate(self.generators)}
+        self._base = max(len(self.generators), 2)
+        # Only the word-problem operations read the rewrite tables, and they
+        # need homogeneous relations.  Per side length k, with B**k:
+        # - rewrites, {side: the deltas rhs - side of the sides it may be
+        #   rewritten to}, relations read both ways; empty and unchanged
+        #   rewrites do nothing, so skipped;
+        # - fires, with k - 1 and B**(k - 1), {side[:-1]: {side[-1]}}: a word
+        #   u whose last k - 1 letters are a key gets a rewrite window at the
+        #   end of u·g exactly for the digits g in that key's set.
+        self._rewrites = []
+        self._fires = []
+        if not self._homogeneous:
+            return
+        base = self._base
+        rewrites, fires = {}, {}
         for lhs, rhs in rels:
-            for side, other in ((lhs, rhs), (rhs, lhs)):
-                if side and side != other:
-                    self._rewrites.setdefault(len(side), {}).setdefault(
-                        side, set()).add(other)
-        # side length k -> {side[:-1]: {side[-1]}}: a word u whose last k - 1
-        # letters are a key gets a rewrite window at the end of u·g exactly
-        # for the g in that key's set
-        self._fires = {}
-        for k, rules in self._rewrites.items():
-            fires = self._fires[k] = {}
-            for side in rules:
-                fires.setdefault(side[:-1], set()).add(side[-1])
+            if lhs == rhs or not lhs:
+                continue
+            lc, rc = _encode(self, lhs), _encode(self, rhs)
+            k = len(lhs)
+            rules = rewrites.setdefault(k, {})
+            rules.setdefault(lc, set()).add(rc - lc)
+            rules.setdefault(rc, set()).add(lc - rc)
+            tails = fires.setdefault(k, {})
+            for side in (lc, rc):
+                tails.setdefault(side // base, set()).add(side % base)
+        self._rewrites = [(k, base ** k, rules)
+                          for k, rules in rewrites.items()]
+        self._fires = [(k - 1, base ** (k - 1), tails)
+                       for k, tails in fires.items()]
 
     def is_homogeneous(self):
         return self._homogeneous
@@ -94,36 +121,68 @@ def _word(pres, w):
     return w
 
 
+def _encode(pres, w):
+    """The code of a checked tuple word."""
+    base, digit = pres._base, pres._digit
+    code = 0
+    for g in w:
+        code = code * base + digit[g]
+    return code
+
+
+def _decode(pres, code, n):
+    """The tuple word of n letters whose code is code."""
+    base, gens = pres._base, pres.generators
+    out = []
+    for _ in range(n):
+        out.append(gens[code % base])
+        code //= base
+    out.reverse()
+    return tuple(out)
+
+
 def _spread(pres, n, seen, out, start):
     """Scan every window of the words out[start:], and of each word this
     appends, for rewrites; a word not yet in seen is added to seen and
     appended to out.  Returns out.  The caller has checked that pres is
     homogeneous, so every word found has length n; a rule longer than n
-    has no window."""
-    rewrites = pres._rewrites.items()
+    has no window.  Refuses the class once out holds more than
+    ``limits.MAX_COUNT`` words, checked once per scanned word."""
+    base = pres._base
+    limit = limits.MAX_COUNT
     i = start
     while i < len(out):
+        if len(out) > limit:
+            limits.require(len(out), "words of a congruence class")
         w = out[i]
         i += 1
-        for k, rules in rewrites:
-            for j in range(n - k + 1):
-                for rhs in rules.get(w[j:j + k], ()):
-                    w2 = w[:j] + rhs + w[j + k:]
-                    if w2 not in seen:
-                        seen.add(w2)
-                        out.append(w2)
+        for k, mod, rules in pres._rewrites:
+            v = w
+            shift = 1
+            for _ in range(n - k + 1):
+                deltas = rules.get(v % mod)
+                if deltas:
+                    for d in deltas:
+                        w2 = w + d * shift
+                        if w2 not in seen:
+                            seen.add(w2)
+                            out.append(w2)
+                v //= base
+                shift *= base
     return out
 
 
-def _closure(pres, word):
-    """The congruence class of a tuple word, as a new set."""
-    seen = {word}
-    _spread(pres, len(word), seen, [word], 0)
+def _closure(pres, code, n):
+    """The congruence class of the word of n letters with this code, as a
+    new set of codes."""
+    seen = {code}
+    _spread(pres, n, seen, [code], 0)
     return seen
 
 
-def _grow(pres, cls, g):
-    """The class of u·g, given the whole class cls of u with u = cls[0].
+def _grow(pres, cls, n, g):
+    """The class of u·g, given the whole class cls of u with u = cls[0],
+    its words of n letters, and the digit g.
 
     The result is a list: first the seeds u'·g for u' in cls, in cls's order
     (so u·g comes first), then the words that rewrites add.  A seed's
@@ -131,18 +190,17 @@ def _grow(pres, cls, g):
     at the window of each rule length that ends at g.  ``_class_walk``
     calls it only for letters hot for cls: for a quiet g no such window is
     a rule side, and the class of u·g is the seeds alone."""
-    n = len(cls[0]) + 1
-    tail = (g,)
-    out = [u + tail for u in cls]
+    base = pres._base
+    n += 1
+    out = [u * base + g for u in cls]
     seen = set(out)
     start = len(out)
-    for k, rules in pres._rewrites.items():
+    for k, mod, rules in pres._rewrites:
         if k > n:
             continue
-        i = n - k
         for w in out[:start]:
-            for rhs in rules.get(w[i:], ()):
-                w2 = w[:i] + rhs
+            for d in rules.get(w % mod, ()):
+                w2 = w + d
                 if w2 not in seen:
                     seen.add(w2)
                     out.append(w2)
@@ -154,23 +212,24 @@ def _guard_layer(n_gens, depth):
     class of a layer is held at once, and the n_gens ** depth words of
     depth letters bound its classes.  The power is passed as a pair, so a
     depth past the limit's bit length never takes it."""
-    require((n_gens, depth), f"classes a layer of {depth} letters over "
-                             f"{n_gens} generators may hold")
+    limits.require((n_gens, depth), f"classes a layer of {depth} letters "
+                                    f"over {n_gens} generators may hold")
 
 
-def _class_walk(pres, gens, cls, state, carry, layers):
+def _class_walk(pres, digits, cls, n, state, carry, layers):
     """Walk the classes of the words cls[0]·w, w of 1 to layers letters over
-    gens, once per length, shortest first.  Yields (class, state, None) for
-    a class, and (cls, state, letters) for a fan: the class of each
-    cls[0]·g, g in letters, is [u'·g for u' in cls], where cls and state
-    are the shorter class and its state.
+    digits, once per length, shortest first; cls's words have n letters.
+    Yields (class, its length, state, None) for a class, and (cls, its
+    length, state, letters) for a fan: the class of each cls[0]·g, g in
+    letters, is [u'·g for u' in cls], where cls and state are the shorter
+    class and its state.
 
-    Each layer grows every class of the one before by each g in gens, in
+    Each layer grows every class of the one before by each g in digits, in
     order, and skips u·g when it lies in a class already met in this layer,
     so each class is met first at its first word in that order, which is
     the class's cls[0].  A grown class's state is carry(state, grown,
-    start), where state is the shorter class's and grown[start:] are the
-    words that rewrites added.
+    start, length), where state is the shorter class's, grown[start:] are
+    the words that rewrites added and length is that of grown's words.
 
     Once per class, the letters hot for it are read off ``pres._fires``: g
     is hot when the last k - 1 letters of some word of cls and g make a
@@ -184,55 +243,58 @@ def _class_walk(pres, gens, cls, state, carry, layers):
     neither built nor carried: each run of consecutive quiet letters of a
     class is yielded as one fan, in its place among the hot letters, so the
     (class, letter) order is kept.  A caller that needs a fan class's state
-    builds its seeds and calls carry(state, seeds, len(cls)) itself.
+    builds its seeds and calls carry(state, seeds, len(cls), n + 1) itself.
 
     Each layer is checked with ``_guard_layer`` before any of its classes
     is grown, so a caller that stops at an early layer is never refused."""
-    # (letters before the last, {those letters: last letters}) per length
-    fires = [(k - 1, tails) for k, tails in pres._fires.items()]
+    base = pres._base
+    fires = pres._fires
     layer = [(cls, state)]
     for depth in range(1, layers + 1):
-        _guard_layer(len(gens), depth)
+        _guard_layer(len(digits), depth)
         last = depth == layers
         seen = set()
         grown_layer = []
         for cls, state in layer:
-            n = len(cls[0])
             hot = set()
-            for k, tails in fires:
-                if k <= n:
+            for before, mod, tails in fires:
+                if before <= n:
                     for w in cls:
-                        tail = tails.get(w[n - k:])
+                        tail = tails.get(w % mod)
                         if tail:
                             hot |= tail
             fan = []
-            for g in gens:
+            for g in digits:
                 if g not in hot:
                     if last:
                         fan.append(g)
                         continue
-                    grown = [w + (g,) for w in cls]
+                    grown = [w * base + g for w in cls]
                 else:
                     if fan:
-                        yield cls, state, fan
+                        yield cls, n, state, fan
                         fan = []
-                    if cls[0] + (g,) in seen:
+                    if cls[0] * base + g in seen:
                         continue
-                    grown = _grow(pres, cls, g)
+                    grown = _grow(pres, cls, n, g)
                     seen.update(grown)
-                grown_state = carry(state, grown, len(cls))
-                yield grown, grown_state, None
+                grown_state = carry(state, grown, len(cls), n + 1)
+                yield grown, n + 1, grown_state, None
                 if not last:
                     grown_layer.append((grown, grown_state))
             if fan:
-                yield cls, state, fan
+                yield cls, n, state, fan
         layer = grown_layer
+        n += 1
 
 
 def congruence_class(pres, word):
     """All words equal to the given one modulo the relations (finite orbit)."""
     _require_homogeneous(pres)
-    return frozenset(_closure(pres, _word(pres, word)))
+    w = _word(pres, word)
+    n = len(w)
+    return frozenset(_decode(pres, c, n)
+                     for c in _closure(pres, _encode(pres, w), n))
 
 
 def equal_in_monoid(pres, u, v):
@@ -242,7 +304,8 @@ def equal_in_monoid(pres, u, v):
     _require_homogeneous(pres)
     v = _word(pres, v)
     u = _word(pres, u)
-    return len(u) == len(v) and v in _closure(pres, u)
+    return len(u) == len(v) and (
+        _encode(pres, v) in _closure(pres, _encode(pres, u), len(u)))
 
 
 @dataclass(frozen=True)
@@ -261,17 +324,18 @@ def atoms(pres):
     never a product of two nonempty ones.  Reports which generators are
     identified with others."""
     _require_homogeneous(pres)
-    classes = {g: _closure(pres, (g,)) for g in pres.generators}
+    gens = pres.generators
+    classes = [_closure(pres, d, 1) for d in range(len(gens))]
     merged = []
     done = set()
-    for g in pres.generators:
-        if g in done:
+    for d, cls in enumerate(classes):
+        if d in done:
             continue
-        mates = tuple(h for h in pres.generators if (h,) in classes[g])
+        mates = [h for h in range(len(gens)) if h in cls]
         done.update(mates)
         if len(mates) > 1:
-            merged.append(mates)
-    return AtomsReport(pres.generators, tuple(merged))
+            merged.append(tuple(gens[h] for h in mates))
+    return AtomsReport(gens, tuple(merged))
 
 
 def left_divides_mod(pres, x, w_class):
@@ -289,7 +353,8 @@ def common_right_multiple(pres, xs, max_len=8):
     the whole congruence class anyway.  Each layer keeps only the first word
     met of each class: u ~ v implies ug ~ vg, and the first word of a class
     precedes its other words in every later layer, so the lexicographically
-    first word of each class of each layer is still reached.
+    first word of each class of each layer is still reached.  The walk
+    takes the generators in sorted order, whatever their digits.
 
     The layers are walked by ``_class_walk``, and each class carries a
     mask whose bit i says that xs[i] left-divides some word of the class.
@@ -310,34 +375,37 @@ def common_right_multiple(pres, xs, max_len=8):
     if len(head) > max_len:
         return None
 
-    lengths = {len(x) for x in xs}
+    base = pres._base
+    coded = [(_encode(pres, x), len(x)) for x in xs]
+    lengths = {k for _, k in coded}
 
-    def mask(m, cls, start):
-        length = len(cls[0])
-        if start == len(cls) and length not in lengths:
+    def mask(m, cls, start, n):
+        if start == len(cls) and n not in lengths:
             return m
-        for i, x in enumerate(xs):
-            k = len(x)
-            if not m >> i & 1 and k <= length:
-                words = cls if k == length else cls[start:]
-                if any(w[:k] == x for w in words):
+        for i, (x, k) in enumerate(coded):
+            if not m >> i & 1 and k <= n:
+                words = cls if k == n else cls[start:]
+                shift = base ** (n - k)
+                if any(w // shift == x for w in words):
                     m |= 1 << i
         return m
 
-    cls = [head, *(_closure(pres, head) - {head})]
-    m = mask(0, cls, 0)
+    h, n = coded[0]
+    cls = [h, *(_closure(pres, h, n) - {h})]
+    m = mask(0, cls, 0, n)
     if m == full:
         return head
-    for cls, m, fan in _class_walk(pres, sorted(pres.generators), cls, m,
-                                   mask, max_len - len(head)):
+    digits = [pres._digit[g] for g in sorted(pres.generators)]
+    for cls, n, m, fan in _class_walk(pres, digits, cls, n, m, mask,
+                                      max_len - len(head)):
         if fan is None:
             if m == full:
-                return cls[0]
-        elif len(cls[0]) + 1 in lengths:
+                return _decode(pres, cls[0], n)
+        elif n + 1 in lengths:
             for g in fan:
-                seeds = [w + (g,) for w in cls]
-                if mask(m, seeds, len(seeds)) == full:
-                    return seeds[0]
+                seeds = [w * base + g for w in cls]
+                if mask(m, seeds, len(seeds), n + 1) == full:
+                    return _decode(pres, seeds[0], n + 1)
     return None
 
 
@@ -387,13 +455,14 @@ def verify_m6_embedding(max_len=5):
     and distinct congruence classes up to max_len must have distinct images.
 
     The classes are walked by ``_class_walk`` from the empty word, and each
-    carries the image of its words.  The image of u·g is the image of u
-    followed by that of g, so a grown class's image is its shorter class's
-    extended by one letter's, and only the words that rewrites added have
-    their image taken, to check that it is constant on the class.  A fan's
-    classes are only counted, and their images taken as the shorter
-    class's extended by each letter's.  The substitution is injective on
-    the classes when the set of images is as large as the class count."""
+    carries the image of its words as a string over {a,b,x,y}.  The image
+    of u·g is the image of u followed by that of g, so a grown class's
+    image is its shorter class's extended by one letter's, and only the
+    words that rewrites added are decoded and have their image taken, to
+    check that it is constant on the class.  A fan's classes are only
+    counted, and their images taken as the shorter class's extended by
+    each letter's.  The substitution is injective on the classes when the
+    set of images is as large as the class count."""
     pres = m6_presentation()
     checks = []
     for lhs, rhs in pres.relations:
@@ -401,10 +470,14 @@ def verify_m6_embedding(max_len=5):
         checks.append((lhs, rhs, li, ri, li == ri))
     relations_hold = all(ok for *_, ok in checks)
 
-    def image(img, cls, start):
-        img += M6_SUBSTITUTION[cls[0][-1]]
-        if start < len(cls) and any(_m6_image(w) != img
-                                    for w in cls[start:]):
+    base = pres._base
+    letter = ["".join(M6_SUBSTITUTION[g]) for g in pres.generators]
+
+    def image(img, cls, start, n):
+        img += letter[cls[0] % base]
+        if start < len(cls) and any(
+                "".join(_m6_image(_decode(pres, w, n))) != img
+                for w in cls[start:]):
             raise InvalidStructure(
                 "substitution is not constant on a congruence class")
         return img
@@ -412,13 +485,13 @@ def verify_m6_embedding(max_len=5):
     _guard_layer(len(pres.generators), max_len)  # every layer is walked
     images = set()
     count = 0
-    for _, img, fan in _class_walk(pres, pres.generators, [()], (), image,
-                                   max_len):
+    for _, _, img, fan in _class_walk(pres, range(len(pres.generators)),
+                                      [0], 0, "", image, max_len):
         if fan is None:
             count += 1
             images.add(img)
         else:
             count += len(fan)
-            images.update([img + M6_SUBSTITUTION[g] for g in fan])
+            images.update([img + letter[g] for g in fan])
     return M6Report(tuple(checks), relations_hold, max_len, count,
                     len(images) == count)

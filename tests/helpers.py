@@ -28,10 +28,8 @@ from catmon import (
 from catmon.poset import _greatest
 from catmon.presented import (
     M6_SUBSTITUTION,
-    _closure,
     _guard_layer,
     _m6_image,
-    _spread,
     m6_presentation,
 )
 
@@ -695,24 +693,62 @@ def reference_inverse(word):
                                        for i, w in reversed(word.syllables)])
 
 
+def reference_rules(pres):
+    """Side length k -> {side: the sides it may be rewritten to}, as tuple
+    words, the relations read both ways."""
+    rules = {}
+    for lhs, rhs in pres.relations:
+        for side, other in ((lhs, rhs), (rhs, lhs)):
+            if side and side != other:
+                rules.setdefault(len(side), {}).setdefault(
+                    side, set()).add(other)
+    return rules
+
+
+def reference_spread(rules, n, seen, out, start):
+    """Scan every window of the tuple words out[start:], and of each word
+    this appends, for rewrites; a word not yet in seen is added to seen
+    and appended to out.  Returns out."""
+    i = start
+    while i < len(out):
+        w = out[i]
+        i += 1
+        for k, sides in rules.items():
+            for j in range(n - k + 1):
+                for rhs in sides.get(w[j:j + k], ()):
+                    w2 = w[:j] + rhs + w[j + k:]
+                    if w2 not in seen:
+                        seen.add(w2)
+                        out.append(w2)
+    return out
+
+
+def reference_closure(pres, word):
+    """The congruence class of a tuple word, as a set of tuple words."""
+    seen = {word}
+    reference_spread(reference_rules(pres), len(word), seen, [word], 0)
+    return seen
+
+
 def reference_grow(pres, cls, g):
     """The class of cls[0]·g: the seeds u'·g, u' in cls, in cls's order,
     then the words that rewrites add, with every seed scanned at the window
     of each rule length that ends at g."""
+    rules = reference_rules(pres)
     n = len(cls[0]) + 1
     out = [u + (g,) for u in cls]
     seen = set(out)
     start = len(out)
-    for k, rules in pres._rewrites.items():
+    for k, sides in rules.items():
         if k > n:
             continue
         for w in out[:start]:
-            for rhs in rules.get(w[n - k:], ()):
+            for rhs in sides.get(w[n - k:], ()):
                 w2 = w[:n - k] + rhs
                 if w2 not in seen:
                     seen.add(w2)
                     out.append(w2)
-    return _spread(pres, n, seen, out, start)
+    return reference_spread(rules, n, seen, out, start)
 
 
 def reference_class_walk(pres, gens, cls, state, carry, layers):
@@ -757,7 +793,7 @@ def reference_common_right_multiple(pres, xs, max_len):
                     m |= 1 << i
         return m
 
-    cls = [head, *(_closure(pres, head) - {head})]
+    cls = [head, *(reference_closure(pres, head) - {head})]
     m = mask(0, cls, 0)
     if m == full:
         return head

@@ -350,6 +350,33 @@ def test_word_walks_past_the_layer_guard_exit_2(capsys, monkeypatch):
     assert "6**8" in err and "Traceback" not in err, err
 
 
+def test_congruence_classes_past_the_size_guard_exit_2(tmp_path, capsys,
+                                                       monkeypatch):
+    from catmon import limits
+
+    # four commuting generators: a word's class is its rearrangements, so
+    # "a b c d a b" has 180 words and "a b c d a b c d" has 2520
+    f = tmp_path / "commuting.monoid"
+    f.write_text("monoid\ngen a b c d\n" + "".join(
+        f"rel {x} {y} = {y} {x}\n" for x, y in
+        ("ab", "ac", "ad", "bc", "bd", "cd")))
+    monkeypatch.setattr(limits, "MAX_COUNT", 1000)
+    assert main(["monoid", "class", str(f), "a b c d a b"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 180
+    word = "a b c d a b c d"
+    for argv in (["monoid", "class", str(f), word],
+                 ["monoid", "equal", str(f), word, "d c b a d c b a"],
+                 ["monoid", "class", "--format", "json", str(f), word]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: SizeLimitExceeded"), \
+            captured.err
+        assert "words of a congruence class, over the limit of 1000" in \
+            captured.err, captured.err
+        assert "Traceback" not in captured.err, captured.err
+
+
 def test_element_walk_past_the_size_guard_exits_2(capsys, monkeypatch):
     from catmon import universal
 

@@ -13,6 +13,7 @@ from catmon import (
     InvalidStructure,
     MissingImage,
     SeparationRequired,
+    SizeLimitExceeded,
     cat_of_poset,
     check_separation,
     elements_up_to,
@@ -75,6 +76,19 @@ def test_group_spec_identities():
     assert free.identity().is_identity()
     assert zn.identity().vector == (0, 0, 0)
     assert prod.identity().syllables == ()
+
+
+def test_zn_dimensions_are_checked(monkeypatch):
+    from catmon import limits
+
+    point = load_category("category\nobj x\n")
+    with pytest.raises(InvalidStructure, match="negative dimension -3"):
+        embeddability_verdict(CategoryFunctor(point, GroupSpec.zn(-3), {}), 3)
+    assert GroupSpec.zn(0).identity().vector == ()
+    monkeypatch.setattr(limits, "MAX_COUNT", 5)
+    assert GroupSpec.zn(5).n == 5
+    with pytest.raises(SizeLimitExceeded, match="^6 dimensions of target zn"):
+        GroupSpec.zn(6)
 
 
 def test_free_group_word_reduction():

@@ -7,12 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from catmon import (Poset, SimplicialComplex, SizeLimitExceeded,
-                    cat_of_poset, elements_up_to, limits, verify_m6_embedding)
+from catmon import (GroupSpec, MonoidPresentation, Poset, SimplicialComplex,
+                    SizeLimitExceeded, cat_of_poset, congruence_class,
+                    elements_up_to, limits, verify_m6_embedding)
 from catmon.formats import load_category, parse_functor
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 C6 = (DATA / "c6.category").read_text()
+# four commuting generators: the class of a word is its rearrangements
+COMMUTING = MonoidPresentation("abcd", [((x, y), (y, x)) for x, y in
+                                        ("ab", "ac", "ad", "bc", "bd", "cd")])
 
 
 def _count_limit(monkeypatch, n):
@@ -50,6 +54,11 @@ GUARDS = [
      lambda: _ladder(4).maximal_chains()),
     ("zn dimensions", 7, "7", "dimensions", _count_limit,
      lambda: parse_functor("functor\ntarget zn 7\n")),
+    ("zn dimensions of a GroupSpec", 7, "7", "dimensions", _count_limit,
+     lambda: GroupSpec.zn(7)),
+    # counted while the class grows: 4! rearrangements of a b c d
+    ("congruence class words", 24, "24", "words", _count_limit,
+     lambda: congruence_class(COMMUTING, "abcd")),
 ]
 
 

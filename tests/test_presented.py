@@ -22,7 +22,7 @@ from catmon import (
 )
 from catmon import limits
 from catmon.formats import load_monoid
-from catmon.presented import _grow, _m6_image
+from catmon.presented import _decode, _encode, _grow, _m6_image
 from helpers import (
     reference_class_walk,
     reference_common_right_multiple,
@@ -310,6 +310,20 @@ def test_equal_in_monoid_compares_lengths_before_any_closure(monkeypatch):
         equal_in_monoid(pres, ("y",), ("a", "b"))
 
 
+def _digit(pres, g):
+    return pres.generators.index(g)
+
+
+def _coded(pres, words):
+    """The codes of tuple words, in order."""
+    return [_encode(pres, w) for w in words]
+
+
+def _decoded(pres, codes, n):
+    """The tuple words of n letters with these codes, in order."""
+    return [_decode(pres, c, n) for c in codes]
+
+
 def _classes_up_to(pres, n):
     """Every class of words of length <= n, once each, as sets."""
     out = {}
@@ -340,7 +354,9 @@ def test_grow_matches_closure_oracle():
             rep = members[rng.randrange(len(members))]
             listed = [rep] + [w for w in members if w != rep]
             for g in pres.generators:
-                grown = _grow(pres, listed, g)
+                grown = _decoded(pres, _grow(pres, _coded(pres, listed),
+                                             len(rep), _digit(pres, g)),
+                                 len(rep) + 1)
                 assert len(grown) == len(set(grown))
                 assert set(grown) == closure_oracle(pres, rep + (g,)), \
                     (pres.relations, rep, g)
@@ -370,13 +386,17 @@ def test_class_walk_matches_reference_walk():
     def carry(state, grown, start):
         return state, frozenset(grown[start:])
 
+    def coded_carry(state, grown, start, n):
+        return carry(state, _decoded(pres, grown, n), start)
+
     def expanded(walk):
-        for c, state, fan in walk:
+        for c, n, state, fan in walk:
+            c = _decoded(pres, c, n)
             if fan is None:
                 yield c, state
                 continue
             for g in fan:
-                seeds = [w + (g,) for w in c]
+                seeds = [w + (pres.generators[g],) for w in c]
                 yield seeds, carry(state, seeds, len(c))
 
     fans = 0
@@ -385,8 +405,9 @@ def test_class_walk_matches_reference_walk():
         head_class = [head, *sorted(congruence_class(pres, head) - {head})]
         for gens, cls, layers in [(pres.generators, [()], 5),
                                   (sorted(pres.generators), head_class, 4)]:
-            walk = list(presented._class_walk(pres, gens, cls, None, carry,
-                                              layers))
+            walk = list(presented._class_walk(
+                pres, [_digit(pres, g) for g in gens], _coded(pres, cls),
+                len(cls[0]), None, coded_carry, layers))
             fans += sum(fan is not None for *_, fan in walk)
             got, want = ([(frozenset(c), c[0], state) for c, state in items]
                          for items in (expanded(walk), reference_class_walk(
@@ -426,7 +447,7 @@ def test_m6_walk_fans_out_its_last_layer(monkeypatch):
     assert (report.class_count, report.injective) == (7436, True)
     assert sum(fan is None for *_, fan in items) == 1700
     assert sum(len(fan) for *_, fan in items if fan is not None) == 5736
-    assert all(len(c[0]) == 4 for c, _, fan in items if fan is not None)
+    assert all(n == 4 for _, n, _, fan in items if fan is not None)
     assert len(grown) == 466
 
 
@@ -514,8 +535,101 @@ def test_crm_finds_a_divisor_as_long_as_the_bound_in_a_fan(monkeypatch):
                 pres, xs, max_len), (pres.relations, xs, max_len)
             assert got is not None and len(got) == max_len
             # a head as long as the bound answers with no walk
-            from_fans += bool(last) and last[0][2] is not None
+            from_fans += bool(last) and last[0][3] is not None
     assert from_fans >= 100
+
+
+def _agree_with_oracles(pres, words, families, max_len):
+    """congruence_class, equal_in_monoid and atoms agree with the closure
+    oracle on words, and crm with crm_oracle on families; every public
+    result is made of tuples of generators, never of codes."""
+    gens = set(pres.generators)
+
+    def is_word(w):
+        return type(w) is tuple and gens.issuperset(w)
+
+    for w in words:
+        cls = congruence_class(pres, w)
+        assert cls == closure_oracle(pres, w), (pres.relations, w)
+        assert all(is_word(u) for u in cls)
+        assert all(equal_in_monoid(pres, w, u) for u in cls)
+        other = tuple(reversed(w))
+        assert equal_in_monoid(pres, w, other) == (other in cls)
+    for xs in families:
+        got = common_right_multiple(pres, xs, max_len)
+        assert got == crm_oracle(pres, xs, max_len), (pres.relations, xs)
+        assert got is None or is_word(got)
+    report = atoms(pres)
+    assert report.atoms == pres.generators
+    for mates in report.identified_classes:
+        assert is_word(mates)
+        assert all((h,) in closure_oracle(pres, mates[:1]) for h in mates)
+
+
+def test_coding_edge_cases_match_the_oracles():
+    # one generator: base 2 with the one digit 0, so every word's code is
+    # 0 and only its length tells words apart; and the empty word
+    for relations in ([], [(("a",), ("a",))], [(("a", "a"), ("a", "a"))]):
+        one = MonoidPresentation("a", relations)
+        _agree_with_oracles(one, [(), ("a",), ("a",) * 7],
+                            [[()], [(), ("a",)], [("a",), ("a", "a", "a")],
+                             [("a", "a"), ("a",)]], 4)
+        assert common_right_multiple(one, [("a",), ("a",) * 3], 4) == \
+            ("a",) * 3
+    _agree_with_oracles(c6_presentation(), [()], [[()], [(), ("a'",)]], 2)
+    # generators declared out of sorted order: c is digit 0, a digit 2.
+    # Both c a and c c are divisible by b, and crm answers the
+    # lexicographically first, c a, not the first by digit
+    cba = MonoidPresentation("cba", [(("c", "a"), ("b", "a")),
+                                     (("c", "c"), ("b", "c"))])
+    assert common_right_multiple(cba, [("c",), ("b",)], 3) == ("c", "a")
+    _agree_with_oracles(cba, [tuple("cacb"), tuple("bcab")],
+                        [[("c",), ("b",)], [("a",), ("b", "c")]], 4)
+    # multi-character names, one of them the concatenation of two others
+    named = MonoidPresentation(("b'", "a", "ab", "b"),
+                               [(("a", "b"), ("ab", "b'")),
+                                (("b'", "ab"), ("ab", "a"))])
+    _agree_with_oracles(named, [("a", "b", "ab"), ("b'", "ab", "b")],
+                        [[("a",), ("ab",)], [("b'",), ("ab", "a")]], 4)
+    # length-1 rules, alone and beside longer ones: every letter is hot
+    for relations in ([(("a",), ("b",))],
+                      [(("a",), ("c",)), (("a", "b"), ("b", "a"))]):
+        short = MonoidPresentation("abc", relations)
+        _agree_with_oracles(short, [tuple("abca"), tuple("cc")],
+                            [[("a",), ("b",)], [("c",), ("b", "b")]], 4)
+    # words of 30 letters and more, whose codes pass 64 bits on c6 and m6
+    # (6**30 > 2**77); a random b3 word that long has a class of millions,
+    # so b3's has a class of 30
+    rng = random.Random(30)
+    for pres in (c6_presentation(), m6_presentation()):
+        gens = pres.generators
+        long = [tuple(rng.choice(gens) for _ in range(n)) for n in (30, 33)]
+        _agree_with_oracles(pres, long, [[long[0], (gens[1],)]], 31)
+    b3_long = tuple("a" * 14 + "aba" + "b" * 14)
+    assert len(congruence_class(braid3_presentation(), b3_long)) == 30
+    _agree_with_oracles(braid3_presentation(), [b3_long],
+                        [[b3_long, ("b",)], [b3_long[:30], ("b", "b")]], 32)
+
+
+def test_shuffled_multi_character_generators_match_the_oracles():
+    """Random presentations whose generators are declared in a random
+    order and have names of one and two characters."""
+    rng = random.Random(17)
+    names = ["a", "b", "c", "a'", "bc"]
+    for _ in range(60):
+        gens = rng.sample(names, rng.randint(1, 4))
+        relations = []
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(1, 3)
+            relations.append((tuple(rng.choice(gens) for _ in range(k)),
+                              tuple(rng.choice(gens) for _ in range(k))))
+        pres = MonoidPresentation(gens, relations)
+        words = [tuple(rng.choice(gens) for _ in range(rng.randint(0, 5)))
+                 for _ in range(3)]
+        families = [[tuple(rng.choice(gens)
+                           for _ in range(rng.randint(0, 2)))
+                     for _ in range(rng.randint(1, 3))] for _ in range(3)]
+        _agree_with_oracles(pres, words, families, rng.randint(1, 4))
 
 
 def test_crm_bound_below_the_first_word_is_none():
