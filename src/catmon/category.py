@@ -24,8 +24,7 @@ has its source's arrows.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations
 
 from .errors import (AssociativityViolation, BadComposability, BadIdentity,
@@ -45,14 +44,10 @@ def _endpoint_of(side):
     raise InvalidStructure(f"side must be 'left' or 'right', got {side!r}")
 
 
-@dataclass(frozen=True)
-class GcdCategoryReport:
-    conical: bool
-    left_cancellative: bool
-    right_cancellative: bool
-    left_gcds: bool
-    right_gcds: bool
-    witnesses: dict
+class GcdCategoryReport(namedtuple(
+        "GcdCategoryReport", "conical left_cancellative right_cancellative"
+        " left_gcds right_gcds witnesses")):
+    __slots__ = ()
 
     @property
     def holds(self):

@@ -294,7 +294,7 @@ def cmd_monoid_crm(args):
     pres = _load(formats.load_monoid, args.file)
     w = common_right_multiple(pres, [t.split() for t in args.words],
                               args.max_len)
-    return _optional("crm", w if w is None else " ".join(w),
+    return _optional("crm", w if w is None else " ".join(w) or "1",
                      f"none up to {args.max_len}", max_len=args.max_len)
 
 

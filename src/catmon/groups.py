@@ -20,21 +20,18 @@ group.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import (GroupMismatch, InvalidStructure, MissingImage,
                      SeparationRequired)
-from .limits import require
+from .limits import require, require_bound
 from .presentations import format_word, free_reduce, invert_word
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    kind: str
-    letters: tuple = ()
-    n: int = 0
-    factors: tuple = ()
+class GroupSpec(namedtuple(
+        "GroupSpec", "kind letters n factors", defaults=((), 0, ()))):
+    __slots__ = ()
 
     @classmethod
     def free(cls, letters):
@@ -300,11 +297,9 @@ class CategoryFunctor:
         return highlighting_expansion(self)
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    functorial: bool
-    separating: bool
-    violating_pair: tuple | None
+class SeparationReport(namedtuple(
+        "SeparationReport", "functorial separating violating_pair")):
+    __slots__ = ()
 
     @property
     def holds(self):
@@ -366,13 +361,10 @@ def sigma_image(x, functor):
     return _sigma(functor, x.arrows)
 
 
-@dataclass(frozen=True)
-class EmbeddabilityReport:
-    separation: SeparationReport
-    embeds: bool
-    verdict: str
-    checked_length: int
-    sigma_injective: bool | None
+class EmbeddabilityReport(namedtuple(
+        "EmbeddabilityReport", "separation embeds verdict checked_length"
+        " sigma_injective")):
+    __slots__ = ()
 
 
 # The key of a σ word in the verdict's walk; a module name so that a test can
@@ -396,6 +388,7 @@ def embeddability_verdict(functor, max_len=3):
     hash is kept whole in ``spilled``, which later words also probe.
     """
     from .universal import _element_walk
+    require_bound(max_len, 1)
     report = functor._separation
     if not report.holds:
         return EmbeddabilityReport(report, False,

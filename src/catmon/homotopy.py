@@ -9,7 +9,7 @@ total free rank is certified, otherwise the presentation itself is reported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexes import SimplicialComplex
 from .errors import Disconnected, InvalidStructure
@@ -35,10 +35,8 @@ def floating_presentation(complex_):
     return GroupPresentation(gens, relators)
 
 
-@dataclass(frozen=True)
-class SpanningTree:
-    root: str
-    edges: tuple
+class SpanningTree(namedtuple("SpanningTree", "root edges")):
+    __slots__ = ()
 
 
 def spanning_tree(complex_):
@@ -96,12 +94,9 @@ def tietze_collapse(pres, tree):
     return GroupPresentation(gens, relators)
 
 
-@dataclass(frozen=True)
-class FloatingDecomposition:
-    tree: SpanningTree
-    tree_edge_count: int
-    pi1: GroupPresentation
-    total_free_rank: int | None
+class FloatingDecomposition(namedtuple(
+        "FloatingDecomposition", "tree tree_edge_count pi1 total_free_rank")):
+    __slots__ = ()
 
 
 def floating_decomposition(complex_):
@@ -120,12 +115,10 @@ def chain_complex(poset):
     return SimplicialComplex(poset.maximal_chains())
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
-    decomposition: FloatingDecomposition
-    hg_free_rank: int | None
-    abelianization_rank: int
-    agree: bool | None
+class CrossCheckReport(namedtuple(
+        "CrossCheckReport", "decomposition hg_free_rank abelianization_rank"
+        " agree")):
+    __slots__ = ()
 
 
 def cross_check(poset):

@@ -9,7 +9,7 @@ and into a free monoid on the consecutive steps of a linear extension.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .category import _category
 from .errors import CategoryMismatch, InvalidStructure, NotIsotone
@@ -66,11 +66,9 @@ def cat_of_poset(poset):
     return _category(poset.elements, *_interval_walk(poset))
 
 
-@dataclass(frozen=True)
-class GcdCriterionReport:
-    left_ok: bool
-    right_ok: bool
-    witnesses: dict
+class GcdCriterionReport(namedtuple(
+        "GcdCriterionReport", "left_ok right_ok witnesses")):
+    __slots__ = ()
 
     @property
     def holds(self):

@@ -15,12 +15,15 @@ once they pass the limit.  There are two limits:
   environment variable ``CATMON_MAX_ARROWS`` on every call (default
   10 000).  It bounds Cat(P) before its pasting table is walked, and
   ``FiniteCategory(...)`` on tables from outside.
+
+A length bound has a floor instead: ``require_bound`` refuses a check up
+to length 0, which would check nothing, and a search below length 0.
 """
 from __future__ import annotations
 
 import os
 
-from .errors import SizeLimitExceeded
+from .errors import InvalidStructure, SizeLimitExceeded
 
 MAX_COUNT = 1_000_000
 
@@ -59,3 +62,10 @@ def require(count, what, limit=None):
         over = count > limit
     if over:
         raise SizeLimitExceeded(f"{count} {what}, over the limit of {limit}")
+
+
+def require_bound(max_len, least):
+    """Raise InvalidStructure when the length bound max_len is below
+    ``least``: 1 for a check, 0 for a search."""
+    if max_len < least:
+        raise InvalidStructure(f"max_len {max_len} is below {least}")

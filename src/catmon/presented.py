@@ -44,7 +44,7 @@ it grows and is refused once they pass ``limits.MAX_COUNT``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import limits
 from .errors import InvalidStructure, NotHomogeneous
@@ -308,10 +308,8 @@ def equal_in_monoid(pres, u, v):
         _encode(pres, v) in _closure(pres, _encode(pres, u), len(u)))
 
 
-@dataclass(frozen=True)
-class AtomsReport:
-    atoms: tuple
-    identified_classes: tuple
+class AtomsReport(namedtuple("AtomsReport", "atoms identified_classes")):
+    __slots__ = ()
 
     @property
     def all_distinct(self):
@@ -370,6 +368,7 @@ def common_right_multiple(pres, xs, max_len=8):
     xs = [_word(pres, x) for x in xs]
     if not xs:
         raise InvalidStructure("empty family")
+    limits.require_bound(max_len, 0)
     full = (1 << len(xs)) - 1
     head = xs[0]
     if len(head) > max_len:
@@ -409,13 +408,10 @@ def common_right_multiple(pres, xs, max_len=8):
     return None
 
 
-@dataclass(frozen=True)
-class M6Report:
-    relation_checks: tuple
-    relations_hold: bool
-    checked_length: int
-    class_count: int
-    injective: bool
+class M6Report(namedtuple(
+        "M6Report", "relation_checks relations_hold checked_length"
+        " class_count injective")):
+    __slots__ = ()
 
 
 M6_SUBSTITUTION = {
@@ -463,6 +459,7 @@ def verify_m6_embedding(max_len=5):
     counted, and their images taken as the shorter class's extended by
     each letter's.  The substitution is injective on the classes when the
     set of images is as large as the class count."""
+    limits.require_bound(max_len, 1)
     pres = m6_presentation()
     checks = []
     for lhs, rhs in pres.relations:

@@ -10,8 +10,7 @@ and its presentation as a filter of that table.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .category import FiniteCategory
 from .errors import HeightTooSmall, InvalidStructure, NotComparable, NotExtreme
@@ -20,11 +19,8 @@ from .poset import _members
 from .presented import MonoidPresentation
 
 
-@dataclass(frozen=True)
-class Spindle:
-    u: str
-    v: str
-    chains: tuple
+class Spindle(namedtuple("Spindle", "u v chains")):
+    __slots__ = ()
 
 
 def chain_arrow_name(chain):

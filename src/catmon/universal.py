@@ -12,13 +12,13 @@ the caller names.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .category import _endpoint_of
 from .errors import (CategoryMismatch, EmptyElement, EmptyFamily,
                      InvalidStructure, NotCancellative, NotConical,
                      NotAGenerator, SourceMismatch, TargetMismatch)
-from .limits import require
+from .limits import require, require_bound
 from .poset import _greatest
 
 DROP = "dropIdentity"
@@ -91,9 +91,8 @@ def _reduced(category, arrows):
     return seq
 
 
-@dataclass(frozen=True)
-class RewriteTrace:
-    steps: tuple
+class RewriteTrace(namedtuple("RewriteTrace", "steps")):
+    __slots__ = ()
 
     def replay(self, category, raw):
         """Re-apply the recorded steps to a raw sequence."""
@@ -397,5 +396,6 @@ def elements_up_to(cat, max_len):
     Refused with SizeLimitExceeded, before any is built, when there are
     more than ``limits.MAX_COUNT`` of them.
     """
+    require_bound(max_len, 0)
     return [_reduced(cat, arrows) for arrows, _ in
             _element_walk(cat, max_len, None, lambda state, f: None)]

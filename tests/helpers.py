@@ -10,6 +10,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from catmon import (
     FiniteCategory,
     FreeAbelianWord,
@@ -850,3 +852,21 @@ def rational_rank(generators, relators):
         rank += 1
         pivot_col += 1
     return rank
+
+
+def assert_record(cls, **fields):
+    """Check the contract of a catmon record type on one value per field,
+    given in field order: built by position and by name alike, its repr
+    ``Name(field=value, ...)``, each field read back, and nothing
+    assignable.  Returns the record."""
+    record = cls(**fields)
+    assert record == cls(*fields.values())
+    shown = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+    assert repr(record) == f"{cls.__name__}({shown})"
+    for name, value in fields.items():
+        assert getattr(record, name) is value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    return record

@@ -25,6 +25,7 @@ from catmon.formats import dump_category, load_category, load_poset
 from catmon.interval import _interval_walk
 
 from helpers import (
+    assert_record,
     brute_cancellation_witness,
     brute_conical_witness,
     cyclic_category,
@@ -492,3 +493,13 @@ def test_internal_builders_trust_their_tables(monkeypatch):
         FiniteCategory(cat.objects, cat._endpoints, cat.identity, cat.comp)
     with pytest.raises(AssertionError, match="validated"):
         spindle_category(diamond, detect_spindle(diamond, "o", "i"))
+
+
+def test_gcd_category_report_is_a_record():
+    report = assert_record(GcdCategoryReport, conical=True,
+                           left_cancellative=True, right_cancellative=True,
+                           left_gcds=True, right_gcds=True, witnesses={})
+    assert report.holds
+    assert not GcdCategoryReport(True, True, True, False, True,
+                                 {"left_gcds": ("a", "b")}).holds
+    assert make_category(["x"], [], {}).gcd_category_report().holds

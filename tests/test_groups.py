@@ -5,6 +5,7 @@ import pytest
 
 from catmon import (
     CategoryFunctor,
+    EmbeddabilityReport,
     FreeAbelianWord,
     FreeGroupWord,
     FreeProductWord,
@@ -31,6 +32,7 @@ from catmon.formats import load_category, load_functor
 from catmon.groups import SeparationReport, _sigma
 
 from helpers import (
+    assert_record,
     labeled_posets,
     posets_up_to,
     random_category_bounded,
@@ -554,3 +556,35 @@ def test_embed_check_reports_merged_sigma_words(monkeypatch, capsys):
     assert capsys.readouterr().out == (
         "functorial: YES  separating: YES  verdict: Um(S) embeds into a "
         "group  sigma-injective up to 3: NO\n")
+
+
+def test_group_records_keep_their_contract():
+    spec = assert_record(GroupSpec, kind="zn", letters=(), n=3, factors=())
+    assert GroupSpec("zn", n=3) == GroupSpec.zn(3) == spec
+    free = GroupSpec("free")
+    assert (free.letters, free.n, free.factors) == ((), 0, ())
+    assert {GroupSpec.zn(3): "z3"}[GroupSpec("zn", n=3)] == "z3"
+    assert GroupSpec.free("ab") != GroupSpec.free("ba")
+    separation = assert_record(SeparationReport, functorial=True,
+                               separating=True, violating_pair=None)
+    assert separation.holds
+    assert not SeparationReport(True, False, ("a", "b")).holds
+    assert_record(EmbeddabilityReport, separation=separation, embeds=True,
+                  verdict="Um(S) embeds into a group", checked_length=3,
+                  sigma_injective=True)
+    _, functor = c6_setup()
+    assert repr(embeddability_verdict(functor, 3)) == (
+        "EmbeddabilityReport(separation=SeparationReport(functorial=True, "
+        "separating=True, violating_pair=None), embeds=True, "
+        "verdict='Um(S) embeds into a group', checked_length=3, "
+        "sigma_injective=True)")
+
+
+def test_embeddability_verdict_refuses_a_bound_below_one():
+    # a check up to length 0 checks no element and would answer a vacuous
+    # yes
+    _, functor = c6_setup()
+    for max_len in (0, -2):
+        with pytest.raises(InvalidStructure, match=f"max_len {max_len} "):
+            embeddability_verdict(functor, max_len)
+    assert embeddability_verdict(functor, 1).sigma_injective

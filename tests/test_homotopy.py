@@ -3,7 +3,9 @@ import random
 import pytest
 
 from catmon import (
+    CrossCheckReport,
     Disconnected,
+    FloatingDecomposition,
     InvalidStructure,
     Poset,
     SimplicialComplex,
@@ -17,8 +19,9 @@ from catmon import (
     tietze_collapse,
 )
 
-from helpers import (brute_bfs_tree, brute_connected, labeled_complexes,
-                     labeled_posets, posets_up_to, random_complex)
+from helpers import (assert_record, brute_bfs_tree, brute_connected,
+                     labeled_complexes, labeled_posets, posets_up_to,
+                     random_complex)
 
 SQUARE = SimplicialComplex([("1", "2"), ("2", "3"), ("3", "4"), ("1", "4")])
 TRIANGLE = SimplicialComplex([("x", "y", "z")])
@@ -169,3 +172,16 @@ def test_cross_check_routes_agree():
     assert report.agree is True
     with pytest.raises(Disconnected):
         cross_check(Poset("ab", []))
+
+
+def test_homotopy_records_keep_their_contract():
+    tree = assert_record(SpanningTree, root="1", edges=(("1", "2"),))
+    dec = assert_record(FloatingDecomposition, tree=tree, tree_edge_count=1,
+                        pi1=floating_presentation(TRIANGLE),
+                        total_free_rank=None)
+    assert_record(CrossCheckReport, decomposition=dec, hg_free_rank=None,
+                  abelianization_rank=2, agree=None)
+    report = cross_check(DIAMOND)
+    assert report.decomposition == floating_decomposition(
+        chain_complex(DIAMOND))
+    assert report.agree

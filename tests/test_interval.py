@@ -7,6 +7,7 @@ import catmon.interval
 import catmon.poset
 from catmon import (
     FreeGroupWord,
+    GcdCriterionReport,
     GroupSpec,
     IntervalFunctor,
     InvalidStructure,
@@ -28,8 +29,9 @@ from catmon import (
     unit,
 )
 
-from helpers import (labeled_posets, poset_classes, posets_up_to, random_complex,
-                     random_element, random_poset, reference_gcd_criterion,
+from helpers import (assert_record, labeled_posets, poset_classes,
+                     posets_up_to, random_complex, random_element,
+                     random_poset, reference_gcd_criterion,
                      reference_interval_category)
 
 DIAMOND = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
@@ -252,3 +254,11 @@ def test_isotone_map_rejects_bad_maps():
     with pytest.raises(NotIsotone):
         IsotoneMap(DIAMOND, chain,
                    {"o": "0", "a": "1", "b": "zzz", "i": "2"})
+
+
+def test_gcd_criterion_report_is_a_record():
+    report = assert_record(GcdCriterionReport, left_ok=True, right_ok=False,
+                           witnesses={"right": ("s", "p", "q")})
+    assert not report.holds
+    assert GcdCriterionReport(True, True, {}).holds
+    assert gcd_criterion(DIAMOND).holds

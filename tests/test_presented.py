@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from catmon import (
+    AtomsReport,
     InvalidStructure,
+    M6Report,
     MonoidPresentation,
     NotHomogeneous,
     SizeLimitExceeded,
@@ -24,6 +26,7 @@ from catmon import limits
 from catmon.formats import load_monoid
 from catmon.presented import _decode, _encode, _grow, _m6_image
 from helpers import (
+    assert_record,
     reference_class_walk,
     reference_common_right_multiple,
     reference_m6_classes,
@@ -454,7 +457,7 @@ def test_m6_walk_fans_out_its_last_layer(monkeypatch):
 def test_crm_and_m6_match_reference_walk():
     """crm on 996 families over c6, m6 and b3 (a generator and a word of
     one or two letters either way round, and three distinct generators),
-    with bounds 3 to 5, and the m6 check up to length 6, agree with the
+    with bounds 3 to 5, and the m6 check for lengths 1 to 6, agree with the
     same searches over the reference walk."""
     families = []
     for pres in (c6_presentation(), m6_presentation(),
@@ -475,10 +478,12 @@ def test_crm_and_m6_match_reference_walk():
             (pres.relations, xs, max_len)
         found += got is not None
     assert found == 208
-    for n in range(7):
+    for n in range(1, 7):
         report = verify_m6_embedding(n)
         assert (report.class_count, report.injective) == \
             reference_m6_classes(n)
+    with pytest.raises(InvalidStructure):
+        verify_m6_embedding(0)
 
 
 def test_crm_tests_a_later_divisor_as_long_as_the_layer():
@@ -697,3 +702,27 @@ def test_class_walks_are_refused_at_the_first_layer_past_the_guard(
     with pytest.raises(SizeLimitExceeded, match=r"2\*\*7 classes"):
         common_right_multiple(free, [("a",), ("b",)], 30)
     assert len(grown) == 126
+
+
+def test_presented_records_keep_their_contract():
+    report = assert_record(AtomsReport, atoms=("a", "b", "c"),
+                           identified_classes=(("a", "b"),))
+    assert not report.all_distinct
+    assert atoms(c6_presentation()).all_distinct
+    assert_record(M6Report, relation_checks=(), relations_hold=True,
+                  checked_length=2, class_count=40, injective=True)
+    assert verify_m6_embedding(2) == M6Report(
+        verify_m6_embedding(1).relation_checks, True, 2, 40, True)
+
+
+def test_bounds_below_their_floor_are_refused():
+    # no vacuous answer from a nonsensical bound: the m6 check needs a
+    # length of 1 or more, a search one of 0 or more
+    for max_len in (0, -1):
+        with pytest.raises(InvalidStructure, match=f"max_len {max_len} "):
+            verify_m6_embedding(max_len)
+    c6 = c6_presentation()
+    with pytest.raises(InvalidStructure, match="max_len -1 "):
+        common_right_multiple(c6, [()], -1)
+    assert common_right_multiple(c6, [()], 0) == ()
+    assert common_right_multiple(c6, [("a",)], 0) is None

@@ -8,6 +8,7 @@ from catmon import (
     NotComparable,
     NotExtreme,
     Poset,
+    Spindle,
     chain_arrow_name,
     detect_spindle,
     gcd_criterion,
@@ -18,8 +19,9 @@ from catmon import (
     spindle_presentation,
 )
 
-from helpers import (natural_posets, posets_up_to, random_poset,
-                     reference_spindle_category, reference_spindle_presentation)
+from helpers import (assert_record, natural_posets, posets_up_to,
+                     random_poset, reference_spindle_category,
+                     reference_spindle_presentation)
 
 DIAMOND = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
 CHAIN3 = Poset("012", [("0", "1"), ("1", "2")])
@@ -244,3 +246,10 @@ def test_presentation_relations_hold_in_spindle_monoid():
                 reduce_sequence(cat, list(rhs))[0]
     assert len(spindle_presentation(
         CHAIN4, detect_spindle(CHAIN4, "o", "i")).relations) == 2
+
+
+def test_spindle_is_a_record_and_a_key():
+    chains = (("o", "a", "i"), ("o", "b", "i"))
+    spindle = assert_record(Spindle, u="o", v="i", chains=chains)
+    assert detect_spindle(DIAMOND, "o", "i") == spindle
+    assert {spindle: "diamond"}[Spindle("o", "i", chains)] == "diamond"

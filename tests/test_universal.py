@@ -15,6 +15,7 @@ from catmon import (
     NotConical,
     Poset,
     ReducedSeq,
+    RewriteTrace,
     SizeLimitExceeded,
     SourceMismatch,
     TargetMismatch,
@@ -37,6 +38,7 @@ from catmon import (
 from catmon.cli import main
 
 from helpers import (
+    assert_record,
     brute_divides,
     brute_gcd,
     divisibility_tables,
@@ -512,3 +514,18 @@ def test_element_guard_counts_exactly(monkeypatch):
                                    match=f"^{size} elements "):
                     elements_up_to(cat, n)
             monkeypatch.undo()
+
+
+def test_rewrite_trace_is_a_record():
+    trace = assert_record(RewriteTrace, steps=((0, "compose"),))
+    _, made = reduce_sequence(DCAT, ["[o,a]", "[a,i]"])
+    assert made == trace
+    assert trace.replay(DCAT, ["[o,a]", "[a,i]"]) == ReducedSeq(
+        DCAT, ("[o,i]",))
+
+
+def test_elements_up_to_refuses_a_negative_bound():
+    for max_len in (-1, -2):
+        with pytest.raises(InvalidStructure, match=f"max_len {max_len} "):
+            elements_up_to(DCAT, max_len)
+    assert [str(x) for x in elements_up_to(DCAT, 0)] == ["1"]
