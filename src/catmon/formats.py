@@ -14,7 +14,6 @@ from .errors import ParseError
 from .groups import (CategoryFunctor, FreeAbelianWord, FreeGroupWord,
                      GroupSpec)
 from .interval import IsotoneMap
-from .limits import require
 from .poset import Poset
 from .presentations import GroupPresentation, format_word, parse_word
 from .presented import MonoidPresentation
@@ -191,9 +190,9 @@ def dump_monoid(pres):
 # -- functor -------------------------------------------------------------------
 
 def parse_functor(text, name="<functor>"):
-    """Raw parse: (target descriptor tokens, [(lineno, arrow, value
-    tokens)]), with at most one image per arrow.  A ``zn`` dimension is a
-    nonnegative integer, priced against ``limits.MAX_COUNT``."""
+    """Raw parse: (target GroupSpec, [(lineno, arrow, value tokens)]),
+    with at most one image per arrow.  A ``zn`` dimension is a nonnegative
+    integer, priced against ``limits.MAX_COUNT`` by ``GroupSpec.zn``."""
     rows = _header(_rows(text, name), "functor", name)
     target = None
     images = []
@@ -209,10 +208,9 @@ def parse_functor(text, name="<functor>"):
                     n = -1  # refused below, as a negative one is
                 if n < 0:
                     _fail(name, lineno, f"bad dimension {tokens[2]!r}")
-                require(n, "dimensions of target zn")
-                target = ("zn", n)
+                target = GroupSpec.zn(n)
             elif tokens[1:2] == ["free"]:
-                target = ("free", tuple(tokens[2:]))
+                target = GroupSpec.free(tokens[2:])
             else:
                 _fail(name, lineno, "expected 'target zn <n>' or "
                                     "'target free <letters>'")
@@ -230,11 +228,7 @@ def parse_functor(text, name="<functor>"):
 
 
 def load_functor(text, category, name="<functor>"):
-    target, image_rows = parse_functor(text, name)
-    if target[0] == "zn":
-        spec = GroupSpec.zn(target[1])
-    else:
-        spec = GroupSpec.free(target[1])
+    spec, image_rows = parse_functor(text, name)
     images = {}
     for lineno, arrow, tokens in image_rows:
         if spec.kind == "zn":

@@ -8,20 +8,25 @@ When ψ is injective on every hom-set, the expanded images multiply to
 distinct free-product normal forms on distinct reduced sequences, so the
 word map σ is injective.
 
-Words are checked once, by the public constructors ``FreeGroupWord``,
-``FreeAbelianWord`` and ``FreeProductWord``: input from outside (files,
-``inject``, the tests) goes through them.  Products and inverses of valid
-words of one group are valid, so ``group_product`` (the identity is its
-empty product) and ``inverse`` build their results with ``_word`` and
-check nothing again.  A word hashes only its payload, on first use, and
-keeps the hash in a slot: a product shares its operands' factor words, so
-hashing it hashes only the syllables it made.  Equality also compares the
-group.
+A word is its group and a payload, its normal form as plain data: a free
+word's ``letters`` tuple of (letter, ±1), a ``zn`` word's ``vector``, and
+for a free product a tuple of (factor index, factor payload) pairs, one per
+syllable, nested for products of products.  Words are checked once, by the
+public constructors ``FreeGroupWord``, ``FreeAbelianWord`` and
+``FreeProductWord``: input from outside (files, ``inject``, the tests) goes
+through them.  One kernel, ``_times``, multiplies two payloads (``_fold``
+runs it along a sequence), and ``_invert`` inverts one.  Products and
+inverses of valid words of one group are valid, so ``group_product`` (the
+identity is its empty product) and ``inverse`` wrap their results with
+``_word`` and check nothing again.  A word hashes as its payload and
+compares as its group and payload: these hold only tuples, strings and
+ints, so neither calls back into a factor word.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from operator import add
 
 from .errors import (GroupMismatch, InvalidStructure, MissingImage,
                      SeparationRequired)
@@ -53,10 +58,38 @@ class GroupSpec(namedtuple(
         return group_product(self, ())
 
 
-class FreeGroupWord:
+class _Word:
+    """A word of the group ``spec``, held as its payload."""
+
+    __slots__ = ("spec", "payload")
+
+    def __setattr__(self, *_):
+        raise AttributeError("immutable")
+
+    def is_identity(self):
+        return not self.payload
+
+    def inverse(self):
+        return _word(self.spec, _invert(self.spec, self.payload))
+
+    def __eq__(self, other):
+        return (isinstance(other, _Word) and self.spec == other.spec
+                and self.payload == other.payload)
+
+    def __hash__(self):
+        return hash(self.payload)
+
+
+# Slot setters: they get past _Word.__setattr__, which forbids mutation.
+_set_spec = _Word.spec.__set__
+_set_payload = _Word.payload.__set__
+
+
+class FreeGroupWord(_Word):
     """A reduced word in a free group: tuple of (letter, ±1)."""
 
-    __slots__ = ("spec", "letters", "_hash")
+    __slots__ = ()
+    letters = _Word.payload  # the payload slot, under its own name
 
     def __init__(self, spec, letters):
         if spec.kind != "free":
@@ -66,39 +99,20 @@ class FreeGroupWord:
         for g, _ in letters:
             if g not in alphabet:
                 raise InvalidStructure(f"letter {g!r} not in the alphabet")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "letters", free_reduce(letters))
-
-    def __setattr__(self, *_):
-        raise AttributeError("immutable")
-
-    def is_identity(self):
-        return not self.letters
-
-    def inverse(self):
-        return _word(FreeGroupWord, self.spec, "letters",
-                     invert_word(self.letters))
-
-    def __eq__(self, other):
-        return (isinstance(other, FreeGroupWord) and self.spec == other.spec
-                and self.letters == other.letters)
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            return _keep_hash(self, self.letters)
+        _set_spec(self, spec)
+        _set_payload(self, free_reduce(letters))
 
     def __str__(self):
-        return format_word(self.letters)
+        return format_word(self.payload)
 
     __repr__ = __str__
 
 
-class FreeAbelianWord:
+class FreeAbelianWord(_Word):
     """An element of Z^n as an integer vector."""
 
-    __slots__ = ("spec", "vector", "_hash")
+    __slots__ = ()
+    vector = _Word.payload  # the payload slot, under its own name
 
     def __init__(self, spec, vector):
         if spec.kind != "zn":
@@ -106,40 +120,24 @@ class FreeAbelianWord:
         vector = tuple(int(v) for v in vector)
         if len(vector) != spec.n:
             raise InvalidStructure(f"vector length {len(vector)} != {spec.n}")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "vector", vector)
-
-    def __setattr__(self, *_):
-        raise AttributeError("immutable")
+        _set_spec(self, spec)
+        _set_payload(self, vector)
 
     def is_identity(self):
-        return not any(self.vector)
-
-    def inverse(self):
-        return _word(FreeAbelianWord, self.spec, "vector",
-                     tuple(-v for v in self.vector))
-
-    def __eq__(self, other):
-        return (isinstance(other, FreeAbelianWord) and self.spec == other.spec
-                and self.vector == other.vector)
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            return _keep_hash(self, self.vector)
+        return not any(self.payload)
 
     def __str__(self):
-        return "(" + ",".join(str(v) for v in self.vector) + ")"
+        return "(" + ",".join(str(v) for v in self.payload) + ")"
 
     __repr__ = __str__
 
 
-class FreeProductWord:
+class FreeProductWord(_Word):
     """Normal form in a free product: alternating nontrivial syllables,
-    each a word of one factor, tagged with the factor index."""
+    each a word of one factor, tagged with the factor index.  The payload
+    holds each syllable as (factor index, factor payload)."""
 
-    __slots__ = ("spec", "syllables", "_hash")
+    __slots__ = ()
 
     def __init__(self, spec, syllables):
         if spec.kind != "product":
@@ -156,56 +154,95 @@ class FreeProductWord:
             if prev == i:
                 raise InvalidStructure("adjacent syllables in one factor")
             prev = i
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "syllables", sylls)
+        _set_spec(self, spec)
+        _set_payload(self, tuple((i, w.payload) for i, w in sylls))
 
-    def __setattr__(self, *_):
-        raise AttributeError("immutable")
-
-    def is_identity(self):
-        return not self.syllables
-
-    def inverse(self):
-        sylls = tuple((i, w.inverse()) for i, w in reversed(self.syllables))
-        return _word(FreeProductWord, self.spec, "syllables", sylls)
-
-    def __eq__(self, other):
-        return (isinstance(other, FreeProductWord) and self.spec == other.spec
-                and self.syllables == other.syllables)
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            return _keep_hash(self, self.syllables)
+    @property
+    def syllables(self):
+        """The syllables as (factor index, factor word) pairs, read off
+        the payload."""
+        factors = self.spec.factors
+        return tuple((i, _word(factors[i], s)) for i, s in self.payload)
 
     def __str__(self):
-        if not self.syllables:
+        if not self.payload:
             return "1"
         return " ".join(str(w) for _, w in self.syllables)
 
     __repr__ = __str__
 
 
-def _keep_hash(word, payload):
-    """Hash payload and keep the hash in word's slot."""
-    h = hash(payload)
-    object.__setattr__(word, "_hash", h)
-    return h
+_WORD_CLASS = {"free": FreeGroupWord, "zn": FreeAbelianWord,
+               "product": FreeProductWord}
 
 
-def _word(cls, spec, field, value):
-    """A word of class ``cls`` over ``spec`` with payload ``field = value``,
-    unchecked.
+def _word(spec, payload):
+    """The word of ``spec`` with this payload, unchecked.
 
-    Use only where ``value`` is built from parts of valid words of ``spec``:
-    a product or inverse of such words is valid.  Input from outside goes
-    through the class's constructor, which checks all of it.
+    Use only where ``payload`` is built from payloads of valid words of
+    ``spec``: a product or inverse of such words is valid.  Input from
+    outside goes through the class's constructor, which checks all of it.
     """
-    word = object.__new__(cls)
-    object.__setattr__(word, "spec", spec)
-    object.__setattr__(word, field, value)
+    word = object.__new__(_WORD_CLASS[spec.kind])
+    _set_spec(word, spec)
+    _set_payload(word, payload)
     return word
+
+
+def _times(spec, a, b):
+    """The payload of the normal-form product of payloads a and b of
+    ``spec``.
+
+    The one product kernel.  Vectors add.  A free word or a free-product
+    word in normal form never reduces inside itself, so only the seam
+    between a and b is worked: inverse letters that meet there cancel, and
+    syllables of one factor that meet there merge by that factor's product.
+    A cancelled letter, or a merged syllable that vanishes, exposes the next
+    pair, so the seam works inwards until a pair neither cancels nor
+    vanishes.
+    """
+    kind = spec.kind
+    if kind == "zn":
+        return tuple(map(add, a, b))
+    k, j = len(a), 0
+    if kind == "free":
+        while k and j < len(b) and a[k - 1] == (b[j][0], -b[j][1]):
+            k -= 1
+            j += 1
+        return a[:k] + b[j:]
+    factors = spec.factors
+    while k and j < len(b) and a[k - 1][0] == b[j][0]:
+        i = b[j][0]
+        factor = factors[i]
+        merged = _times(factor, a[k - 1][1], b[j][1])
+        k -= 1
+        j += 1
+        if merged and (factor.kind != "zn" or any(merged)):  # not trivial
+            return a[:k] + ((i, merged),) + b[j:]
+    return a[:k] + b[j:]
+
+
+def _fold(spec, payloads):
+    """The payload of the product of a sequence of payloads of ``spec``:
+    ``_times`` folded left from the identity."""
+    kind = spec.kind
+    if kind not in _WORD_CLASS:
+        raise InvalidStructure(f"unknown group kind {kind!r}")
+    out = (0,) * spec.n if kind == "zn" else ()
+    for p in payloads:
+        out = _times(spec, out, p)
+    return out
+
+
+def _invert(spec, payload):
+    """The payload of the inverse of a payload of ``spec``."""
+    kind = spec.kind
+    if kind == "free":
+        return invert_word(payload)
+    if kind == "zn":
+        return tuple(-v for v in payload)
+    factors = spec.factors
+    return tuple((i, _invert(factors[i], s)) for i, s in reversed(payload))
 
 
 def group_multiply(a, b):
@@ -216,39 +253,17 @@ def group_multiply(a, b):
 def group_product(spec, words):
     """Normal-form product of a sequence of words of the group ``spec``.
 
-    The one product kernel.  Words are checked once, by the public
-    constructors; a product of valid words of one group is valid, so it is
-    built without re-checking.  Only each operand's group is checked here.
-    Then the product is folded in one pass: one free reduction of the
-    joined letters, one vector sum, or one syllable list in which
-    neighbours of one factor merge by that factor's product (a trivial
-    merge is dropped).  The word is built once, at the end.
+    Words are checked once, by the public constructors; a product of valid
+    words of one group is valid, so it is built without re-checking.  Only
+    each operand's group is checked here.  Then ``_fold`` multiplies the
+    payloads in one pass, and the word is built once, at the end.
     """
-    words = tuple(words)
+    payloads = []
     for w in words:
         if w.spec is not spec and w.spec != spec:
             raise GroupMismatch("operands live in different groups")
-    kind = spec.kind
-    if kind == "free":
-        return _word(FreeGroupWord, spec, "letters",
-                     free_reduce([g for w in words for g in w.letters]))
-    if kind == "zn":
-        vector = (tuple(map(sum, zip(*(w.vector for w in words))))
-                  if words else (0,) * spec.n)
-        return _word(FreeAbelianWord, spec, "vector", vector)
-    if kind == "product":
-        factors = spec.factors
-        sylls = []
-        for w in words:
-            for i, s in w.syllables:
-                if sylls and sylls[-1][0] == i:
-                    merged = group_product(factors[i], (sylls.pop()[1], s))
-                    if not merged.is_identity():
-                        sylls.append((i, merged))
-                else:
-                    sylls.append((i, s))
-        return _word(FreeProductWord, spec, "syllables", tuple(sylls))
-    raise InvalidStructure(f"unknown group kind {kind!r}")
+        payloads.append(w.payload)
+    return _word(spec, _fold(spec, payloads))
 
 
 def inject(product_spec, factor_index, word):
@@ -367,8 +382,8 @@ class EmbeddabilityReport(namedtuple(
     __slots__ = ()
 
 
-# The key of a σ word in the verdict's walk; a module name so that a test can
-# make every key collide.
+# The key of a σ payload in the verdict's walk; a module name so that a test
+# can make every key collide.
 _sigma_key = hash
 
 
@@ -379,13 +394,14 @@ def embeddability_verdict(functor, max_len=3):
 
     The elements are counted before any is built: past the size guard of
     ``universal._element_walk`` this raises ``SizeLimitExceeded``.  Then
-    they are walked one letter at a time, each carrying its σ word:
-    σ(x·f) is the product of σ(x) and ψ'(f), so no image is multiplied out
-    from its letters, and only the layer being extended keeps its words.
-    ``seen`` maps the hash of each σ word to the arrows of its element.  On
-    a hit, σ of the stored element is rebuilt and compared exactly: equal
-    words of distinct elements answer no, and a word that only shares a
-    hash is kept whole in ``spilled``, which later words also probe.
+    they are walked one letter at a time, each carrying the payload of its
+    σ word, not a word object: σ(x·f) is the product of σ(x) and ψ'(f), one
+    ``_times`` of two payloads, so no image is multiplied out from its
+    letters, and only the layer being extended keeps its payloads.
+    ``seen`` maps the hash of each σ payload to the arrows of its element.
+    On a hit, σ of the stored element is rebuilt and compared exactly: equal
+    payloads of distinct elements answer no, and a payload that only shares
+    a hash is kept whole in ``spilled``, which later payloads also probe.
     """
     from .universal import _element_walk
     require_bound(max_len, 1)
@@ -395,25 +411,26 @@ def embeddability_verdict(functor, max_len=3):
                                    "criterion not satisfied by this functor",
                                    max_len, None)
     expanded = functor._expansion
-    prod, images = expanded.target, expanded.images
+    prod = expanded.target
+    images = {f: w.payload for f, w in expanded.images.items()}
 
-    def times(w, f):
-        return group_product(prod, (w, images[f]))
+    def times(p, f):
+        return _times(prod, p, images[f])
 
     key = _sigma_key
     seen = {}
     spilled = set()
     injective = True
-    for arrows, w in _element_walk(functor.category, max_len,
-                                   prod.identity(), times):
-        k = key(w)
+    for arrows, p in _element_walk(functor.category, max_len,
+                                   _fold(prod, ()), times):
+        k = key(p)
         first = seen.get(k)
         if first is None:
             seen[k] = arrows
-        elif w in spilled or _sigma(functor, first) == w:
+        elif p in spilled or _sigma(functor, first).payload == p:
             injective = False
             break
         else:
-            spilled.add(w)
+            spilled.add(p)
     return EmbeddabilityReport(report, True, "Um(S) embeds into a group",
                                max_len, injective)

@@ -289,12 +289,15 @@ def _class_walk(pres, digits, cls, n, state, carry, layers):
 
 
 def congruence_class(pres, word):
-    """All words equal to the given one modulo the relations (finite orbit)."""
+    """All words equal to the given one modulo the relations (finite orbit).
+
+    Each code is popped from the closure as it is decoded, so the codes
+    and the decoded words are never both held in full."""
     _require_homogeneous(pres)
     w = _word(pres, word)
     n = len(w)
-    return frozenset(_decode(pres, c, n)
-                     for c in _closure(pres, _encode(pres, w), n))
+    codes = _closure(pres, _encode(pres, w), n)
+    return frozenset(_decode(pres, codes.pop(), n) for _ in range(len(codes)))
 
 
 def equal_in_monoid(pres, u, v):

@@ -361,6 +361,52 @@ def _payload(w):
     return w.spec, w.vector
 
 
+def _random_word(rng, spec):
+    """A random word of spec, built by the public constructors."""
+    if spec.kind == "free":
+        return FreeGroupWord(spec, [(rng.choice(spec.letters),
+                                     rng.choice((1, -1)))
+                                    for _ in range(rng.randint(0, 4))])
+    if spec.kind == "zn":
+        return FreeAbelianWord(spec, [rng.randint(-1, 1)
+                                      for _ in range(spec.n)])
+    word = reference_group_product(spec, [])
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(spec.factors))
+        piece = inject(spec, i, _random_word(rng, spec.factors[i]))
+        word = reference_group_product(spec, [word, piece])
+    return word
+
+
+def _random_spec(rng, depth):
+    """A random group: free on one to three letters, Z^0 to Z^2, or, while
+    depth lasts, a free product of two or three random groups."""
+    roll = rng.randrange(3 if depth else 2)
+    if roll == 0:
+        return GroupSpec.free(rng.sample("opqr", rng.randint(1, 3)))
+    if roll == 1:
+        return GroupSpec.zn(rng.randint(0, 2))
+    return GroupSpec.product(*(_random_spec(rng, depth - 1)
+                               for _ in range(rng.randint(2, 3))))
+
+
+def _check_product(spec, words):
+    """group_product and inverse of words of spec agree with the reference
+    fold built by the public constructors; returns the product."""
+    got = group_product(spec, words)
+    want = reference_group_product(spec, words)
+    assert got == want and hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert _payload(got) == _payload(want)
+    assert type(got) is type(want)
+    if len(words) == 2:
+        assert group_multiply(*words) == want
+    inv = got.inverse()
+    assert _payload(inv) == _payload(reference_inverse(want))
+    assert group_product(spec, [got, inv]).is_identity()
+    return got
+
+
 def test_group_product_matches_the_pairwise_fold():
     rng = random.Random(14)
     free = GroupSpec.free(("o", "p", "q"))
@@ -368,45 +414,53 @@ def test_group_product_matches_the_pairwise_fold():
     inner = GroupSpec.product(free, zn)
     nested = GroupSpec.product(inner, GroupSpec.free(("r",)), zn)
 
-    def random_word(spec):
-        if spec.kind == "free":
-            return FreeGroupWord(spec, [(rng.choice(spec.letters),
-                                         rng.choice((1, -1)))
-                                        for _ in range(rng.randint(0, 4))])
-        if spec.kind == "zn":
-            return FreeAbelianWord(spec, [rng.randint(-1, 1)
-                                          for _ in range(spec.n)])
-        word = reference_group_product(spec, [])
-        for _ in range(rng.randint(0, 3)):
-            i = rng.randrange(len(spec.factors))
-            piece = inject(spec, i, random_word(spec.factors[i]))
-            word = reference_group_product(spec, [word, piece])
-        return word
-
     cases = 0
     for spec in (free, zn, inner, nested):
         for _ in range(150):
-            words = [random_word(spec) for _ in range(rng.randint(0, 5))]
+            words = [_random_word(rng, spec)
+                     for _ in range(rng.randint(0, 5))]
             if rng.random() < 0.3:
                 # the product cancels to the identity
                 words += [reference_inverse(w) for w in reversed(words)]
             elif rng.random() < 0.3:
                 # neighbours cancel down to a merge several syllables deep
-                w = random_word(spec)
+                w = _random_word(rng, spec)
                 words[1:1] = [w, reference_inverse(w)]
-            got = group_product(spec, words)
-            want = reference_group_product(spec, words)
-            assert got == want and hash(got) == hash(want)
-            assert str(got) == str(want)
-            assert _payload(got) == _payload(want)
-            assert type(got) is type(want)
-            if len(words) == 2:
-                assert group_multiply(*words) == want
-            inv = got.inverse()
-            assert _payload(inv) == _payload(reference_inverse(want))
-            assert group_product(spec, [got, inv]).is_identity()
+            _check_product(spec, words)
             cases += 1
     assert cases >= 500
+
+
+def test_payload_kernel_matches_the_reference_on_random_nested_specs():
+    """The kernel over seeded random groups, nested to depth 3, and over
+    free, Z^n, free × Z^n and a product of products: the empty product,
+    products of a single word, identity operands among others, and seams
+    a·b with a = x·y, b = y⁻¹·z, where y's syllables vanish one after the
+    other and expose the pairs behind them."""
+    rng = random.Random(20)
+    free = GroupSpec.free(("o", "p"))
+    zn = GroupSpec.zn(2)
+    specs = [free, zn, GroupSpec.product(free, zn),
+             GroupSpec.product(GroupSpec.product(free, zn),
+                               GroupSpec.product(zn, free), free)]
+    specs += [_random_spec(rng, 3) for _ in range(40)]
+    deep = 0
+    for spec in specs:
+        _check_product(spec, [])
+        for _ in range(25):
+            x, y, z = (_random_word(rng, spec) for _ in range(3))
+            assert _check_product(spec, [x]) == x
+            one = reference_group_product(spec, [])
+            _check_product(spec, [one, x, one, one, z, one])
+            a = reference_group_product(spec, [x, y])
+            b = reference_group_product(spec, [reference_inverse(y), z])
+            got = _check_product(spec, [a, b])
+            assert got == reference_group_product(spec, [x, z])
+            # syllables, or letters of a free word
+            size = [len(_payload(w)[1]) for w in (got, a, b)]
+            if spec.kind != "zn" and size[0] < size[1] + size[2] - 2:
+                deep += 1
+    assert deep >= 100, deep
 
 
 def test_sigma_builds_no_word_through_a_checking_constructor(monkeypatch):
@@ -456,23 +510,59 @@ def test_word_hash_follows_equality():
     assert inject(p1, 0, x) == u and hash(inject(p1, 0, x)) == hash(u)
 
 
-def test_second_hash_of_a_sigma_word_hashes_no_factor(monkeypatch):
+def test_hashing_and_comparing_a_sigma_word_asks_no_factor_word(
+        monkeypatch):
+    """A σ word hashes and compares as its payload, plain nested tuples: no
+    factor word's __hash__ or __eq__ runs, however often it is asked."""
     cat, functor = c6_setup()
-    w = sigma_image(elements_up_to(cat, 3)[-1], functor)
-    first = hash(w)
+    xs = elements_up_to(cat, 3)
+    w, other = sigma_image(xs[-1], functor), sigma_image(xs[-2], functor)
+    twin = FreeProductWord(w.spec, w.syllables)
     calls = []
     for cls in (FreeGroupWord, FreeAbelianWord):
-        def counted(self, _real=cls.__hash__):
-            calls.append(self)
-            return _real(self)
-        monkeypatch.setattr(cls, "__hash__", counted)
-    # seven syllables, each a factor word, none of them hashed again
+        for name in ("__hash__", "__eq__"):
+            def counted(self, *args, _real=getattr(cls, name)):
+                calls.append(self)
+                return _real(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+    # seven syllables, each a factor word, none of them asked
     assert len(w.syllables) == 7
-    assert hash(w) == first
+    for _ in range(2):
+        assert hash(w) == hash(twin) and w == twin and w != other
+        assert len({w: 0, twin: 1, other: 2}) == 2
     assert calls == []
-    # a new word of the same normal form asks each factor word once
-    assert hash(FreeProductWord(w.spec, w.syllables)) == first
-    assert len(calls) == 7
+    # the patched methods do count when a factor word itself is asked
+    hash(w.syllables[1][1])
+    assert len(calls) == 1
+
+
+def test_the_sigma_walk_builds_no_word_per_element(monkeypatch):
+    """The verdict carries payloads through the walk: up to length 3 on c6
+    (1,660 elements) it builds no more words than up to length 1, and at
+    most two, not one per element."""
+    cat, functor = c6_setup()
+    functor._separation
+    functor._expansion
+    built = []
+    real_word, real_init = groups._word, FreeProductWord.__init__
+
+    def unchecked(*args):
+        built.append(args)
+        return real_word(*args)
+
+    def checked(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(groups, "_word", unchecked)
+    monkeypatch.setattr(FreeProductWord, "__init__", checked)
+    counts = []
+    for max_len in (1, 3):
+        del built[:]
+        assert embeddability_verdict(functor, max_len).sigma_injective
+        counts.append(len(built))
+    assert len(elements_up_to(cat, 3)) == 1660
+    assert counts[0] == counts[1] <= 2, counts
 
 
 def _brute_force_injective(functor, max_len):
@@ -516,6 +606,40 @@ def test_sigma_walk_matches_brute_force():
             z = inject(prod, 1, FreeAbelianWord(prod.factors[1], [1]))
             pool = [p, p.inverse(), z, group_multiply(p, z),
                     group_multiply(z, p)]
+            images = {f: rng.choice(pool) for f in cat.non_identities()}
+        functor = _walked(functor, images)
+        for max_len in (1, 3):
+            want = _brute_force_injective(functor, max_len)
+            verdict = embeddability_verdict(functor, max_len)
+            assert verdict.sigma_injective is want, (cat.arrows, images)
+            answers[want] += 1
+    assert answers[True] >= 20 and answers[False] >= 20, answers
+
+
+def test_sigma_walk_matches_brute_force_for_a_free_target():
+    """As above, for functors into the free group on x and y, so that σ
+    lives in Fg(objects) * F(x, y) and every seam the walk merges is one
+    of two free groups: with the expansion of random images of up to two
+    letters, and with random images drawn from a few words of that product,
+    whose x and y syllables meet and cancel across images."""
+    rng = random.Random(21)
+    target = GroupSpec.free(("x", "y"))
+    answers = {True: 0, False: 0}
+    for i in range(60):
+        cat = random_category_bounded(rng, max_elements=150)
+        functor = CategoryFunctor(cat, target, {
+            f: FreeGroupWord(target, [(rng.choice("xy"), rng.choice((1, -1)))
+                                      for _ in range(rng.randint(0, 2))])
+            for f in cat.non_identities()})
+        images = None
+        if i % 2:
+            prod = functor._expansion.target
+            o = inject(prod, 0, FreeGroupWord(prod.factors[0], [
+                (cat.objects[0], 1)]))
+            x, y = (inject(prod, 1, FreeGroupWord(target, [(g, 1)]))
+                    for g in "xy")
+            pool = [x, x.inverse(), group_multiply(y, x),
+                    group_multiply(o, x), group_multiply(x.inverse(), o)]
             images = {f: rng.choice(pool) for f in cat.non_identities()}
         functor = _walked(functor, images)
         for max_len in (1, 3):
