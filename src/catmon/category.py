@@ -343,17 +343,18 @@ class FiniteCategory:
 
     def lcm(self, side, a, b):
         """Least common multiple under side divisibility (for left, the least
-        common right-multiple), or None."""
+        common right-multiple): the first dividing all the others, or None."""
         div = self._side(side)[0]
         self._check(a)
         self._check(b)
-        ai, bi = self._index[a], self._index[b]
-        cand = [i for i in range(len(self.arrows))
-                if div[i] >> ai & 1 and div[i] >> bi & 1]
-        for i in cand:
-            if all(div[j] >> i & 1 for j in cand):
-                return self.arrows[i]
-        return None
+        both = 1 << self._index[a] | 1 << self._index[b]
+        cand, least = 0, -1
+        for i, d in enumerate(div):
+            if d & both == both:
+                cand, least = cand | 1 << i, least & d
+        least &= cand
+        i = (least & -least).bit_length() - 1
+        return self.arrows[i] if least else None
 
     def opposite(self):
         """The opposite category (arrows reversed); cached, involutive."""

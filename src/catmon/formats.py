@@ -60,7 +60,9 @@ def load_poset(text, name="<poset>"):
 
 
 def dump_poset(poset):
-    lines = ["poset", "elem " + " ".join(poset.elements)]
+    lines = ["poset"]
+    if poset.elements:
+        lines.append("elem " + " ".join(poset.elements))
     lines.extend(f"cover {x} {y}" for x, y in poset.covers)
     return "\n".join(lines) + "\n"
 
@@ -126,7 +128,9 @@ def load_category(text, name="<category>"):
 
 
 def dump_category(cat):
-    lines = ["category", "obj " + " ".join(cat.objects)]
+    lines = ["category"]
+    if cat.objects:
+        lines.append("obj " + " ".join(cat.objects))
     for f in cat.non_identities():
         lines.append(f"arrow {f} {cat.src(f)} {cat.tgt(f)}")
     for (f, g) in sorted(cat.comp):
@@ -155,7 +159,7 @@ def dump_presentation(pres):
     if pres.generators:
         lines.append("gen " + " ".join(pres.generators))
     for r in pres.relators:
-        lines.append(("rel " + format_word(r)).rstrip())
+        lines.append("rel " + format_word(r) if r else "rel")
     return "\n".join(lines) + "\n"
 
 

@@ -125,10 +125,12 @@ def cross_check(poset):
     """Compare the homotopy route (floating decomposition of the chain
     complex) with the algebraic route (abelianization rank of the universal
     group of Cat(P)); the two groups are isomorphic, so certified free ranks
-    must agree."""
+    must agree.  Cat(P) is built first, since it is priced before its walk:
+    an over-limit poset is refused before the unpriced homotopy route."""
     from .interval import cat_of_poset
     from .universal import universal_group_presentation
+    cat = cat_of_poset(poset)
     dec = floating_decomposition(chain_complex(poset))
-    ab = universal_group_presentation(cat_of_poset(poset)).abelianization_rank()
+    ab = universal_group_presentation(cat).abelianization_rank()
     agree = None if dec.total_free_rank is None else dec.total_free_rank == ab
     return CrossCheckReport(dec, dec.total_free_rank, ab, agree)

@@ -3,12 +3,12 @@
 Elements are reduced sequences of arrows: no entry is an identity and no two
 consecutive entries are composable.  Any raw sequence rewrites to a unique
 reduced one by dropping identities and composing adjacent composable pairs
-(the rewriting system is confluent), and multiplication is concatenate-then-
-reduce.  Divisibility, gcds, lcms of generators, and the greedy normal form
-are computed by structural criteria on the sequences plus arrow-level
-divisibility in S.  The right-hand versions read each sequence back to
-front, so one prefix criterion serves both sides, with S read on the side
-the caller names.
+(the rewriting system is confluent).  A product of reduced operands rewrites
+only at their seam.  Divisibility, gcds, lcms of generators, and the greedy
+normal form are computed by structural criteria on the sequences plus
+arrow-level divisibility in S.  The right-hand versions read each sequence
+back to front, so one prefix criterion serves both sides, with S read on the
+side the caller names.
 """
 from __future__ import annotations
 
@@ -80,10 +80,10 @@ def _reduced(category, arrows):
 
     Use only where ``arrows`` is reduced by construction: every entry is a
     non-identity arrow of ``category`` and no two neighbours are composable.
-    That holds for pieces of elements already over ``category`` (prefixes
-    and suffixes) and for joins of such pieces at a boundary the caller has
-    shown cannot compose.  Input from outside goes through
-    ``ReducedSeq(...)``, which checks all of it.
+    That holds for pieces of elements already over ``category`` (prefixes,
+    suffixes), for their joins at a boundary the caller has shown cannot
+    compose, and for a rewriting with no redex left.  Input from outside
+    goes through ``ReducedSeq(...)``, which checks all of it.
     """
     seq = object.__new__(ReducedSeq)
     _set_category(seq, category)
@@ -95,16 +95,44 @@ class RewriteTrace(namedtuple("RewriteTrace", "steps")):
     __slots__ = ()
 
     def replay(self, category, raw):
-        """Re-apply the recorded steps to a raw sequence."""
+        """Re-apply the recorded steps to a raw sequence.
+
+        Each step must be a rewrite of the sequence it meets: a
+        (position, kind) pair whose position is an index into it, naming an
+        identity to drop or an entry that composes with the next.  Any other
+        step is refused with InvalidStructure naming it.
+        """
         seq = list(raw)
-        for pos, kind in self.steps:
-            if kind == DROP:
-                del seq[pos]
-            elif kind == COMPOSE:
-                seq[pos:pos + 2] = [category.compose(seq[pos], seq[pos + 1])]
-            else:
-                raise InvalidStructure(f"unknown rewrite step kind {kind!r}")
+        for f in seq:
+            category._check(f)
+        for k, step in enumerate(self.steps):
+            if not _is_rewrite(category, seq, step):
+                raise InvalidStructure(
+                    f"step {k} {step!r} is not a rewrite of "
+                    f"{' '.join(seq) or '1'}")
+            _rewrite(category, seq, *step)
         return ReducedSeq(category, seq)
+
+
+def _is_rewrite(category, seq, step):
+    try:
+        pos, kind = step
+    except (TypeError, ValueError):
+        return False
+    if type(pos) is not int or not 0 <= pos < len(seq):
+        return False
+    if kind == DROP:
+        return category.is_identity(seq[pos])
+    return (kind == COMPOSE and pos + 1 < len(seq)
+            and category.composable(seq[pos], seq[pos + 1]))
+
+
+def _rewrite(category, seq, pos, kind):
+    """Apply one rewrite step, known to be a redex, to the list seq."""
+    if kind == DROP:
+        del seq[pos]
+    else:
+        seq[pos:pos + 2] = [category.comp[(seq[pos], seq[pos + 1])]]
 
 
 def _redexes(category, seq):
@@ -132,17 +160,14 @@ def reduce_sequence(category, raw, rng=None):
         redexes = _redexes(category, seq)
         if not redexes:
             break
-        pos, kind = redexes[0] if rng is None else rng.choice(redexes)
-        if kind == DROP:
-            del seq[pos]
-        else:
-            seq[pos:pos + 2] = [category.compose(seq[pos], seq[pos + 1])]
-        steps.append((pos, kind))
-    return ReducedSeq(category, seq), RewriteTrace(tuple(steps))
+        step = redexes[0] if rng is None else rng.choice(redexes)
+        _rewrite(category, seq, *step)
+        steps.append(step)
+    return _reduced(category, tuple(seq)), RewriteTrace(tuple(steps))
 
 
 def unit(category):
-    return ReducedSeq(category, ())
+    return _reduced(category, ())
 
 
 def generator(category, arrow):
@@ -150,27 +175,26 @@ def generator(category, arrow):
     category._check(arrow)
     if category.is_identity(arrow):
         return unit(category)
-    return ReducedSeq(category, (arrow,))
+    return _reduced(category, (arrow,))
 
 
 def multiply(x, y):
-    """x · y in Um(S): reduce the concatenation."""
+    """x · y in Um(S): facing entries across the seam are composed while they
+    compose.  An identity composite vanishes and exposes the next pair; any
+    other ends the seam, since its ends are the pair's outer ends, which
+    compose with neither neighbour in a reduced operand."""
     cat = x.category
     if cat is not y.category:
         raise CategoryMismatch("operands live over different categories")
     xs, ys = x.arrows, y.arrows
-    if not xs:
-        return y
-    if not ys:
-        return x
-    if cat._analyze()[0] is None:
-        # Conical: at most one composition can fire, at the boundary, and
-        # its composite is no identity and composes with neither neighbour.
-        f, g = xs[-1], ys[0]
-        if cat._endpoints[f][1] == cat._endpoints[g][0]:
-            return _reduced(cat, xs[:-1] + (cat.comp[(f, g)],) + ys[1:])
-        return _reduced(cat, xs + ys)
-    return reduce_sequence(cat, xs + ys)[0]
+    ends, comp, ids = cat._endpoints, cat.comp, cat._identities
+    i, j = len(xs), 0
+    while i and j < len(ys) and ends[xs[i - 1]][1] == ends[ys[j]][0]:
+        h = comp[(xs[i - 1], ys[j])]
+        i, j = i - 1, j + 1
+        if h not in ids:
+            return _reduced(cat, xs[:i] + (h,) + ys[j:])
+    return _reduced(cat, xs[:i] + ys[j:])
 
 
 def product(factors, category=None):
@@ -289,7 +313,7 @@ def gcd_pair(side, x, y):
 def lcm_pair(side, x, y):
     """Least common multiple of two standard generators ε(a), ε(b)."""
     cat = x.category
-    end = cat._side(side)[1]
+    end = _endpoint_of(side)
     if y.category is not cat:
         raise CategoryMismatch("operands live over different categories")
     if x.length != 1 or y.length != 1:

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from catmon import (
+    FiniteCategory,
     GroupPresentation,
     MonoidPresentation,
     ParseError,
@@ -76,6 +77,40 @@ def test_monoid_round_trip():
         assert again.generators == pres.generators
         assert again.relations == pres.relations
         assert dump_monoid(again) == text
+
+
+DUMPERS = {"poset": dump_poset, "complex": dump_complex,
+           "category": dump_category, "presentation": dump_presentation,
+           "monoid": dump_monoid}
+
+
+def assert_round_trip(kind, value):
+    """The dump loads back to a structure that dumps to the same text."""
+    text = DUMPERS[kind](value)
+    again_kind, again = load_any(text)
+    assert again_kind == kind
+    assert DUMPERS[kind](again) == text
+    return again
+
+
+def test_every_dump_loads_back():
+    for path in sorted(DATA.iterdir()):
+        text = path.read_text()
+        kind = sniff_kind(text, path.name)
+        if kind in DUMPERS:
+            assert_round_trip(kind, load_any(text, path.name)[1])
+    assert assert_round_trip("poset", Poset([], [])).elements == ()
+    assert assert_round_trip("category",
+                             FiniteCategory([], {}, {}, {})).arrows == ()
+    monoid = MonoidPresentation([], [])
+    assert assert_round_trip("monoid", monoid).relations == ()
+    pres = GroupPresentation(("x",), [(), (("x", 1),)])
+    assert assert_round_trip("presentation", pres) == pres
+    # An empty relator is not the one-letter relator of a generator "1".
+    one = GroupPresentation(("1",), [(), (("1", 1),), (("1", -1),)])
+    assert assert_round_trip("presentation", one) == one
+    assert assert_round_trip("presentation",
+                             GroupPresentation([], [()])).relators == ((),)
 
 
 def test_category_loader_fills_identity_laws():

@@ -8,6 +8,7 @@ from catmon import (
     FloatingDecomposition,
     InvalidStructure,
     Poset,
+    SizeLimitExceeded,
     SimplicialComplex,
     SpanningTree,
     chain_complex,
@@ -172,6 +173,18 @@ def test_cross_check_routes_agree():
     assert report.agree is True
     with pytest.raises(Disconnected):
         cross_check(Poset("ab", []))
+
+
+def test_cross_check_prices_cat_of_p_before_the_homotopy_route(monkeypatch):
+    from catmon import homotopy
+
+    def unpriced(*args):
+        raise AssertionError("the homotopy route ran before Cat(P) was priced")
+
+    monkeypatch.setattr(homotopy, "floating_decomposition", unpriced)
+    monkeypatch.setenv("CATMON_MAX_ARROWS", "8")  # Cat(diamond) has 9
+    with pytest.raises(SizeLimitExceeded, match="^9 arrows"):
+        cross_check(DIAMOND)
 
 
 def test_homotopy_records_keep_their_contract():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,8 @@ from helpers import (
     assert_record,
     brute_divides,
     brute_gcd,
+    cyclic_category,
+    disjoint_union,
     divisibility_tables,
     idempotent_category,
     pair_groupoid,
@@ -115,6 +118,52 @@ def test_multiply_rejects_mixed_categories():
     other = cat_of_poset(Poset("xy", [("x", "y")]))
     with pytest.raises(CategoryMismatch):
         multiply(unit(DCAT), unit(other))
+
+
+def test_multiply_is_the_reduced_concatenation():
+    # Every conical / cancellative combination, and seams whose identity
+    # composites cascade: r20;r02 and then r01;r10 vanish in pair_groupoid.
+    rng = random.Random(41)
+    cats = [random_category(rng) for _ in range(150)]
+    cats += [pair_groupoid(3), pair_groupoid(4), cyclic_category(4),
+             disjoint_union(cyclic_category(3), idempotent_category())]
+    flags, deepest = set(), 0
+    for cat in cats:
+        flags.add((cat.is_conical(), cat.is_cancellative()))
+        elements = [reduce_sequence(cat, random_raw_sequence(cat, rng, 6))[0]
+                    for _ in range(12)]
+        for x in elements:
+            for y in elements:
+                xy = multiply(x, y)
+                assert xy == reduce_sequence(cat, x.arrows + y.arrows)[0]
+                vanished = (x.length + y.length - xy.length) // 2
+                deepest = max(deepest, vanished)
+    assert flags == {(a, b) for a in (True, False) for b in (True, False)}
+    assert deepest >= 2
+    pg = pair_groupoid(3)
+    x, y = ReducedSeq(pg, ("r01", "r20")), ReducedSeq(pg, ("r02", "r10"))
+    assert multiply(x, y).is_unit
+    z = ReducedSeq(pg, ("r02", "r12"))
+    assert multiply(x, z).arrows == ("r02",)
+
+
+def test_multiply_needs_no_analysis(monkeypatch):
+    from catmon import FiniteCategory, universal
+
+    def refuse(*args):
+        raise AssertionError("multiply must not analyse or rescan")
+
+    chain = cat_of_poset(Poset("012345", [(str(i), str(i + 1))
+                                          for i in range(5)]))
+    pg = pair_groupoid(3)
+    monkeypatch.setattr(FiniteCategory, "_analyze", refuse)
+    monkeypatch.setattr(universal, "reduce_sequence", refuse)
+    x = ReducedSeq(chain, ("[0,2]",))
+    assert multiply(x, ReducedSeq(chain, ("[2,5]",))).arrows == ("[0,5]",)
+    assert multiply(x, ReducedSeq(chain, ("[3,5]",))).length == 2
+    assert multiply(ReducedSeq(pg, ("r01",)),
+                    ReducedSeq(pg, ("r10",))).is_unit
+    assert chain._analysis is None and pg._analysis is None
 
 
 def test_length_laws_for_conical_categories():
@@ -529,3 +578,23 @@ def test_elements_up_to_refuses_a_negative_bound():
         with pytest.raises(InvalidStructure, match=f"max_len {max_len} "):
             elements_up_to(DCAT, max_len)
     assert [str(x) for x in elements_up_to(DCAT, 0)] == ["1"]
+
+
+@pytest.mark.parametrize("step,raw", [
+    ((0, "dropIdentity"), ["[o,a]"]),            # not an identity
+    ((1, "dropIdentity"), ["[o,o]"]),            # past the end
+    ((-1, "dropIdentity"), ["[o,o]"]),           # a negative position
+    ((0, "compose"), ["[o,a]"]),                 # compose at the last entry
+    ((0, "compose"), ["[o,a]", "[b,i]"]),        # not composable
+    ((0, "swap"), ["[o,o]"]),                    # unknown kind
+    (("0", "dropIdentity"), ["[o,o]"]),          # position not an int
+    ((True, "dropIdentity"), ["[o,a]", "[a,a]"]),  # a bool, not an int
+    ((0,), ["[o,o]"]),                           # not a pair
+    (None, ["[o,o]"]),
+], ids=["not-identity", "past-end", "negative", "compose-last",
+        "not-composable", "unknown-kind", "str-position", "bool-position",
+        "short-step", "none-step"])
+def test_replay_refuses_a_step_that_is_not_a_rewrite(step, raw):
+    named = re.escape(f"step 0 {step!r} is not a rewrite of {' '.join(raw)}")
+    with pytest.raises(InvalidStructure, match=f"^{named}$"):
+        RewriteTrace((step,)).replay(DCAT, raw)
