@@ -9,7 +9,9 @@ Divisibility is arrow-level: ``a`` left-divides ``b`` when ``b = a;x`` for
 some ``x``, and right-divides when ``b = x;a``.  Each divisibility method
 (``divides``, ``divisors``, ``quotient``, ``gcd``, ``lcm``) takes the side
 first, ``"left"`` or ``"right"``, and runs one algorithm on that side's
-per-arrow divisor bitmasks and fibres.
+per-arrow divisor bitmasks and fibres.  ``quotient`` and ``lcm`` check their
+arrows and then run a private scan, ``_quotient`` or ``_lcm``, which the
+Um(S) kernels call directly on arrows they already hold.
 
 Validation runs once, at the API boundary: ``FiniteCategory(...)`` checks
 every table it is given, and it is what ``formats.load_category`` and
@@ -90,6 +92,9 @@ class FiniteCategory:
         objset = set(self.objects)
         if len(objset) != len(self.objects):
             raise InvalidStructure("duplicate objects")
+        for o in self.objects:
+            if not _is_id(o):
+                raise InvalidStructure(f"bad object id {o!r}")
         for f, (s, t) in self._endpoints.items():
             if not _is_id(f):
                 raise InvalidStructure(f"bad arrow id {f!r}")
@@ -177,8 +182,14 @@ class FiniteCategory:
         return f in self._endpoints
 
     def _check(self, f):
-        if f not in self._endpoints:
-            raise UnknownArrow(f"unknown arrow {f!r}")
+        """The one check of an arrow from outside: anything that is not an
+        arrow of this category, unhashable values too, is UnknownArrow."""
+        try:
+            if f in self._endpoints:
+                return
+        except TypeError:
+            pass
+        raise UnknownArrow(f"unknown arrow {f!r}")
 
     def src(self, f):
         self._check(f)
@@ -318,12 +329,21 @@ class FiniteCategory:
 
     def quotient(self, side, a, b):
         """Some x with b = a;x (left) or b = x;a (right), or None; unique
-        when the category is cancellative on that side."""
+        when the category is cancellative on that side.  Checks both arrows,
+        then runs ``_quotient``."""
         _, end, fibres, _ = self._side(side)
         self._check(a)
         self._check(b)
+        return self._quotient(end, fibres, a, b)
+
+    def _quotient(self, end, fibres, a, b):
+        """``quotient``'s scan on trusted arrows, given the side's endpoint
+        index and fibres: the first x, in arrow order, of the fibre a meets
+        (over tgt a for left, src a for right) with a;x = b (left) or
+        x;a = b (right), or None."""
+        comp = self.comp
         for x in fibres[self._endpoints[a][1 - end]]:
-            if self.comp[(x, a) if end else (a, x)] == b:
+            if comp[(x, a) if end else (a, x)] == b:
                 return x
         return None
 
@@ -343,13 +363,26 @@ class FiniteCategory:
 
     def lcm(self, side, a, b):
         """Least common multiple under side divisibility (for left, the least
-        common right-multiple): the first dividing all the others, or None."""
-        div = self._side(side)[0]
+        common right-multiple): the first dividing all the others, or None.
+        Checks both arrows, then runs ``_lcm``."""
+        div, end, fibres, _ = self._side(side)
         self._check(a)
         self._check(b)
-        both = 1 << self._index[a] | 1 << self._index[b]
+        return self._lcm(div, end, fibres, a, b)
+
+    def _lcm(self, div, end, fibres, a, b):
+        """``lcm``'s scan on trusted arrows, given the side's divisor masks,
+        endpoint index and fibres.  Every multiple of a shares a's source
+        (left) or target (right), so only that fibre is scanned; it is in
+        arrow order, so the lowest bit of the AND of the candidates' masks
+        is the first candidate dividing all the others.  With b off that
+        fibre there is no candidate and the answer is None."""
+        idx = self._index
+        both = 1 << idx[a] | 1 << idx[b]
         cand, least = 0, -1
-        for i, d in enumerate(div):
+        for f in fibres[self._endpoints[a][end]]:
+            i = idx[f]
+            d = div[i]
             if d & both == both:
                 cand, least = cand | 1 << i, least & d
         least &= cand

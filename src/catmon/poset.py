@@ -14,9 +14,10 @@ from .limits import require
 
 
 def _is_id(s):
-    """Whether ``s`` can name an element, arrow or vertex: nonempty, with no
-    whitespace."""
-    return s.split() == [s]
+    """Whether ``s`` can name an element, object, arrow, vertex or
+    generator: a nonempty string with no whitespace and no ``#``, which
+    starts a comment in every file format."""
+    return isinstance(s, str) and "#" not in s and s.split() == [s]
 
 
 def _members(mask, items):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import InvalidStructure
+from .poset import _is_id
 
 
 def free_reduce(word):
@@ -60,6 +61,10 @@ def format_word(word):
 class GroupPresentation:
     def __init__(self, generators, relators):
         self.generators = tuple(generators)
+        for g in self.generators:
+            # "g^-1" is read back as the inverse of a generator g.
+            if not _is_id(g) or g.endswith("^-1"):
+                raise InvalidStructure(f"bad generator id {g!r}")
         if len(set(self.generators)) != len(self.generators):
             raise InvalidStructure("duplicate generators")
         gens = set(self.generators)

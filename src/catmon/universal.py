@@ -7,8 +7,17 @@ reduced one by dropping identities and composing adjacent composable pairs
 only at their seam.  Divisibility, gcds, lcms of generators, and the greedy
 normal form are computed by structural criteria on the sequences plus
 arrow-level divisibility in S.  The right-hand versions read each sequence
-back to front, so one prefix criterion serves both sides, with S read on the
+from its end, so one prefix criterion serves both sides, with S read on the
 side the caller names.
+
+The two-operand kernels ``gcd_pair``, ``divides`` and ``lcm_pair`` are the
+hot path.  Each reads ``S._analyze()`` once, makes the checks of its public
+contract in their order, and then works on the entry tuples and the side's
+divisor masks and fibres alone: the entries of a ReducedSeq are arrows of S
+already, so none is checked again.  Each shares its arrow-level step with
+the general version: ``_boundary_step`` with ``gcd_family``,
+``FiniteCategory._quotient`` with ``FiniteCategory.quotient``, and
+``FiniteCategory._lcm`` with ``FiniteCategory.lcm``.
 """
 from __future__ import annotations
 
@@ -227,31 +236,71 @@ def divides(side, x, y):
     Left: some z with y = x·z; right: some z with y = z·x.  Returns None when
     x does not divide y; the quotient ReducedSeq when S is cancellative on
     that side (making it unique); True otherwise.
+
+    A nonunit x divides y exactly when y agrees with x on every entry but
+    x's inner boundary one u (its last for left, first for right), and u
+    divides the entry v of y in its place in S: one bit of v's divisor mask.
+    Only when S cancels is v's fibre scanned for the quotient w of v by u.
+    The analysis is read once; the operands are trusted ReducedSeqs.
     """
     cat = x.category
-    _, end, _, witness = cat._side(side)
+    conical_witness, sides = cat._analyze()
+    div, end, fibres, witness = sides[_endpoint_of(side)]
     if y.category is not cat:
         raise CategoryMismatch("operands live over different categories")
-    _require_conical(cat)
-    # Orient the entry tuples so that x is tested as a prefix of y.
-    xs, ys = (x.arrows[::-1], y.arrows[::-1]) if end else (x.arrows, y.arrows)
+    if conical_witness is not None:
+        raise NotConical(f"witness pair {conical_witness}")
+    xs, ys = x.arrows, y.arrows
     m = len(xs)
-    if xs == ys[:m]:
-        quotient = ys[m:]
-    elif m <= len(ys) and xs[:-1] == ys[:m - 1]:
-        # Only the last entries differ: u = xs[-1] must divide v = ys[m - 1].
-        w = cat.quotient(side, xs[-1], ys[m - 1])
-        if w is None:
+    if not m:
+        return True if witness is not None else y
+    k = len(ys) - m
+    if k < 0:
+        return None
+    if end:
+        if xs[1:] != ys[k + 1:]:
             return None
-        quotient = (w,) + ys[m:]
+        u, v, rest = xs[0], ys[k], ys[:k]
     else:
+        if xs[:-1] != ys[:m - 1]:
+            return None
+        u, v, rest = xs[-1], ys[m - 1], ys[m:]
+    if u == v:
+        return True if witness is not None else _reduced(cat, rest)
+    idx = cat._index
+    if not div[idx[v]] >> idx[u] & 1:
         return None
     if witness is not None:
         return True
-    # A piece of y, perhaps led (left) or ended (right) by w with v = u;w or
-    # v = w;u: u != v makes w no identity, and w meets the rest of y where v
-    # did, so the quotient stays reduced.
-    return _reduced(cat, quotient[::-1] if end else quotient)
+    # v = u;w or v = w;u with u != v makes w no identity, and w meets the
+    # rest of y where v did, so the quotient stays reduced.
+    w = cat._quotient(end, fibres, u, v)
+    return _reduced(cat, rest + (w,) if end else (w,) + rest)
+
+
+def _boundary_step(cat, div, end, entries):
+    """How a gcd goes on past its common stem, given the entries that
+    follow the stem, one per operand, none of them absent.
+
+    If the entries share their start (left) or end (right), their
+    arrow-level gcd c extends the stem: (c,), or () when c is an identity,
+    or None when they have no gcd, and then neither has the family.  If
+    they do not, the stem is the gcd: ().  The stem's boundary entry
+    composes with none of the entries, so not with c either: the result
+    is reduced.
+    """
+    endpoints, index = cat._endpoints, cat._index
+    shared = endpoints[entries[0]][end]
+    common = -1
+    for f in entries:
+        if endpoints[f][end] != shared:
+            return ()
+        common &= div[index[f]]
+    i = _greatest(common, div)
+    if i is None:
+        return None
+    c = cat.arrows[i]
+    return () if c in cat._identities else (c,)
 
 
 def gcd_family(side, xs):
@@ -261,7 +310,6 @@ def gcd_family(side, xs):
         _endpoint_of(side)  # a bad side is named before an empty family
         raise EmptyFamily("gcd of an empty family")
     cat = xs[0].category
-    # One read of the analysis per call: this is the gcd hot path.
     conical_witness, sides = cat._analyze()
     div, end, _, witness = sides[_endpoint_of(side)]
     # Orient the entry tuples so the common part is always a prefix.
@@ -282,38 +330,59 @@ def gcd_family(side, xs):
         m += 1
     stem = lo[:m]
     if m < len(lo):
-        # No word ends at the stem (it would be least).  If the entries
-        # after it share their start (left) or end (right), their
-        # arrow-level gcd c extends the stem; otherwise the stem is the gcd.
-        # The stem's last entry composes with none of them, so not with c
-        # either: the result is reduced.
-        endpoints = cat._endpoints
-        index = cat._index
-        shared = endpoints[lo[m]][end]
-        common = -1
-        for w in words:
-            f = w[m]
-            if endpoints[f][end] != shared:
-                break
-            common &= div[index[f]]
-        else:
-            i = _greatest(common, div)
-            if i is None:
-                return None
-            c = cat.arrows[i]
-            if c not in cat._identities:
-                stem += (c,)
+        # No word ends at the stem (it would be least).
+        step = _boundary_step(cat, div, end, [w[m] for w in words])
+        if step is None:
+            return None
+        stem += step
     return _reduced(cat, stem[::-1] if end else stem)
 
 
 def gcd_pair(side, x, y):
-    return gcd_family(side, (x, y))
+    """gcd_family(side, (x, y)), on a path of its own: the same checks in
+    the same order and the same boundary step, with one read of the
+    analysis.  The common prefix (left) or suffix (right, by indexing from
+    the end) is found in place, with no reversed copies, and an operand
+    that is itself the common part is returned as it is."""
+    cat = x.category
+    conical_witness, sides = cat._analyze()
+    div, end, _, witness = sides[_endpoint_of(side)]
+    if y.category is not cat:
+        raise CategoryMismatch("family members live over different "
+                               "categories")
+    if conical_witness is not None:
+        raise NotConical(f"witness pair {conical_witness}")
+    if witness is not None:
+        raise NotCancellative(f"witness {witness}")
+    xs, ys = x.arrows, y.arrows
+    lx, ly = len(xs), len(ys)
+    n = min(lx, ly)
+    m = 0
+    if end:
+        while m < n and xs[-1 - m] == ys[-1 - m]:
+            m += 1
+    else:
+        while m < n and xs[m] == ys[m]:
+            m += 1
+    if m == lx:
+        return x
+    if m == ly:
+        return y
+    if end:
+        step = _boundary_step(cat, div, end, (xs[-1 - m], ys[-1 - m]))
+        return None if step is None else _reduced(cat, step + xs[lx - m:])
+    step = _boundary_step(cat, div, end, (xs[m], ys[m]))
+    return None if step is None else _reduced(cat, xs[:m] + step)
 
 
 def lcm_pair(side, x, y):
-    """Least common multiple of two standard generators ε(a), ε(b)."""
+    """Least common multiple of two standard generators ε(a), ε(b).
+
+    It is ε(m) for the arrow-level lcm m of a and b, from the same scan as
+    ``FiniteCategory.lcm`` with one read of the analysis and no re-check of
+    a, b or m, which are arrows of the category already."""
     cat = x.category
-    end = _endpoint_of(side)
+    div, end, fibres, _ = cat._analyze()[1][_endpoint_of(side)]
     if y.category is not cat:
         raise CategoryMismatch("operands live over different categories")
     if x.length != 1 or y.length != 1:
@@ -323,8 +392,10 @@ def lcm_pair(side, x, y):
         if end:
             raise TargetMismatch(f"{a} and {b} have different targets")
         raise SourceMismatch(f"{a} and {b} have different sources")
-    m = cat.lcm(side, a, b)
-    return None if m is None else generator(cat, m)
+    m = cat._lcm(div, end, fibres, a, b)
+    if m is None:
+        return None
+    return unit(cat) if m in cat._identities else _reduced(cat, (m,))
 
 
 def greedy_normal_form(x):

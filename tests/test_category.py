@@ -19,6 +19,8 @@ from catmon import (
     cat_of_poset,
     cross_check,
     detect_spindle,
+    generator,
+    lcm_pair,
     spindle_category,
 )
 from catmon.formats import dump_category, load_category, load_poset
@@ -343,7 +345,9 @@ def test_gcd_family_reduces_to_pairs_and_rejects_empty():
 def check_lcm_against_brute_force(side, cats):
     """cat.lcm(side, ...) on every pair sharing the side's endpoint: the
     first common multiple, in arrow order, that divides every common
-    multiple, when one exists."""
+    multiple, when one exists.  On non-identity pairs, lcm_pair of their
+    generators is the generator of that arrow (the unit when it is an
+    identity), or None."""
     for cat in cats:
         cat_endpoint = cat.src if side == "left" else cat.tgt
         for a in cat.arrows:
@@ -359,11 +363,28 @@ def check_lcm_against_brute_force(side, cats):
                     assert not least
                 else:
                     assert m == least[0]
+                if cat.is_identity(a) or cat.is_identity(b):
+                    continue
+                assert lcm_pair(side, generator(cat, a),
+                                generator(cat, b)) == (
+                    None if m is None else generator(cat, m))
 
 
 def test_left_lcm_matches_brute_force():
     cats = [cat_of_poset(p) for p in poset_classes(4)] + [DIAMOND_CAT]
     check_lcm_against_brute_force("left", cats)
+
+
+def test_lcm_on_random_categories_and_their_opposites():
+    # Both sides, on draws of every shape (non-conical, non-cancellative,
+    # pair groupoids) and on their opposites.
+    rng = random.Random(67)
+    cats = [pair_groupoid(2), pair_groupoid(3), idempotent_category(),
+            nilpotent_category(), cyclic_category(3)]
+    cats += [random_category(rng) for _ in range(40)]
+    cats += [cat.opposite() for cat in cats]
+    for side in ("left", "right"):
+        check_lcm_against_brute_force(side, cats)
 
 
 def test_right_lcm_matches_brute_force():

@@ -5,6 +5,7 @@ import pytest
 from catmon import (
     FiniteCategory,
     GroupPresentation,
+    InvalidStructure,
     MonoidPresentation,
     ParseError,
     Poset,
@@ -111,6 +112,35 @@ def test_every_dump_loads_back():
     assert assert_round_trip("presentation", one) == one
     assert assert_round_trip("presentation",
                              GroupPresentation([], [()])).relators == ((),)
+    # Names next to the reserved ones are plain names.
+    near = GroupPresentation(("x^-1y", "^-1x", "x^-2"),
+                             [(("x^-1y", -1), ("^-1x", 1), ("x^-2", -1))])
+    assert assert_round_trip("presentation", near) == near
+    eqs = MonoidPresentation(("==", "a=b"), [(("==",), ("a=b",))])
+    assert assert_round_trip("monoid", eqs).relations == eqs.relations
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Poset(["#a", "b"], [("#a", "b")]),           # starts a comment
+    lambda: Poset(["a#b"], []),
+    lambda: SimplicialComplex([("v#",)]),
+    lambda: FiniteCategory(["x"], {"id:x": ("x", "x"), "f#": ("x", "x")},
+                           {"x": "id:x"}, {}),
+    lambda: FiniteCategory(["#x"], {"i": ("#x", "#x")}, {"#x": "i"},
+                           {("i", "i"): "i"}),
+    lambda: GroupPresentation(["x^-1"], [(("x^-1", 1),)]),  # an inverse
+    lambda: GroupPresentation(["x", "#"], []),
+    lambda: GroupPresentation(["a b"], []),
+    lambda: GroupPresentation([1], []),
+    lambda: MonoidPresentation(["=", "a"], [(("=",), ("a",))]),  # a split
+    lambda: MonoidPresentation(["a", "b#"], []),
+    lambda: MonoidPresentation([""], []),
+], ids=["poset-hash", "poset-inner-hash", "vertex-hash", "arrow-hash",
+        "object-hash", "group-inverse", "group-hash", "group-space",
+        "group-int", "monoid-equals", "monoid-hash", "monoid-empty"])
+def test_constructors_refuse_names_the_formats_reserve(build):
+    with pytest.raises(InvalidStructure, match="^bad .* id "):
+        build()
 
 
 def test_category_loader_fills_identity_laws():

@@ -302,6 +302,130 @@ def test_gcd_family_matches_brute_force_oracle():
             assert gcd_family("left", xs) == expect
 
 
+def pair_kernel_categories(seed, draws):
+    """random_category draws small enough for exhaustive pair sweeps, each
+    with its opposite, plus two non-conical pair groupoids, the conical
+    but non-cancellative idempotent and a Cat(P) lacking some gcds."""
+    rng = random.Random(seed)
+    cats = [pair_groupoid(2), pair_groupoid(3), idempotent_category(),
+            cat_of_poset(NONLATTICE)]
+    for _ in range(draws):
+        cat = random_category_bounded(rng, max_elements=40, max_len=2)
+        cats += [cat, cat.opposite()]
+    return cats
+
+
+def test_gcd_pair_is_gcd_family_of_two():
+    seen = set()
+    for cat in pair_kernel_categories(71, 15):
+        els = elements_up_to(cat, 2)
+        for x in els:
+            for y in els:
+                for side in ("left", "right", "up"):
+                    got = outcome(gcd_pair, side, x, y)
+                    assert got == outcome(gcd_family, side, (x, y))
+                    seen.add(tuple if isinstance(got, tuple) else got)
+    assert {None, tuple, NotConical, NotCancellative,
+            InvalidStructure} <= seen
+    # Mixed categories are named before the side's conditions, after a bad
+    # side, for either operand order.
+    for x, y in itertools.permutations(
+            (unit(pair_groupoid(2)), generator(DCAT, "[o,a]"))):
+        for side in ("left", "right", "up"):
+            got = outcome(gcd_pair, side, x, y)
+            assert got == outcome(gcd_family, side, (x, y))
+            assert got is (InvalidStructure if side == "up"
+                           else CategoryMismatch)
+
+
+def quotient_table(cat, max_len):
+    """The elements of length at most max_len and, from an exhaustive
+    product scan over them, {(side, x, y): the z with y = x·z (left) or
+    y = z·x (right)}."""
+    pool = elements_up_to(cat, max_len)
+    table = {}
+    for d in pool:
+        for e in pool:
+            p = multiply(d, e)
+            table.setdefault(("left", d, p), set()).add(e)
+            table.setdefault(("right", e, p), set()).add(d)
+    return pool, table
+
+
+def test_divides_matches_brute_force_on_random_categories():
+    # In a conical category a quotient of y is no longer than y, so the
+    # table over the pool holds every quotient of a pool element.
+    seen = set()
+    for cat in pair_kernel_categories(73, 15):
+        pool, table = quotient_table(cat, 2)
+        conical = cat.is_conical()
+        for x in pool:
+            for y in pool:
+                for side in ("left", "right"):
+                    if not conical:
+                        assert outcome(divides, side, x, y) is NotConical
+                        seen.add(NotConical)
+                        continue
+                    got = divides(side, x, y)
+                    seen.add(got if got in (None, True) else ReducedSeq)
+                    quotients = table.get((side, x, y))
+                    if not quotients:
+                        assert got is None
+                    elif cat._side(side)[3] is not None:
+                        assert got is True
+                    else:
+                        assert quotients == {got}
+    assert seen == {None, True, ReducedSeq, NotConical}
+
+
+def test_pair_kernels_read_the_analysis_once(monkeypatch):
+    from catmon import universal
+
+    def refuse(*args):
+        raise AssertionError("gcd_pair went through gcd_family")
+
+    reads = []
+    analyze = FiniteCategory._analyze
+
+    def counted(self):
+        reads.append(self)
+        return analyze(self)
+
+    monkeypatch.setattr(universal, "gcd_family", refuse)
+    monkeypatch.setattr(FiniteCategory, "_analyze", counted)
+    oa, ob, ai, oi = (generator(DCAT, f) for f in
+                      ("[o,a]", "[o,b]", "[a,i]", "[o,i]"))
+    bi = generator(DCAT, "[b,i]")
+    calls = [
+        (gcd_pair, ("left", oa, ob), unit(DCAT)),
+        (gcd_pair, ("left", oa, oi), oa),
+        (gcd_pair, ("right", ai, oi), ai),
+        (gcd_pair, ("right", ai, bi), unit(DCAT)),
+        (divides, ("left", oa, oi), ai),
+        (divides, ("right", ai, oi), oa),
+        (divides, ("left", ai, oi), None),
+        (lcm_pair, ("left", oa, ob), oi),
+        (lcm_pair, ("right", ai, bi), oi),
+    ]
+    for f, args, want in calls:
+        reads.clear()
+        assert f(*args) == want
+        assert reads == [DCAT]
+    # An operand that is the common part comes back as it is.
+    x = ReducedSeq(DCAT, ("[o,a]", "[b,i]"))
+    assert gcd_pair("left", oa, x) is oa
+    assert gcd_pair("right", x, bi) is bi
+
+
+def test_unhashable_arrows_are_unknown_arrows():
+    for call in (lambda: reduce_sequence(DCAT, [["x"]]),
+                 lambda: ReducedSeq(DCAT, [{}]),
+                 lambda: generator(DCAT, ["x"]),
+                 lambda: DCAT.quotient("left", "[o,a]", {})):
+        with pytest.raises(UnknownArrow, match="unknown arrow"):
+            call()
+
+
 def test_gcd_family_preconditions():
     groupoid = pair_groupoid(2)
     with pytest.raises(NotConical):
