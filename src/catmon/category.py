@@ -21,13 +21,25 @@ the private ``_category``, which skips ``_validate``: Cat(P) from a
 validated ``Poset`` (``interval.cat_of_poset``) and the opposite of a
 validated category.  Both builders share one set-up.  The arrow limit
 (``limits.max_arrows``) is checked where tables come from outside, in
-``FiniteCategory(...)``; Cat(P) is priced before its walk, and an opposite
-has its source's arrows.
+``FiniteCategory(...)``, and so is the cost of validating them (composites
+plus associativity triples, against ``limits.MAX_COUNT``); Cat(P) is
+priced before its walk, and an opposite has its source's arrows.
+
+Which builders hand their composition table over, and which build it on
+first use:
+
+- ``FiniteCategory(...)`` and ``opposite()`` hand it over, and
+  ``_analyze`` ORs it into the divisor masks.
+- Cat(P) (``interval.cat_of_poset``) hands over its arrows only.  Its
+  table is pasted the first time ``comp`` is used (``_DeferredTable``),
+  and its divisor masks are read off the order, so a gcd report never
+  builds the table.
 """
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from itertools import combinations
+from weakref import ref
 
 from .errors import (AssociativityViolation, BadComposability, BadIdentity,
                      EmptyFamily, InvalidStructure, MissingComposite,
@@ -58,20 +70,69 @@ class GcdCategoryReport(namedtuple(
                 and self.right_gcds)
 
 
+class _DeferredTable:
+    """A composition table not built yet, in ``comp`` of a category whose
+    builder passed a function to build it (Cat(P)).  Its first use builds
+    the table, puts it in the category's ``comp`` in place of this object,
+    and serves that use and any later one from it.  So from then on
+    ``comp`` is a plain dict attribute.  (A property on ``FiniteCategory``
+    would slow every read of ``comp``, on every category.)  It holds its
+    category weakly, so a category whose table is never built is freed as
+    soon as it is dropped, not at the next cycle collection."""
+    __slots__ = ("_cat", "_build", "_table")
+
+    def __init__(self, cat, build):
+        self._cat, self._build, self._table = ref(cat), build, None
+
+    def _built(self):
+        if self._table is None:
+            self._table = self._build()
+            cat = self._cat()
+            if cat is not None:
+                cat.comp = self._table
+            self._cat = self._build = None
+        return self._table
+
+    def __getattr__(self, name):
+        return getattr(self._built(), name)
+
+    def __getitem__(self, key):
+        return self._built()[key]
+
+    def __contains__(self, key):
+        return key in self._built()
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self):
+        return len(self._built())
+
+    def __eq__(self, other):
+        return self._built() == other
+
+
 class FiniteCategory:
     def __init__(self, objects, arrows, identity, comp):
         require(len(arrows), "arrows", max_arrows())
         self._set_up(objects, arrows, identity, comp, validate=True)
 
-    def _set_up(self, objects, arrows, identity, comp, validate):
+    def _set_up(self, objects, arrows, identity, comp, validate,
+                paste=None, masks=None):
         """The one set-up of both builders: the tables and the indexes,
         with ``_validate`` between the tables and the indexes when
-        ``validate`` is set (the indexes assume known endpoints)."""
+        ``validate`` is set (the indexes assume known endpoints).  Given
+        ``paste`` instead of ``comp``, the table is built on first use
+        (``_DeferredTable``); ``masks`` is read by ``_analyze``.  Every
+        instance sets the same attributes in the same order, so all share
+        one key layout and attribute reads stay specialised."""
         self.objects = tuple(sorted(objects))
         self._endpoints = dict(arrows)
         self.arrows = tuple(sorted(self._endpoints))
         self.identity = dict(identity)
-        self.comp = dict(comp)
+        self.comp = (dict(comp) if paste is None
+                     else _DeferredTable(self, paste))
+        self._masks = masks
         if validate:
             self._validate()
         self._index = {f: i for i, f in enumerate(self.arrows)}
@@ -114,6 +175,9 @@ class FiniteCategory:
             raise BadIdentity("two objects share an identity arrow")
 
         ends = self._endpoints
+        homs = Counter(ends.values())
+        require(len(self.comp) + _fat_triples(homs),
+                "composites and associativity triples")
         get = ends.get
         for (f, g), h in self.comp.items():
             ef, eg = get(f), get(g)
@@ -154,7 +218,7 @@ class FiniteCategory:
         # in the order of the full loop, so the first violation is the same;
         # a thin category (every Cat(P)) costs no triple at all.
         fat = {}  # s -> targets t with |hom(s, t)| >= 2
-        for (s, t), k in Counter(ends.values()).items():
+        for (s, t), k in homs.items():
             if k >= 2:
                 fat.setdefault(s, set()).add(t)
         tails = {}  # (s, o) -> the h in by_src[o] whose hom(s, tgt h) is fat
@@ -238,12 +302,23 @@ class FiniteCategory:
     # -- conicality, cancellativity, divisibility ---------------------------
 
     def _analyze(self):
+        """(conical witness, per-side (divisor masks, endpoint index,
+        fibres, cancellation witness)), computed once.  ``ldiv[b]`` holds
+        the arrows a with b = a;x, ``rdiv[b]`` those with b = x;a.  Cat(P)
+        reads its masks off the order (``_masks``), and is conical and
+        cancellative by construction: it is thin, and an order is
+        antisymmetric.  Any other category ORs its table into the masks."""
         if self._analysis is not None:
+            return self._analysis
+        if self._masks is not None:
+            ldiv, rdiv = self._masks(self._index)
+            self._analysis = (None, ((ldiv, 0, self._by_src, None),
+                                     (rdiv, 1, self._by_tgt, None)))
             return self._analysis
         n = len(self.arrows)
         idx = self._index
-        ldiv = [0] * n  # ldiv[b]: arrows a with b = a;x
-        rdiv = [0] * n  # rdiv[b]: arrows a with b = x;a
+        ldiv = [0] * n
+        rdiv = [0] * n
         for (f, g), h in self.comp.items():
             hi = idx[h]
             ldiv[hi] |= 1 << idx[f]
@@ -438,7 +513,36 @@ class FiniteCategory:
                 f"{len(self.arrows)} arrows)")
 
 
-def _category(objects, arrows, identity, comp):
+def _fat_triples(homs):
+    """How many triples ``_validate`` checks for associativity, from the
+    hom-set sizes ``homs`` {(s, t): count}, without listing them: the
+    composable (f, g, h) whose hom(src f, tgt h) has two or more arrows.
+    Per source s with such a hom-set, each path of arrows s -> t -> u is
+    multiplied by the arrows out of u into one."""
+    if max(homs.values(), default=0) < 2:
+        return 0
+    out = {}
+    for (s, t), k in homs.items():
+        out.setdefault(s, {})[t] = k
+    total = 0
+    for targets in out.values():
+        fat = [v for v, k in targets.items() if k >= 2]
+        if not fat:
+            continue
+        into_fat = {}  # u -> arrows out of u into a fat target
+        for u, row in out.items():
+            n = 0
+            for v in fat:
+                n += row.get(v, 0)
+            into_fat[u] = n
+        for t, k in targets.items():
+            for u, k2 in out[t].items():
+                total += k * k2 * into_fat[u]
+    return total
+
+
+def _category(objects, arrows, identity, comp=None, paste=None,
+              masks=None):
     """A ``FiniteCategory`` on tables catmon built itself, not validated.
 
     Use only where the tables are valid by construction and their size
@@ -451,14 +555,18 @@ def _category(objects, arrows, identity, comp):
       the table holds [x,y];[y,z] = [x,z] for every x <= y <= z, which is
       every composable pair.  Each hom-set has one arrow, so the table is
       associative and the identities are neutral.  Its arrows are counted
-      against the arrow limit before the walk.
+      against the arrow limit before the walk.  It passes no ``comp``:
+      ``paste`` builds the table on first use, and ``masks``, given the
+      arrow index, returns the divisor masks (ldiv, rdiv) that ``_analyze``
+      would OR from it.
     - ``FiniteCategory.opposite``: a valid category's tables with every
       arrow and composite reversed, which is valid again, with its
-      source's count of arrows.
+      source's count of arrows.  It passes ``comp``.
 
     Input from outside goes through ``FiniteCategory(...)``, which checks
     all of it.
     """
     cat = object.__new__(FiniteCategory)
-    cat._set_up(objects, arrows, identity, comp, validate=False)
+    cat._set_up(objects, arrows, identity, comp, validate=False,
+                paste=paste, masks=masks)
     return cat

@@ -32,14 +32,24 @@ class SimplicialComplex:
             fs.append(t)
         fs = sorted(set(fs))
         self.vertices = tuple(sorted({v for f in fs for v in f}))
-        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        masks = [sum(map(bit.get, f)) for f in fs]
-        for a, ma in zip(fs, masks):
-            for b, mb in zip(fs, masks):
-                if ma != mb and ma & mb == ma:
-                    raise InvalidStructure(
-                        f"simplex {a} is a face of {b}; list only maximal "
-                        "simplices")
+        # holders[v]: the facets holding v, as a bitmask in facet order.
+        # The facets holding a are the AND of its vertices' holders, within
+        # those of its rarest vertex; the lowest one other than a is the
+        # first that testing every pair of facets would find.
+        holders = dict.fromkeys(self.vertices, 0)
+        for i, f in enumerate(fs):
+            for v in f:
+                holders[v] |= 1 << i
+        for i, a in enumerate(fs):
+            over = -1
+            for v in a:
+                over &= holders[v]
+            over &= ~(1 << i)
+            if over:
+                b = fs[(over & -over).bit_length() - 1]
+                raise InvalidStructure(
+                    f"simplex {a} is a face of {b}; list only maximal "
+                    "simplices")
         if not fs:
             raise InvalidStructure("complex has no simplices")
         self.facets = tuple(fs)

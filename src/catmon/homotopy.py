@@ -13,6 +13,7 @@ from collections import namedtuple
 
 from .complexes import SimplicialComplex
 from .errors import Disconnected, InvalidStructure
+from .limits import require
 from .presentations import (GroupPresentation, free_reduce, invert_word,
                             substitute)
 
@@ -50,7 +51,12 @@ def spanning_tree(complex_):
 def tietze_collapse(pres, tree):
     """Kill the tree-edge generators and simplify: free reduction, relator
     dedup, and repeated elimination of a generator that occurs exactly once
-    in some relator.  The result presents π1 at the tree root."""
+    in some relator.  The result presents π1 at the tree root.
+
+    Substitution can lengthen the relators, so their total length is
+    counted as it grows and refused with SizeLimitExceeded past
+    ``limits.MAX_COUNT`` letters, as a congruence class is past that many
+    words."""
     killed = {edge_name(x, y) for x, y in tree.edges}
     unknown = killed - set(pres.generators)
     if unknown:
@@ -68,6 +74,7 @@ def tietze_collapse(pres, tree):
                 seen.add(r)
                 cleaned.append(r)
         relators = cleaned
+        require(sum(map(len, relators)), "relator letters")
         target = None
         for ri, r in enumerate(relators):
             counts = {}

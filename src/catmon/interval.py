@@ -23,16 +23,16 @@ def interval_name(x, y):
     return f"[{x},{y}]"
 
 
-def _interval_walk(poset):
-    """Cat(P)'s tables ``(arrows, identity, comp)``, as ``FiniteCategory``
-    takes them.
+def _interval_names(poset):
+    """Cat(P)'s arrows and identities, named: ``(ups, names, arrows,
+    identity)``, where ``ups[i]`` is the up-set of element i as indices and
+    ``names[i][j]`` is the name of [x_i, x_j] for each j in it.
 
     Cat(P) has one arrow per comparable pair, which ``poset._up`` counts;
     that count is checked against the arrow limit before any interval is
     named, since the pastings grow as the cube of the elements.  Each
     interval [x,y] is named once, by x then y in index order, so every
-    pasting [x,y];[y,z] = [x,z] reuses strings whose hashes are cached; the
-    pastings are listed by x, then y, then z.
+    pasting reuses strings whose hashes are cached.
     """
     require(sum(m.bit_count() for m in poset._up), "arrows", max_arrows())
     els = poset.elements
@@ -50,20 +50,78 @@ def _interval_walk(poset):
             row[j] = name
         names.append(row)
     identity = {x: names[i][i] for i, x in enumerate(els)}
+    return ups, names, arrows, identity
+
+
+def _interval_pastings(ups, names):
+    """Cat(P)'s composition table from ``_interval_names``' up-sets and
+    names: [x,y];[y,z] = [x,z] for every x <= y <= z, listed by x, then y,
+    then z.  The one pasting loop."""
     comp = {}
     for i, row in enumerate(names):
         for j in ups[i]:
             f, after = row[j], names[j]
             for k in ups[j]:
                 comp[(f, after[k])] = row[k]
-    return arrows, identity, comp
+    return comp
+
+
+def _interval_walk(poset):
+    """Cat(P)'s tables ``(arrows, identity, comp)``, as ``FiniteCategory``
+    takes them: the intervals named, then pasted."""
+    ups, names, arrows, identity = _interval_names(poset)
+    return arrows, identity, _interval_pastings(ups, names)
+
+
+def _interval_masks(poset, ups, names, index):
+    """Cat(P)'s divisor masks ``(ldiv, rdiv)`` over the arrow index
+    ``index``, read off the order instead of the pasting table.
+
+    [x,y] left-divides [x',z] iff x' = x and y <= z, and [y,z]
+    right-divides [x,z'] iff z' = z and x <= y.  So ldiv[x,z] is the arrows
+    out of x among those inside down(z), and rdiv[x,z] the arrows into z
+    among those inside up(x).  The arrows inside down(z) are those into z
+    joined with those inside down(w) for each lower cover w of z, so they
+    are pushed up the covers along the linear extension; those inside
+    up(x) are pulled down them.  That is one OR per cover and two ANDs per
+    arrow, where the table takes two ORs per pasting.
+    """
+    succ, order = poset._succ, poset._order
+    ids = range(len(names))
+    at = [[index[names[x][z]] for z in ups[x]] for x in ids]
+    out_of = [sum(1 << k for k in ks) for ks in at]
+    into = [0] * len(names)
+    for x in ids:
+        for z, k in zip(ups[x], at[x]):
+            into[z] |= 1 << k
+    inside_down, inside_up = into[:], out_of[:]
+    for z in order:
+        for w in succ[z]:
+            inside_down[w] |= inside_down[z]
+    for x in reversed(order):
+        for w in succ[x]:
+            inside_up[x] |= inside_up[w]
+    ldiv = [0] * len(index)
+    rdiv = [0] * len(index)
+    for x in ids:
+        row, above = out_of[x], inside_up[x]
+        for z, k in zip(ups[x], at[x]):
+            ldiv[k] = inside_down[z] & row
+            rdiv[k] = above & into[z]
+    return ldiv, rdiv
 
 
 def cat_of_poset(poset):
     """The category of closed intervals of a poset.  Its tables are valid by
     construction (see ``category._category``), so they are not validated
-    again."""
-    return _category(poset.elements, *_interval_walk(poset))
+    again.  Only the arrows are built here: the pasting table is built the
+    first time ``comp`` is used, and the divisor masks come from the order
+    (``_interval_masks``), so a gcd report never builds the table."""
+    ups, names, arrows, identity = _interval_names(poset)
+    return _category(
+        poset.elements, arrows, identity,
+        paste=lambda: _interval_pastings(ups, names),
+        masks=lambda index: _interval_masks(poset, ups, names, index))
 
 
 class GcdCriterionReport(namedtuple(
@@ -86,12 +144,30 @@ def _incomparable_pairs(ys, later, mask):
             yield y, low.bit_length() - 1
 
 
+def _pair_without_meet(a, above, below, later):
+    """The first pair of ``above[a]``, among those ``later`` allows, whose
+    common lower bounds in ``above[a]`` have no greatest member; None if
+    ``above[a]`` is a meet-semilattice (with ``above`` and ``below``
+    swapped, a join-semilattice)."""
+    mask = above[a]
+    ys = _members(mask, range(len(above)))
+    return _pair_without_greatest(_incomparable_pairs(ys, later, mask),
+                                  {y: below[y] & mask for y in ys}, below)
+
+
 def gcd_criterion(poset):
     """Order-theoretic test for HM(P) being a (left/right) gcd-monoid.
 
     Left gcds exist iff every up-set is a meet-semilattice; right gcds exist
     iff every down-set is a join-semilattice.  A failure witness is a triple
-    (a, y1, y2) with no meet above a (resp. no join below a).
+    (a, y1, y2) with no meet above a (resp. no join below a): the first
+    such a in index order, with its first pair.
+
+    If up(a) is a meet-semilattice, so is up(b) for every b above a: the
+    meet in up(a) of y1, y2 in up(b) is above b, so it is their meet in
+    up(b).  So a side is decided on its minimal elements (maximal ones for
+    down-sets) alone.  Only a side that fails is then scanned in index
+    order for its witness, skipping the elements above one that passed.
     """
     witnesses = {}
     els = poset.elements
@@ -106,14 +182,23 @@ def gcd_criterion(poset):
     # down(y1) & down(y2) & up(a); a join in down(a) is the same search in
     # the reversed order.
     for side, above, below in (("left", up, dn), ("right", dn, up)):
-        for a, mask in enumerate(above):
-            ys = _members(mask, ids)
-            pair = _pair_without_greatest(
-                _incomparable_pairs(ys, later, mask),
-                {y: below[y] & mask for y in ys}, below)
-            if pair is not None:
-                witnesses[side] = (els[a], els[pair[0]], els[pair[1]])
-                break
+        passed = 0
+        for a in ids:
+            if below[a] == 1 << a:
+                pair = _pair_without_meet(a, above, below, later)
+                if pair is not None:
+                    break
+                passed |= 1 << a
+        else:
+            continue
+        for b in range(a):
+            if not below[b] & passed:
+                found = _pair_without_meet(b, above, below, later)
+                if found is not None:
+                    a, pair = b, found
+                    break
+                passed |= 1 << b
+        witnesses[side] = (els[a], els[pair[0]], els[pair[1]])
     return GcdCriterionReport("left" not in witnesses,
                               "right" not in witnesses, witnesses)
 

@@ -3,14 +3,17 @@
 Each construction is priced before it is built.  Its guard counts what it
 would make, exactly and without making it, and hands the count to
 ``require``, which raises ``SizeLimitExceeded`` past the limit.  A
-congruence class is the exception: its size is known only once it is
-built, so its closure counts its words as it grows and calls ``require``
-once they pass the limit.  There are two limits:
+congruence class and a Tietze collapse are the exceptions: their sizes
+are known only once they are built, so a closure counts its words, and a
+collapse its relator letters, as they grow, and calls ``require`` once
+they pass the limit.  There are two limits:
 
 - ``MAX_COUNT``: the most elements, classes, words of a class, chains,
-  faces or group dimensions one construction may list or hold.
-  ``require`` reads it when a guard runs, and a closure when it starts,
-  so setting it moves every count guard.
+  faces, group dimensions or relator letters one construction may list or
+  hold, and the most composites plus associativity triples that
+  ``FiniteCategory(...)`` may check.  ``require`` reads it when a guard
+  runs, and a closure when it starts, so setting it moves every count
+  guard.
 - ``max_arrows()``: the most arrows a category may have, read from the
   environment variable ``CATMON_MAX_ARROWS`` on every call (default
   10 000).  It bounds Cat(P) before its pasting table is walked, and

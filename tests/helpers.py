@@ -254,8 +254,8 @@ def make_category(objects, arrows, comp):
     return FiniteCategory(objects, all_arrows, identity, full)
 
 
-def random_poset(rng, max_n=5):
-    n = rng.randint(1, max_n)
+def random_poset(rng, max_n=5, min_n=1):
+    n = rng.randint(min_n, max_n)
     rel = set()
     for pair in _pairs(n):
         if rng.random() < 0.4:
@@ -270,6 +270,25 @@ def random_poset(rng, max_n=5):
                     rel.add((i, k))
                     changed = True
     return _poset_from_relation(n, rel)
+
+
+def layered_poset(rng, widths, density=0.5):
+    """Elements in layers of the given widths, each element above the
+    bottom layer covering each element of the layer below with probability
+    ``density``, and at least one.  Covers join adjacent layers only, so
+    they form a Hasse diagram.  The names are drawn at random, so index
+    order is no linear extension."""
+    names = [f"p{k}" for k in rng.sample(range(100), sum(widths))]
+    layers, i = [], 0
+    for w in widths:
+        layers.append(names[i:i + w])
+        i += w
+    covers = []
+    for lo, hi in zip(layers, layers[1:]):
+        for y in hi:
+            below = [x for x in lo if rng.random() < density]
+            covers += [(x, y) for x in below or [rng.choice(lo)]]
+    return Poset(names, covers)
 
 
 def random_poset_category(rng):

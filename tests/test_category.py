@@ -1,7 +1,10 @@
+import gc
 import random
+import weakref
 
 import pytest
 
+import catmon.interval
 from catmon import (
     AssociativityViolation,
     BadComposability,
@@ -21,6 +24,7 @@ from catmon import (
     detect_spindle,
     generator,
     lcm_pair,
+    multiply,
     spindle_category,
 )
 from catmon.formats import dump_category, load_category, load_poset
@@ -33,6 +37,7 @@ from helpers import (
     cyclic_category,
     idempotent_category,
     labeled_posets,
+    layered_poset,
     make_category,
     nilpotent_category,
     pair_groupoid,
@@ -492,6 +497,85 @@ def test_trusted_builds_match_the_validating_build():
         assert trusted.identity == checked.identity
         assert trusted.comp == checked.comp
         assert trusted._analyze() == checked._analyze()
+
+
+def test_cat_of_poset_pastes_only_when_its_table_is_read(monkeypatch):
+    """A gcd report on Cat(P) reads its divisor masks off the order and
+    never runs the pasting loop; every reader of the table (``comp``,
+    ``opposite``, ``dump_category``, ``multiply``) gets the walk's, which
+    then stays a plain attribute.  Layered posets have names in no linear
+    order, so the masks' cover recurrences meet elements out of index
+    order."""
+    def refuse(*args):
+        raise AssertionError("pasted")
+
+    paste = catmon.interval._interval_pastings
+    rng = random.Random(17)
+    posets = [Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"),
+                             ("b", "i")])]
+    posets += [layered_poset(rng, [rng.randint(1, 4) for _ in range(4)])
+               for _ in range(40)]
+    for p in posets:
+        arrows, identity, comp = _interval_walk(p)
+        checked = FiniteCategory(p.elements, arrows, identity, comp)
+        monkeypatch.setattr(catmon.interval, "_interval_pastings", refuse)
+        cat = cat_of_poset(p)
+        assert cat.gcd_category_report() == checked.gcd_category_report()
+        assert cat._analyze() == checked._analyze()
+        with pytest.raises(AssertionError, match="pasted"):
+            len(cat.comp)
+        monkeypatch.setattr(catmon.interval, "_interval_pastings", paste)
+        assert cat.comp == comp
+        assert type(cat.comp) is dict
+        assert cat_of_poset(p).opposite().comp == checked.opposite().comp
+        assert dump_category(cat_of_poset(p)) == dump_category(checked)
+        fresh = cat_of_poset(p)
+        for f, g in comp:
+            assert multiply(generator(fresh, f), generator(fresh, g)).arrows \
+                == multiply(generator(checked, f),
+                            generator(checked, g)).arrows
+
+
+def test_cat_of_poset_is_freed_when_dropped_unpasted():
+    """The stand-in for an unbuilt table holds its category weakly, so a
+    Cat(P) used only for a gcd report is freed by reference counting,
+    with no cycle left for the collector."""
+    p = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
+    gc.disable()
+    try:
+        for read in (False, True):
+            cat = cat_of_poset(p)
+            assert cat.gcd_category_report().holds
+            if read:
+                assert len(cat.comp) == 16
+            alive = weakref.ref(cat)
+            del cat
+            assert alive() is None, read
+    finally:
+        gc.enable()
+
+
+def test_validation_is_priced_at_the_triples_it_walks():
+    """``_fat_triples`` counts, from hom-set sizes alone, the composable
+    triples whose outer hom-set has two or more arrows: those the
+    associativity check walks."""
+    from collections import Counter
+
+    from catmon.category import _fat_triples
+
+    rng = random.Random(19)
+    cats = [random_category(rng) for _ in range(150)]
+    cats += [pair_groupoid(3), cyclic_category(5), parallel_pair_category()]
+    nonzero = 0
+    for cat in cats:
+        ends = cat._endpoints
+        homs = Counter(ends.values())
+        want = sum(1 for s, t in ends.values() for t2, u in ends.values()
+                   if t2 == t for u2, v in ends.values()
+                   if u2 == u and homs[(s, v)] >= 2)
+        assert _fat_triples(homs) == want
+        nonzero += want > 0
+    assert nonzero >= 40
 
 
 def test_internal_builders_trust_their_tables(monkeypatch):

@@ -376,6 +376,48 @@ def test_congruence_classes_past_the_size_guard_exit_2(tmp_path, capsys,
         assert "Traceback" not in captured.err, captured.err
 
 
+def test_tietze_collapse_past_the_size_guard_exits_2(tmp_path, capsys,
+                                                    monkeypatch):
+    from catmon import limits
+
+    # the solid 4-simplex: 10 edges and 10 triangles, whose relators keep
+    # 18 letters once the 4 tree edges are killed
+    f = tmp_path / "simplex4.complex"
+    f.write_text("complex\nsimplex a b c d e\n")
+    assert main(["homotopy", str(f)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(limits, "MAX_COUNT", 12)
+    assert main(["homotopy", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SizeLimitExceeded"), captured.err
+    assert "18 relator letters, over the limit of 12" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_category_files_past_the_size_guard_exit_2(tmp_path, capsys,
+                                                   monkeypatch):
+    from catmon import limits
+
+    # Z/60: 3,600 composites and 216,000 associativity triples, refused
+    # before validation walks them
+    n = 60
+    f = tmp_path / "z60.category"
+    f.write_text("category\nobj o\n" + "".join(
+        f"arrow g{i} o o\n" for i in range(1, n)) + "".join(
+        f"comp g{i} g{j} {f'g{(i + j) % n}' if (i + j) % n else 'id:o'}\n"
+        for i in range(1, n) for j in range(1, n)))
+    monkeypatch.setattr(limits, "MAX_COUNT", 1000)
+    for argv in (["validate", str(f)], ["check", "category", str(f)],
+                 ["check", "gcd-monoid", str(f)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert ("219600 composites and associativity triples, over the "
+                "limit of 1000") in captured.err, captured.err
+        assert "Traceback" not in captured.err, captured.err
+
+
 def test_element_walk_past_the_size_guard_exits_2(capsys, monkeypatch):
     from catmon import universal
 

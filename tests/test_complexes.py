@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from catmon import (
@@ -75,3 +77,40 @@ def test_barycentric_triangle_is_the_face_poset():
          ("y,z", "x,y,z")])
     cat_of_poset(p)  # validates
     assert gcd_criterion(p).holds
+
+
+def _all_pairs_facet_check(facets):
+    """The facet check by testing every ordered pair of distinct facets in
+    sorted order: the message of the first contained one, or None."""
+    fs = sorted({tuple(sorted(set(f))) for f in facets})
+    for a in fs:
+        for b in fs:
+            if a != b and set(a) <= set(b):
+                return (f"simplex {a} is a face of {b}; list only maximal "
+                        "simplices")
+    return None
+
+
+def test_facet_check_names_the_pair_an_all_pairs_check_names():
+    """The facets holding a facet are found from its vertices, not by
+    testing every pair; the first offending pair, and so the message, is
+    the one the all-pairs loop finds.  Each complex gets sub-facets of
+    random facets injected, one or several."""
+    rng = random.Random(71)
+    names = [f"v{i}" for i in range(12)]
+    seen = 0
+    for _ in range(400):
+        facets = [rng.sample(names, rng.randint(1, 5))
+                  for _ in range(rng.randint(1, 8))]
+        for _ in range(rng.randint(0, 3)):
+            f = rng.choice(facets)
+            facets.append(rng.sample(f, rng.randint(1, len(f))))
+        want = _all_pairs_facet_check(facets)
+        if want is None:
+            assert SimplicialComplex(facets).facets
+            continue
+        seen += 1
+        with pytest.raises(InvalidStructure) as got:
+            SimplicialComplex(facets)
+        assert str(got.value) == want
+    assert seen >= 200

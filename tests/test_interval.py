@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -29,9 +30,9 @@ from catmon import (
     unit,
 )
 
-from helpers import (assert_record, labeled_posets, poset_classes,
-                     posets_up_to, random_complex, random_element,
-                     random_poset, reference_gcd_criterion,
+from helpers import (assert_record, labeled_posets, layered_poset,
+                     poset_classes, posets_up_to, random_complex,
+                     random_element, random_poset, reference_gcd_criterion,
                      reference_interval_category)
 
 DIAMOND = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
@@ -171,6 +172,25 @@ def test_comparable_pairs_skip_the_greatest_member_search(monkeypatch):
         assert visited, p  # each has an incomparable pair
         for y, z in visited:
             assert not p.comparable(p.elements[y], p.elements[z])
+
+
+def test_gcd_criterion_matches_the_meet_search_where_it_fails():
+    """Posets of 6 or 7 elements, and layered posets whose index order is
+    no linear extension, fail the criterion often.  On each side the
+    witness is the first failure of the all-pairs search: the first failing
+    element in index order, with its first pair."""
+    rng = random.Random(63)
+    posets = [random_poset(rng, max_n=7, min_n=6) for _ in range(3000)]
+    for _ in range(400):
+        widths = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+        posets.append(layered_poset(rng, widths,
+                                    rng.choice((0.3, 0.5, 0.7))))
+    failed = Counter()
+    for p in posets:
+        report = gcd_criterion(p)
+        assert report == reference_gcd_criterion(p), p
+        failed.update(report.witnesses.keys())
+    assert failed["left"] >= 100 and failed["right"] >= 100, failed
 
 
 def test_embed_free_group_is_a_homomorphism():

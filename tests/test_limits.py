@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from catmon import (GroupSpec, MonoidPresentation, Poset, SimplicialComplex,
+from catmon import (CatmonError, GroupPresentation, GroupSpec,
+                    MonoidPresentation, Poset, SimplicialComplex,
                     SizeLimitExceeded, cat_of_poset, congruence_class,
                     elements_up_to, limits, verify_m6_embedding)
 from catmon.formats import load_category, parse_functor
+from catmon.homotopy import SpanningTree, tietze_collapse
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 C6 = (DATA / "c6.category").read_text()
@@ -88,3 +90,48 @@ def test_a_power_is_priced_exactly_and_past_the_bit_length_untaken():
             limits.require((2, exponent), "words")
     for base in (0, 1):
         limits.require((base, 10 ** 9), "words")
+
+
+def test_tietze_relator_letters_are_priced_as_substitution_grows_them(
+        monkeypatch):
+    # a = (b c d e)^-1 from the first relator; put into a^4, it gives one
+    # relator of 16 letters, grown from 9
+    pres = GroupPresentation("abcde", [[(g, 1) for g in "abcde"],
+                                       [("a", 1)] * 4])
+    tree = SpanningTree("a", ())
+    _count_limit(monkeypatch, 16)
+    assert [len(r) for r in tietze_collapse(pres, tree).relators] == [16]
+    _count_limit(monkeypatch, 15)
+    with pytest.raises(SizeLimitExceeded,
+                       match=r"^16 relator letters, over the limit of 15$"):
+        tietze_collapse(pres, tree)
+
+
+def _cyclic_group_text(n):
+    """Z/n as a one-object category file: n arrows, n**2 composites, and
+    n**3 associativity triples, all through its one hom-set."""
+    lines = ["category", "obj o"]
+    lines += [f"arrow g{i} o o" for i in range(1, n)]
+    lines += [f"comp g{i} g{j} " + (f"g{(i + j) % n}" if (i + j) % n
+                                    else "id:o")
+              for i in range(1, n) for j in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_category_files_are_priced_before_validation(monkeypatch):
+    # Z/5: 25 composites and 125 triples
+    text = _cyclic_group_text(5)
+    _count_limit(monkeypatch, 150)
+    assert load_category(text).size == 5
+    _count_limit(monkeypatch, 149)
+    with pytest.raises(SizeLimitExceeded,
+                       match=r"^150 composites and associativity triples, "
+                             r"over the limit of 149$"):
+        load_category(text)
+    # the price is taken before the walk: a bad composite is not reached
+    bad = text.replace("comp g1 g1 g2", "comp g1 g1 g3")
+    with pytest.raises(SizeLimitExceeded):
+        load_category(bad)
+    _count_limit(monkeypatch, 150)
+    with pytest.raises(CatmonError):
+        load_category(bad)
