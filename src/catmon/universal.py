@@ -3,12 +3,18 @@
 Elements are reduced sequences of arrows: no entry is an identity and no two
 consecutive entries are composable.  Any raw sequence rewrites to a unique
 reduced one by dropping identities and composing adjacent composable pairs
-(the rewriting system is confluent).  A product of reduced operands rewrites
-only at their seam.  Divisibility, gcds, lcms of generators, and the greedy
-normal form are computed by structural criteria on the sequences plus
-arrow-level divisibility in S.  The right-hand versions read each sequence
-from its end, so one prefix criterion serves both sides, with S read on the
-side the caller names.
+(the rewriting system is confluent).  ``reduce_sequence`` still rescans the
+whole sequence for redexes after every step, in either order (leftmost, or
+uniform under an rng), so it is quadratic in the length.  The entries of a
+sequence from outside are checked once, where it comes in
+(``reduce_sequence``, ``ReducedSeq(...)``, ``RewriteTrace.replay``,
+``generator``); the rewriting after that reads S's identity and endpoint
+tables directly.  A product of reduced operands rewrites only at their
+seam.  Divisibility, gcds, lcms of generators, and the greedy normal form
+are computed by structural criteria on the sequences plus arrow-level
+divisibility in S.  The right-hand versions read each sequence from its
+end, so one prefix criterion serves both sides, with S read on the side
+the caller names.
 
 The two-operand kernels ``gcd_pair``, ``divides`` and ``lcm_pair`` are the
 hot path.  Each reads ``S._analyze()`` once, makes the checks of its public
@@ -40,15 +46,16 @@ class ReducedSeq:
     __slots__ = ("category", "arrows")
 
     def __init__(self, category, arrows):
-        arrows = tuple(arrows)
+        arrows = tuple(_entries(arrows, "arrows"))
+        ids = category._identities
+        # Entries are checked up to the first identity, which
+        # _require_reduced then names before any later entry is read: the
+        # order of one check-then-identity pass per entry.
         for f in arrows:
             category._check(f)
-            if category.is_identity(f):
-                raise InvalidStructure(f"entry {f} is an identity; not reduced")
-        for f, g in zip(arrows, arrows[1:]):
-            if category.composable(f, g):
-                raise InvalidStructure(
-                    f"entries {f},{g} are composable; not reduced")
+            if f in ids:
+                break
+        _require_reduced(category, arrows)
         _set_category(self, category)
         _set_arrows(self, arrows)
 
@@ -100,6 +107,43 @@ def _reduced(category, arrows):
     return seq
 
 
+def _entries(value, what):
+    """A sequence from outside as a new list.  A string is refused, not
+    read letter by letter, and so is a value that cannot be iterated."""
+    if isinstance(value, str):
+        raise InvalidStructure(
+            f"expected a sequence of {what}, got the string {value!r}")
+    try:
+        items = iter(value)
+    except TypeError:
+        raise InvalidStructure(f"expected a sequence of {what}, got "
+                               f"{type(value).__name__}") from None
+    return list(items)
+
+
+def _arrow_list(category, raw):
+    """The boundary of rewriting: a raw sequence from outside as a new
+    list, each entry checked once.  Past it, rewriting reads S's tables
+    directly, since every entry it meets is an arrow of S."""
+    seq = _entries(raw, "arrows")
+    for f in seq:
+        category._check(f)
+    return seq
+
+
+def _require_reduced(category, arrows):
+    """Refuse known arrows that are not reduced, naming the first identity
+    entry, or else the first composable pair."""
+    ids, ends = category._identities, category._endpoints
+    for f in arrows:
+        if f in ids:
+            raise InvalidStructure(f"entry {f} is an identity; not reduced")
+    for f, g in zip(arrows, arrows[1:]):
+        if ends[f][1] == ends[g][0]:
+            raise InvalidStructure(
+                f"entries {f},{g} are composable; not reduced")
+
+
 class RewriteTrace(namedtuple("RewriteTrace", "steps")):
     __slots__ = ()
 
@@ -109,18 +153,18 @@ class RewriteTrace(namedtuple("RewriteTrace", "steps")):
         Each step must be a rewrite of the sequence it meets: a
         (position, kind) pair whose position is an index into it, naming an
         identity to drop or an entry that composes with the next.  Any other
-        step is refused with InvalidStructure naming it.
+        step is refused with InvalidStructure naming it, and so is a
+        sequence the steps leave unreduced.
         """
-        seq = list(raw)
-        for f in seq:
-            category._check(f)
-        for k, step in enumerate(self.steps):
+        seq = _arrow_list(category, raw)
+        for k, step in enumerate(_entries(self.steps, "steps")):
             if not _is_rewrite(category, seq, step):
                 raise InvalidStructure(
                     f"step {k} {step!r} is not a rewrite of "
                     f"{' '.join(seq) or '1'}")
             _rewrite(category, seq, *step)
-        return ReducedSeq(category, seq)
+        _require_reduced(category, seq)
+        return _reduced(category, tuple(seq))
 
 
 def _is_rewrite(category, seq, step):
@@ -131,9 +175,10 @@ def _is_rewrite(category, seq, step):
     if type(pos) is not int or not 0 <= pos < len(seq):
         return False
     if kind == DROP:
-        return category.is_identity(seq[pos])
+        return seq[pos] in category._identities
+    ends = category._endpoints
     return (kind == COMPOSE and pos + 1 < len(seq)
-            and category.composable(seq[pos], seq[pos + 1]))
+            and ends[seq[pos]][1] == ends[seq[pos + 1]][0])
 
 
 def _rewrite(category, seq, pos, kind):
@@ -145,11 +190,17 @@ def _rewrite(category, seq, pos, kind):
 
 
 def _redexes(category, seq):
+    """Every redex of seq, a list of known arrows, left to right: (i, DROP)
+    for an identity, else (i, COMPOSE) when entry i composes with the next.
+    The tables are read directly; the entries were checked at the
+    boundary."""
+    ids, ends = category._identities, category._endpoints
+    last = len(seq) - 1
     out = []
     for i, f in enumerate(seq):
-        if category.is_identity(f):
+        if f in ids:
             out.append((i, DROP))
-        elif i + 1 < len(seq) and category.composable(f, seq[i + 1]):
+        elif i < last and ends[f][1] == ends[seq[i + 1]][0]:
             out.append((i, COMPOSE))
     return out
 
@@ -159,11 +210,12 @@ def reduce_sequence(category, raw, rng=None):
 
     Deterministic order is leftmost redex, identity-drop before composition;
     pass an rng to pick uniformly among the available redexes instead (the
-    normal form is the same either way).
+    normal form is the same either way).  Both orders share one scan, a
+    full rescan of the sequence after every step, so a reduction costs up
+    to quadratic time in its length.  Each entry of raw is checked once, on
+    entry; raw must be a sequence of arrows (a list or tuple), not a string.
     """
-    seq = list(raw)
-    for f in seq:
-        category._check(f)
+    seq = _arrow_list(category, raw)
     steps = []
     while True:
         redexes = _redexes(category, seq)
@@ -182,7 +234,7 @@ def unit(category):
 def generator(category, arrow):
     """The canonical image of an arrow of S in Um(S)."""
     category._check(arrow)
-    if category.is_identity(arrow):
+    if arrow in category._identities:
         return unit(category)
     return _reduced(category, (arrow,))
 

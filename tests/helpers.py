@@ -499,6 +499,31 @@ def random_raw_sequence(cat, rng, max_len=10):
     return raw
 
 
+def reference_reduce_sequence(cat, raw, rng=None):
+    """The rewriting loop through the public ``is_identity``,
+    ``composable`` and ``compose``: a full rescan for redexes after every
+    step, taking the leftmost one, or a uniform choice under an rng.
+    Returns the normal form's entries and the steps taken."""
+    seq = list(raw)
+    steps = []
+    while True:
+        redexes = []
+        for i, f in enumerate(seq):
+            if cat.is_identity(f):
+                redexes.append((i, "dropIdentity"))
+            elif i + 1 < len(seq) and cat.composable(f, seq[i + 1]):
+                redexes.append((i, "compose"))
+        if not redexes:
+            return tuple(seq), tuple(steps)
+        step = redexes[0] if rng is None else rng.choice(redexes)
+        pos, kind = step
+        if kind == "dropIdentity":
+            del seq[pos]
+        else:
+            seq[pos:pos + 2] = [cat.compose(seq[pos], seq[pos + 1])]
+        steps.append(step)
+
+
 def random_element(cat, rng, max_len=4):
     """A random reduced element of Um(cat)."""
     from catmon import reduce_sequence

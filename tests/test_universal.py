@@ -37,6 +37,7 @@ from catmon import (
     universal_group_presentation,
 )
 from catmon.cli import main
+from catmon.formats import load_category
 
 from helpers import (
     assert_record,
@@ -51,11 +52,15 @@ from helpers import (
     random_category,
     random_category_bounded,
     random_raw_sequence,
+    reference_reduce_sequence,
     reference_universal_group_presentation,
 )
 
 DIAMOND = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
 DCAT = cat_of_poset(DIAMOND)
+C6 = load_category(
+    (Path(__file__).resolve().parent.parent / "data" / "c6.category")
+    .read_text())
 NONLATTICE = Poset("opqrs", [("o", "p"), ("o", "q"), ("p", "r"), ("p", "s"),
                              ("q", "r"), ("q", "s")])
 
@@ -98,6 +103,82 @@ def test_confluence_under_random_strategies():
             for seed in (1, 2):
                 alt, _ = reduce_sequence(cat, raw, random.Random(seed))
                 assert alt == nf
+
+
+def _long_raw_sequence(cat, rng, length):
+    raw = []
+    while len(raw) < length:
+        raw += random_raw_sequence(cat, rng, 20)
+    return raw[:length]
+
+
+def test_reduce_sequence_matches_the_reference_loop():
+    rng = random.Random(24)
+    cases = []
+    for _ in range(80):
+        cat = random_category(rng)
+        cases += [(cat, random_raw_sequence(cat, rng, 12)) for _ in range(4)]
+    assert any(not cat.is_conical() for cat, _ in cases)
+    for cat in (C6, cyclic_category(5), pair_groupoid(3)):
+        cases.append((cat, _long_raw_sequence(cat, rng, 400)))
+    for k, (cat, raw) in enumerate(cases):
+        nf, trace = reduce_sequence(cat, raw)
+        assert (nf.arrows, trace.steps) == reference_reduce_sequence(cat, raw)
+        nf, trace = reduce_sequence(cat, raw, random.Random(k))
+        assert (nf.arrows, trace.steps) == reference_reduce_sequence(
+            cat, raw, random.Random(k))
+
+
+def test_rewriting_checks_each_entry_once_then_reads_the_tables(
+        monkeypatch):
+    raw = ["id:0", "a", "id:1", "a'", "b", "b'", "c", "id:1", "c'", "id:2",
+           "abar", "a", "a'"]
+    nf, trace = reduce_sequence(C6, raw)
+    checked = []
+    check = FiniteCategory._check
+
+    def counted(self, f):
+        checked.append(f)
+        return check(self, f)
+
+    def refuse(*args):
+        raise AssertionError("a public arrow query re-checked an entry")
+
+    monkeypatch.setattr(FiniteCategory, "_check", counted)
+    monkeypatch.setattr(FiniteCategory, "is_identity", refuse)
+    monkeypatch.setattr(FiniteCategory, "composable", refuse)
+    calls = [
+        (lambda: reduce_sequence(C6, raw)[0], nf, raw),
+        (lambda: reduce_sequence(C6, raw, random.Random(5))[0], nf, raw),
+        (lambda: trace.replay(C6, raw), nf, raw),
+        (lambda: ReducedSeq(C6, nf.arrows), nf, list(nf.arrows)),
+        (lambda: generator(C6, "id:2"), unit(C6), ["id:2"]),
+        (lambda: generator(C6, "abar"), ReducedSeq(C6, ("abar",)), ["abar"]),
+    ]
+    for call, want, entries in calls:
+        checked.clear()
+        assert call() == want
+        assert checked == entries
+    # The error order of one check-then-identity pass per entry is kept.
+    with pytest.raises(InvalidStructure, match="entry id:0 is an identity"):
+        ReducedSeq(C6, ("a", "id:0", "nope"))
+    with pytest.raises(UnknownArrow):
+        ReducedSeq(C6, ("a", "nope", "id:0"))
+    with pytest.raises(InvalidStructure, match="entries a,a' are composable"):
+        RewriteTrace(((0, "dropIdentity"),)).replay(C6, ["id:0", "a", "a'"])
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: reduce_sequence(DCAT, bad),
+    lambda bad: reduce_sequence(DCAT, bad, random.Random(1)),
+    lambda bad: ReducedSeq(DCAT, bad),
+    lambda bad: RewriteTrace(()).replay(DCAT, bad),
+    lambda bad: RewriteTrace(bad).replay(DCAT, ["[o,a]"]),
+], ids=["reduce", "reduce-rng", "reduced-seq", "replay-raw", "replay-steps"])
+@pytest.mark.parametrize("bad", ["ab", "", None, 5])
+def test_a_string_or_non_iterable_is_not_a_sequence(call, bad):
+    with pytest.raises(InvalidStructure, match="^expected a sequence of "):
+        call(bad)
 
 
 def test_multiply_is_associative_with_unit():
