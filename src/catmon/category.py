@@ -45,7 +45,7 @@ from .errors import (AssociativityViolation, BadComposability, BadIdentity,
                      EmptyFamily, InvalidStructure, MissingComposite,
                      UnknownArrow)
 from .limits import max_arrows, require
-from .poset import _greatest, _is_id, _members, _pair_without_greatest
+from .poset import _greatest, _ids, _members, _pair_without_greatest
 
 
 def _endpoint_of(side):
@@ -114,8 +114,11 @@ class _DeferredTable:
 
 class FiniteCategory:
     def __init__(self, objects, arrows, identity, comp):
+        arrows = dict(arrows)
         require(len(arrows), "arrows", max_arrows())
-        self._set_up(objects, arrows, identity, comp, validate=True)
+        _ids(arrows, "arrow", "arrows")
+        self._set_up(_ids(objects, "object", "objects"), arrows, identity,
+                     comp, validate=True)
 
     def _set_up(self, objects, arrows, identity, comp, validate,
                 paste=None, masks=None):
@@ -151,14 +154,7 @@ class FiniteCategory:
 
     def _validate(self):
         objset = set(self.objects)
-        if len(objset) != len(self.objects):
-            raise InvalidStructure("duplicate objects")
-        for o in self.objects:
-            if not _is_id(o):
-                raise InvalidStructure(f"bad object id {o!r}")
         for f, (s, t) in self._endpoints.items():
-            if not _is_id(f):
-                raise InvalidStructure(f"bad arrow id {f!r}")
             if s not in objset or t not in objset:
                 raise InvalidStructure(f"arrow {f} has unknown endpoint")
         if set(self.identity) != objset:

@@ -9,6 +9,10 @@ Every ``cmd_*`` handler returns ``(exit code, text, JSON object)``; ``main``
 is the only code that writes stdout.  The ``COMMANDS`` table declares every
 subcommand and its arguments.
 
+This module only parses; the library judges every value (a ``--max-len``
+in ``limits.require_bound``, a ``--side`` in ``category._endpoint_of``),
+and ``main`` reports its ``CatmonError`` with exit 2.
+
 The parser is built once per process, on the first ``main`` call, and
 reused by every later call: argparse keeps no per-call state in it (each
 parse makes a fresh namespace, and help reads the terminal width when it
@@ -321,32 +325,11 @@ def cmd_present_universal_group(args):
 
 # -- parser ------------------------------------------------------------------
 
-def _int_at_least(least, what):
-    """argparse type of a bound that refuses integers below ``least``;
-    non-integers keep int's message."""
-    def parse(text):
-        try:
-            n = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}") from None
-        if n < least:
-            raise argparse.ArgumentTypeError(
-                f"invalid {what} int value: {text!r}")
-        return n
-    return parse
+def _max_len(default):
+    return "--max-len", {"type": int, "default": default}
 
 
-# A check up to length 0 checks nothing, and would answer a vacuous YES.
-_CHECK_BOUND = _int_at_least(1, "positive")
-_SEARCH_BOUND = _int_at_least(0, "non-negative")
-
-
-def _max_len(default, bound=_SEARCH_BOUND):
-    return "--max-len", {"type": bound, "default": default}
-
-
-_SIDE = "--side", {"choices": ("left", "right"), "default": "left"}
+_SIDE = "--side", {"default": "left", "help": "left or right (default: left)"}
 _WORDS = "words", {"nargs": "+"}
 
 # (command path, help, handler, argument specs).  A handler of None makes a
@@ -383,13 +366,13 @@ COMMANDS = [
     (("spindle", "presentation"), None, cmd_spindle_presentation,
      ["file", "u", "v"]),
     (("embed-check",), "hom-set separation and σ-injectivity",
-     cmd_embed_check, ["file", "functor", _max_len(3, _CHECK_BOUND)]),
+     cmd_embed_check, ["file", "functor", _max_len(3)]),
     (("monoid",), "homogeneous presentation word problem", None, []),
     (("monoid", "class"), None, cmd_monoid_class, ["file", "word"]),
     (("monoid", "equal"), None, cmd_monoid_equal, ["file", "left", "right"]),
     (("monoid", "atoms"), None, cmd_monoid_atoms, ["file"]),
     (("monoid", "crm"), None, cmd_monoid_crm, ["file", _WORDS, _max_len(8)]),
-    (("monoid", "m6"), None, cmd_monoid_m6, [_max_len(5, _CHECK_BOUND)]),
+    (("monoid", "m6"), None, cmd_monoid_m6, [_max_len(5)]),
     (("present",), "emit presentations", None, []),
     (("present", "universal-group"), None, cmd_present_universal_group,
      ["file"]),

@@ -16,20 +16,20 @@ from math import comb
 
 from .errors import InvalidStructure
 from .limits import require
-from .poset import Poset, _is_id
+from .poset import Poset, _is_id, _items
 
 
 class SimplicialComplex:
     def __init__(self, facets):
         fs = []
-        for s in facets:
-            t = tuple(sorted(set(s)))
-            if not t:
-                raise InvalidStructure("empty simplex")
-            for v in t:
+        for s in _items(facets, "simplices"):
+            s = _items(s, "vertices")
+            for v in s:
                 if not _is_id(v):
                     raise InvalidStructure(f"bad vertex id {v!r}")
-            fs.append(t)
+            if not s:
+                raise InvalidStructure("empty simplex")
+            fs.append(tuple(sorted(set(s))))
         fs = sorted(set(fs))
         self.vertices = tuple(sorted({v for f in fs for v in f}))
         # holders[v]: the facets holding v, as a bitmask in facet order.

@@ -19,8 +19,9 @@ they pass the limit.  There are two limits:
   10 000).  It bounds Cat(P) before its pasting table is walked, and
   ``FiniteCategory(...)`` on tables from outside.
 
-A length bound has a floor instead: ``require_bound`` refuses a check up
-to length 0, which would check nothing, and a search below length 0.
+A length bound has a floor instead: ``require_bound``, the one judge of a
+bound (the CLI only parses one), refuses a non-``int``, a check up to
+length 0, which would check nothing, and a search below length 0.
 """
 from __future__ import annotations
 
@@ -68,7 +69,10 @@ def require(count, what, limit=None):
 
 
 def require_bound(max_len, least):
-    """Raise InvalidStructure when the length bound max_len is below
-    ``least``: 1 for a check, 0 for a search."""
+    """Raise InvalidStructure when the length bound max_len is not an int
+    (a bool is not one) or is below ``least``: 1 for a check, 0 for a
+    search."""
+    if type(max_len) is not int:
+        raise InvalidStructure(f"max_len {max_len!r} is not an int")
     if max_len < least:
         raise InvalidStructure(f"max_len {max_len} is below {least}")

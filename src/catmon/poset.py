@@ -20,6 +20,29 @@ def _is_id(s):
     return isinstance(s, str) and "#" not in s and s.split() == [s]
 
 
+def _items(value, plural):
+    """``value`` from outside as a tuple (a string as its letters)."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidStructure(f"expected a sequence of {plural}, got "
+                               f"{type(value).__name__}") from None
+
+
+def _ids(value, what, plural):
+    """The one check of a list of names from outside, before anything
+    sorts them: ``_items(value)``, every member an id and none repeated."""
+    ids = _items(value, plural)
+    seen = set()
+    for x in ids:
+        if not _is_id(x):
+            raise InvalidStructure(f"bad {what} id {x!r}")
+        if x in seen:
+            raise InvalidStructure(f"duplicate {plural}")
+        seen.add(x)
+    return ids
+
+
 def _members(mask, items):
     """The items whose indices are the set bits of ``mask``, in index order."""
     out = []
@@ -115,12 +138,7 @@ def _close(n, edges):
 
 class Poset:
     def __init__(self, elements, covers):
-        elems = tuple(sorted(elements))
-        if len(set(elems)) != len(elems):
-            raise InvalidStructure("duplicate poset elements")
-        for e in elems:
-            if not _is_id(e):
-                raise InvalidStructure(f"bad element id {e!r}")
+        elems = tuple(sorted(_ids(elements, "element", "poset elements")))
         idx = {e: i for i, e in enumerate(elems)}
         seen = set()
         for x, y in covers:
@@ -151,7 +169,7 @@ class Poset:
     @classmethod
     def from_order(cls, elements, le_pairs):
         """Build from any set of (x,y) meaning x <= y; covers are derived."""
-        elems = sorted(set(elements))
+        elems = sorted(_ids(elements, "element", "poset elements"))
         idx = {e: i for i, e in enumerate(elems)}
         edges = []
         for x, y in le_pairs:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import InvalidStructure
-from .poset import _is_id
+from .poset import _ids
 
 
 def free_reduce(word):
@@ -60,13 +60,11 @@ def format_word(word):
 
 class GroupPresentation:
     def __init__(self, generators, relators):
-        self.generators = tuple(generators)
+        self.generators = _ids(generators, "generator", "generators")
         for g in self.generators:
             # "g^-1" is read back as the inverse of a generator g.
-            if not _is_id(g) or g.endswith("^-1"):
+            if g.endswith("^-1"):
                 raise InvalidStructure(f"bad generator id {g!r}")
-        if len(set(self.generators)) != len(self.generators):
-            raise InvalidStructure("duplicate generators")
         gens = set(self.generators)
         rels = []
         for r in relators:

@@ -48,18 +48,15 @@ from collections import namedtuple
 
 from . import limits
 from .errors import InvalidStructure, NotHomogeneous
-from .poset import _is_id
+from .poset import _ids
 
 
 class MonoidPresentation:
     def __init__(self, generators, relations):
-        self.generators = tuple(generators)
-        for g in self.generators:
-            # "=" splits a relation into its two sides in a monoid file.
-            if not _is_id(g) or g == "=":
-                raise InvalidStructure(f"bad generator id {g!r}")
-        if len(set(self.generators)) != len(self.generators):
-            raise InvalidStructure("duplicate generators")
+        self.generators = _ids(generators, "generator", "generators")
+        # "=" splits a relation into its two sides in a monoid file.
+        if "=" in self.generators:
+            raise InvalidStructure("bad generator id '='")
         self._gens = gens = frozenset(self.generators)
         rels = []
         for lhs, rhs in relations:
