@@ -45,7 +45,10 @@ from .errors import (AssociativityViolation, BadComposability, BadIdentity,
                      EmptyFamily, InvalidStructure, MissingComposite,
                      UnknownArrow)
 from .limits import max_arrows, require
-from .poset import _greatest, _ids, _members, _pair_without_greatest
+from .poset import (_greatest, _has, _ids, _items, _members,
+                    _pair_without_greatest, _table)
+
+IDENTITY_PREFIX = "id:"  # "id:o" names o's identity in a category file
 
 
 def _endpoint_of(side):
@@ -114,11 +117,12 @@ class _DeferredTable:
 
 class FiniteCategory:
     def __init__(self, objects, arrows, identity, comp):
-        arrows = dict(arrows)
+        arrows = _table(arrows, "arrows")
         require(len(arrows), "arrows", max_arrows())
         _ids(arrows, "arrow", "arrows")
-        self._set_up(_ids(objects, "object", "objects"), arrows, identity,
-                     comp, validate=True)
+        self._set_up(_ids(objects, "object", "objects"), arrows,
+                     _table(identity, "identities"),
+                     _table(comp, "composites"), validate=True)
 
     def _set_up(self, objects, arrows, identity, comp, validate,
                 paste=None, masks=None):
@@ -153,29 +157,47 @@ class FiniteCategory:
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
+        # The keys of comp and the endpoints are looked up and compared as
+        # tuples, so each must be a tuple of two, not any pair.
         objset = set(self.objects)
-        for f, (s, t) in self._endpoints.items():
-            if s not in objset or t not in objset:
+        for f, ends in self._endpoints.items():
+            if type(ends) is not tuple or len(ends) != 2:
+                raise InvalidStructure(f"arrow {f} has endpoints {ends!r}, "
+                                       "not a pair")
+            s, t = ends
+            try:
+                known = s in objset and t in objset
+            except TypeError:  # an unhashable endpoint
+                known = False
+            if not known:
                 raise InvalidStructure(f"arrow {f} has unknown endpoint")
         if set(self.identity) != objset:
             missing = sorted(objset - set(self.identity))
-            extra = sorted(set(self.identity) - objset)
+            extra = sorted(set(self.identity) - objset, key=str)
             raise BadIdentity(f"identity map mismatch: missing {missing}, "
                               f"extra {extra}")
         for o, e in self.identity.items():
-            if e not in self._endpoints:
+            if not _has(self._endpoints, e):
                 raise BadIdentity(f"identity {e} of {o} is not an arrow")
             if self._endpoints[e] != (o, o):
                 raise BadIdentity(f"identity {e} of {o} has wrong endpoints")
-        if len(set(self.identity.values())) != len(self.identity):
-            raise BadIdentity("two objects share an identity arrow")
+        # No two objects share an identity, as its endpoints name its
+        # object; and no other arrow may take a file's name for one.
+        identities = set(self.identity.values())
+        for f in self._endpoints:
+            if f.startswith(IDENTITY_PREFIX) and f not in identities:
+                raise InvalidStructure(f"bad arrow id {f!r}")
 
         ends = self._endpoints
         homs = Counter(ends.values())
         require(len(self.comp) + _fat_triples(homs),
                 "composites and associativity triples")
         get = ends.get
-        for (f, g), h in self.comp.items():
+        for key, h in self.comp.items():
+            if type(key) is not tuple or len(key) != 2:
+                raise InvalidStructure(f"composition key {key!r} is not a "
+                                       "pair")
+            f, g = key
             ef, eg = get(f), get(g)
             if ef is None or eg is None:
                 raise UnknownArrow(f"composition entry ({f},{g}) uses an "
@@ -183,7 +205,10 @@ class FiniteCategory:
             if ef[1] != eg[0]:
                 raise BadComposability(
                     f"table defines {f};{g} but tgt({f}) != src({g})")
-            eh = get(h)
+            try:
+                eh = get(h)
+            except TypeError:  # an unhashable composite
+                eh = None
             if eh is None:
                 raise UnknownArrow(f"composite {f};{g} = {h} is unknown")
             if eh != (ef[0], eg[1]):
@@ -264,7 +289,7 @@ class FiniteCategory:
         return f in self._identities
 
     def identity_of(self, obj):
-        if obj not in self.identity:
+        if not _has(self.identity, obj):
             raise UnknownArrow(f"unknown object {obj!r}")
         return self.identity[obj]
 
@@ -279,14 +304,15 @@ class FiniteCategory:
         return self.comp[(f, g)]
 
     def hom(self, x, y):
-        return tuple(f for f in self._by_src.get(x, ())
+        return tuple(f for f in self.arrows_from(x)
                      if self._endpoints[f][1] == y)
 
     def arrows_from(self, x):
-        return tuple(self._by_src.get(x, ()))
+        """The arrows out of x; none when x is not an object."""
+        return tuple(self._by_src[x]) if _has(self._by_src, x) else ()
 
     def arrows_to(self, y):
-        return tuple(self._by_tgt.get(y, ()))
+        return tuple(self._by_tgt[y]) if _has(self._by_tgt, y) else ()
 
     def non_identities(self):
         return tuple(f for f in self.arrows if f not in self._identities)
@@ -422,7 +448,7 @@ class FiniteCategory:
         """Greatest common left- or right-divisor of a nonempty family, or
         None."""
         div = self._side(side)[0]
-        fam = tuple(fam)
+        fam = _items(fam, "arrows")
         if not fam:
             raise EmptyFamily("gcd of an empty family")
         common = -1

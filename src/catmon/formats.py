@@ -8,7 +8,7 @@ equal structure.
 """
 from __future__ import annotations
 
-from .category import FiniteCategory
+from .category import IDENTITY_PREFIX, FiniteCategory
 from .complexes import SimplicialComplex
 from .errors import ParseError
 from .groups import (CategoryFunctor, FreeAbelianWord, FreeGroupWord,
@@ -17,9 +17,6 @@ from .interval import IsotoneMap
 from .poset import Poset
 from .presentations import GroupPresentation, format_word, parse_word
 from .presented import MonoidPresentation
-
-IDENTITY_PREFIX = "id:"
-
 
 def _rows(text, name):
     rows = []

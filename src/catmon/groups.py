@@ -31,6 +31,7 @@ from operator import add
 from .errors import (GroupMismatch, InvalidStructure, MissingImage,
                      SeparationRequired)
 from .limits import require, require_bound
+from .poset import _has, _ids, _items, _pairs, _table
 from .presentations import format_word, free_reduce, invert_word
 
 
@@ -40,11 +41,13 @@ class GroupSpec(namedtuple(
 
     @classmethod
     def free(cls, letters):
-        return cls("free", letters=tuple(letters))
+        return cls("free", letters=_ids(letters, "letter", "letters"))
 
     @classmethod
     def zn(cls, n):
         """Z^n, for an int n from 0 to ``limits.MAX_COUNT``."""
+        if type(n) is not int:
+            raise InvalidStructure(f"dimension {n!r} for zn is not an int")
         if n < 0:
             raise InvalidStructure(f"negative dimension {n} for zn")
         require(n, "dimensions of target zn")
@@ -94,10 +97,10 @@ class FreeGroupWord(_Word):
     def __init__(self, spec, letters):
         if spec.kind != "free":
             raise GroupMismatch("FreeGroupWord needs a free group spec")
-        letters = tuple(letters)
+        letters = _pairs(letters, "letters")
         alphabet = set(spec.letters)
         for g, _ in letters:
-            if g not in alphabet:
+            if not _has(alphabet, g):
                 raise InvalidStructure(f"letter {g!r} not in the alphabet")
         _set_spec(self, spec)
         _set_payload(self, free_reduce(letters))
@@ -117,7 +120,9 @@ class FreeAbelianWord(_Word):
     def __init__(self, spec, vector):
         if spec.kind != "zn":
             raise GroupMismatch("FreeAbelianWord needs a zn spec")
-        vector = tuple(int(v) for v in vector)
+        vector = _items(vector, "integers")
+        if any(type(v) is not int for v in vector):
+            raise InvalidStructure(f"vector {vector!r} holds a non-int")
         if len(vector) != spec.n:
             raise InvalidStructure(f"vector length {len(vector)} != {spec.n}")
         _set_spec(self, spec)
@@ -142,12 +147,12 @@ class FreeProductWord(_Word):
     def __init__(self, spec, syllables):
         if spec.kind != "product":
             raise GroupMismatch("FreeProductWord needs a product spec")
-        sylls = tuple(syllables)
+        sylls = _pairs(syllables, "syllables")
         prev = None
         for i, w in sylls:
-            if not 0 <= i < len(spec.factors):
-                raise InvalidStructure(f"no factor {i}")
-            if w.spec != spec.factors[i]:
+            if not (type(i) is int and 0 <= i < len(spec.factors)):
+                raise InvalidStructure(f"no factor {i!r}")
+            if not isinstance(w, _Word) or w.spec != spec.factors[i]:
                 raise GroupMismatch(f"syllable in factor {i} has wrong spec")
             if w.is_identity():
                 raise InvalidStructure("trivial syllable")
@@ -286,13 +291,13 @@ class CategoryFunctor:
     def __init__(self, category, target, images):
         self.category = category
         self.target = target
-        imgs = dict(images)
+        imgs = dict(_table(images, "images"))
         for obj in category.objects:
             imgs.setdefault(category.identity_of(obj), target.identity())
         for f in category.arrows:
             if f not in imgs:
                 raise MissingImage(f"no image for arrow {f}")
-            if imgs[f].spec != target:
+            if not isinstance(imgs[f], _Word) or imgs[f].spec != target:
                 raise GroupMismatch(f"image of {f} is not in the target group")
         for f in imgs:
             if not category.has_arrow(f):

@@ -15,7 +15,7 @@ from .category import _category
 from .errors import CategoryMismatch, InvalidStructure, NotIsotone
 from .groups import FreeGroupWord, GroupSpec
 from .limits import max_arrows, require
-from .poset import _members, _pair_without_greatest
+from .poset import _has, _members, _pair_without_greatest, _table
 from .universal import reduce_sequence
 
 
@@ -207,11 +207,11 @@ class IsotoneMap:
     def __init__(self, source, target, mapping):
         self.source = source
         self.target = target
-        self.mapping = dict(mapping)
+        self.mapping = dict(_table(mapping, "images"))
         for x in source.elements:
             if x not in self.mapping:
                 raise NotIsotone(f"no image for {x}")
-            if self.mapping[x] not in target._idx:
+            if not _has(target._idx, self.mapping[x]):
                 raise NotIsotone(f"image {self.mapping[x]} of {x} is not in "
                                  "the target poset")
         for x, y in source.covers:

@@ -4,6 +4,11 @@ The input is the cover relation (x covered-by y edges); the full order is the
 reflexive-transitive closure, computed once and cached as per-element bitmasks.
 Inputs that are not exactly a Hasse diagram (cycles, or covers already implied
 by other covers) are rejected rather than repaired, so files stay canonical.
+
+The readers of values from outside live here too, and every constructor
+uses them: ``_items`` (any iterable), ``_ids`` (a list of names),
+``_pairs`` (a list of pairs), ``_table`` (a dict or a list of pairs) and
+``_has`` (membership, where an unhashable value is not a member).
 """
 from __future__ import annotations
 
@@ -41,6 +46,38 @@ def _ids(value, what, plural):
             raise InvalidStructure(f"duplicate {plural}")
         seen.add(x)
     return ids
+
+
+def _pairs(value, plural):
+    """The one check of the shape of a list of pairs from outside:
+    ``_items(value)``, each member as a 2-tuple."""
+    out = []
+    for p in _items(value, plural):
+        try:
+            x, y = p
+        except (TypeError, ValueError):
+            raise InvalidStructure(f"expected pairs in {plural}, got "
+                                   f"{p!r}") from None
+        out.append((x, y))
+    return tuple(out)
+
+
+def _table(value, plural):
+    """A table from outside, a dict or a list of pairs, as a dict."""
+    if isinstance(value, dict):
+        return value
+    try:
+        return dict(_pairs(value, plural))
+    except TypeError:
+        raise InvalidStructure(f"unhashable key in {plural}") from None
+
+
+def _has(table, key):
+    """Whether key is in table; an unhashable key is not."""
+    try:
+        return key in table
+    except TypeError:
+        return False
 
 
 def _members(mask, items):
@@ -141,9 +178,12 @@ class Poset:
         elems = tuple(sorted(_ids(elements, "element", "poset elements")))
         idx = {e: i for i, e in enumerate(elems)}
         seen = set()
-        for x, y in covers:
-            if x not in idx or y not in idx:
-                raise InvalidStructure(f"cover ({x},{y}) uses unknown element")
+        for x, y in _pairs(covers, "covers"):
+            try:
+                idx[x], idx[y]
+            except (KeyError, TypeError):  # an unhashable x or y too
+                raise InvalidStructure(
+                    f"cover ({x},{y}) uses unknown element") from None
             if x == y:
                 raise InvalidStructure(f"self-cover ({x},{x})")
             if (x, y) in seen:
@@ -172,8 +212,8 @@ class Poset:
         elems = sorted(_ids(elements, "element", "poset elements"))
         idx = {e: i for i, e in enumerate(elems)}
         edges = []
-        for x, y in le_pairs:
-            if x not in idx or y not in idx:
+        for x, y in _pairs(le_pairs, "pairs"):
+            if not (_has(idx, x) and _has(idx, y)):
                 raise InvalidStructure(f"pair ({x},{y}) uses unknown element")
             if x != y:
                 edges.append((idx[x], idx[y]))
@@ -190,7 +230,7 @@ class Poset:
     def index(self, e):
         try:
             return self._idx[e]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable e is unknown too
             raise InvalidStructure(f"unknown poset element {e!r}") from None
 
     def leq(self, x, y):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import InvalidStructure
-from .poset import _ids
+from .poset import _has, _ids, _items, _pairs
 
 
 def free_reduce(word):
@@ -67,10 +67,10 @@ class GroupPresentation:
                 raise InvalidStructure(f"bad generator id {g!r}")
         gens = set(self.generators)
         rels = []
-        for r in relators:
-            r = tuple(r)
+        for r in _items(relators, "relators"):
+            r = _pairs(r, "relator letters")
             for g, e in r:
-                if g not in gens:
+                if not _has(gens, g):
                     raise InvalidStructure(f"relator uses unknown generator "
                                            f"{g!r}")
                 if e not in (1, -1):

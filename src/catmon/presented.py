@@ -47,8 +47,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import limits
-from .errors import InvalidStructure, NotHomogeneous
-from .poset import _ids
+from .errors import EmptyFamily, InvalidStructure, NotHomogeneous
+from .poset import _has, _ids, _items, _pairs
 
 
 class MonoidPresentation:
@@ -59,10 +59,10 @@ class MonoidPresentation:
             raise InvalidStructure("bad generator id '='")
         self._gens = gens = frozenset(self.generators)
         rels = []
-        for lhs, rhs in relations:
-            lhs, rhs = tuple(lhs), tuple(rhs)
+        for lhs, rhs in _pairs(relations, "relations"):
+            lhs, rhs = _items(lhs, "letters"), _items(rhs, "letters")
             for g in lhs + rhs:
-                if g not in gens:
+                if not _has(gens, g):
                     raise InvalidStructure(
                         f"relation uses unknown generator {g!r}")
             rels.append((lhs, rhs))
@@ -116,9 +116,13 @@ def _require_homogeneous(pres):
 
 def _word(pres, w):
     """w as a tuple word, checked to use only generators of pres."""
-    w = tuple(w)
-    if not pres._gens.issuperset(w):
-        bad = next(g for g in w if g not in pres._gens)
+    w = _items(w, "letters")
+    try:
+        known = pres._gens.issuperset(w)
+    except TypeError:  # an unhashable letter
+        known = False
+    if not known:
+        bad = next(g for g in w if not _has(pres._gens, g))
         raise InvalidStructure(f"word uses unknown generator {bad!r}")
     return w
 
@@ -370,9 +374,9 @@ def common_right_multiple(pres, xs, max_len=8):
     as their words; then only their seeds are tested.
     """
     _require_homogeneous(pres)
-    xs = [_word(pres, x) for x in xs]
+    xs = [_word(pres, x) for x in _items(xs, "words")]
     if not xs:
-        raise InvalidStructure("empty family")
+        raise EmptyFamily("common right multiple of an empty family")
     limits.require_bound(max_len, 0)
     full = (1 << len(xs)) - 1
     head = xs[0]

@@ -34,7 +34,7 @@ from .errors import (CategoryMismatch, EmptyElement, EmptyFamily,
                      InvalidStructure, NotCancellative, NotConical,
                      NotAGenerator, SourceMismatch, TargetMismatch)
 from .limits import require, require_bound
-from .poset import _greatest
+from .poset import _greatest, _items
 
 DROP = "dropIdentity"
 COMPOSE = "compose"
@@ -46,7 +46,7 @@ class ReducedSeq:
     __slots__ = ("category", "arrows")
 
     def __init__(self, category, arrows):
-        arrows = tuple(_entries(arrows, "arrows"))
+        arrows = _entries(arrows, "arrows")
         ids = category._identities
         # Entries are checked up to the first identity, which
         # _require_reduced then names before any later entry is read: the
@@ -108,24 +108,20 @@ def _reduced(category, arrows):
 
 
 def _entries(value, what):
-    """A sequence from outside as a new list.  A string is refused, not
-    read letter by letter, and so is a value that cannot be iterated."""
+    """A sequence from outside as a tuple (``poset._items``), except that
+    a string is refused, not read letter by letter, since arrow names need
+    not be one letter."""
     if isinstance(value, str):
         raise InvalidStructure(
             f"expected a sequence of {what}, got the string {value!r}")
-    try:
-        items = iter(value)
-    except TypeError:
-        raise InvalidStructure(f"expected a sequence of {what}, got "
-                               f"{type(value).__name__}") from None
-    return list(items)
+    return _items(value, what)
 
 
 def _arrow_list(category, raw):
     """The boundary of rewriting: a raw sequence from outside as a new
     list, each entry checked once.  Past it, rewriting reads S's tables
     directly, since every entry it meets is an arrow of S."""
-    seq = _entries(raw, "arrows")
+    seq = list(_entries(raw, "arrows"))
     for f in seq:
         category._check(f)
     return seq
@@ -357,10 +353,13 @@ def _boundary_step(cat, div, end, entries):
 
 def gcd_family(side, xs):
     """Greatest common divisor of a nonempty family, or None if absent."""
-    xs = tuple(xs)
+    xs = _entries(xs, "elements")
     if not xs:
         _endpoint_of(side)  # a bad side is named before an empty family
         raise EmptyFamily("gcd of an empty family")
+    for x in xs:
+        if not isinstance(x, ReducedSeq):
+            raise InvalidStructure(f"expected elements of Um(S), got {x!r}")
     cat = xs[0].category
     conical_witness, sides = cat._analyze()
     div, end, _, witness = sides[_endpoint_of(side)]

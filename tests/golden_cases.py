@@ -41,6 +41,9 @@ CASES = [
     ("homotopy_square", ["homotopy", "data/square.complex"], 0),
     ("homotopy_square_json",
      ["homotopy", "--format", "json", "data/square.complex"], 0),
+    ("homotopy_rp2", ["homotopy", "data/rp2.complex"], 0),
+    ("homotopy_rp2_json",
+     ["homotopy", "--format", "json", "data/rp2.complex"], 0),
     ("cross_check_diamond", ["cross-check", "data/diamond.poset"], 0),
     ("cross_check_p7", ["cross-check", "data/p7.poset"], 0),
     ("spindle_detect_diamond",

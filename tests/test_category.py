@@ -14,6 +14,7 @@ from catmon import (
     FiniteCategory,
     GcdCategoryReport,
     IntervalFunctor,
+    InvalidStructure,
     IsotoneMap,
     MissingComposite,
     Poset,
@@ -127,6 +128,36 @@ def test_validation_bad_identity():
                        {"x": "e"},
                        {("e", "e"): "e", ("e", "u"): "e", ("u", "e"): "u",
                         ("u", "u"): "e"})
+
+
+def test_validation_names_each_broken_identity_and_composite():
+    unit_laws = {("e", "e"): "e", ("e", "u"): "u", ("u", "u"): "u"}
+    for objects, arrows, identity, comp, error, message in (
+            (["x"], {"e": ("x", "x")}, {"x": "u"}, {}, BadIdentity,
+             "identity u of x is not an arrow"),
+            (["x", "y"], {"e": ("x", "y"), "i": ("y", "y")},
+             {"x": "e", "y": "i"}, {}, BadIdentity,
+             "identity e of x has wrong endpoints"),
+            # the left unit law holds, the right one fails at u;e
+            (["x"], {"e": ("x", "x"), "u": ("x", "x")}, {"x": "e"},
+             {**unit_laws, ("u", "e"): "e"}, BadIdentity, "u;e != u"),
+            (["x", "y", "z"], {"i": ("x", "x"), "j": ("y", "y"),
+                               "k": ("z", "z"), "f": ("x", "y"),
+                               "g": ("y", "z")},
+             {"x": "i", "y": "j", "z": "k"}, {("f", "g"): "f"},
+             InvalidStructure, "composite f;g = f has wrong endpoints")):
+        with pytest.raises(error, match=f"^{message}$"):
+            FiniteCategory(objects, arrows, identity, comp)
+
+
+def test_identity_of_and_compose_refuse_what_is_not_there():
+    cat = make_category(["x", "y"], {"f": ("x", "y")}, {})
+    assert cat.identity_of("x") == "id:x"
+    with pytest.raises(UnknownArrow, match="unknown object 'z'"):
+        cat.identity_of("z")
+    assert cat.compose("id:x", "f") == "f"
+    with pytest.raises(BadComposability, match=r"tgt\(f\) != src\(id:x\)"):
+        cat.compose("f", "id:x")
 
 
 def test_validation_associativity():

@@ -245,7 +245,8 @@ def test_reused_parser_keeps_no_state(monkeypatch, capsys):
     assert first[("monoid", "--help")][1].startswith(
         "usage: catmon monoid [-h]")
     assert first[("monoid", "crm", "--max-len", "-1", "data/c6.monoid",
-                  "a")][2] == "error: InvalidStructure: max_len -1 is below 0\n"
+                  "a")][2] == ("error: InvalidStructure: max_len -1 is below "
+                               "0\n")
 
 
 # kind of a data file -> the subcommands that read it; None marks the file

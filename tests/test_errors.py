@@ -1,10 +1,29 @@
 """Tooling checks on the source in src/catmon: the exception hierarchy,
 which modules build a validated FiniteCategory, where size policy lives,
-and what importing the package and its CLI loads."""
+that the CLI leaves every value check to the library, and what importing
+the package and its CLI loads.  Then the boundary itself: malformed values
+handed to the public constructors and entry points raise a CatmonError and
+nothing else."""
 import ast
+import random
+from collections.abc import Hashable
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from catmon import (CatmonError, CategoryFunctor, EmptyFamily,
+                    FiniteCategory, FreeAbelianWord, FreeGroupWord,
+                    FreeProductWord, GroupMismatch, GroupPresentation,
+                    GroupSpec, InvalidStructure, IsotoneMap,
+                    MonoidPresentation, NotIsotone, Poset, ReducedSeq,
+                    RewriteTrace, SimplicialComplex, UnknownArrow,
+                    common_right_multiple, congruence_class, detect_spindle,
+                    divides, elements_up_to, embeddability_verdict,
+                    equal_in_monoid, gcd_family, gcd_pair, generator,
+                    lcm_pair, m6_presentation, reduce_sequence,
+                    verify_m6_embedding)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "catmon"
 
@@ -116,3 +135,216 @@ def test_cold_import_loads_no_heavy_modules():
     assert "catmon.cli" in added
     assert sorted(added & {"dataclasses", "inspect", "fractions",
                            "decimal"}) == []
+
+
+def test_the_cli_makes_no_value_checks_of_its_own():
+    # the library judges every value: argparse only parses, so the one
+    # choice it offers is --format and the one type it converts to is int;
+    # options are given as add_argument keywords or as spec dicts
+    tree = ast.parse((SRC / "cli.py").read_text(), "cli.py")
+    for node in ast.walk(tree):
+        assert getattr(node, "attr", getattr(node, "id", None)) != \
+            "ArgumentTypeError", node.lineno
+        if isinstance(node, ast.Call):
+            options = {kw.arg: kw.value for kw in node.keywords}
+            flags = [a.value for a in node.args if isinstance(a, ast.Constant)]
+        elif isinstance(node, ast.Dict):
+            options = {k.value: v for k, v in zip(node.keys, node.values)
+                       if isinstance(k, ast.Constant)}
+            flags = []
+        else:
+            continue
+        if "choices" in options:
+            assert flags == ["--format"], node.lineno
+        if "type" in options:
+            assert getattr(options["type"], "id", None) == "int", node.lineno
+
+
+# -- malformed values at the boundary -------------------------------------
+
+def _two_arrows():
+    """x -> y with two arrows f, g: the smallest category with a choice."""
+    return FiniteCategory(
+        ["x", "y"], {"i": ("x", "x"), "j": ("y", "y"), "f": ("x", "y"),
+                     "g": ("x", "y")}, {"x": "i", "y": "j"},
+        {("i", "i"): "i", ("j", "j"): "j", ("i", "f"): "f",
+         ("i", "g"): "g", ("f", "j"): "f", ("g", "j"): "g"})
+
+
+_P = Poset(["a", "b"], [("a", "b")])
+_Z2 = GroupSpec.zn(2)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: Poset(["a", "b"], [("a", "b", "c")]), InvalidStructure),
+    (lambda: Poset(["a"], None), InvalidStructure),
+    (lambda: Poset(["a", "b"], [(["a"], "b")]), InvalidStructure),
+    (lambda: Poset(["a"], []).leq(["a"], "a"), InvalidStructure),
+    (lambda: FiniteCategory(["o"], {"i": ("o",)}, {"o": "i"}, {}),
+     InvalidStructure),
+    (lambda: FiniteCategory(["o"], {"i": ("o", "o")}, {"o": "i"},
+                            {("i",): "i"}), InvalidStructure),
+    (lambda: FiniteCategory(["o"], [(["i"], ("o", "o"))], {"o": "i"}, {}),
+     InvalidStructure),
+    (lambda: FiniteCategory(["o"], {"i": ("o", "o")}, {"o": ["i"]}, {}),
+     InvalidStructure),
+    (lambda: FiniteCategory(["o"], {"i": ("o", "o")}, {"o": "i"},
+                            {("i", "i"): ["i"]}), UnknownArrow),
+    (lambda: SimplicialComplex([["a"], 5]), InvalidStructure),
+    (lambda: MonoidPresentation(["a"], [(("a",),)]), InvalidStructure),
+    (lambda: GroupPresentation(["a"], [[("a", 1, 2)]]), InvalidStructure),
+    (lambda: FreeGroupWord(GroupSpec.free("ab"), [("a",)]),
+     InvalidStructure),
+    (lambda: FreeAbelianWord(_Z2, ["x", 1]), InvalidStructure),
+    (lambda: GroupSpec.zn("3"), InvalidStructure),
+    (lambda: IsotoneMap(_P, _P, [("a",)]), InvalidStructure),
+    (lambda: gcd_family("left", "ab"), InvalidStructure),
+    (lambda: congruence_class(m6_presentation(), [["a"]]), InvalidStructure),
+    (lambda: common_right_multiple(m6_presentation(), []), EmptyFamily),
+], ids=["poset-triple-cover", "poset-covers-none", "poset-unhashable-cover",
+        "poset-unhashable-query", "category-one-endpoint",
+        "category-one-tuple-key", "category-unhashable-arrow",
+        "category-unhashable-identity", "category-unhashable-composite",
+        "complex-int-simplex", "monoid-one-sided-relation",
+        "group-three-tuple-letter", "free-word-one-tuple",
+        "abelian-word-string", "zn-string", "isotone-one-tuple",
+        "gcd-family-string", "class-unhashable-letter", "crm-empty-family"])
+def test_malformed_shapes_raise_catmon_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_bounds_that_are_not_ints_are_refused():
+    c = _two_arrows()
+    m6 = m6_presentation()
+    for bad in (2.5, None, "3", True):
+        for call in (lambda: verify_m6_embedding(bad),
+                     lambda: elements_up_to(c, bad),
+                     lambda: common_right_multiple(m6, [("a",)], bad)):
+            with pytest.raises(InvalidStructure, match="is not an int"):
+                call()
+
+
+# Values a caller might hand in by mistake: strings, None, ints, bools and
+# floats (as bounds too), 1- and 3-tuples, unhashable lists and dicts.
+_BAD = ["", "a", "a b", "#", None, 0, -1, 3, True, 2.5, ("a",),
+        ("a", "b", "c"), ["a"], [["a"]], {"a": "b"}, [("a", "b", "c")],
+        [None], [1]]
+_KEYS = [b for b in _BAD if isinstance(b, Hashable)]
+
+
+def _entry_points():
+    """(name, callable, good arguments) for each public constructor and
+    entry point that takes values from outside.  Element operands of the
+    Um(S) kernels are ReducedSeqs built here, so only their side is
+    fuzzed; a category, poset, presentation or group spec argument is a
+    structure built here too."""
+    c = _two_arrows()
+    f = generator(c, "f")
+    z1 = GroupSpec.zn(1)
+    functor = CategoryFunctor(c, z1, {"f": FreeAbelianWord(z1, [1]),
+                                      "g": FreeAbelianWord(z1, [2])})
+    free = GroupSpec.free("ab")
+    prod = GroupSpec.product(free, z1)
+    m6 = m6_presentation()
+    diamond = Poset("0ab1", [("0", "a"), ("0", "b"), ("a", "1"),
+                             ("b", "1")])
+    return [
+        ("Poset", Poset, [["a", "b"], [("a", "b")]]),
+        ("Poset.from_order", Poset.from_order, [["a", "b"], [("a", "b")]]),
+        ("Poset.leq", _P.leq, ["a", "b"]),
+        ("Poset.closed_interval", _P.closed_interval, ["a", "b"]),
+        ("Poset.meet_within", _P.meet_within, ["a", "b", "a"]),
+        ("FiniteCategory", FiniteCategory,
+         [["x"], {"i": ("x", "x")}, {"x": "i"}, {("i", "i"): "i"}]),
+        ("FiniteCategory.src", c.src, ["f"]),
+        ("FiniteCategory.identity_of", c.identity_of, ["x"]),
+        ("FiniteCategory.hom", c.hom, ["x", "y"]),
+        ("FiniteCategory.arrows_to", c.arrows_to, ["y"]),
+        ("FiniteCategory.compose", c.compose, ["i", "f"]),
+        ("FiniteCategory.divides", c.divides, ["left", "i", "f"]),
+        ("FiniteCategory.gcd", c.gcd, ["left", ["f", "g"]]),
+        ("FiniteCategory.lcm", c.lcm, ["right", "f", "g"]),
+        ("FiniteCategory.quotient", c.quotient, ["left", "i", "f"]),
+        ("SimplicialComplex", SimplicialComplex, [[["a", "b"], ["b", "c"]]]),
+        ("GroupPresentation", GroupPresentation,
+         [["x", "y"], [[("x", 1), ("y", -1)]]]),
+        ("MonoidPresentation", MonoidPresentation,
+         [["a", "b"], [(("a", "b"), ("b", "a"))]]),
+        ("GroupSpec.free", GroupSpec.free, [["a", "b"]]),
+        ("GroupSpec.zn", GroupSpec.zn, [2]),
+        ("FreeGroupWord", FreeGroupWord, [free, [("a", 1), ("b", -1)]]),
+        ("FreeAbelianWord", FreeAbelianWord, [_Z2, [1, -1]]),
+        ("FreeProductWord", FreeProductWord,
+         [prod, [(0, FreeGroupWord(free, [("a", 1)]))]]),
+        ("CategoryFunctor", CategoryFunctor,
+         [c, z1, {"f": FreeAbelianWord(z1, [1]),
+                  "g": FreeAbelianWord(z1, [2])}]),
+        ("IsotoneMap", IsotoneMap, [_P, _P, {"a": "a", "b": "b"}]),
+        ("ReducedSeq", ReducedSeq, [c, ["f"]]),
+        ("reduce_sequence", reduce_sequence, [c, ["i", "f", "j"]]),
+        ("RewriteTrace.replay", RewriteTrace(((0, "dropIdentity"),)).replay,
+         [c, ["i", "f"]]),
+        ("generator", generator, [c, "g"]),
+        ("gcd_family", gcd_family, ["left", [f, f]]),
+        ("gcd_pair", gcd_pair, ["right", f, f]),
+        ("divides", divides, ["left", f, f]),
+        ("lcm_pair", lcm_pair, ["left", f, f]),
+        ("elements_up_to", elements_up_to, [c, 2]),
+        ("embeddability_verdict", embeddability_verdict, [functor, 2]),
+        ("congruence_class", congruence_class, [m6, ["a", "e"]]),
+        ("equal_in_monoid", equal_in_monoid, [m6, ["a", "e"], ["c", "b"]]),
+        ("common_right_multiple", common_right_multiple,
+         [m6, [["a"], ["b"]], 2]),
+        ("verify_m6_embedding", verify_m6_embedding, [2]),
+        ("detect_spindle", detect_spindle, [diamond, "0", "1"]),
+    ]
+
+
+# Arguments that are structures built here, not values from outside.
+_STRUCTURES = (FiniteCategory, Poset, GroupSpec, MonoidPresentation,
+               CategoryFunctor, ReducedSeq)
+
+
+def _fuzzed(value, rng):
+    """value with one member, at any depth, replaced by a bad value; or a
+    bad value in its place."""
+    if isinstance(value, (list, tuple)) and value and rng.random() < 0.6:
+        i = rng.randrange(len(value))
+        out = list(value)
+        out[i] = _fuzzed(value[i], rng)
+        return type(value)(out)
+    if isinstance(value, dict) and value and rng.random() < 0.6:
+        out = dict(value)
+        key = rng.choice(sorted(out))
+        if rng.random() < 0.5:
+            out[key] = _fuzzed(out[key], rng)
+        else:
+            out[rng.choice(_KEYS)] = out.pop(key)
+        return out
+    return rng.choice(_BAD)
+
+
+def test_malformed_values_raise_only_catmon_errors():
+    """Every argument of every entry point, in turn, replaced by each bad
+    value; then seeded random replacements of members at any depth.  A call
+    may succeed or raise a CatmonError, and nothing else."""
+    rng = random.Random(25)
+    calls = 0
+    for name, fn, good in _entry_points():
+        fn(*good)  # the good arguments are good
+        values = [i for i, v in enumerate(good)
+                  if not isinstance(v, _STRUCTURES)]
+        trials = [(i, bad) for i in values for bad in _BAD]
+        trials += [(i, _fuzzed(good[i], rng)) for i in
+                   (rng.choice(values) for _ in range(60))]
+        for i, bad in trials:
+            args = good[:i] + [bad] + good[i + 1:]
+            try:
+                fn(*args)
+            except CatmonError:
+                pass
+            except Exception as e:
+                pytest.fail(f"{name}{tuple(args)!r} raised {e!r}")
+            calls += 1
+    assert calls > 2500, calls

@@ -70,6 +70,12 @@ def test_presentation_round_trip():
     assert dump_presentation(load_presentation(text)) == text
 
 
+def test_presentation_loader_refuses_other_lines():
+    with pytest.raises(ParseError, match=r"^p:3: expected 'gen <id>\.\.\.' "
+                                         r"or 'rel <word>'$"):
+        load_presentation("presentation\ngen x\nrelator x\n", "p")
+
+
 def test_monoid_round_trip():
     for fname in ("c6.monoid", "m6.monoid", "b3.monoid"):
         pres = load_monoid(read(fname), fname)
@@ -128,6 +134,10 @@ def test_every_dump_loads_back():
                            {"x": "id:x"}, {}),
     lambda: FiniteCategory(["#x"], {"i": ("#x", "#x")}, {"#x": "i"},
                            {("i", "i"): "i"}),
+    # "id:x" names x's identity in a file, so no other arrow may take it
+    lambda: FiniteCategory(["x", "y"], {"i": ("x", "x"), "id:y": ("y", "y"),
+                                        "id:x": ("x", "y")},
+                           {"x": "i", "y": "id:y"}, {}),
     lambda: GroupPresentation(["x^-1"], [(("x^-1", 1),)]),  # an inverse
     lambda: GroupPresentation(["x", "#"], []),
     lambda: GroupPresentation(["a b"], []),
@@ -136,8 +146,9 @@ def test_every_dump_loads_back():
     lambda: MonoidPresentation(["a", "b#"], []),
     lambda: MonoidPresentation([""], []),
 ], ids=["poset-hash", "poset-inner-hash", "vertex-hash", "arrow-hash",
-        "object-hash", "group-inverse", "group-hash", "group-space",
-        "group-int", "monoid-equals", "monoid-hash", "monoid-empty"])
+        "object-hash", "arrow-identity-prefix", "group-inverse",
+        "group-hash", "group-space", "group-int", "monoid-equals",
+        "monoid-hash", "monoid-empty"])
 def test_constructors_refuse_names_the_formats_reserve(build):
     with pytest.raises(InvalidStructure, match="^bad .* id "):
         build()

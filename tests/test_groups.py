@@ -187,6 +187,20 @@ def test_group_multiply_rejects_mixed_groups():
             group_product(spec, words)
 
 
+def test_word_classes_refuse_the_other_kinds_of_group():
+    free, zn = GroupSpec.free(("x",)), GroupSpec.zn(1)
+    prod = GroupSpec.product(free, zn)
+    for cls, spec in ((FreeGroupWord, zn), (FreeAbelianWord, free),
+                      (FreeProductWord, free)):
+        with pytest.raises(GroupMismatch, match=f"^{cls.__name__} needs"):
+            cls(spec, ())
+    with pytest.raises(GroupMismatch, match="FreeGroupWord needs"):
+        FreeGroupWord(prod, ())
+    # a spec of no known kind has no product
+    with pytest.raises(InvalidStructure, match="unknown group kind 'cyclic'"):
+        group_product(GroupSpec("cyclic"), [])
+
+
 def test_category_functor_validation():
     cat, functor = c6_setup()
     zn3 = GroupSpec.zn(3)

@@ -7,6 +7,7 @@ import catmon.category
 import catmon.interval
 import catmon.poset
 from catmon import (
+    CategoryMismatch,
     FreeGroupWord,
     GcdCriterionReport,
     GroupSpec,
@@ -254,6 +255,14 @@ def test_interval_functor_maps_and_reduces():
         x = random_element(cat, rng)
         y = random_element(cat, rng)
         assert func(multiply(x, y)) == multiply(func(x), func(y))
+
+
+def test_interval_functor_refuses_elements_of_another_category():
+    func = IntervalFunctor(IsotoneMap(DIAMOND, DIAMOND,
+                                      {e: e for e in DIAMOND.elements}))
+    stranger = generator(cat_of_poset(DIAMOND), "[o,a]")
+    with pytest.raises(CategoryMismatch, match="source category"):
+        func(stranger)
 
 
 def test_interval_functor_collapse_drops_identities():

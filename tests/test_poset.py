@@ -60,6 +60,14 @@ def test_redundant_cover_rejected():
         Poset("oai", [("o", "a"), ("a", "i"), ("o", "i")])
 
 
+def test_self_covers_and_unknown_pairs_rejected():
+    with pytest.raises(InvalidStructure, match=r"^self-cover \(a,a\)$"):
+        Poset("ab", [("a", "a")])
+    with pytest.raises(InvalidStructure,
+                       match=r"^pair \(a,z\) uses unknown element$"):
+        Poset.from_order("ab", [("a", "z")])
+
+
 def test_cyclic_covers_rejected():
     with pytest.raises(CyclicCovers,
                        match="^cover relation contains a cycle$"):

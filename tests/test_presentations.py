@@ -41,6 +41,11 @@ def test_free_reduce_rejects_bad_exponents():
         free_reduce([("x", 2)])
 
 
+def test_presentation_refuses_bad_exponents():
+    with pytest.raises(InvalidStructure, match="exponent must be ±1, got 2"):
+        GroupPresentation(["x"], [[("x", 1), ("x", 2)]])
+
+
 def test_parse_format_round_trip():
     word = (("x", 1), ("y", -1), ("x", 1))
     assert parse_word(["x", "y^-1", "x"]) == word

@@ -6,6 +6,7 @@ import pytest
 
 from catmon import (
     AtomsReport,
+    EmptyFamily,
     InvalidStructure,
     M6Report,
     MonoidPresentation,
@@ -228,7 +229,7 @@ def test_common_right_multiples_in_c6():
     assert common_right_multiple(pres, [("a",), ("c",)]) == ("a", "c'")
     assert common_right_multiple(
         pres, [("a",), ("b",), ("c",)], max_len=4) is None
-    with pytest.raises(InvalidStructure):
+    with pytest.raises(EmptyFamily):
         common_right_multiple(pres, [])
 
 

@@ -201,6 +201,16 @@ def test_multiply_rejects_mixed_categories():
         multiply(unit(DCAT), unit(other))
 
 
+def test_kernels_refuse_operands_over_other_categories():
+    other = cat_of_poset(Poset("xy", [("x", "y")]))
+    x, y = generator(DCAT, "[o,a]"), generator(other, "[x,y]")
+    for kernel in (divides, lcm_pair):
+        with pytest.raises(CategoryMismatch, match="different categories"):
+            kernel("left", x, y)
+    with pytest.raises(EmptyFamily, match="explicit category"):
+        product([])
+
+
 def test_multiply_is_the_reduced_concatenation():
     # Every conical / cancellative combination, and seams whose identity
     # composites cascade: r20;r02 and then r01;r10 vanish in pair_groupoid.
