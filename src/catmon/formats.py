@@ -18,6 +18,7 @@ from .poset import Poset
 from .presentations import GroupPresentation, format_word, parse_word
 from .presented import MonoidPresentation
 
+
 def _rows(text, name):
     rows = []
     for lineno, raw in enumerate(text.splitlines(), 1):
