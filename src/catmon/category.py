@@ -28,12 +28,13 @@ priced before its walk, and an opposite has its source's arrows.
 Which builders hand their composition table over, and which build it on
 first use:
 
-- ``FiniteCategory(...)`` and ``opposite()`` hand it over, and
-  ``_analyze`` ORs it into the divisor masks.
+- ``FiniteCategory(...)`` and ``opposite()`` hand it over.
 - Cat(P) (``interval.cat_of_poset``) hands over its arrows only.  Its
-  table is pasted the first time ``comp`` is used (``_DeferredTable``),
-  and its divisor masks are read off the order, so a gcd report never
-  builds the table.
+  table is pasted the first time ``comp`` is used (``_DeferredTable``).
+  Its gcd report is read off the order by the gcd criterion, so a gcd
+  report never builds the table.
+
+Either way ``_analyze`` ORs the table into the divisor masks.
 """
 from __future__ import annotations
 
@@ -125,12 +126,13 @@ class FiniteCategory:
                      _table(comp, "composites"), validate=True)
 
     def _set_up(self, objects, arrows, identity, comp, validate,
-                paste=None, masks=None):
+                paste=None, report=None):
         """The one set-up of both builders: the tables and the indexes,
         with ``_validate`` between the tables and the indexes when
         ``validate`` is set (the indexes assume known endpoints).  Given
         ``paste`` instead of ``comp``, the table is built on first use
-        (``_DeferredTable``); ``masks`` is read by ``_analyze``.  Every
+        (``_DeferredTable``); ``report``, if given, builds the gcd report
+        in place of ``gcd_category_report``'s scan.  Every
         instance sets the same attributes in the same order, so all share
         one key layout and attribute reads stay specialised."""
         self.objects = tuple(sorted(objects))
@@ -139,7 +141,7 @@ class FiniteCategory:
         self.identity = dict(identity)
         self.comp = (dict(comp) if paste is None
                      else _DeferredTable(self, paste))
-        self._masks = masks
+        self._report = report
         if validate:
             self._validate()
         self._index = {f: i for i, f in enumerate(self.arrows)}
@@ -311,9 +313,6 @@ class FiniteCategory:
         """The arrows out of x; none when x is not an object."""
         return tuple(self._by_src[x]) if _has(self._by_src, x) else ()
 
-    def arrows_to(self, y):
-        return tuple(self._by_tgt[y]) if _has(self._by_tgt, y) else ()
-
     def non_identities(self):
         return tuple(f for f in self.arrows if f not in self._identities)
 
@@ -326,16 +325,9 @@ class FiniteCategory:
     def _analyze(self):
         """(conical witness, per-side (divisor masks, endpoint index,
         fibres, cancellation witness)), computed once.  ``ldiv[b]`` holds
-        the arrows a with b = a;x, ``rdiv[b]`` those with b = x;a.  Cat(P)
-        reads its masks off the order (``_masks``), and is conical and
-        cancellative by construction: it is thin, and an order is
-        antisymmetric.  Any other category ORs its table into the masks."""
+        the arrows a with b = a;x, ``rdiv[b]`` those with b = x;a, ORed
+        from the composition table."""
         if self._analysis is not None:
-            return self._analysis
-        if self._masks is not None:
-            ldiv, rdiv = self._masks(self._index)
-            self._analysis = (None, ((ldiv, 0, self._by_src, None),
-                                     (rdiv, 1, self._by_tgt, None)))
             return self._analysis
         n = len(self.arrows)
         idx = self._index
@@ -500,8 +492,13 @@ class FiniteCategory:
 
     def gcd_category_report(self):
         """Check conicality, two-sided cancellativity, and existence of all
-        pairwise same-source left gcds and same-target right gcds."""
+        pairwise same-source left gcds and same-target right gcds.  A
+        category whose builder passed ``report`` (Cat(P)) gets the report
+        from it, with no analysis or scan."""
         if self._gcd_report is not None:
+            return self._gcd_report
+        if self._report is not None:
+            self._gcd_report = self._report()
             return self._gcd_report
         witnesses = {}
         cw = self.conical_witness()
@@ -564,7 +561,7 @@ def _fat_triples(homs):
 
 
 def _category(objects, arrows, identity, comp=None, paste=None,
-              masks=None):
+              report=None):
     """A ``FiniteCategory`` on tables catmon built itself, not validated.
 
     Use only where the tables are valid by construction and their size
@@ -578,9 +575,8 @@ def _category(objects, arrows, identity, comp=None, paste=None,
       every composable pair.  Each hom-set has one arrow, so the table is
       associative and the identities are neutral.  Its arrows are counted
       against the arrow limit before the walk.  It passes no ``comp``:
-      ``paste`` builds the table on first use, and ``masks``, given the
-      arrow index, returns the divisor masks (ldiv, rdiv) that ``_analyze``
-      would OR from it.
+      ``paste`` builds the table on first use, and ``report`` builds the
+      gcd report from the order.
     - ``FiniteCategory.opposite``: a valid category's tables with every
       arrow and composite reversed, which is valid again, with its
       source's count of arrows.  It passes ``comp``.
@@ -590,5 +586,5 @@ def _category(objects, arrows, identity, comp=None, paste=None,
     """
     cat = object.__new__(FiniteCategory)
     cat._set_up(objects, arrows, identity, comp, validate=False,
-                paste=paste, masks=masks)
+                paste=paste, report=report)
     return cat

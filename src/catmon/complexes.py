@@ -29,7 +29,9 @@ class SimplicialComplex:
                     raise InvalidStructure(f"bad vertex id {v!r}")
             if not s:
                 raise InvalidStructure("empty simplex")
-            fs.append(tuple(sorted(set(s))))
+            if len(set(s)) != len(s):
+                raise InvalidStructure(f"simplex {s} repeats a vertex")
+            fs.append(tuple(sorted(s)))
         fs = sorted(set(fs))
         self.vertices = tuple(sorted({v for f in fs for v in f}))
         # holders[v]: the facets holding v, as a bitmask in facet order.

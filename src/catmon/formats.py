@@ -13,7 +13,6 @@ from .complexes import SimplicialComplex
 from .errors import ParseError
 from .groups import (CategoryFunctor, FreeAbelianWord, FreeGroupWord,
                      GroupSpec)
-from .interval import IsotoneMap
 from .poset import Poset
 from .presentations import GroupPresentation, format_word, parse_word
 from .presented import MonoidPresentation
@@ -248,19 +247,6 @@ def load_functor(text, category, name="<functor>"):
             else:
                 images[arrow] = FreeGroupWord(spec, parse_word(tokens))
     return CategoryFunctor(category, spec, images)
-
-
-# -- isotone map -----------------------------------------------------------------
-
-def load_map(text, source, target, name="<map>"):
-    rows = _header(_rows(text, name), "map", name)
-    mapping = {}
-    for lineno, tokens in rows:
-        if tokens[0] == "send" and len(tokens) == 3:
-            mapping[tokens[1]] = tokens[2]
-        else:
-            _fail(name, lineno, "expected 'send <x> <y>'")
-    return IsotoneMap(source, target, mapping)
 
 
 # -- dispatch ---------------------------------------------------------------------

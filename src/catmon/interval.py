@@ -10,8 +10,9 @@ and into a free monoid on the consecutive steps of a linear extension.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations
 
-from .category import _category
+from .category import GcdCategoryReport, _category
 from .errors import CategoryMismatch, InvalidStructure, NotIsotone
 from .groups import FreeGroupWord, GroupSpec
 from .limits import max_arrows, require
@@ -73,55 +74,17 @@ def _interval_walk(poset):
     return arrows, identity, _interval_pastings(ups, names)
 
 
-def _interval_masks(poset, ups, names, index):
-    """Cat(P)'s divisor masks ``(ldiv, rdiv)`` over the arrow index
-    ``index``, read off the order instead of the pasting table.
-
-    [x,y] left-divides [x',z] iff x' = x and y <= z, and [y,z]
-    right-divides [x,z'] iff z' = z and x <= y.  So ldiv[x,z] is the arrows
-    out of x among those inside down(z), and rdiv[x,z] the arrows into z
-    among those inside up(x).  The arrows inside down(z) are those into z
-    joined with those inside down(w) for each lower cover w of z, so they
-    are pushed up the covers along the linear extension; those inside
-    up(x) are pulled down them.  That is one OR per cover and two ANDs per
-    arrow, where the table takes two ORs per pasting.
-    """
-    succ, order = poset._succ, poset._order
-    ids = range(len(names))
-    at = [[index[names[x][z]] for z in ups[x]] for x in ids]
-    out_of = [sum(1 << k for k in ks) for ks in at]
-    into = [0] * len(names)
-    for x in ids:
-        for z, k in zip(ups[x], at[x]):
-            into[z] |= 1 << k
-    inside_down, inside_up = into[:], out_of[:]
-    for z in order:
-        for w in succ[z]:
-            inside_down[w] |= inside_down[z]
-    for x in reversed(order):
-        for w in succ[x]:
-            inside_up[x] |= inside_up[w]
-    ldiv = [0] * len(index)
-    rdiv = [0] * len(index)
-    for x in ids:
-        row, above = out_of[x], inside_up[x]
-        for z, k in zip(ups[x], at[x]):
-            ldiv[k] = inside_down[z] & row
-            rdiv[k] = above & into[z]
-    return ldiv, rdiv
-
-
 def cat_of_poset(poset):
     """The category of closed intervals of a poset.  Its tables are valid by
     construction (see ``category._category``), so they are not validated
     again.  Only the arrows are built here: the pasting table is built the
-    first time ``comp`` is used, and the divisor masks come from the order
-    (``_interval_masks``), so a gcd report never builds the table."""
+    first time ``comp`` is used, and the gcd report is read off the order
+    (``_interval_report``), so a gcd report never builds the table."""
     ups, names, arrows, identity = _interval_names(poset)
     return _category(
         poset.elements, arrows, identity,
         paste=lambda: _interval_pastings(ups, names),
-        masks=lambda index: _interval_masks(poset, ups, names, index))
+        report=lambda: _interval_report(poset, names))
 
 
 class GcdCriterionReport(namedtuple(
@@ -144,14 +107,15 @@ def _incomparable_pairs(ys, later, mask):
             yield y, low.bit_length() - 1
 
 
-def _pair_without_meet(a, above, below, later):
-    """The first pair of ``above[a]``, among those ``later`` allows, whose
-    common lower bounds in ``above[a]`` have no greatest member; None if
+def _pair_without_meet(a, above, below, pairs):
+    """The first of ``pairs(ys, mask)``, pairs of members of
+    ``mask = above[a]`` (``ys``, in index order), whose common lower bounds
+    in ``above[a]`` have no greatest member; None if none is found, as when
     ``above[a]`` is a meet-semilattice (with ``above`` and ``below``
     swapped, a join-semilattice)."""
     mask = above[a]
     ys = _members(mask, range(len(above)))
-    return _pair_without_greatest(_incomparable_pairs(ys, later, mask),
+    return _pair_without_greatest(pairs(ys, mask),
                                   {y: below[y] & mask for y in ys}, below)
 
 
@@ -178,6 +142,10 @@ def gcd_criterion(poset):
     # later[y] is the elements after y incomparable to it.
     full = (1 << len(els)) - 1
     later = [full >> y + 1 << y + 1 & ~(up[y] | dn[y]) for y in ids]
+
+    def incomparable(ys, mask):
+        return _incomparable_pairs(ys, later, mask)
+
     # The meet of y1, y2 in up(a) is the greatest member of
     # down(y1) & down(y2) & up(a); a join in down(a) is the same search in
     # the reversed order.
@@ -185,7 +153,7 @@ def gcd_criterion(poset):
         passed = 0
         for a in ids:
             if below[a] == 1 << a:
-                pair = _pair_without_meet(a, above, below, later)
+                pair = _pair_without_meet(a, above, below, incomparable)
                 if pair is not None:
                     break
                 passed |= 1 << a
@@ -193,7 +161,7 @@ def gcd_criterion(poset):
             continue
         for b in range(a):
             if not below[b] & passed:
-                found = _pair_without_meet(b, above, below, later)
+                found = _pair_without_meet(b, above, below, incomparable)
                 if found is not None:
                     a, pair = b, found
                     break
@@ -201,6 +169,35 @@ def gcd_criterion(poset):
         witnesses[side] = (els[a], els[pair[0]], els[pair[1]])
     return GcdCriterionReport("left" not in witnesses,
                               "right" not in witnesses, witnesses)
+
+
+def _interval_report(poset, names):
+    """Cat(P)'s gcd report, read off the order; ``names`` is
+    ``_interval_names``' grid.  Cat(P) is thin and an order is
+    antisymmetric, so it is conical and cancellative.  [x,y1] and [x,y2]
+    have a greatest common left divisor iff y1 and y2 have a meet in up(x),
+    and [y1,z] and [y2,z] a right one iff they have a join in down(z); so
+    the gcd verdicts and the failing objects are ``gcd_criterion``'s.  Each
+    witness is the first pair of its object's fibre, in arrow order (by
+    name), that has no meet (left) or join (right), and the witnesses are
+    keyed by the failing object's index, left before right: what the fibre
+    scan of ``FiniteCategory.gcd_category_report`` finds."""
+    up, dn = poset._up, poset._dn
+    failing = gcd_criterion(poset).witnesses
+    found = []
+    for side, above, below in (("left", up, dn), ("right", dn, up)):
+        if side not in failing:
+            continue
+        a = poset._idx[failing[side][0]]
+        name = (names[a].__getitem__ if side == "left"
+                else lambda y: names[y][a])
+        pair = _pair_without_meet(
+            a, above, below,
+            lambda ys, mask: combinations(sorted(ys, key=name), 2))
+        found.append((a, side, (name(pair[0]), name(pair[1]))))
+    witnesses = {f"{side}_gcds": pair for _, side, pair in sorted(found)}
+    return GcdCategoryReport(True, True, True, "left_gcds" not in witnesses,
+                             "right_gcds" not in witnesses, witnesses)
 
 
 class IsotoneMap:
@@ -214,6 +211,9 @@ class IsotoneMap:
             if not _has(target._idx, self.mapping[x]):
                 raise NotIsotone(f"image {self.mapping[x]} of {x} is not in "
                                  "the target poset")
+        for x in self.mapping:
+            if not _has(source._idx, x):
+                raise NotIsotone(f"image given for unknown element {x!r}")
         for x, y in source.covers:
             if not target.leq(self.mapping[x], self.mapping[y]):
                 raise NotIsotone(f"{x} ≤ {y} but images are not ordered")

@@ -248,10 +248,6 @@ class Poset:
     def down_set(self, a):
         return _members(self._dn[self.index(a)], self.elements)
 
-    def closed_interval(self, u, v):
-        return _members(self._up[self.index(u)] & self._dn[self.index(v)],
-                        self.elements)
-
     def open_interval(self, u, v):
         m = self._up[self.index(u)] & self._dn[self.index(v)]
         m &= ~(1 << self.index(u)) & ~(1 << self.index(v))
@@ -271,14 +267,6 @@ class Poset:
             if self._up[i] == full:
                 return e
         return None
-
-    def upper_covers(self, x):
-        return tuple(self.elements[j] for j in self._succ[self.index(x)])
-
-    def sort_by_order(self, xs):
-        """Sort a chain (pairwise comparable set) into ascending order."""
-        return tuple(sorted(
-            xs, key=lambda e: self._dn[self.index(e)].bit_count()))
 
     def linear_extension(self):
         """The lexicographically least linear extension."""

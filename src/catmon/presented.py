@@ -320,10 +320,6 @@ def equal_in_monoid(pres, u, v):
 class AtomsReport(namedtuple("AtomsReport", "atoms identified_classes")):
     __slots__ = ()
 
-    @property
-    def all_distinct(self):
-        return not self.identified_classes
-
 
 def atoms(pres):
     """Every generator of a homogeneous presentation is an atom: its

@@ -2,15 +2,15 @@
 
 An interval [u,v] of height ≥ 2 is a spindle when comparability on the open
 interval ]u,v[ is an equivalence relation — equivalently, when any two
-distinct maximal chains of [u,v] meet exactly in {u,v}; both criteria are
-computed and compared.  For an extreme spindle (u minimal, v maximal in P)
-the spindle category replaces the single arrow [u,v] of Cat(P) by one arrow
-per maximal chain.  It is built as an edit of Cat(P)'s composition table,
-and its presentation as a filter of that table.
+distinct maximal chains of [u,v] meet exactly in {u,v}.  The first
+criterion, the definition, is the one computed.  For an extreme spindle (u
+minimal, v maximal in P) the spindle category replaces the single arrow
+[u,v] of Cat(P) by one arrow per maximal chain.  It is built as an edit of
+Cat(P)'s composition table, and its presentation as a filter of that table.
 """
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .category import FiniteCategory
 from .errors import HeightTooSmall, InvalidStructure, NotComparable, NotExtreme
@@ -28,16 +28,9 @@ def chain_arrow_name(chain):
 
 
 def detect_spindle(poset, u, v):
-    """The spindle at (u,v), or None when the criteria fail.
-
-    Primary criterion: comparability restricted to ]u,v[ is transitive
-    (reflexivity and symmetry are automatic).  Cross-checked against the
-    chain criterion: distinct maximal chains of [u,v] meet exactly in {u,v}.
-    That holds iff every element of ]u,v[ has exactly one upper and one
-    lower cover in [u,v], since then one inner element fixes its whole
-    chain, and two covers on either side give two chains through it; so it
-    is decided from the covers, and the maximal chains, one per class, are
-    listed only for a spindle.
+    """The spindle at (u,v), or None when comparability restricted to
+    ]u,v[ is not transitive (reflexivity and symmetry are automatic).  The
+    maximal chains, one per class, are listed only for a spindle.
     """
     if not poset.lt(u, v):
         raise NotComparable(f"{u} < {v} does not hold")
@@ -50,17 +43,8 @@ def detect_spindle(poset, u, v):
     # there is also the comparable set of every element in it.
     ids = range(len(up))
     near = {i: (up[i] | dn[i]) & inner for i in _members(inner, ids)}
-    equivalence = all(near[j] == mask for mask in near.values()
-                      for j in _members(mask, ids))
-    inside = inner | 1 << ui | 1 << vi
-    covers = {i: [j for j in poset._succ[i] if inside >> j & 1]
-              for i in (ui, *near)}
-    lower = Counter(j for ups in covers.values() for j in ups)
-    chains_ok = all(len(covers[i]) == 1 and lower[i] == 1 for i in near)
-    if equivalence != chains_ok:
-        raise InvalidStructure(
-            "spindle criteria disagree — this is a bug")
-    if not equivalence:
+    if not all(near[j] == mask for mask in near.values()
+               for j in _members(mask, ids)):
         return None
     return Spindle(u, v, poset.maximal_chains_in(u, v))
 

@@ -140,6 +140,20 @@ def test_spindle_no_exits_1(tmp_path, capsys):
     assert main(["spindle", "presentation", str(f), "u", "v"]) == 1
 
 
+def test_simplex_with_a_repeated_vertex_exits_2(tmp_path, capsys):
+    f = tmp_path / "repeat.complex"
+    f.write_text("complex\nsimplex a a b\n")
+    for command in ("barycentric", "homotopy"):
+        assert main([command, str(f)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert captured.err == ("error: InvalidStructure: simplex "
+                                "('a', 'a', 'b') repeats a vertex\n"), command
+    assert main(["validate", str(f)]) == 1
+    assert capsys.readouterr().out == (
+        "INVALID: simplex ('a', 'a', 'b') repeats a vertex\n")
+
+
 def test_spindle_category_chain_name_clash_exits_2(tmp_path, capsys):
     f = tmp_path / "clash.poset"
     f.write_text("poset\nelem u a b a,b v\ncover u a\ncover a b\n"

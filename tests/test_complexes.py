@@ -29,6 +29,10 @@ def test_bad_vertex_names_rejected():
         SimplicialComplex([["a b"]])
     with pytest.raises(InvalidStructure):
         SimplicialComplex([[]])
+    # a vertex repeated inside one simplex is refused, not merged
+    with pytest.raises(InvalidStructure,
+                       match=r"^simplex \('a', 'a', 'b'\) repeats a vertex$"):
+        SimplicialComplex([["a", "a", "b"]])
 
 
 def test_vertex_ids_may_contain_commas():

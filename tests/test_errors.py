@@ -198,6 +198,8 @@ _Z2 = GroupSpec.zn(2)
     (lambda: FreeAbelianWord(_Z2, ["x", 1]), InvalidStructure),
     (lambda: GroupSpec.zn("3"), InvalidStructure),
     (lambda: IsotoneMap(_P, _P, [("a",)]), InvalidStructure),
+    (lambda: IsotoneMap(_P, _P, {"a": "a", "b": "b", "zz": "a"}),
+     NotIsotone),
     (lambda: gcd_family("left", "ab"), InvalidStructure),
     (lambda: congruence_class(m6_presentation(), [["a"]]), InvalidStructure),
     (lambda: common_right_multiple(m6_presentation(), []), EmptyFamily),
@@ -208,6 +210,7 @@ _Z2 = GroupSpec.zn(2)
         "complex-int-simplex", "monoid-one-sided-relation",
         "group-three-tuple-letter", "free-word-one-tuple",
         "abelian-word-string", "zn-string", "isotone-one-tuple",
+        "isotone-unknown-element",
         "gcd-family-string", "class-unhashable-letter", "crm-empty-family"])
 def test_malformed_shapes_raise_catmon_errors(call, error):
     with pytest.raises(error):
@@ -253,14 +256,12 @@ def _entry_points():
         ("Poset", Poset, [["a", "b"], [("a", "b")]]),
         ("Poset.from_order", Poset.from_order, [["a", "b"], [("a", "b")]]),
         ("Poset.leq", _P.leq, ["a", "b"]),
-        ("Poset.closed_interval", _P.closed_interval, ["a", "b"]),
         ("Poset.meet_within", _P.meet_within, ["a", "b", "a"]),
         ("FiniteCategory", FiniteCategory,
          [["x"], {"i": ("x", "x")}, {"x": "i"}, {("i", "i"): "i"}]),
         ("FiniteCategory.src", c.src, ["f"]),
         ("FiniteCategory.identity_of", c.identity_of, ["x"]),
         ("FiniteCategory.hom", c.hom, ["x", "y"]),
-        ("FiniteCategory.arrows_to", c.arrows_to, ["y"]),
         ("FiniteCategory.compose", c.compose, ["i", "f"]),
         ("FiniteCategory.divides", c.divides, ["left", "i", "f"]),
         ("FiniteCategory.gcd", c.gcd, ["left", ["f", "g"]]),

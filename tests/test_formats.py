@@ -22,7 +22,6 @@ from catmon.formats import (
     load_category,
     load_complex,
     load_functor,
-    load_map,
     load_monoid,
     load_poset,
     load_presentation,
@@ -223,16 +222,6 @@ def test_functor_free_target_and_identity_image():
     assert functor.image("f").is_identity()
 
 
-def test_map_loading():
-    diamond = load_poset(read("diamond.poset"))
-    chain = Poset("xyz", [("x", "y"), ("y", "z")])
-    text = "map\nsend 0 x\nsend a y\nsend b y\nsend 1 z\n"
-    mapping = load_map(text, diamond, chain)
-    assert mapping("0") == "x" and mapping("a") == "y"
-    with pytest.raises(ParseError, match="expected 'send"):
-        load_map("map\nsend a\n", diamond, chain)
-
-
 def test_sniff_and_load_any():
     kind, poset = load_any(read("diamond.poset"), "diamond.poset")
     assert kind == "poset" and isinstance(poset, Poset)
@@ -254,7 +243,5 @@ def test_every_data_file_loads():
         if kind == "functor":
             cat = load_category(read("c6.category"))
             load_functor(text, cat, path.name)
-        elif kind == "map":
-            continue
         else:
             load_any(text, path.name)

@@ -140,7 +140,7 @@ def test_only_trivial_relations_give_singleton_classes():
     assert equal_in_monoid(pres, (), ())
     assert not equal_in_monoid(pres, ("a", "b"), ("b", "a"))
     assert common_right_multiple(pres, [("a",), ("b",)], 4) is None
-    assert atoms(pres).all_distinct
+    assert not atoms(pres).identified_classes
 
 
 def test_common_right_multiple_matches_search_without_dedup():
@@ -205,11 +205,9 @@ def test_atoms_reports():
     for pres in (c6_presentation(), m6_presentation(), braid3_presentation()):
         report = atoms(pres)
         assert report.atoms == pres.generators
-        assert report.all_distinct
+        assert not report.identified_classes
     glued = MonoidPresentation("xy", [(("x",), ("y",))])
-    report = atoms(glued)
-    assert not report.all_distinct
-    assert report.identified_classes == (("x", "y"),)
+    assert atoms(glued).identified_classes == (("x", "y"),)
 
 
 def test_left_divides_mod():
@@ -706,10 +704,9 @@ def test_class_walks_are_refused_at_the_first_layer_past_the_guard(
 
 
 def test_presented_records_keep_their_contract():
-    report = assert_record(AtomsReport, atoms=("a", "b", "c"),
-                           identified_classes=(("a", "b"),))
-    assert not report.all_distinct
-    assert atoms(c6_presentation()).all_distinct
+    assert_record(AtomsReport, atoms=("a", "b", "c"),
+                  identified_classes=(("a", "b"),))
+    assert not atoms(c6_presentation()).identified_classes
     assert_record(M6Report, relation_checks=(), relations_hold=True,
                   checked_length=2, class_count=40, injective=True)
     assert verify_m6_embedding(2) == M6Report(
