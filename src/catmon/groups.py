@@ -33,6 +33,7 @@ from .errors import (GroupMismatch, InvalidStructure, MissingImage,
 from .limits import require, require_bound
 from .poset import _has, _ids, _items, _pairs, _table
 from .presentations import format_word, free_reduce, invert_word
+from .universal import _element_walk, _not_an_element
 
 
 class GroupSpec(namedtuple(
@@ -327,22 +328,24 @@ class SeparationReport(namedtuple(
 
 
 def check_separation(functor):
-    """Verify the functor laws and injectivity on every hom-set."""
-    cat = functor.category
-    for f in cat.arrows:
-        for g in cat.arrows_from(cat.tgt(f)):
-            h = cat.compose(f, g)
-            if functor.image(h) != group_multiply(functor.image(f),
-                                                  functor.image(g)):
-                return SeparationReport(False, False, (f, g))
-    for x in cat.objects:
-        for y in cat.objects:
-            seen = {}
-            for f in cat.hom(x, y):
-                w = functor.image(f)
-                if w in seen:
-                    return SeparationReport(True, False, (seen[w], f))
-                seen[w] = f
+    """Verify the functor laws and injectivity on every hom-set.
+
+    The images were checked when the functor was built, so their payloads
+    are read directly.  The laws are checked in (f, g) order, the hom-sets
+    in one pass over the arrows sorted by endpoints, which names the first
+    colliding pair of a scan of each hom(x, y) in object order."""
+    cat, spec, images = functor.category, functor.target, functor.images
+    for (f, g), h in sorted(cat.comp.items()):
+        if images[h].payload != _times(spec, images[f].payload,
+                                       images[g].payload):
+            return SeparationReport(False, False, (f, g))
+    ends = cat._endpoints
+    seen = {}
+    for f in sorted(cat.arrows, key=ends.__getitem__):
+        key = (ends[f], images[f].payload)
+        if key in seen:
+            return SeparationReport(True, False, (seen[key], f))
+        seen[key] = f
     return SeparationReport(True, True, None)
 
 
@@ -372,13 +375,17 @@ def _sigma(functor, arrows):
 def sigma_image(x, functor):
     """σ(x): the free-product normal form of the expanded images of the
     entries of x.  Requires the separation criterion to hold."""
-    if x.category is not functor.category:
+    try:
+        cat, arrows = x.category, x.arrows
+    except AttributeError:
+        raise _not_an_element(x) from None
+    if cat is not functor.category:
         raise SeparationRequired("element and functor categories differ")
     report = functor._separation
     if not report.holds:
         raise SeparationRequired(
             f"functor does not separate hom-sets: {report.violating_pair}")
-    return _sigma(functor, x.arrows)
+    return _sigma(functor, arrows)
 
 
 class EmbeddabilityReport(namedtuple(
@@ -408,7 +415,6 @@ def embeddability_verdict(functor, max_len=3):
     payloads of distinct elements answer no, and a payload that only shares
     a hash is kept whole in ``spilled``, which later payloads also probe.
     """
-    from .universal import _element_walk
     require_bound(max_len, 1)
     report = functor._separation
     if not report.holds:

@@ -17,7 +17,7 @@ from .errors import CategoryMismatch, InvalidStructure, NotIsotone
 from .groups import FreeGroupWord, GroupSpec
 from .limits import max_arrows, require
 from .poset import _has, _members, _pair_without_greatest, _table
-from .universal import reduce_sequence
+from .universal import _not_an_element, reduce_sequence
 
 
 def interval_name(x, y):
@@ -231,21 +231,28 @@ class IntervalFunctor:
         self.target_category = cat_of_poset(isotone_map.target)
 
     def __call__(self, x):
-        if x.category is not self.source_category:
+        try:
+            cat, arrows = x.category, x.arrows
+        except AttributeError:
+            raise _not_an_element(x) from None
+        if cat is not self.source_category:
             raise CategoryMismatch(
                 "element does not live over this functor's source category")
-        cat, f = x.category, self.map
+        f = self.map
         images = [interval_name(f(cat.src(a)), f(cat.tgt(a)))
-                  for a in x.arrows]
+                  for a in arrows]
         return reduce_sequence(self.target_category, images)[0]
 
 
 def embed_free_group(x):
     """μ̄: HM(P) → Fg(P), sending [x1,y1]···[xn,yn] to x1⁻¹y1···xn⁻¹yn."""
-    cat = x.category
+    try:
+        cat, arrows = x.category, x.arrows
+    except AttributeError:
+        raise _not_an_element(x) from None
     spec = GroupSpec.free(cat.objects)
     letters = []
-    for arrow in x.arrows:
+    for arrow in arrows:
         letters.append((cat.src(arrow), -1))
         letters.append((cat.tgt(arrow), 1))
     return FreeGroupWord(spec, letters)

@@ -6,15 +6,18 @@ reduced one by dropping identities and composing adjacent composable pairs
 (the rewriting system is confluent).  ``reduce_sequence`` still rescans the
 whole sequence for redexes after every step, in either order (leftmost, or
 uniform under an rng), so it is quadratic in the length.  The entries of a
-sequence from outside are checked once, where it comes in
-(``reduce_sequence``, ``ReducedSeq(...)``, ``RewriteTrace.replay``,
-``generator``); the rewriting after that reads S's identity and endpoint
-tables directly.  A product of reduced operands rewrites only at their
-seam.  Divisibility, gcds, lcms of generators, and the greedy normal form
-are computed by structural criteria on the sequences plus arrow-level
-divisibility in S.  The right-hand versions read each sequence from its
-end, so one prefix criterion serves both sides, with S read on the side
-the caller names.
+sequence from outside are checked once, where it comes in: by
+``_arrow_list``, which ``reduce_sequence``, ``ReducedSeq(...)`` and
+``RewriteTrace.replay`` read their entries through, or by ``generator``
+for its one arrow.  The rewriting after that reads S's identity and
+endpoint tables directly.  Element operands are not tested: each kernel
+reads their category and entries, and only when that read fails is the
+operand judged and named (``_not_an_element``).  A product of reduced
+operands rewrites only at their seam.  Divisibility, gcds, lcms of
+generators, and the greedy normal form are computed by structural criteria
+on the sequences plus arrow-level divisibility in S.  The right-hand
+versions read each sequence from its end, so one prefix criterion serves
+both sides, with S read on the side the caller names.
 
 The two-operand kernels ``gcd_pair``, ``divides`` and ``lcm_pair`` are the
 hot path.  Each reads ``S._analyze()`` once, makes the checks of its public
@@ -46,15 +49,7 @@ class ReducedSeq:
     __slots__ = ("category", "arrows")
 
     def __init__(self, category, arrows):
-        arrows = _entries(arrows, "arrows")
-        ids = category._identities
-        # Entries are checked up to the first identity, which
-        # _require_reduced then names before any later entry is read: the
-        # order of one check-then-identity pass per entry.
-        for f in arrows:
-            category._check(f)
-            if f in ids:
-                break
+        arrows = tuple(_arrow_list(category, arrows))
         _require_reduced(category, arrows)
         _set_category(self, category)
         _set_arrows(self, arrows)
@@ -125,6 +120,14 @@ def _arrow_list(category, raw):
     for f in seq:
         category._check(f)
     return seq
+
+
+def _not_an_element(*operands):
+    """The error for operands that lack a category or entries, naming the
+    first that is not a ReducedSeq.  Built only once an attribute read has
+    failed, so the kernels make no test of a good operand."""
+    bad = next(x for x in operands if not isinstance(x, ReducedSeq))
+    return InvalidStructure(f"expected an element of Um(S), got {bad!r}")
 
 
 def _require_reduced(category, arrows):
@@ -240,10 +243,13 @@ def multiply(x, y):
     compose.  An identity composite vanishes and exposes the next pair; any
     other ends the seam, since its ends are the pair's outer ends, which
     compose with neither neighbour in a reduced operand."""
-    cat = x.category
-    if cat is not y.category:
+    try:
+        cat, ycat = x.category, y.category
+        xs, ys = x.arrows, y.arrows
+    except AttributeError:
+        raise _not_an_element(x, y) from None
+    if ycat is not cat:
         raise CategoryMismatch("operands live over different categories")
-    xs, ys = x.arrows, y.arrows
     ends, comp, ids = cat._endpoints, cat.comp, cat._identities
     i, j = len(xs), 0
     while i and j < len(ys) and ends[xs[i - 1]][1] == ends[ys[j]][0]:
@@ -267,9 +273,13 @@ def product(factors, category=None):
 
 def components(x):
     """(first entry, last entry) of a nonunit element."""
-    if not x.arrows:
+    try:
+        _, xs = x.category, x.arrows  # a category has arrows too
+    except AttributeError:
+        raise _not_an_element(x) from None
+    if not xs:
         raise EmptyElement("the unit has no first or last component")
-    return x.arrows[0], x.arrows[-1]
+    return xs[0], xs[-1]
 
 
 def _require_conical(cat):
@@ -291,14 +301,17 @@ def divides(side, x, y):
     Only when S cancels is v's fibre scanned for the quotient w of v by u.
     The analysis is read once; the operands are trusted ReducedSeqs.
     """
-    cat = x.category
+    try:
+        cat, ycat = x.category, y.category
+        xs, ys = x.arrows, y.arrows
+    except AttributeError:
+        raise _not_an_element(x, y) from None
     conical_witness, sides = cat._analyze()
     div, end, fibres, witness = sides[_endpoint_of(side)]
-    if y.category is not cat:
+    if ycat is not cat:
         raise CategoryMismatch("operands live over different categories")
     if conical_witness is not None:
         raise NotConical(f"witness pair {conical_witness}")
-    xs, ys = x.arrows, y.arrows
     m = len(xs)
     if not m:
         return True if witness is not None else y
@@ -395,17 +408,20 @@ def gcd_pair(side, x, y):
     analysis.  The common prefix (left) or suffix (right, by indexing from
     the end) is found in place, with no reversed copies, and an operand
     that is itself the common part is returned as it is."""
-    cat = x.category
+    try:
+        cat, ycat = x.category, y.category
+        xs, ys = x.arrows, y.arrows
+    except AttributeError:
+        raise _not_an_element(x, y) from None
     conical_witness, sides = cat._analyze()
     div, end, _, witness = sides[_endpoint_of(side)]
-    if y.category is not cat:
+    if ycat is not cat:
         raise CategoryMismatch("family members live over different "
                                "categories")
     if conical_witness is not None:
         raise NotConical(f"witness pair {conical_witness}")
     if witness is not None:
         raise NotCancellative(f"witness {witness}")
-    xs, ys = x.arrows, y.arrows
     lx, ly = len(xs), len(ys)
     n = min(lx, ly)
     m = 0
@@ -432,13 +448,17 @@ def lcm_pair(side, x, y):
     It is ε(m) for the arrow-level lcm m of a and b, from the same scan as
     ``FiniteCategory.lcm`` with one read of the analysis and no re-check of
     a, b or m, which are arrows of the category already."""
-    cat = x.category
+    try:
+        cat, ycat = x.category, y.category
+        xs, ys = x.arrows, y.arrows
+    except AttributeError:
+        raise _not_an_element(x, y) from None
     div, end, fibres, _ = cat._analyze()[1][_endpoint_of(side)]
-    if y.category is not cat:
+    if ycat is not cat:
         raise CategoryMismatch("operands live over different categories")
-    if x.length != 1 or y.length != 1:
+    if len(xs) != 1 or len(ys) != 1:
         raise NotAGenerator("lcm is defined for standard generators only")
-    a, b = x.arrows[0], y.arrows[0]
+    a, b = xs[0], ys[0]
     if cat._endpoints[a][end] != cat._endpoints[b][end]:
         if end:
             raise TargetMismatch(f"{a} and {b} have different targets")
@@ -458,8 +478,12 @@ def greedy_normal_form(x):
     that entry is the head; so every head is greedy already.  Only the
     condition ``divides`` rests on, a conical S, is checked.
     """
-    _require_conical(x.category)
-    return x.arrows
+    try:
+        cat, xs = x.category, x.arrows
+    except AttributeError:
+        raise _not_an_element(x) from None
+    _require_conical(cat)
+    return xs
 
 
 def universal_group_presentation(cat):

@@ -20,10 +20,12 @@ from catmon import (
     GcdCriterionReport,
     GroupMismatch,
     Poset,
+    SeparationReport,
     SimplicialComplex,
     cat_of_poset,
     chain_arrow_name,
     elements_up_to,
+    group_multiply,
     interval_name,
     multiply,
 )
@@ -737,6 +739,29 @@ def reference_inverse(word):
         return FreeAbelianWord(word.spec, [-v for v in word.vector])
     return FreeProductWord(word.spec, [(i, reference_inverse(w))
                                        for i, w in reversed(word.syllables)])
+
+
+def reference_separation(functor):
+    """The separation report by nested loops over the public, checked
+    queries: the functor laws for f in arrow order and each g out of its
+    target, then each hom(x, y), x and y in object order, scanned for two
+    arrows with one image."""
+    cat = functor.category
+    for f in cat.arrows:
+        for g in cat.arrows_from(cat.tgt(f)):
+            h = cat.compose(f, g)
+            if functor.image(h) != group_multiply(functor.image(f),
+                                                  functor.image(g)):
+                return SeparationReport(False, False, (f, g))
+    for x in cat.objects:
+        for y in cat.objects:
+            seen = {}
+            for f in cat.hom(x, y):
+                w = functor.image(f)
+                if w in seen:
+                    return SeparationReport(True, False, (seen[w], f))
+                seen[w] = f
+    return SeparationReport(True, True, None)
 
 
 def reference_rules(pres):

@@ -308,16 +308,20 @@ def test_divides_matches_brute_scan():
                              if cat.composable(a, x)
                              and cat.compose(a, x) == b]
                 assert cat.divides("left", a, b) == bool(witnesses)
+                x = cat.quotient("left", a, b)
                 if witnesses:
-                    x = cat.quotient("left", a, b)
                     assert cat.compose(a, x) == b
+                else:
+                    assert x is None
                 witnesses = [x for x in cat.arrows
                              if cat.composable(x, a)
                              and cat.compose(x, a) == b]
                 assert cat.divides("right", a, b) == bool(witnesses)
+                x = cat.quotient("right", a, b)
                 if witnesses:
-                    x = cat.quotient("right", a, b)
                     assert cat.compose(x, a) == b
+                else:
+                    assert x is None
 
 
 def test_divisor_sets_match_brute_scan():
@@ -552,7 +556,7 @@ def test_trusted_builds_match_the_validating_build():
 def test_cat_of_poset_pastes_only_when_its_table_is_read(monkeypatch):
     """A gcd report on Cat(P), passing or failing, is read off the order:
     it runs neither the analysis nor the pasting loop.  Every reader of the
-    table (``comp``, ``_analyze``, ``opposite``, ``dump_category``,
+    table (``comp``, ``in``, ``_analyze``, ``opposite``, ``dump_category``,
     ``multiply``) gets the walk's, which then stays a plain attribute."""
     def refuse(*args):
         raise AssertionError("pasted")
@@ -578,7 +582,8 @@ def test_cat_of_poset_pastes_only_when_its_table_is_read(monkeypatch):
         cat = cat_of_poset(p)
         assert cat.gcd_category_report() == expected
         monkeypatch.setattr(FiniteCategory, "_analyze", analyze)
-        for read in (lambda: len(cat.comp), cat._analyze):
+        for read in (lambda: len(cat.comp),
+                     lambda: next(iter(comp)) in cat.comp, cat._analyze):
             with pytest.raises(AssertionError, match="pasted"):
                 read()
         monkeypatch.setattr(catmon.interval, "_interval_pastings", paste)

@@ -16,14 +16,16 @@ import pytest
 from catmon import (CatmonError, CategoryFunctor, EmptyFamily,
                     FiniteCategory, FreeAbelianWord, FreeGroupWord,
                     FreeProductWord, GroupMismatch, GroupPresentation,
-                    GroupSpec, InvalidStructure, IsotoneMap,
+                    GroupSpec, IntervalFunctor, InvalidStructure, IsotoneMap,
                     MonoidPresentation, NotIsotone, Poset, ReducedSeq,
                     RewriteTrace, SimplicialComplex, UnknownArrow,
-                    common_right_multiple, congruence_class, detect_spindle,
-                    divides, elements_up_to, embeddability_verdict,
+                    common_right_multiple, components, congruence_class,
+                    detect_spindle, divides, elements_up_to,
+                    embed_free_group, embeddability_verdict,
                     equal_in_monoid, gcd_family, gcd_pair, generator,
-                    lcm_pair, m6_presentation, reduce_sequence,
-                    verify_m6_embedding)
+                    greedy_normal_form, interval_name, lcm_pair,
+                    m6_presentation, multiply, reduce_sequence,
+                    sigma_image, verify_m6_embedding)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "catmon"
 
@@ -160,6 +162,18 @@ def test_the_cli_makes_no_value_checks_of_its_own():
             assert getattr(options["type"], "id", None) == "int", node.lineno
 
 
+def test_universal_checks_arrows_only_in_its_two_readers():
+    # a sequence from outside is read by _arrow_list, which ReducedSeq(...),
+    # reduce_sequence and replay share, and one arrow by generator; nothing
+    # else in universal.py checks an arrow, so no second reader grows back
+    tree = ast.parse((SRC / "universal.py").read_text(), "universal.py")
+    callers = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and "_check" in _called_names(node)}
+    assert callers == {"_arrow_list", "generator"}
+    assert list(_called_names(tree)).count("_check") == 2
+
+
 # -- malformed values at the boundary -------------------------------------
 
 def _two_arrows():
@@ -238,12 +252,13 @@ _KEYS = [b for b in _BAD if isinstance(b, Hashable)]
 
 def _entry_points():
     """(name, callable, good arguments) for each public constructor and
-    entry point that takes values from outside.  Element operands of the
-    Um(S) kernels are ReducedSeqs built here, so only their side is
-    fuzzed; a category, poset, presentation or group spec argument is a
-    structure built here too."""
+    entry point that takes values from outside, element operands of the
+    Um(S) kernels included.  A category, poset, presentation, group spec
+    or functor argument is a structure built here, and is not fuzzed."""
     c = _two_arrows()
     f = generator(c, "f")
+    hm = IntervalFunctor(IsotoneMap(_P, _P, {"a": "a", "b": "b"}))
+    ab = generator(hm.source_category, interval_name("a", "b"))
     z1 = GroupSpec.zn(1)
     functor = CategoryFunctor(c, z1, {"f": FreeAbelianWord(z1, [1]),
                                       "g": FreeAbelianWord(z1, [2])})
@@ -291,6 +306,12 @@ def _entry_points():
         ("gcd_pair", gcd_pair, ["right", f, f]),
         ("divides", divides, ["left", f, f]),
         ("lcm_pair", lcm_pair, ["left", f, f]),
+        ("multiply", multiply, [f, f]),
+        ("components", components, [f]),
+        ("greedy_normal_form", greedy_normal_form, [f]),
+        ("sigma_image", sigma_image, [f, functor]),
+        ("IntervalFunctor.__call__", hm, [ab]),
+        ("embed_free_group", embed_free_group, [ab]),
         ("elements_up_to", elements_up_to, [c, 2]),
         ("embeddability_verdict", embeddability_verdict, [functor, 2]),
         ("congruence_class", congruence_class, [m6, ["a", "e"]]),
@@ -304,7 +325,7 @@ def _entry_points():
 
 # Arguments that are structures built here, not values from outside.
 _STRUCTURES = (FiniteCategory, Poset, GroupSpec, MonoidPresentation,
-               CategoryFunctor, ReducedSeq)
+               CategoryFunctor)
 
 
 def _fuzzed(value, rng):

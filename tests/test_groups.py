@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,10 +35,14 @@ from catmon.groups import SeparationReport, _sigma
 from helpers import (
     assert_record,
     labeled_posets,
+    make_category,
     posets_up_to,
+    random_category,
     random_category_bounded,
+    random_free_dag_category,
     reference_group_product,
     reference_inverse,
+    reference_separation,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -255,6 +260,83 @@ def test_check_separation_detects_non_functorial_images():
     f, g = report.violating_pair
     assert broken.image(cat.compose(f, g)) != \
         group_multiply(broken.image(f), broken.image(g))
+
+
+def _letter_functor(cat, kind, letters_of, keep):
+    """The functor sending each non-identity f to the product of its
+    letters letters_of(f), (letter, ±1) pairs, with the letters outside
+    keep sent to 1: in Z^n, letter i of the sorted alphabet being the i-th
+    coordinate, or in the free group on the alphabet.  It is a functor
+    whenever the letters of f;g are those of f followed by those of g, up
+    to free reduction, as killing letters is a group map."""
+    alphabet = sorted({a for f in cat.non_identities()
+                       for a, _ in letters_of(f)})
+    if kind == "zn":
+        spec = GroupSpec.zn(len(alphabet))
+        at = {a: i for i, a in enumerate(alphabet)}
+
+        def word(letters):
+            vec = [0] * spec.n
+            for a, e in letters:
+                vec[at[a]] += e
+            return FreeAbelianWord(spec, vec)
+    else:
+        spec = GroupSpec.free(alphabet)
+
+        def word(letters):
+            return FreeGroupWord(spec, letters)
+    images = {f: word([(a, e) for a, e in letters_of(f) if a in keep])
+              for f in cat.non_identities()}
+    return spec, alphabet, images, word
+
+
+def test_check_separation_matches_nested_loop_oracle():
+    """The one-pass report equals the nested loops' report, violating pair
+    included, on seeded random categories with functors into zn and free
+    targets: the endpoint functor (src⁻¹·tgt), the edge-word functor of a
+    free DAG category, each with random letters killed (which plants
+    hom-set collisions and keeps the laws), and each with one arrow's image
+    pushed by one letter (which plants a law violation)."""
+    rng = random.Random(27)
+    verdicts = Counter()
+    for k in range(100):
+        if k % 2:
+            cat = random_free_dag_category(rng)
+
+            def letters_of(f):
+                return [(e, 1) for e in f[1:].split("-")]
+        else:
+            cat = random_category(rng)
+
+            def letters_of(f):
+                return [(cat.src(f), -1), (cat.tgt(f), 1)]
+        for kind in ("zn", "free"):
+            full = {a for f in cat.non_identities()
+                    for a, _ in letters_of(f)}
+            kept = {a for a in full if rng.random() < 0.5}
+            for keep, pushed in ((full, False), (kept, False),
+                                 (full, True)):
+                spec, alphabet, images, word = _letter_functor(
+                    cat, kind, letters_of, keep)
+                if pushed and alphabet:
+                    f = rng.choice(cat.arrows)
+                    images[f] = group_multiply(
+                        images.get(f, spec.identity()),
+                        word([(rng.choice(alphabet), 1)]))
+                functor = CategoryFunctor(cat, spec, images)
+                report = check_separation(functor)
+                assert report == reference_separation(functor), \
+                    (cat.arrows, images)
+                verdicts[report.functorial, report.separating] += 1
+    assert set(verdicts) == {(True, True), (True, False), (False, False)}
+    assert min(verdicts.values()) >= 30, verdicts
+    # Two hom-sets that collide, met in opposite orders by source and by
+    # target: the one first by source is named.
+    cross = make_category("0123", {"f": ("0", "3"), "f'": ("0", "3"),
+                                   "g": ("1", "2"), "g'": ("1", "2")}, {})
+    report = check_separation(trivial_functor(cross))
+    assert report == reference_separation(trivial_functor(cross))
+    assert report.violating_pair == ("f", "f'")
 
 
 def test_trivial_functor_separates_thin_categories():
