@@ -39,7 +39,6 @@ Either way ``_analyze`` ORs the table into the divisor masks.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import combinations
 from weakref import ref
 
 from .errors import (AssociativityViolation, BadComposability, BadIdentity,
@@ -509,6 +508,10 @@ class FiniteCategory:
             if w:
                 witnesses[f"{side}_cancellative"] = w
         idx = self._index
+        # A divisor of y is comparable to y, so ~div[y] holds every arrow
+        # incomparable to y: the kernel's later masks, for any order.
+        apart = {side: [~d for d in self._side(side)[0]]
+                 for side in ("left", "right")}
         for o in self.objects:
             for side in ("left", "right"):
                 key = f"{side}_gcds"
@@ -516,8 +519,8 @@ class FiniteCategory:
                     continue
                 div, _, fibres, _ = self._side(side)
                 fibre = [idx[f] for f in fibres[o]]
-                pair = _pair_without_greatest(combinations(fibre, 2),
-                                              div, div)
+                pair = _pair_without_greatest(
+                    fibre, sum(1 << i for i in fibre), div, apart[side])
                 if pair is not None:
                     witnesses[key] = tuple(self.arrows[i] for i in pair)
         self._gcd_report = GcdCategoryReport(

@@ -6,16 +6,25 @@ spanning tree (a Tietze transformation killing the tree-edge generators)
 exhibits HG(K) as the free product of a free group on the tree edges with
 π1(K, root); when the remaining presentation simplifies to no relators the
 total free rank is certified, otherwise the presentation itself is reported.
+
+The collapse indexes its relators (generator -> relators holding it,
+relator -> id, and a heap of the relators with a once-occurring
+generator), so each elimination touches only the relators that hold the
+generator; it makes the choices a rescan of every relator would make.  The
+presentations built here are made with the trusted
+``presentations._presentation``: the edge names are checked once, and the
+relators are words over them by construction.
 """
 from __future__ import annotations
 
 from collections import namedtuple
+from heapq import heappop, heappush
 
 from .complexes import SimplicialComplex
 from .errors import Disconnected, InvalidStructure
 from .limits import require
-from .presentations import (GroupPresentation, free_reduce, invert_word,
-                            substitute)
+from .presentations import (_generator_ids, _presentation, free_reduce,
+                            invert_word, substitute)
 
 
 def edge_name(x, y):
@@ -33,7 +42,7 @@ def floating_presentation(complex_):
         relators.append(((edge_name(x, z), -1),
                          (edge_name(x, y), 1),
                          (edge_name(y, z), 1)))
-    return GroupPresentation(gens, relators)
+    return _presentation(_generator_ids(gens), tuple(relators))
 
 
 class SpanningTree(namedtuple("SpanningTree", "root edges")):
@@ -53,6 +62,18 @@ def tietze_collapse(pres, tree):
     dedup, and repeated elimination of a generator that occurs exactly once
     in some relator.  The result presents π1 at the tree root.
 
+    Each round eliminates the first letter, in the first relator that has
+    one, whose generator occurs once in that relator; it substitutes for
+    the generator, drops empty relators and keeps the first of equal ones.
+    The relators are kept by id, their place in the list, with three
+    indexes, so a round touches only the relators that hold the generator:
+
+    - ``holders``: generator -> the ids of the relators that hold it;
+    - ``by_word``: relator -> its id, so a repeat keeps the smaller id;
+    - ``ready``: a heap of the ids with a once-occurring generator, whose
+      first such letter is ``first[id]``.  An id is pushed each time its
+      relator is indexed, and a popped id no longer in ``first`` is stale.
+
     Substitution can lengthen the relators, so their total length is
     counted as it grows and refused with SizeLimitExceeded past
     ``limits.MAX_COUNT`` letters, as a congruence class is past that many
@@ -63,42 +84,69 @@ def tietze_collapse(pres, tree):
         raise InvalidStructure(
             f"tree edges {sorted(unknown)} are not generators")
     gens = [g for g in pres.generators if g not in killed]
-    relators = [free_reduce([(g, e) for g, e in r if g not in killed])
-                for r in pres.relators]
+    rels, by_word, first, ready = {}, {}, {}, []
+    holders = {g: set() for g in gens}
+    total = 0
 
-    while True:
-        seen = set()
-        cleaned = []
-        for r in relators:
-            if r and r not in seen:
-                seen.add(r)
-                cleaned.append(r)
-        relators = cleaned
-        require(sum(map(len, relators)), "relator letters")
-        target = None
-        for ri, r in enumerate(relators):
-            counts = {}
-            for g, _ in r:
-                counts[g] = counts.get(g, 0) + 1
-            for pos, (g, e) in enumerate(r):
-                if counts[g] == 1:
-                    target = (ri, pos, g, e)
-                    break
-            if target:
+    def index(i, r):
+        nonlocal total
+        rels[i] = r
+        by_word[r] = i
+        total += len(r)
+        counts = {}
+        for g, _ in r:
+            counts[g] = counts.get(g, 0) + 1
+        for g in counts:
+            holders[g].add(i)
+        for pos, (g, e) in enumerate(r):
+            if counts[g] == 1:
+                first[i] = (pos, g, e)
+                heappush(ready, i)
                 break
-        if not target:
+
+    def unindex(i):
+        nonlocal total
+        r = rels.pop(i)
+        del by_word[r]
+        total -= len(r)
+        for g, _ in r:
+            holders[g].discard(i)
+        first.pop(i, None)
+
+    for i, r in enumerate(pres.relators):
+        r = free_reduce([(g, e) for g, e in r if g not in killed])
+        if r and r not in by_word:
+            index(i, r)
+    eliminated = set()
+    while True:
+        require(total, "relator letters")
+        while ready and ready[0] not in first:
+            heappop(ready)
+        if not ready:
             break
-        ri, pos, g, e = target
-        r = relators[ri]
+        ri = heappop(ready)
+        pos, g, e = first[ri]
+        r = rels[ri]
         u, v = r[:pos], r[pos + 1:]
         # u g^e v = 1  =>  g = (u^-1 v^-1)^e
         w = free_reduce(invert_word(u) + invert_word(v))
         if e == -1:
             w = invert_word(w)
-        relators = [substitute(r2, g, w)
-                    for i, r2 in enumerate(relators) if i != ri]
-        gens.remove(g)
-    return GroupPresentation(gens, relators)
+        unindex(ri)
+        changed = [(i, substitute(rels[i], g, w)) for i in sorted(holders[g])]
+        for i, _ in changed:
+            unindex(i)
+        del holders[g]
+        for i, r2 in changed:
+            # An empty relator goes; of equal ones the smaller id stays.
+            j = by_word.get(r2, i) if r2 else -1
+            if j > i:
+                unindex(j)
+            if j >= i:
+                index(i, r2)
+        eliminated.add(g)
+    return _presentation(tuple(g for g in gens if g not in eliminated),
+                         tuple(rels[i] for i in sorted(rels)))
 
 
 class FloatingDecomposition(namedtuple(

@@ -10,14 +10,13 @@ and into a free monoid on the consecutive steps of a linear extension.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
 
 from .category import GcdCategoryReport, _category
 from .errors import CategoryMismatch, InvalidStructure, NotIsotone
 from .groups import FreeGroupWord, GroupSpec
 from .limits import max_arrows, require
 from .poset import _has, _members, _pair_without_greatest, _table
-from .universal import _not_an_element, reduce_sequence
+from .universal import _not_an_element, _reduce
 
 
 def interval_name(x, y):
@@ -96,27 +95,18 @@ class GcdCriterionReport(namedtuple(
         return self.left_ok and self.right_ok
 
 
-def _incomparable_pairs(ys, later, mask):
-    """The pairs (y, z), y in ``ys`` and z in ``later[y] & mask``, in index
-    order."""
-    for y in ys:
-        m = later[y] & mask
-        while m:
-            low = m & -m
-            m ^= low
-            yield y, low.bit_length() - 1
-
-
-def _pair_without_meet(a, above, below, pairs):
-    """The first of ``pairs(ys, mask)``, pairs of members of
-    ``mask = above[a]`` (``ys``, in index order), whose common lower bounds
-    in ``above[a]`` have no greatest member; None if none is found, as when
-    ``above[a]`` is a meet-semilattice (with ``above`` and ``below``
-    swapped, a join-semilattice)."""
+def _pair_without_meet(a, above, below, later, key=None):
+    """The first pair (y1, y2) of members of ``above[a]``, in index order
+    or ordered by ``key``, whose common lower bounds in ``above[a]`` have
+    no greatest member; None if there is none, as when ``above[a]`` is a
+    meet-semilattice (with ``above`` and ``below`` swapped, a
+    join-semilattice).  ``later`` is as ``_pair_without_greatest`` takes
+    it, for that order."""
     mask = above[a]
     ys = _members(mask, range(len(above)))
-    return _pair_without_greatest(pairs(ys, mask),
-                                  {y: below[y] & mask for y in ys}, below)
+    if key is not None:
+        ys = sorted(ys, key=key)
+    return _pair_without_greatest(ys, mask, below, later)
 
 
 def gcd_criterion(poset):
@@ -138,14 +128,11 @@ def gcd_criterion(poset):
     ids = range(len(els))
     up, dn = poset._up, poset._dn
     # In an up-set a comparable pair has a meet, the smaller one (a join in
-    # a down-set, the larger), so only incomparable pairs are searched:
-    # later[y] is the elements after y incomparable to it.
+    # a down-set, the larger), so a row of the pair scan runs only when y
+    # has an incomparable element after it in the up-set: later[y] is the
+    # elements after y, in index order, incomparable to y.
     full = (1 << len(els)) - 1
     later = [full >> y + 1 << y + 1 & ~(up[y] | dn[y]) for y in ids]
-
-    def incomparable(ys, mask):
-        return _incomparable_pairs(ys, later, mask)
-
     # The meet of y1, y2 in up(a) is the greatest member of
     # down(y1) & down(y2) & up(a); a join in down(a) is the same search in
     # the reversed order.
@@ -153,7 +140,7 @@ def gcd_criterion(poset):
         passed = 0
         for a in ids:
             if below[a] == 1 << a:
-                pair = _pair_without_meet(a, above, below, incomparable)
+                pair = _pair_without_meet(a, above, below, later)
                 if pair is not None:
                     break
                 passed |= 1 << a
@@ -161,7 +148,7 @@ def gcd_criterion(poset):
             continue
         for b in range(a):
             if not below[b] & passed:
-                found = _pair_without_meet(b, above, below, incomparable)
+                found = _pair_without_meet(b, above, below, later)
                 if found is not None:
                     a, pair = b, found
                     break
@@ -184,6 +171,9 @@ def _interval_report(poset, names):
     scan of ``FiniteCategory.gcd_category_report`` finds."""
     up, dn = poset._up, poset._dn
     failing = gcd_criterion(poset).witnesses
+    # Ordered by name, a row's later elements are not the index-later ones,
+    # so every element incomparable to y stands in for them.
+    apart = [~(u | d) for u, d in zip(up, dn)]
     found = []
     for side, above, below in (("left", up, dn), ("right", dn, up)):
         if side not in failing:
@@ -191,9 +181,7 @@ def _interval_report(poset, names):
         a = poset._idx[failing[side][0]]
         name = (names[a].__getitem__ if side == "left"
                 else lambda y: names[y][a])
-        pair = _pair_without_meet(
-            a, above, below,
-            lambda ys, mask: combinations(sorted(ys, key=name), 2))
+        pair = _pair_without_meet(a, above, below, apart, key=name)
         found.append((a, side, (name(pair[0]), name(pair[1]))))
     witnesses = {f"{side}_gcds": pair for _, side, pair in sorted(found)}
     return GcdCategoryReport(True, True, True, "left_gcds" not in witnesses,
@@ -238,10 +226,12 @@ class IntervalFunctor:
         if cat is not self.source_category:
             raise CategoryMismatch(
                 "element does not live over this functor's source category")
-        f = self.map
-        images = [interval_name(f(cat.src(a)), f(cat.tgt(a)))
-                  for a in arrows]
-        return reduce_sequence(self.target_category, images)[0]
+        # An isotone map sends an arrow [x,y] of Cat(P) to the arrow
+        # [f(x),f(y)] of Cat(Q), so the images are rewritten unchecked.
+        f, ends = self.map.mapping, cat._endpoints
+        images = [interval_name(f[x], f[y])
+                  for x, y in map(ends.get, arrows)]
+        return _reduce(self.target_category, images)[0]
 
 
 def embed_free_group(x):
@@ -252,9 +242,9 @@ def embed_free_group(x):
         raise _not_an_element(x) from None
     spec = GroupSpec.free(cat.objects)
     letters = []
-    for arrow in arrows:
-        letters.append((cat.src(arrow), -1))
-        letters.append((cat.tgt(arrow), 1))
+    for lo, hi in map(cat._endpoints.get, arrows):
+        letters.append((lo, -1))
+        letters.append((hi, 1))
     return FreeGroupWord(spec, letters)
 
 

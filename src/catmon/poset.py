@@ -104,23 +104,39 @@ def _greatest(mask, below):
     return None
 
 
-def _pair_without_greatest(pairs, div, below):
-    """The first of ``pairs`` (a, b) whose common divisors
-    ``div[a] & div[b]`` have no greatest member under ``below``; None if
-    every pair has one.  Each a must lie in ``div[a]`` and each ``div[a]``
-    inside ``below[a]``.  So when one mask holds the other (comparable
-    pairs), its owner is the greatest and the search is skipped; the search
-    runs once per distinct common mask.  The caller picks the pairs, so it
-    can leave out those it knows have a greatest member."""
-    have_greatest = set()
-    for a, b in pairs:
-        da, db = div[a], div[b]
-        common = da & db
-        if common == da or common == db or common in have_greatest:
+def _pair_without_greatest(items, mask, below, later):
+    """The first pair (y, z) of ``items``, the members of bitmask ``mask``
+    in some order, z after y, whose common mask ``div[y] & div[z]`` has no
+    greatest member; None if every pair has one.  Here ``div[y]`` is
+    ``below[y] & mask``, and a greatest member of a mask is a member g
+    with the whole mask inside ``div[g]``.
+
+    Preconditions: ``below`` is reflexive (y is in ``below[y]``) and
+    transitive (z in ``below[y]`` puts ``below[z]`` inside ``below[y]``) on
+    the items.  Then a common mask has a greatest member g iff it equals
+    g's own mask ``div[g]``: g lies in ``div[y]`` and ``div[z]``, so
+    ``div[g]`` lies inside their AND, and that AND inside ``div[g]``.  So
+    each row (one y, every z after it) is decided by one set of ANDs,
+    checked with ``<=`` against the set of the items' own masks, and no
+    greatest member is searched for.
+
+    ``later[y]`` holds every item after y that is incomparable to y (it
+    may hold more).  A row whose ``later`` mask misses ``mask`` is
+    skipped, since a comparable pair's AND is the smaller one's own mask.
+    The first failing row is rescanned in order for its first failing z,
+    and the scan stops there.
+    """
+    masks = [below[y] & mask for y in items]
+    own = set(masks)
+    for k, y in enumerate(items):
+        if not later[y] & mask:
             continue
-        if _greatest(common, below) is None:
-            return a, b
-        have_greatest.add(common)
+        dy, rest = masks[k], masks[k + 1:]
+        if {dy & m for m in rest} <= own:
+            continue
+        for j, m in enumerate(rest, k + 1):
+            if dy & m not in own:
+                return y, items[j]
     return None
 
 

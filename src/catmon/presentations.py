@@ -6,6 +6,12 @@ reduction cancels adjacent inverse pairs.  The abelianization rank is the
 number of generators minus the rank of the relator exponent matrix,
 computed exactly by fraction-free elimination over the integers (rank over Z
 equals rank over Q).
+
+``GroupPresentation(...)`` checks everything it is given.  Presentations
+catmon builds itself go through the private ``_presentation``, which
+checks nothing, as ``category._category`` does for categories; their
+generator names still pass ``_generator_ids`` once, since names built from
+vertex or arrow names can repeat or end in "^-1".
 """
 from __future__ import annotations
 
@@ -58,13 +64,37 @@ def format_word(word):
     return " ".join(g if e == 1 else f"{g}^-1" for g, e in word) or "1"
 
 
+def _generator_ids(value):
+    """The one check of a presentation's generators: ``_ids(value)``, and
+    none ending in "^-1", which is read back as the inverse of a
+    generator."""
+    gens = _ids(value, "generator", "generators")
+    for g in gens:
+        if g.endswith("^-1"):
+            raise InvalidStructure(f"bad generator id {g!r}")
+    return gens
+
+
+def _presentation(generators, relators):
+    """A ``GroupPresentation`` catmon built itself, not checked again.
+
+    ``generators`` is a tuple that passed ``_generator_ids`` (or a part of
+    one), and ``relators`` a tuple of tuples of (generator, ±1) pairs over
+    them.  The callers: ``homotopy.floating_presentation`` (edge names;
+    one relator per triangle), ``homotopy.tietze_collapse`` (the surviving
+    generators, and relators substituted from checked ones) and
+    ``universal.universal_group_presentation`` (arrow names; one relator
+    per composable pair).  Input from outside goes through
+    ``GroupPresentation(...)``, which checks all of it.
+    """
+    pres = object.__new__(GroupPresentation)
+    pres.generators, pres.relators = generators, relators
+    return pres
+
+
 class GroupPresentation:
     def __init__(self, generators, relators):
-        self.generators = _ids(generators, "generator", "generators")
-        for g in self.generators:
-            # "g^-1" is read back as the inverse of a generator g.
-            if g.endswith("^-1"):
-                raise InvalidStructure(f"bad generator id {g!r}")
+        self.generators = _generator_ids(generators)
         gens = set(self.generators)
         rels = []
         for r in _items(relators, "relators"):

@@ -10,14 +10,16 @@ sequence from outside are checked once, where it comes in: by
 ``_arrow_list``, which ``reduce_sequence``, ``ReducedSeq(...)`` and
 ``RewriteTrace.replay`` read their entries through, or by ``generator``
 for its one arrow.  The rewriting after that reads S's identity and
-endpoint tables directly.  Element operands are not tested: each kernel
-reads their category and entries, and only when that read fails is the
-operand judged and named (``_not_an_element``).  A product of reduced
-operands rewrites only at their seam.  Divisibility, gcds, lcms of
-generators, and the greedy normal form are computed by structural criteria
-on the sequences plus arrow-level divisibility in S.  The right-hand
-versions read each sequence from its end, so one prefix criterion serves
-both sides, with S read on the side the caller names.
+endpoint tables directly; ``_reduce``, the rewriting loop of
+``reduce_sequence``, also serves callers that built their arrows from an
+element they hold (``interval.IntervalFunctor``).  Element operands are
+not tested: each kernel reads their category and entries, and only when
+that read fails is the operand judged and named (``_not_an_element``).
+A product of reduced operands rewrites only at their seam.  Divisibility,
+gcds, lcms of generators, and the greedy normal form are computed by
+structural criteria on the sequences plus arrow-level divisibility in S.
+The right-hand versions read each sequence from its end, so one prefix
+criterion serves both sides, with S read on the side the caller names.
 
 The two-operand kernels ``gcd_pair``, ``divides`` and ``lcm_pair`` are the
 hot path.  Each reads ``S._analyze()`` once, makes the checks of its public
@@ -214,7 +216,13 @@ def reduce_sequence(category, raw, rng=None):
     to quadratic time in its length.  Each entry of raw is checked once, on
     entry; raw must be a sequence of arrows (a list or tuple), not a string.
     """
-    seq = _arrow_list(category, raw)
+    return _reduce(category, _arrow_list(category, raw), rng)
+
+
+def _reduce(category, seq, rng=None):
+    """``reduce_sequence``'s rewriting loop on ``seq``, a list of arrows of
+    category that it rewrites in place.  Callers that built the list from
+    arrows they hold call it directly."""
     steps = []
     while True:
         redexes = _redexes(category, seq)
@@ -489,7 +497,7 @@ def greedy_normal_form(x):
 def universal_group_presentation(cat):
     """Presentation of the universal group: one generator per non-identity
     arrow, one relator per composable pair of non-identity arrows."""
-    from .presentations import GroupPresentation
+    from .presentations import _generator_ids, _presentation
     ids = cat._identities
     relators = []
     for (f, g), h in sorted(cat.comp.items()):
@@ -499,7 +507,8 @@ def universal_group_presentation(cat):
         if h not in ids:
             word.append((h, -1))
         relators.append(tuple(word))
-    return GroupPresentation(cat.non_identities(), relators)
+    return _presentation(_generator_ids(cat.non_identities()),
+                         tuple(relators))
 
 
 def _guard_elements(cat, max_len):

@@ -19,16 +19,22 @@ from catmon import (
     FreeProductWord,
     GcdCriterionReport,
     GroupMismatch,
+    GroupPresentation,
     Poset,
     SeparationReport,
     SimplicialComplex,
     cat_of_poset,
     chain_arrow_name,
+    edge_name,
     elements_up_to,
+    free_reduce,
     group_multiply,
     interval_name,
+    invert_word,
     multiply,
+    substitute,
 )
+from catmon.limits import require
 from catmon.poset import _greatest
 from catmon.presented import (
     M6_SUBSTITUTION,
@@ -627,6 +633,66 @@ def reference_gcd_criterion(poset):
                         witnesses.setdefault(side, (els[a], els[y1], els[y2]))
     return GcdCriterionReport("left" not in witnesses,
                               "right" not in witnesses, witnesses)
+
+
+def reference_pair_without_greatest(pairs, div, below):
+    """The first of ``pairs`` (a, b) whose common divisors
+    ``div[a] & div[b]`` have no greatest member under ``below``, by a
+    greatest-member search per distinct common mask (skipped when one mask
+    holds the other); None if every pair has one."""
+    have_greatest = set()
+    for a, b in pairs:
+        da, db = div[a], div[b]
+        common = da & db
+        if common == da or common == db or common in have_greatest:
+            continue
+        if _greatest(common, below) is None:
+            return a, b
+        have_greatest.add(common)
+    return None
+
+
+def reference_tietze_collapse(pres, tree):
+    """tietze_collapse by rescanning every relator each round: dedup the
+    list in order, price its letters, take the first relator with a
+    once-occurring generator and its first such letter, and substitute
+    into every other relator."""
+    killed = {edge_name(x, y) for x, y in tree.edges}
+    gens = [g for g in pres.generators if g not in killed]
+    relators = [free_reduce([(g, e) for g, e in r if g not in killed])
+                for r in pres.relators]
+    while True:
+        seen = set()
+        cleaned = []
+        for r in relators:
+            if r and r not in seen:
+                seen.add(r)
+                cleaned.append(r)
+        relators = cleaned
+        require(sum(map(len, relators)), "relator letters")
+        target = None
+        for ri, r in enumerate(relators):
+            counts = {}
+            for g, _ in r:
+                counts[g] = counts.get(g, 0) + 1
+            for pos, (g, e) in enumerate(r):
+                if counts[g] == 1:
+                    target = (ri, pos, g, e)
+                    break
+            if target:
+                break
+        if not target:
+            break
+        ri, pos, g, e = target
+        r = relators[ri]
+        u, v = r[:pos], r[pos + 1:]
+        w = free_reduce(invert_word(u) + invert_word(v))
+        if e == -1:
+            w = invert_word(w)
+        relators = [substitute(r2, g, w)
+                    for i, r2 in enumerate(relators) if i != ri]
+        gens.remove(g)
+    return GroupPresentation(gens, relators)
 
 
 def reference_interval_category(poset):

@@ -1,16 +1,21 @@
 import random
+from pathlib import Path
 
 import pytest
 
+import catmon.homotopy
+import helpers
 from catmon import (
     CrossCheckReport,
     Disconnected,
     FloatingDecomposition,
     InvalidStructure,
+    GroupPresentation,
     Poset,
     SizeLimitExceeded,
     SimplicialComplex,
     SpanningTree,
+    barycentric,
     chain_complex,
     cross_check,
     edge_name,
@@ -19,16 +24,40 @@ from catmon import (
     spanning_tree,
     tietze_collapse,
 )
+from catmon import limits
+from catmon.formats import load_complex
 
 from helpers import (assert_record, brute_bfs_tree, brute_connected,
-                     labeled_complexes, labeled_posets, posets_up_to,
-                     random_complex)
+                     labeled_complexes, labeled_posets, layered_poset,
+                     posets_up_to, random_complex, random_poset,
+                     reference_tietze_collapse)
 
 SQUARE = SimplicialComplex([("1", "2"), ("2", "3"), ("3", "4"), ("1", "4")])
 TRIANGLE = SimplicialComplex([("x", "y", "z")])
 DIAMOND = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
 P7 = Poset("pqrstuv", [("p", "q"), ("q", "r"), ("r", "s"),
                        ("p", "t"), ("t", "u"), ("p", "v")])
+RP2 = load_complex((Path(__file__).resolve().parent.parent / "data"
+                    / "rp2.complex").read_text(encoding="utf-8"))
+
+
+def _torus():
+    """The 9-vertex torus: a 3 x 3 grid of squares, opposite sides glued,
+    each square cut along one diagonal into two triangles."""
+    def v(i, j):
+        return "abcdefghi"[3 * (i % 3) + j % 3]
+    return SimplicialComplex(
+        [t for i in range(3) for j in range(3)
+         for t in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                   (v(i, j), v(i, j + 1), v(i + 1, j + 1)))])
+
+
+TORUS = _torus()
+
+
+def subdivide(k):
+    """sd K: the chain complex of K's face poset."""
+    return chain_complex(barycentric(k))
 
 
 def test_edge_name_sorts_endpoints():
@@ -113,6 +142,96 @@ def test_one_search_matches_the_oracles_on_random_complexes():
                                match="^complex is not connected$"):
                 spanning_tree(k)
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+def _with_bottom(p):
+    """p with a new least element below its minimal elements."""
+    return Poset(p.elements + ("bottom",),
+                 p.covers + tuple(("bottom", m)
+                                  for m in p.minimal_elements()))
+
+
+def _floating_cases():
+    """Connected complexes whose floating presentations the collapse oracle
+    runs on: chain complexes of graded (layered) and bounded-below posets,
+    sd K of random complexes, and the surfaces whose π1 keeps a relator."""
+    rng = random.Random(71)
+    out = [TORUS, subdivide(TORUS), RP2, subdivide(RP2)]
+    for _ in range(200):
+        widths = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+        out.append(chain_complex(layered_poset(rng, widths,
+                                               rng.choice((0.3, 0.5, 0.7)))))
+    for _ in range(100):
+        out.append(chain_complex(_with_bottom(random_poset(rng, max_n=8))))
+    for _ in range(100):
+        widths = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        out.append(chain_complex(_with_bottom(layered_poset(rng, widths))))
+    for _ in range(250):
+        out.append(subdivide(random_complex(rng, max_vertices=7)))
+    return [k for k in out if k.is_connected()]
+
+
+def test_indexed_collapse_matches_the_rescanning_loop(monkeypatch):
+    """The indexed collapse gives the presentation the loop that rescans
+    every relator each round gives, and prices the same relator letters
+    round by round; so with the limit lowered to one below the peak, both
+    refuse at that count."""
+    priced = {"indexed": [], "rescan": []}
+
+    def pricer(which):
+        def price(count, what, limit=None):
+            priced[which].append(count)
+            return limits.require(count, what, limit)
+        return price
+
+    monkeypatch.setattr(catmon.homotopy, "require", pricer("indexed"))
+    monkeypatch.setattr(helpers, "require", pricer("rescan"))
+    cases = [(floating_presentation(k), spanning_tree(k))
+             for k in _floating_cases()]
+    floating = len(cases)
+    # Random relators, where substitution lengthens words, with no tree.
+    rng = random.Random(72)
+    for _ in range(300):
+        relators = [[(rng.choice("abcde"), rng.choice((1, -1)))
+                     for _ in range(rng.randint(1, 7))]
+                    for _ in range(rng.randint(1, 5))]
+        cases.append((GroupPresentation("abcde", relators),
+                      SpanningTree("a", ())))
+    kept, peaks, grown = 0, [], []
+    for pres, tree in cases:
+        priced["indexed"].clear()
+        priced["rescan"].clear()
+        pi1 = tietze_collapse(pres, tree)
+        assert pi1 == reference_tietze_collapse(pres, tree), pres.relators
+        assert priced["indexed"] == priced["rescan"], pres.relators
+        kept += bool(pi1.relators)
+        peaks.append((pres, tree, max(priced["indexed"])))
+        if peaks[-1][2] > priced["indexed"][0]:
+            grown.append(peaks[-1])
+    assert floating >= 500 and kept >= 100, (floating, kept)
+    assert len(grown) >= 30, len(grown)
+    # The surfaces first in the list refuse at their first count.
+    for pres, tree, peak in peaks[:4] + grown:
+        monkeypatch.setattr(limits, "MAX_COUNT", peak - 1)
+        refusal = f"^{peak} relator letters, over the limit of {peak - 1}$"
+        with pytest.raises(SizeLimitExceeded, match=refusal):
+            tietze_collapse(pres, tree)
+        with pytest.raises(SizeLimitExceeded, match=refusal):
+            reference_tietze_collapse(pres, tree)
+
+
+def test_torus_subdivisions_give_one_commutator():
+    """π1 of the torus is Z², presented by two generators and their
+    commutator, however finely the torus is subdivided."""
+    k = TORUS
+    for _ in range(2):
+        k = subdivide(k)
+        pi1 = floating_decomposition(k).pi1
+        assert len(pi1.generators) == 2 and len(pi1.relators) == 1
+        (x, s), (y, t), *rest = pi1.relators[0]
+        assert x != y and rest == [(x, -s), (y, -t)]
+        assert pi1.abelianization_rank() == 2
+    assert len(k.vertices) == 324
 
 
 def test_floating_decomposition_square():

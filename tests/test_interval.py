@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ import catmon.interval
 import catmon.poset
 from catmon import (
     CategoryMismatch,
+    FiniteCategory,
     FreeGroupWord,
     GcdCriterionReport,
     GroupSpec,
@@ -31,10 +33,13 @@ from catmon import (
     unit,
 )
 
-from helpers import (assert_record, labeled_posets, layered_poset,
-                     poset_classes, posets_up_to, random_complex,
-                     random_element, random_poset, reference_gcd_criterion,
-                     reference_interval_category)
+from helpers import (assert_record, cyclic_category, idempotent_category,
+                     labeled_posets, layered_poset, nilpotent_category,
+                     pair_groupoid, poset_classes, posets_up_to,
+                     random_category, random_complex, random_element,
+                     random_poset, reference_gcd_criterion,
+                     reference_interval_category,
+                     reference_pair_without_greatest)
 
 DIAMOND = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
 NONLATTICE = Poset("opqrs", [("o", "p"), ("o", "q"), ("p", "r"), ("p", "s"),
@@ -143,36 +148,48 @@ def test_gcd_criterion_matches_a_pairwise_meet_search():
 
 
 def test_comparable_pairs_skip_the_greatest_member_search(monkeypatch):
+    """No pair scan calls ``_greatest``.  In ``gcd_criterion`` a row runs
+    iff y has an incomparable element after it in the up-set (down-set),
+    so on a chain every row is skipped."""
     calls = []
-    visited = []
+    scans = []
 
     def counted(mask, below):
         calls.append(mask)
         return greatest(mask, below)
 
-    def recorded(pairs, div, below):
-        pairs = list(pairs)
-        visited.extend(pairs)
-        return kernel(pairs, div, below)
+    def recorded(items, mask, below, later):
+        scans.append([(y, items[k + 1:], bool(later[y] & mask))
+                      for k, y in enumerate(items)])
+        return kernel(items, mask, below, later)
 
     greatest = catmon.poset._greatest
-    kernel = catmon.interval._pair_without_greatest
+    kernel = catmon.poset._pair_without_greatest
     for module in (catmon.poset, catmon.category, catmon.interval):
         if hasattr(module, "_greatest"):
             monkeypatch.setattr(module, "_greatest", counted)
-    monkeypatch.setattr(catmon.interval, "_pair_without_greatest", recorded)
+        if hasattr(module, "_pair_without_greatest"):
+            monkeypatch.setattr(module, "_pair_without_greatest", recorded)
     assert cat_of_poset(CHAIN32).gcd_category_report().holds
     assert gcd_criterion(CHAIN32).holds
-    assert calls == [] and visited == []
-    assert not gcd_criterion(NONLATTICE).holds  # the counters do count
+    assert scans and not any(runs for rows in scans for *_, runs in rows)
+    assert not gcd_criterion(NONLATTICE).holds
     assert not cat_of_poset(NONLATTICE).gcd_category_report().holds
-    assert calls
+    assert not FiniteCategory(
+        NONLATTICE.elements,
+        *reference_interval_category(NONLATTICE)).gcd_category_report().holds
+    assert calls == []
+    assert DIAMOND.meet_within("a", "b") == "o"
+    assert calls  # the counter does count
     for p in (NONLATTICE, DIAMOND, *spindle_posets()):
-        visited.clear()
+        scans.clear()
         gcd_criterion(p)
-        assert visited, p  # each has an incomparable pair
-        for y, z in visited:
-            assert not p.comparable(p.elements[y], p.elements[z])
+        els = p.elements
+        assert any(runs for rows in scans for *_, runs in rows), p
+        for rows in scans:
+            for y, after, runs in rows:
+                assert runs == any(not p.comparable(els[y], els[z])
+                                   for z in after), p
 
 
 def test_gcd_criterion_matches_the_meet_search_where_it_fails():
@@ -192,6 +209,79 @@ def test_gcd_criterion_matches_the_meet_search_where_it_fails():
         assert report == reference_gcd_criterion(p), p
         failed.update(report.witnesses.keys())
     assert failed["left"] >= 100 and failed["right"] >= 100, failed
+
+
+def _planted(rng):
+    """A layered poset with a bowtie (two elements both below two others,
+    with no element between) planted above a new least element or below a
+    new greatest one, so that the left or the right criterion fails."""
+    p = layered_poset(rng, [rng.randint(1, 3) for _ in range(3)])
+    low, high = ("b0", "b1"), ("b2", "b3")
+    elements = p.elements + low + high
+    covers = list(p.covers) + [(x, y) for x in low for y in high]
+    if rng.random() < 0.5:
+        return Poset(elements + ("bottom",), covers + [
+            ("bottom", x) for x in low + p.minimal_elements()])
+    return Poset(elements + ("top",), covers + [
+        (y, "top") for y in high + p.maximal_elements()])
+
+
+def test_pair_kernel_matches_the_greatest_member_search():
+    """``_pair_without_greatest`` finds the pair that the old pair loop,
+    one ``_greatest`` search per distinct common mask, finds first: on the
+    up- and down-sets of seeded posets in index order (``gcd_criterion``)
+    and in interval-name order (Cat(P)'s report), and on the fibres of
+    seeded categories, in arrow order and shuffled."""
+    kernel = catmon.poset._pair_without_greatest
+    rng = random.Random(83)
+    posets = [random_poset(rng, max_n=7, min_n=5) for _ in range(600)]
+    posets += [_planted(rng) for _ in range(300)]
+    failed = Counter()
+    checked = 0
+    for p in posets:
+        els, up, dn = p.elements, p._up, p._dn
+        n = len(els)
+        full = (1 << n) - 1
+        later = [full >> y + 1 << y + 1 & ~(up[y] | dn[y]) for y in range(n)]
+        apart = [~(u | d) for u, d in zip(up, dn)]
+        for side, above, below in (("left", up, dn), ("right", dn, up)):
+            for a in range(n):
+                mask = above[a]
+                ys = [y for y in range(n) if mask >> y & 1]
+                div = {y: below[y] & mask for y in ys}
+                named = sorted(ys, key=lambda y: interval_name(
+                    *((els[a], els[y]) if side == "left" else
+                      (els[y], els[a]))))
+                for items, lat in ((ys, later), (named, apart)):
+                    want = reference_pair_without_greatest(
+                        combinations(items, 2), div, below)
+                    assert kernel(items, mask, below, lat) == want, p
+                    failed[("poset", side)] += want is not None
+                    checked += 1
+    cats = [random_category(rng) for _ in range(300)]
+    cats += [cyclic_category(k) for k in (2, 3, 4, 5)]
+    cats += [pair_groupoid(k) for k in (2, 3, 4)]
+    cats += [idempotent_category(), nilpotent_category()]
+    cats += [FiniteCategory(p.elements, *reference_interval_category(p))
+             for p in posets[600:700]]
+    for cat in cats:
+        idx = cat._index
+        for side in ("left", "right"):
+            div, _, fibres, _ = cat._side(side)
+            apart = [~d for d in div]
+            for o in cat.objects:
+                fibre = [idx[f] for f in fibres[o]]
+                shuffled = rng.sample(fibre, len(fibre))
+                for items in (fibre, shuffled):
+                    want = reference_pair_without_greatest(
+                        combinations(items, 2), div, div)
+                    got = kernel(items, sum(1 << i for i in items), div,
+                                 apart)
+                    assert got == want, cat
+                    failed[("category", side)] += want is not None
+                    checked += 1
+    assert checked >= 20000, checked
+    assert min(failed.values()) >= 30 and len(failed) == 4, failed
 
 
 def test_embed_free_group_is_a_homomorphism():
@@ -271,6 +361,37 @@ def test_interval_functor_collapse_drops_identities():
         DIAMOND, point, {"o": "p", "a": "p", "b": "p", "i": "p"}))
     x = reduce_sequence(func.source_category, ["[o,i]", "[a,i]"])[0]
     assert func(x).is_unit
+
+
+def test_interval_maps_read_trusted_elements_without_checks(monkeypatch):
+    """``IntervalFunctor.__call__`` and ``embed_free_group`` read the
+    endpoints of an element's entries off its category, and the functor
+    rewrites the images, arrows of Cat(Q) by construction, unchecked."""
+    chain = Poset("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    func = IntervalFunctor(IsotoneMap(
+        chain, chain, {"a": "a", "b": "b", "c": "c", "d": "d"}))
+    collapse = IntervalFunctor(IsotoneMap(
+        chain, VEE, {"a": "o", "b": "o", "c": "p", "d": "p"}))
+    entries = ["[a,b]", "[a,c]", "[b,d]", "[a,b]", "[a,d]",
+               "[c,d]", "[b,c]", "[a,c]", "[b,d]", "[c,d]"]
+    x = reduce_sequence(func.source_category, entries)[0]
+    y = reduce_sequence(collapse.source_category, entries)[0]
+    assert x.length == y.length == 10
+    checks = []
+    check = catmon.category.FiniteCategory._check
+
+    def counted(self, arrow):
+        checks.append(arrow)
+        return check(self, arrow)
+
+    monkeypatch.setattr(catmon.category.FiniteCategory, "_check", counted)
+    assert func(x).arrows == x.arrows
+    assert collapse(y).arrows == ("[o,p]",) * 6
+    word = embed_free_group(x)
+    assert checks == []
+    assert word == FreeGroupWord(GroupSpec.free(chain.elements),
+                                 [(e, k) for f in x.arrows
+                                  for e, k in ((f[1], -1), (f[3], 1))])
 
 
 def test_isotone_map_rejects_bad_maps():
