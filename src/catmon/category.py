@@ -14,21 +14,21 @@ arrows and then run a private scan, ``_quotient`` or ``_lcm``, which the
 Um(S) kernels call directly on arrows they already hold.
 
 Validation runs once, at the API boundary: ``FiniteCategory(...)`` checks
-every table it is given, and it is what ``formats.load_category`` and
-``spindle.spindle_category`` (whose ``Spindle`` a caller can build by hand)
-call.  Tables catmon builds itself from values already checked go through
-the private ``_category``, which skips ``_validate``: Cat(P) from a
-validated ``Poset`` (``interval.cat_of_poset``) and the opposite of a
-validated category.  Both builders share one set-up.  The arrow limit
-(``limits.max_arrows``) is checked where tables come from outside, in
-``FiniteCategory(...)``, and so is the cost of validating them (composites
-plus associativity triples, against ``limits.MAX_COUNT``); Cat(P) is
-priced before its walk, and an opposite has its source's arrows.
+every table it is given, and serves tables from outside only: files
+(``formats.load_category``) and API callers.  Tables catmon builds itself
+go through the private ``_category``, which skips ``_validate``: Cat(P),
+Cat(P,u,v) and the opposite of a validated category.  Both builders share
+one set-up.  ``FiniteCategory(...)`` checks the arrow limit
+(``limits.max_arrows``) and the cost of validating (composites plus
+associativity triples, against ``limits.MAX_COUNT``): a thin category, at
+most one arrow per hom-set, costs no triple, and any other every
+composable triple.  Cat(P) is priced before its walk, Cat(P,u,v) after
+its edit, and an opposite has its source's arrows.
 
 Which builders hand their composition table over, and which build it on
 first use:
 
-- ``FiniteCategory(...)`` and ``opposite()`` hand it over.
+- ``FiniteCategory(...)``, Cat(P,u,v) and ``opposite()`` hand it over.
 - Cat(P) (``interval.cat_of_poset``) hands over its arrows only.  Its
   table is pasted the first time ``comp`` is used (``_DeferredTable``).
   Its gcd report is read off the order by the gcd criterion, so a gcd
@@ -190,8 +190,8 @@ class FiniteCategory:
                 raise InvalidStructure(f"bad arrow id {f!r}")
 
         ends = self._endpoints
-        homs = Counter(ends.values())
-        require(len(self.comp) + _fat_triples(homs),
+        triples = _triples(Counter(ends.values()))
+        require(len(self.comp) + triples,
                 "composites and associativity triples")
         get = ends.get
         for key, h in self.comp.items():
@@ -234,31 +234,17 @@ class FiniteCategory:
             e = self.identity[t]
             if self.comp[(f, e)] != f:
                 raise BadIdentity(f"{f};{e} != {f}")
-        # Every composite has the right endpoints by now, so (f;g);h and
-        # f;(g;h) both lie in hom(src f, tgt h): a triple can only fail when
-        # that hom-set has two or more arrows.  Only those triples are walked,
-        # in the order of the full loop, so the first violation is the same;
-        # a thin category (every Cat(P)) costs no triple at all.
-        fat = {}  # s -> targets t with |hom(s, t)| >= 2
-        for (s, t), k in homs.items():
-            if k >= 2:
-                fat.setdefault(s, set()).add(t)
-        tails = {}  # (s, o) -> the h in by_src[o] whose hom(s, tgt h) is fat
-        for f, (sf, tf) in ends.items():
-            targets = fat.get(sf)
-            if not targets:
-                continue
+        # A thin category (no triple to walk) is associative once its
+        # composites have the right endpoints: (f;g);h and f;(g;h) both lie
+        # in hom(src f, tgt h).  Any other is walked on every triple.
+        if not triples:
+            return
+        comp = self.comp
+        for f, (_, tf) in ends.items():
             for g in by_src[tf]:
-                tg = ends[g][1]
-                hs = tails.get((sf, tg))
-                if hs is None:
-                    hs = tails[(sf, tg)] = [h for h in by_src[tg]
-                                            if ends[h][1] in targets]
-                if not hs:
-                    continue
-                fg = self.comp[(f, g)]
-                for h in hs:
-                    if self.comp[(fg, h)] != self.comp[(f, self.comp[(g, h)])]:
+                fg = comp[(f, g)]
+                for h in by_src[ends[g][1]]:
+                    if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
                         raise AssociativityViolation(
                             f"({f};{g});{h} != {f};({g};{h})")
 
@@ -535,32 +521,18 @@ class FiniteCategory:
                 f"{len(self.arrows)} arrows)")
 
 
-def _fat_triples(homs):
+def _triples(homs):
     """How many triples ``_validate`` checks for associativity, from the
-    hom-set sizes ``homs`` {(s, t): count}, without listing them: the
-    composable (f, g, h) whose hom(src f, tgt h) has two or more arrows.
-    Per source s with such a hom-set, each path of arrows s -> t -> u is
-    multiplied by the arrows out of u into one."""
+    hom-set sizes ``homs`` {(s, t): count}, without listing them: none for
+    a thin category, else every composable (f, g, h), which is each g
+    counted once per arrow into its source and arrow out of its target."""
     if max(homs.values(), default=0) < 2:
         return 0
-    out = {}
+    into, out = Counter(), Counter()
     for (s, t), k in homs.items():
-        out.setdefault(s, {})[t] = k
-    total = 0
-    for targets in out.values():
-        fat = [v for v, k in targets.items() if k >= 2]
-        if not fat:
-            continue
-        into_fat = {}  # u -> arrows out of u into a fat target
-        for u, row in out.items():
-            n = 0
-            for v in fat:
-                n += row.get(v, 0)
-            into_fat[u] = n
-        for t, k in targets.items():
-            for u, k2 in out[t].items():
-                total += k * k2 * into_fat[u]
-    return total
+        out[s] += k
+        into[t] += k
+    return sum(k * into[s] * out[t] for (s, t), k in homs.items())
 
 
 def _category(objects, arrows, identity, comp=None, paste=None,
@@ -580,6 +552,10 @@ def _category(objects, arrows, identity, comp=None, paste=None,
       against the arrow limit before the walk.  It passes no ``comp``:
       ``paste`` builds the table on first use, and ``report`` builds the
       gcd report from the order.
+    - ``spindle.spindle_category``: Cat(P)'s tables edited for a spindle
+      judged equal to ``detect_spindle``'s (``spindle._judged``), with its
+      arrows counted against the arrow limit after the edit.  It passes
+      ``comp``.
     - ``FiniteCategory.opposite``: a valid category's tables with every
       arrow and composite reversed, which is valid again, with its
       source's count of arrows.  It passes ``comp``.

@@ -1,12 +1,13 @@
 """Abstract simplicial complexes, given by their maximal simplices.
 
 A complex is stored as facets (maximal simplices); faces are generated on
-demand.  Inputs where one listed simplex contains another are rejected so
-that files stay canonical.  The barycentric subdivision is returned as the
-poset of all nonempty faces ordered by inclusion, with each face named by
-joining its sorted vertices with commas; a complex in which two faces would
-get the same name (vertices ``a``, ``b`` and ``a,b`` with the edge ``{a, b}``)
-has no barycentric subdivision here.
+demand.  Inputs where a simplex is listed twice, or where one listed
+simplex contains another, are rejected so that files stay canonical.  The
+barycentric subdivision is returned as the poset of all nonempty faces
+ordered by inclusion, with each face named by joining its sorted vertices
+with commas; a complex in which two faces would get the same name
+(vertices ``a``, ``b`` and ``a,b`` with the edge ``{a, b}``) has no
+barycentric subdivision here.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .poset import Poset, _is_id, _items
 
 class SimplicialComplex:
     def __init__(self, facets):
-        fs = []
+        fs = set()
         for s in _items(facets, "simplices"):
             s = _items(s, "vertices")
             for v in s:
@@ -31,8 +32,11 @@ class SimplicialComplex:
                 raise InvalidStructure("empty simplex")
             if len(set(s)) != len(s):
                 raise InvalidStructure(f"simplex {s} repeats a vertex")
-            fs.append(tuple(sorted(s)))
-        fs = sorted(set(fs))
+            s = tuple(sorted(s))
+            if s in fs:
+                raise InvalidStructure(f"simplex {s} is listed twice")
+            fs.add(s)
+        fs = sorted(fs)
         self.vertices = tuple(sorted({v for f in fs for v in f}))
         # holders[v]: the facets holding v, as a bitmask in facet order.
         # The facets holding a are the AND of its vertices' holders, within
@@ -66,6 +70,9 @@ class SimplicialComplex:
         """
         if dim is None:
             count = sum((1 << len(f)) - 1 for f in self.facets)
+        elif type(dim) is not int or dim < 0:
+            raise InvalidStructure(f"dimension {dim!r} is not an int of 0 "
+                                   "or more")
         else:
             count = sum(comb(len(f), dim + 1) for f in self.facets)
         require(count, "faces" if dim is None else f"faces of dimension {dim}")

@@ -22,27 +22,35 @@ from heapq import heappop, heappush
 
 from .complexes import SimplicialComplex
 from .errors import Disconnected, InvalidStructure
+from .interval import interval_name
 from .limits import require
+from .poset import _pairs
 from .presentations import (_generator_ids, _presentation, free_reduce,
                             invert_word, substitute)
 
 
 def edge_name(x, y):
-    if y < x:
-        x, y = y, x
-    return f"[{x},{y}]"
+    return interval_name(x, y) if x <= y else interval_name(y, x)
 
 
 def floating_presentation(complex_):
     """One generator per unordered edge; for each 2-simplex x<y<z the
-    relator [x,z]⁻¹[x,y][y,z] (all other orderings are consequences)."""
-    gens = [edge_name(x, y) for x, y in complex_.edges()]
-    relators = []
-    for x, y, z in complex_.triangles():
-        relators.append(((edge_name(x, z), -1),
-                         (edge_name(x, y), 1),
-                         (edge_name(y, z), 1)))
-    return _presentation(_generator_ids(gens), tuple(relators))
+    relator [x,z]⁻¹[x,y][y,z] (all other orderings are consequences).
+    Faces list their vertices sorted, so they are named as they come.
+    Vertex names may hold commas, so two edges can get one name; such a
+    complex has no floating presentation here."""
+    edges = complex_.edges()
+    gens = [interval_name(x, y) for x, y in edges]
+    if len(set(gens)) < len(gens):
+        named = {}
+        for name, e in zip(gens, edges):
+            if named.setdefault(name, e) != e:
+                raise InvalidStructure(f"edges {named[name]} and {e} would "
+                                       f"both be named {name!r}")
+    relators = tuple(((interval_name(x, z), -1), (interval_name(x, y), 1),
+                      (interval_name(y, z), 1))
+                     for x, y, z in complex_.triangles())
+    return _presentation(_generator_ids(gens), relators)
 
 
 class SpanningTree(namedtuple("SpanningTree", "root edges")):
@@ -78,7 +86,12 @@ def tietze_collapse(pres, tree):
     counted as it grows and refused with SizeLimitExceeded past
     ``limits.MAX_COUNT`` letters, as a congruence class is past that many
     words."""
-    killed = {edge_name(x, y) for x, y in tree.edges}
+    try:
+        killed = {edge_name(x, y)
+                  for x, y in _pairs(tree.edges, "tree edges")}
+    except TypeError:  # vertices that do not compare
+        raise InvalidStructure(
+            f"tree edges {tree.edges!r} are not pairs of vertices") from None
     unknown = killed - set(pres.generators)
     if unknown:
         raise InvalidStructure(

@@ -207,6 +207,7 @@ class IsotoneMap:
                 raise NotIsotone(f"{x} ≤ {y} but images are not ordered")
 
     def __call__(self, x):
+        self.source.index(x)  # the one check of x
         return self.mapping[x]
 
 
@@ -250,15 +251,24 @@ def embed_free_group(x):
 
 def embed_free_monoid(poset):
     """A linear extension x1 < ... < xn and the induced embedding of HM(P)
-    into the free monoid on the consecutive steps s_i = [x_i, x_{i+1}]."""
+    into the free monoid on the consecutive steps s_i = [x_i, x_{i+1}].
+    The mapper takes an element over any category whose arrows run up P,
+    and refuses an entry from lo to hi unless lo <= hi in P."""
     ext = poset.linear_extension()
     pos = {x: i for i, x in enumerate(ext)}
     steps = tuple(f"s{i}{i + 1}" for i in range(len(ext) - 1))
 
     def mapper(x):
+        try:
+            cat, arrows = x.category, x.arrows
+        except AttributeError:
+            raise _not_an_element(x) from None
         word = []
-        for arrow in x.arrows:
-            lo, hi = x.category.src(arrow), x.category.tgt(arrow)
+        for f in arrows:
+            lo, hi = cat._endpoints[f]
+            if not (lo in pos and hi in pos and poset.leq(lo, hi)):
+                raise CategoryMismatch(
+                    f"entry {f} runs from {lo} to {hi}, not up this poset")
             word.extend(steps[pos[lo]:pos[hi]])
         return tuple(word)
 

@@ -16,8 +16,9 @@ they pass the limit.  There are two limits:
   guard.
 - ``max_arrows()``: the most arrows a category may have, read from the
   environment variable ``CATMON_MAX_ARROWS`` on every call (default
-  10 000).  It bounds Cat(P) before its pasting table is walked, and
-  ``FiniteCategory(...)`` on tables from outside.
+  10 000).  It bounds Cat(P) before its pasting table is walked,
+  Cat(P,u,v) after its edit, and ``FiniteCategory(...)`` on tables from
+  outside.
 
 A length bound has a floor instead: ``require_bound``, the one judge of a
 bound (the CLI only parses one), refuses a non-``int``, a check up to

@@ -7,14 +7,17 @@ criterion, the definition, is the one computed.  For an extreme spindle (u
 minimal, v maximal in P) the spindle category replaces the single arrow
 [u,v] of Cat(P) by one arrow per maximal chain.  It is built as an edit of
 Cat(P)'s composition table, and its presentation as a filter of that table.
+Both builders judge a ``Spindle`` from outside once (``_judged``) and then
+trust the tables they build, so Cat(P,u,v) skips ``FiniteCategory(...)``.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .category import FiniteCategory
+from .category import _category
 from .errors import HeightTooSmall, InvalidStructure, NotComparable, NotExtreme
 from .interval import _interval_walk, interval_name
+from .limits import max_arrows, require
 from .poset import _members
 from .presented import MonoidPresentation
 
@@ -54,6 +57,23 @@ def is_extreme_spindle(poset, spindle):
             and spindle.v in poset.maximal_elements())
 
 
+def _judged(poset, spindle):
+    """The one check of a spindle from outside, read as ``(u, v, chains)``:
+    it is extreme and is ``detect_spindle(poset, u, v)``."""
+    try:
+        u, v, chains = spindle
+        judged = Spindle(u, v, tuple(map(tuple, chains)))
+    except (TypeError, ValueError):
+        raise InvalidStructure(
+            f"expected a spindle (u, v, chains), got {spindle!r}") from None
+    if not is_extreme_spindle(poset, judged):
+        raise NotExtreme(f"{u} not minimal or {v} not maximal")
+    if judged != detect_spindle(poset, u, v):
+        raise InvalidStructure(f"{spindle!r} is not the spindle at "
+                               f"({u},{v})")
+    return judged
+
+
 def spindle_category(poset, spindle):
     """Cat(P,u,v): Cat(P) with [u,v] replaced by one arrow per maximal chain.
 
@@ -62,13 +82,11 @@ def spindle_category(poset, spindle):
     two identity pastings only, chain arrows only ever meet identities, and
     [u,m];[m,v] lands on the chain arrow of m's chain.
     """
-    if not is_extreme_spindle(poset, spindle):
-        raise NotExtreme(f"{spindle.u} not minimal or {spindle.v} not maximal")
-    u, v = spindle.u, spindle.v
+    u, v, chains = _judged(poset, spindle)
     arrows, identity, comp = _interval_walk(poset)
     uv = interval_name(u, v)
     del arrows[uv], comp[(identity[u], uv)], comp[(uv, identity[v])]
-    for chain in spindle.chains:
+    for chain in chains:
         name = chain_arrow_name(chain)
         if name in arrows:
             raise InvalidStructure(f"chain arrow name clash at {name}")
@@ -77,17 +95,17 @@ def spindle_category(poset, spindle):
             comp[(interval_name(u, m), interval_name(m, v))] = name
         comp[(identity[u], name)] = name
         comp[(name, identity[v])] = name
-    return FiniteCategory(poset.elements, arrows, identity, comp)
+    require(len(arrows), "arrows", max_arrows())
+    return _category(poset.elements, arrows, identity, comp)
 
 
 def spindle_presentation(poset, spindle):
     """Monoid presentation of Um(Cat(P,u,v)): generators are the strict
     intervals other than [u,v], relations are the pastings of them that stay
     off [u,v]."""
-    if not is_extreme_spindle(poset, spindle):
-        raise NotExtreme(f"{spindle.u} not minimal or {spindle.v} not maximal")
+    u, v, _ = _judged(poset, spindle)
     arrows, identity, comp = _interval_walk(poset)
-    skip = {*identity.values(), interval_name(spindle.u, spindle.v)}
+    skip = {*identity.values(), interval_name(u, v)}
     gens = [f for f in arrows if f not in skip]
     relations = [((h,), (f, g)) for (f, g), h in comp.items()
                  if f not in skip and g not in skip and h not in skip]

@@ -620,26 +620,27 @@ def test_cat_of_poset_is_freed_when_dropped_unpasted():
 
 
 def test_validation_is_priced_at_the_triples_it_walks():
-    """``_fat_triples`` counts, from hom-set sizes alone, the composable
-    triples whose outer hom-set has two or more arrows: those the
-    associativity check walks."""
+    """``_triples`` counts, from hom-set sizes alone, the triples the
+    associativity check walks: none for a thin category, and every
+    composable triple for any other."""
     from collections import Counter
 
-    from catmon.category import _fat_triples
+    from catmon.category import _triples
 
     rng = random.Random(19)
     cats = [random_category(rng) for _ in range(150)]
     cats += [pair_groupoid(3), cyclic_category(5), parallel_pair_category()]
-    nonzero = 0
+    nonzero = thin = 0
     for cat in cats:
         ends = cat._endpoints
         homs = Counter(ends.values())
-        want = sum(1 for s, t in ends.values() for t2, u in ends.values()
-                   if t2 == t for u2, v in ends.values()
-                   if u2 == u and homs[(s, v)] >= 2)
-        assert _fat_triples(homs) == want
+        every = sum(1 for s, t in ends.values() for t2, u in ends.values()
+                    if t2 == t for u2, v in ends.values() if u2 == u)
+        want = every if max(homs.values()) >= 2 else 0
+        assert _triples(homs) == want
         nonzero += want > 0
-    assert nonzero >= 40
+        thin += want == 0
+    assert nonzero >= 40 and thin >= 1
 
 
 def test_internal_builders_trust_their_tables(monkeypatch):
@@ -656,13 +657,14 @@ def test_internal_builders_trust_their_tables(monkeypatch):
     functor = IntervalFunctor(IsotoneMap(diamond, diamond, {
         "o": "o", "a": "a", "b": "a", "i": "i"}))
     assert functor.target_category.size == cat.size
-    # input from outside, and a Spindle a caller can build, are checked
+    # a Spindle is judged against detect_spindle, not its tables
+    spindle = spindle_category(diamond, detect_spindle(diamond, "o", "i"))
+    assert spindle.gcd_category_report().holds
+    # input from outside is checked
     with pytest.raises(AssertionError, match="validated"):
         load_category(text)
     with pytest.raises(AssertionError, match="validated"):
         FiniteCategory(cat.objects, cat._endpoints, cat.identity, cat.comp)
-    with pytest.raises(AssertionError, match="validated"):
-        spindle_category(diamond, detect_spindle(diamond, "o", "i"))
 
 
 def test_gcd_category_report_is_a_record():

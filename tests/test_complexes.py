@@ -13,10 +13,22 @@ from catmon import (
 )
 
 
-def test_facets_are_sorted_and_deduplicated():
-    k = SimplicialComplex([["z", "x"], ["x", "z"], ["y"]])
+def test_facets_are_sorted_and_a_repeat_is_refused():
+    k = SimplicialComplex([["z", "x"], ["y"]])
     assert k.facets == (("x", "z"), ("y",))
     assert k.vertices == ("x", "y", "z")
+    with pytest.raises(InvalidStructure,
+                       match=r"^simplex \('x', 'z'\) is listed twice$"):
+        SimplicialComplex([["z", "x"], ["x", "z"], ["y"]])
+
+
+def test_faces_refuse_a_dimension_that_is_not_a_natural_number():
+    k = SimplicialComplex([["x", "y", "z"]])
+    assert k.faces(2) == (("x", "y", "z"),)
+    assert k.faces(3) == ()
+    for dim in (-2, -1, "1", 1.0, True):
+        with pytest.raises(InvalidStructure, match="is not an int of 0"):
+            k.faces(dim)
 
 
 def test_facet_contained_in_another_rejected():
@@ -85,8 +97,14 @@ def test_barycentric_triangle_is_the_face_poset():
 
 def _all_pairs_facet_check(facets):
     """The facet check by testing every ordered pair of distinct facets in
-    sorted order: the message of the first contained one, or None."""
-    fs = sorted({tuple(sorted(set(f))) for f in facets})
+    sorted order: the message of the first contained one, or None.  A
+    simplex listed twice is refused before that, naming the first repeat
+    in the order listed."""
+    listed = [tuple(sorted(set(f))) for f in facets]
+    for i, a in enumerate(listed):
+        if a in listed[:i]:
+            return f"simplex {a} is listed twice"
+    fs = sorted(set(listed))
     for a in fs:
         for b in fs:
             if a != b and set(a) <= set(b):

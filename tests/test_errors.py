@@ -13,19 +13,22 @@ from pathlib import Path
 
 import pytest
 
-from catmon import (CatmonError, CategoryFunctor, EmptyFamily,
-                    FiniteCategory, FreeAbelianWord, FreeGroupWord,
-                    FreeProductWord, GroupMismatch, GroupPresentation,
-                    GroupSpec, IntervalFunctor, InvalidStructure, IsotoneMap,
-                    MonoidPresentation, NotIsotone, Poset, ReducedSeq,
-                    RewriteTrace, SimplicialComplex, UnknownArrow,
-                    common_right_multiple, components, congruence_class,
-                    detect_spindle, divides, elements_up_to,
-                    embed_free_group, embeddability_verdict,
-                    equal_in_monoid, gcd_family, gcd_pair, generator,
+from catmon import (CatmonError, CategoryFunctor, CategoryMismatch,
+                    EmptyFamily, FiniteCategory, FreeAbelianWord,
+                    FreeGroupWord, FreeProductWord, GroupMismatch,
+                    GroupPresentation, GroupSpec, IntervalFunctor,
+                    InvalidStructure, IsotoneMap, MonoidPresentation,
+                    NotIsotone, Poset, ReducedSeq, RewriteTrace,
+                    SimplicialComplex, SpanningTree, UnknownArrow,
+                    cat_of_poset, common_right_multiple, components,
+                    congruence_class, detect_spindle, divides,
+                    elements_up_to, embed_free_group, embed_free_monoid,
+                    embeddability_verdict, equal_in_monoid,
+                    floating_presentation, gcd_family, gcd_pair, generator,
                     greedy_normal_form, interval_name, lcm_pair,
                     m6_presentation, multiply, reduce_sequence,
-                    sigma_image, verify_m6_embedding)
+                    sigma_image, spindle_category, spindle_presentation,
+                    tietze_collapse, verify_m6_embedding)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "catmon"
 
@@ -79,11 +82,11 @@ def test_every_leaf_error_is_raised_somewhere():
 
 def test_only_the_input_boundaries_build_a_validated_category():
     # Tables catmon builds itself go through category._category; the
-    # validating constructor is for files and for a hand-built Spindle.
+    # validating constructor is for files and API callers only.
     callers = {p.name for p in sorted(SRC.glob("*.py"))
                if "FiniteCategory" in _called_names(
                    ast.parse(p.read_text(), str(p)))}
-    assert callers == {"formats.py", "spindle.py"}
+    assert callers == {"formats.py"}
 
 
 def _imported_modules(tree):
@@ -187,6 +190,11 @@ def _two_arrows():
 
 _P = Poset(["a", "b"], [("a", "b")])
 _Z2 = GroupSpec.zn(2)
+_TRIANGLE = SimplicialComplex([["a", "b", "c"]])
+# [a,b] of Cat(a < b), and the free monoid maps of b < a and of x < y
+_AB = generator(cat_of_poset(_P), "[a,b]")
+_REVERSED = embed_free_monoid(Poset(["a", "b"], [("b", "a")]))[1]
+_XY = embed_free_monoid(Poset(["x", "y"], [("x", "y")]))[1]
 
 
 @pytest.mark.parametrize("call, error", [
@@ -217,6 +225,18 @@ _Z2 = GroupSpec.zn(2)
     (lambda: gcd_family("left", "ab"), InvalidStructure),
     (lambda: congruence_class(m6_presentation(), [["a"]]), InvalidStructure),
     (lambda: common_right_multiple(m6_presentation(), []), EmptyFamily),
+    (lambda: _TRIANGLE.faces(-2), InvalidStructure),
+    (lambda: _TRIANGLE.faces("1"), InvalidStructure),
+    (lambda: tietze_collapse(floating_presentation(_TRIANGLE),
+                             SpanningTree("a", (("a",),))), InvalidStructure),
+    (lambda: SimplicialComplex([["z", "x"], ["x", "z"], ["y"]]),
+     InvalidStructure),
+    (lambda: _XY("a"), InvalidStructure),
+    (lambda: _XY(_AB), CategoryMismatch),
+    (lambda: _REVERSED(_AB), CategoryMismatch),
+    (lambda: IsotoneMap(_P, _P, {"a": "a", "b": "b"})("z"), InvalidStructure),
+    (lambda: IsotoneMap(_P, _P, {"a": "a", "b": "b"})(["a"]),
+     InvalidStructure),
 ], ids=["poset-triple-cover", "poset-covers-none", "poset-unhashable-cover",
         "poset-unhashable-query", "category-one-endpoint",
         "category-one-tuple-key", "category-unhashable-arrow",
@@ -225,7 +245,12 @@ _Z2 = GroupSpec.zn(2)
         "group-three-tuple-letter", "free-word-one-tuple",
         "abelian-word-string", "zn-string", "isotone-one-tuple",
         "isotone-unknown-element",
-        "gcd-family-string", "class-unhashable-letter", "crm-empty-family"])
+        "gcd-family-string", "class-unhashable-letter", "crm-empty-family",
+        "faces-negative-dimension", "faces-string-dimension",
+        "tietze-one-vertex-tree-edge", "complex-simplex-listed-twice",
+        "free-monoid-map-string", "free-monoid-map-other-poset",
+        "free-monoid-map-reversed-order", "isotone-call-unknown-element",
+        "isotone-call-unhashable-element"])
 def test_malformed_shapes_raise_catmon_errors(call, error):
     with pytest.raises(error):
         call()
@@ -320,6 +345,14 @@ def _entry_points():
          [m6, [["a"], ["b"]], 2]),
         ("verify_m6_embedding", verify_m6_embedding, [2]),
         ("detect_spindle", detect_spindle, [diamond, "0", "1"]),
+        ("SimplicialComplex.faces", _TRIANGLE.faces, [1]),
+        ("IsotoneMap.__call__", IsotoneMap(_P, _P, {"a": "a", "b": "b"}),
+         ["a"]),
+        ("embed_free_monoid mapper", embed_free_monoid(_P)[1], [_AB]),
+        ("spindle_category", spindle_category,
+         [diamond, ("0", "1", [("0", "a", "1"), ("0", "b", "1")])]),
+        ("spindle_presentation", spindle_presentation,
+         [diamond, ("0", "1", [("0", "a", "1"), ("0", "b", "1")])]),
     ]
 
 

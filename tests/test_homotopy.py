@@ -66,6 +66,38 @@ def test_edge_name_sorts_endpoints():
     assert edge_name("10", "2") == "[10,2]"
 
 
+# a connected path whose edges a,b-c and a-b,c are both named [a,b,c]
+COMMA_PATH = [("a,b", "c"), ("a", "b,c"), ("c", "b,c")]
+
+
+def test_edge_name_clash_is_refused():
+    with pytest.raises(InvalidStructure,
+                       match=r"^edges \('a', 'b,c'\) and \('a,b', 'c'\) "
+                             r"would both be named '\[a,b,c\]'$"):
+        floating_decomposition(SimplicialComplex(COMMA_PATH))
+
+
+def test_edge_name_clash_exits_2(tmp_path, capsys):
+    from catmon.cli import main
+
+    f = tmp_path / "comma.complex"
+    f.write_text("complex\n" + "".join(f"simplex {x} {y}\n"
+                                       for x, y in COMMA_PATH))
+    assert main(["homotopy", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: InvalidStructure: edges ('a', 'b,c') and ('a,b', 'c') "
+        "would both be named '[a,b,c]'"), captured.err
+
+
+def test_tietze_collapse_refuses_malformed_tree_edges():
+    pres = floating_presentation(TRIANGLE)
+    for edges in ((("x",),), (("x", "y", "z"),), ((1, "x"),), None):
+        with pytest.raises(InvalidStructure):
+            tietze_collapse(pres, SpanningTree("x", edges))
+
+
 def test_floating_presentation_square_is_free_rank_4():
     pres = floating_presentation(SQUARE)
     assert pres.generators == ("[1,2]", "[1,4]", "[2,3]", "[3,4]")

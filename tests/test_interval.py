@@ -317,6 +317,33 @@ def test_embed_free_monoid_steps():
     assert mapper(unit(cat)) == ()
 
 
+def test_embed_free_monoid_judges_its_operands():
+    _, mapper = embed_free_monoid(DIAMOND)
+    for bad in ("a", None, ("[o,a]",)):
+        with pytest.raises(InvalidStructure, match="expected an element"):
+            mapper(bad)
+    # over a category of another poset, or of the reversed order
+    xy = cat_of_poset(Poset("xy", [("x", "y")]))
+    with pytest.raises(CategoryMismatch, match=r"^entry \[x,y\] runs"):
+        mapper(generator(xy, "[x,y]"))
+    ab = generator(cat_of_poset(Poset("ab", [("a", "b")])), "[a,b]")
+    _, reversed_mapper = embed_free_monoid(Poset("ab", [("b", "a")]))
+    with pytest.raises(CategoryMismatch,
+                       match=r"^entry \[a,b\] runs from a to b, not up "
+                             r"this poset$"):
+        reversed_mapper(ab)
+    assert embed_free_monoid(Poset("ab", [("a", "b")]))[1](ab) == ("s01",)
+
+
+def test_isotone_map_refuses_an_element_outside_its_source():
+    f = IsotoneMap(CHAIN3, CHAIN3, {e: e for e in CHAIN3.elements})
+    assert [f(e) for e in CHAIN3.elements] == list(CHAIN3.elements)
+    for bad in ("z", ["0"], None):
+        with pytest.raises(InvalidStructure,
+                           match=r"^unknown poset element "):
+            f(bad)
+
+
 def test_embed_free_monoid_is_an_injective_homomorphism():
     rng = random.Random(12)
     for p in poset_classes(4) + [DIAMOND, NONLATTICE]:

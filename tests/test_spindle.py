@@ -3,6 +3,8 @@ import random
 import pytest
 
 from catmon import (
+    CatmonError,
+    FiniteCategory,
     HeightTooSmall,
     InvalidStructure,
     NotComparable,
@@ -179,6 +181,35 @@ def test_spindle_category_rejects_chain_name_clash():
         spindle_category(CHAIN_CLASH, sp)
 
 
+def test_builders_refuse_forged_spindles():
+    diamond = Poset("01ab", [("0", "a"), ("0", "b"), ("a", "1"),
+                             ("b", "1")])
+    sp = detect_spindle(diamond, "0", "1")
+    chains = sp.chains
+    non_spindle = Spindle("u", "v", NON_SPINDLE.maximal_chains_in("u", "v"))
+    forged = [
+        (diamond, Spindle("0", "1", chains + (("0", "1"),))),  # extra chain
+        (diamond, Spindle("0", "1", chains[:1])),  # a chain missing
+        (NON_SPINDLE, non_spindle),  # (u, v) is not a spindle
+        (diamond, ("0", "1")),  # not a triple
+        (diamond, None),
+        (diamond, Spindle("0", "1", [5])),  # a chain that is not a sequence
+    ]
+    for poset, spindle in forged:
+        for build in (spindle_category, spindle_presentation):
+            with pytest.raises(CatmonError):
+                build(poset, spindle)
+    with pytest.raises(InvalidStructure, match="is not the spindle at"):
+        spindle_category(diamond, Spindle("0", "1", chains + (("0", "1"),)))
+    # chains given as lists that equal the real ones are the spindle
+    as_lists = ("0", "1", [list(c) for c in chains])
+    assert spindle_category(diamond, as_lists).comp == \
+        spindle_category(diamond, sp).comp
+    pres = spindle_presentation(diamond, as_lists)
+    assert (pres.generators, pres.relations) == \
+        reference_spindle_presentation(diamond, sp)
+
+
 def extreme_spindles(poset):
     for u in poset.minimal_elements():
         for v in poset.maximal_elements():
@@ -209,6 +240,8 @@ def test_spindle_builders_match_references():
             assert cat._endpoints == arrows
             assert cat.identity == identity
             assert cat.comp == comp
+            # the tables the trusted build matches are a valid category
+            FiniteCategory(poset.elements, arrows, identity, comp)
             pres = spindle_presentation(poset, sp)
             assert (pres.generators, pres.relations) == \
                 reference_spindle_presentation(poset, sp)
