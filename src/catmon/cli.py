@@ -252,23 +252,21 @@ def cmd_spindle_presentation(args):
 def cmd_embed_check(args):
     cat = _load(formats.load_category, args.file)
     functor = formats.load_functor(_read(args.functor), cat, args.functor)
-    rep = embeddability_verdict(functor, args.max_len)
+    rep = embeddability_verdict(functor)
     pairs = [("functorial", _yn(rep.separation.functorial)),
              ("separating", _yn(rep.separation.separating)),
              ("verdict", rep.verdict)]
     obj = {"functorial": rep.separation.functorial,
            "separating": rep.separation.separating,
            "verdict": rep.verdict,
-           "max_len": rep.checked_length,
            "sigma_injective": rep.sigma_injective}
     if rep.separation.violating_pair:
         pairs.append(("violating pair",
                       " ".join(rep.separation.violating_pair)))
         obj["violating_pair"] = list(rep.separation.violating_pair)
     if rep.embeds:
-        pairs.append((f"sigma-injective up to {rep.checked_length}",
-                      _yn(rep.sigma_injective)))
-    return 0 if rep.embeds and rep.sigma_injective else 1, _line(pairs), obj
+        pairs.append(("sigma-injective", _yn(rep.sigma_injective)))
+    return 0 if rep.embeds else 1, _line(pairs), obj
 
 
 def cmd_monoid_class(args):
@@ -365,8 +363,8 @@ COMMANDS = [
      ["file", "u", "v"]),
     (("spindle", "presentation"), None, cmd_spindle_presentation,
      ["file", "u", "v"]),
-    (("embed-check",), "hom-set separation and σ-injectivity",
-     cmd_embed_check, ["file", "functor", _max_len(3)]),
+    (("embed-check",), "embeddability of Um(S) into a group by hom-set "
+     "separation", cmd_embed_check, ["file", "functor"]),
     (("monoid",), "homogeneous presentation word problem", None, []),
     (("monoid", "class"), None, cmd_monoid_class, ["file", "word"]),
     (("monoid", "equal"), None, cmd_monoid_equal, ["file", "left", "right"]),

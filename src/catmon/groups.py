@@ -6,7 +6,9 @@ The embedding works through the highlighting expansion: given a functor ψ
 into G, each arrow x is sent to sr(x)⁻¹·ψ(x)·tg(x) inside Fg(objects) * G.
 When ψ is injective on every hom-set, the expanded images multiply to
 distinct free-product normal forms on distinct reduced sequences, so the
-word map σ is injective.
+word map σ is injective on all of Um(S), and Um(S) embeds into a group.
+``embeddability_verdict`` answers from this theorem: it checks the
+criterion and walks no element.
 
 A word is its group and a payload, its normal form as plain data: a free
 word's ``letters`` tuple of (letter, ±1), a ``zn`` word's ``vector``, and
@@ -30,10 +32,10 @@ from operator import add
 
 from .errors import (GroupMismatch, InvalidStructure, MissingImage,
                      SeparationRequired)
-from .limits import require, require_bound
+from .limits import require
 from .poset import _has, _ids, _items, _pairs, _table
 from .presentations import format_word, free_reduce, invert_word
-from .universal import _element_walk, _not_an_element
+from .universal import _not_an_element
 
 
 class GroupSpec(namedtuple(
@@ -364,14 +366,6 @@ def highlighting_expansion(functor):
     return CategoryFunctor(cat, prod, images)
 
 
-def _sigma(functor, arrows):
-    """σ of the element with these arrows, for a functor whose separation
-    criterion holds."""
-    expanded = functor._expansion
-    images = expanded.images
-    return group_product(expanded.target, [images[f] for f in arrows])
-
-
 def sigma_image(x, functor):
     """σ(x): the free-product normal form of the expanded images of the
     entries of x.  Requires the separation criterion to hold."""
@@ -385,63 +379,31 @@ def sigma_image(x, functor):
     if not report.holds:
         raise SeparationRequired(
             f"functor does not separate hom-sets: {report.violating_pair}")
-    return _sigma(functor, arrows)
+    expanded = functor._expansion
+    images = expanded.images
+    return group_product(expanded.target, [images[f] for f in arrows])
 
 
 class EmbeddabilityReport(namedtuple(
-        "EmbeddabilityReport", "separation embeds verdict checked_length"
-        " sigma_injective")):
+        "EmbeddabilityReport", "separation embeds verdict sigma_injective")):
     __slots__ = ()
 
 
-# The key of a σ payload in the verdict's walk; a module name so that a test
-# can make every key collide.
-_sigma_key = hash
+def embeddability_verdict(functor):
+    """Whether this functor's separation criterion shows that Um(S) embeds
+    into a group.
 
-
-def embeddability_verdict(functor, max_len=3):
-    """Run the separation criterion; on success, confirm σ-injectivity on
-    all elements up to the length bound (a sampled check — the criterion
-    itself guarantees injectivity everywhere).
-
-    The elements are counted before any is built: past the size guard of
-    ``universal._element_walk`` this raises ``SizeLimitExceeded``.  Then
-    they are walked one letter at a time, each carrying the payload of its
-    σ word, not a word object: σ(x·f) is the product of σ(x) and ψ'(f), one
-    ``_times`` of two payloads, so no image is multiplied out from its
-    letters, and only the layer being extended keeps its payloads.
-    ``seen`` maps the hash of each σ payload to the arrows of its element.
-    On a hit, σ of the stored element is rebuilt and compared exactly: equal
-    payloads of distinct elements answer no, and a payload that only shares
-    a hash is kept whole in ``spilled``, which later payloads also probe.
+    Um(S) embeds into a group exactly when some functor into a group is
+    injective on every hom-set.  When this functor is functorial and
+    separates every hom-set, σ is injective on all of Um(S), so
+    ``sigma_injective`` is True, by the theorem: no element is built or
+    walked.  Otherwise the criterion says nothing about this functor, and
+    ``sigma_injective`` is None.
     """
-    require_bound(max_len, 1)
     report = functor._separation
     if not report.holds:
         return EmbeddabilityReport(report, False,
                                    "criterion not satisfied by this functor",
-                                   max_len, None)
-    expanded = functor._expansion
-    prod = expanded.target
-    images = {f: w.payload for f, w in expanded.images.items()}
-
-    def times(p, f):
-        return _times(prod, p, images[f])
-
-    key = _sigma_key
-    seen = {}
-    spilled = set()
-    injective = True
-    for arrows, p in _element_walk(functor.category, max_len,
-                                   _fold(prod, ()), times):
-        k = key(p)
-        first = seen.get(k)
-        if first is None:
-            seen[k] = arrows
-        elif p in spilled or _sigma(functor, first).payload == p:
-            injective = False
-            break
-        else:
-            spilled.add(p)
+                                   None)
     return EmbeddabilityReport(report, True, "Um(S) embeds into a group",
-                               max_len, injective)
+                               True)

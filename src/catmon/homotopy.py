@@ -68,7 +68,8 @@ def spanning_tree(complex_):
 def tietze_collapse(pres, tree):
     """Kill the tree-edge generators and simplify: free reduction, relator
     dedup, and repeated elimination of a generator that occurs exactly once
-    in some relator.  The result presents π1 at the tree root.
+    in some relator.  The result presents π1 at the tree root.  The tree
+    is read as ``(root, edges)``, as a ``SpanningTree`` is.
 
     Each round eliminates the first letter, in the first relator that has
     one, whose generator occurs once in that relator; it substitutes for
@@ -86,12 +87,13 @@ def tietze_collapse(pres, tree):
     counted as it grows and refused with SizeLimitExceeded past
     ``limits.MAX_COUNT`` letters, as a congruence class is past that many
     words."""
-    try:
-        killed = {edge_name(x, y)
-                  for x, y in _pairs(tree.edges, "tree edges")}
-    except TypeError:  # vertices that do not compare
+    try:  # a tree that is not (root, edges), or vertices that do not compare
+        _, edges = tree
+        killed = {edge_name(x, y) for x, y in _pairs(edges, "tree edges")}
+    except (TypeError, ValueError):
         raise InvalidStructure(
-            f"tree edges {tree.edges!r} are not pairs of vertices") from None
+            f"expected a spanning tree (root, edges) of pairs of vertices, "
+            f"got {tree!r}") from None
     unknown = killed - set(pres.generators)
     if unknown:
         raise InvalidStructure(

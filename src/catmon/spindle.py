@@ -52,20 +52,26 @@ def detect_spindle(poset, u, v):
     return Spindle(u, v, poset.maximal_chains_in(u, v))
 
 
-def is_extreme_spindle(poset, spindle):
-    return (spindle.u in poset.minimal_elements()
-            and spindle.v in poset.maximal_elements())
-
-
-def _judged(poset, spindle):
-    """The one check of a spindle from outside, read as ``(u, v, chains)``:
-    it is extreme and is ``detect_spindle(poset, u, v)``."""
+def _read(spindle):
+    """A spindle from outside, read as ``(u, v, chains)``."""
     try:
         u, v, chains = spindle
-        judged = Spindle(u, v, tuple(map(tuple, chains)))
+        return Spindle(u, v, tuple(map(tuple, chains)))
     except (TypeError, ValueError):
         raise InvalidStructure(
             f"expected a spindle (u, v, chains), got {spindle!r}") from None
+
+
+def is_extreme_spindle(poset, spindle):
+    u, v, _ = _read(spindle)
+    return u in poset.minimal_elements() and v in poset.maximal_elements()
+
+
+def _judged(poset, spindle):
+    """The one check of a spindle from outside: it is extreme and is
+    ``detect_spindle(poset, u, v)``."""
+    judged = _read(spindle)
+    u, v, _ = judged
     if not is_extreme_spindle(poset, judged):
         raise NotExtreme(f"{u} not minimal or {v} not maximal")
     if judged != detect_spindle(poset, u, v):

@@ -537,44 +537,23 @@ def _guard_elements(cat, max_len):
         count = {f: layer - into.get(ends[f][0], 0) for f in count}
 
 
-def _element_walk(cat, max_len, state, carry):
-    """Yield (arrows, state) for each element of Um(cat) of length at most
-    max_len, shortest first: the unit with the given state, then each layer
-    in the order of the elements one shorter, each followed in turn by every
-    non-identity f that does not compose with its last entry (tgt of it !=
-    src f).  The state of x·f is carry(state of x, f).
-
-    Only the layer being extended is held, as (arrows, last target,
-    state); the last layer is yielded and dropped.  Refused with
-    SizeLimitExceeded, before any element is yielded, when there are more
-    than ``limits.MAX_COUNT`` elements.
-    """
-    _guard_elements(cat, max_len)
-    ends = cat._endpoints
-    gens = [(f, *ends[f]) for f in cat.non_identities()]
-    yield (), state
-    layer = [((), object(), state)]  # the unit's end meets no src
-    for depth in range(1, max_len + 1):
-        last = depth == max_len
-        nxt = []
-        for seq, end, st in layer:
-            for f, src, tgt in gens:
-                if src == end:
-                    continue
-                arrows = seq + (f,)
-                grown = carry(st, f)
-                yield arrows, grown
-                if not last:
-                    nxt.append((arrows, tgt, grown))
-        layer = nxt
-
-
 def elements_up_to(cat, max_len):
-    """All elements of Um(S) of length at most max_len, shortest first.
+    """All elements of Um(S) of length at most max_len, shortest first: the
+    unit, then each layer in the order of the elements one shorter, each
+    followed in turn by every non-identity f that does not compose with its
+    last entry (tgt of it != src f).
 
     Refused with SizeLimitExceeded, before any is built, when there are
     more than ``limits.MAX_COUNT`` of them.
     """
     require_bound(max_len, 0)
-    return [_reduced(cat, arrows) for arrows, _ in
-            _element_walk(cat, max_len, None, lambda state, f: None)]
+    _guard_elements(cat, max_len)
+    ends = cat._endpoints
+    gens = [(f, *ends[f]) for f in cat.non_identities()]
+    seqs = [()]
+    layer = [((), object())]  # the unit's end meets no src
+    for _ in range(max_len):
+        layer = [(seq + (f,), tgt) for seq, end in layer
+                 for f, src, tgt in gens if src != end]
+        seqs += [seq for seq, _ in layer]
+    return [_reduced(cat, arrows) for arrows in seqs]

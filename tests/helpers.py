@@ -830,6 +830,38 @@ def reference_separation(functor):
     return SeparationReport(True, True, None)
 
 
+def sigma_decode(functor, payload):
+    """σ⁻¹: the arrows of the element whose σ word under a separating
+    functor has this payload, read left to right.
+
+    The object letters alternate x⁻¹, y, one pair per arrow, with at most
+    one syllable of the target group G between the two letters of a pair
+    and none between pairs; the arrow is the one of hom(x, y) with that G
+    image (the identity when there is no syllable), unique by separation.
+    """
+    cat = functor.category
+    one = functor.target.identity().payload
+    arrow_of = {(cat.src(f), w.payload, cat.tgt(f)): f
+                for f, w in functor.images.items() if not cat.is_identity(f)}
+    assert len(arrow_of) == len(cat.non_identities()), "not separating"
+    arrows, src, image = [], None, one
+    for factor, syllable in payload:
+        if factor == 1:
+            assert src is not None and image == one, payload
+            image = syllable
+            continue
+        for obj, sign in syllable:
+            if sign == -1:
+                assert src is None, payload
+                src, image = obj, one
+            else:
+                assert src is not None, payload
+                arrows.append(arrow_of[(src, image, obj)])
+                src = None
+    assert src is None, payload
+    return tuple(arrows)
+
+
 def reference_rules(pres):
     """Side length k -> {side: the sides it may be rewritten to}, as tuple
     words, the relations read both ways."""

@@ -345,7 +345,7 @@ def test_criterion_10_c6_separation_and_sigma_injectivity():
     functor = load_functor((DATA / "c6_z3.functor").read_text(), cat,
                            "c6_z3.functor")
     assert check_separation(functor).holds
-    verdict = embeddability_verdict(functor, max_len=3)
+    verdict = embeddability_verdict(functor)
     assert verdict.embeds
     assert verdict.verdict == "Um(S) embeds into a group"
     assert verdict.sigma_injective is True

@@ -55,8 +55,6 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
 def test_negative_bounds_are_usage_errors(capsys):
     # the library judges a bound; the CLI only parses it as an int
     for argv, message in (
-            (["embed-check", "data/c6.category", "data/c6_z3.functor",
-              "--max-len", "-1"], "max_len -1 is below 1"),
             (["monoid", "crm", "--max-len", "-1", "data/c6.monoid", "a"],
              "max_len -1 is below 0"),
             (["monoid", "m6", "--max-len", "-3"], "max_len -3 is below 1")):
@@ -69,18 +67,21 @@ def test_negative_bounds_are_usage_errors(capsys):
         main(["monoid", "m6", "--max-len", "abc"])
     assert exc.value.code == 2
     assert "invalid int value: 'abc'" in capsys.readouterr().err
+    # embed-check answers from the separation theorem and takes no bound
+    with pytest.raises(SystemExit) as exc:
+        main(["embed-check", "data/c6.category", "data/c6_z3.functor",
+              "--max-len", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-len 3" in capsys.readouterr().err
 
 
 def test_checks_up_to_length_zero_are_usage_errors(capsys):
-    # a check of no class or element would answer a vacuous YES
-    for argv in (["embed-check", "data/c6.category", "data/c6_z3.functor",
-                  "--max-len", "0"],
-                 ["monoid", "m6", "--max-len", "0"]):
-        assert main(argv) == 2, argv
-        out, err = capsys.readouterr()
-        assert out == "" and "YES" not in err, argv
-        assert err == "error: InvalidStructure: max_len 0 is below 1\n", argv
-        assert "Traceback" not in err, argv
+    # a check of no class would answer a vacuous YES
+    assert main(["monoid", "m6", "--max-len", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "YES" not in err
+    assert err == "error: InvalidStructure: max_len 0 is below 1\n"
+    assert "Traceback" not in err
     assert main(["monoid", "m6", "--max-len", "1"]) == 0
     assert "classes: 6  injective: YES" in capsys.readouterr().out
     # a search up to length 0 answers honestly that it found nothing
@@ -433,23 +434,6 @@ def test_category_files_past_the_size_guard_exit_2(tmp_path, capsys,
         assert ("219600 composites and associativity triples, over the "
                 "limit of 1000") in captured.err, captured.err
         assert "Traceback" not in captured.err, captured.err
-
-
-def test_element_walk_past_the_size_guard_exits_2(capsys, monkeypatch):
-    from catmon import universal
-
-    def no_element(*args):
-        raise AssertionError("an element was built")
-
-    # Um(c6) has 2,330,248 elements of length at most 6: the walk is
-    # refused before it builds one
-    monkeypatch.setattr(universal, "_reduced", no_element)
-    assert main(["embed-check", "data/c6.category", "data/c6_z3.functor",
-                 "--max-len", "9"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: SizeLimitExceeded"), err
-    assert "2330248" in err and "max_len 9" in err, err
-    assert "Traceback" not in err, err
 
 
 def test_faces_past_the_size_guard_exit_2(tmp_path, capsys, monkeypatch):

@@ -25,8 +25,8 @@ from catmon import (CatmonError, CategoryFunctor, CategoryMismatch,
                     elements_up_to, embed_free_group, embed_free_monoid,
                     embeddability_verdict, equal_in_monoid,
                     floating_presentation, gcd_family, gcd_pair, generator,
-                    greedy_normal_form, interval_name, lcm_pair,
-                    m6_presentation, multiply, reduce_sequence,
+                    greedy_normal_form, interval_name, is_extreme_spindle,
+                    lcm_pair, m6_presentation, multiply, reduce_sequence,
                     sigma_image, spindle_category, spindle_presentation,
                     tietze_collapse, verify_m6_embedding)
 
@@ -338,13 +338,17 @@ def _entry_points():
         ("IntervalFunctor.__call__", hm, [ab]),
         ("embed_free_group", embed_free_group, [ab]),
         ("elements_up_to", elements_up_to, [c, 2]),
-        ("embeddability_verdict", embeddability_verdict, [functor, 2]),
+        ("embeddability_verdict", embeddability_verdict, [functor]),
         ("congruence_class", congruence_class, [m6, ["a", "e"]]),
         ("equal_in_monoid", equal_in_monoid, [m6, ["a", "e"], ["c", "b"]]),
         ("common_right_multiple", common_right_multiple,
          [m6, [["a"], ["b"]], 2]),
         ("verify_m6_embedding", verify_m6_embedding, [2]),
         ("detect_spindle", detect_spindle, [diamond, "0", "1"]),
+        ("is_extreme_spindle", is_extreme_spindle,
+         [diamond, ("0", "1", [("0", "a", "1"), ("0", "b", "1")])]),
+        ("tietze_collapse", tietze_collapse,
+         [floating_presentation(_TRIANGLE), ("a", (("a", "b"), ("a", "c")))]),
         ("SimplicialComplex.faces", _TRIANGLE.faces, [1]),
         ("IsotoneMap.__call__", IsotoneMap(_P, _P, {"a": "a", "b": "b"}),
          ["a"]),
@@ -357,8 +361,8 @@ def _entry_points():
 
 
 # Arguments that are structures built here, not values from outside.
-_STRUCTURES = (FiniteCategory, Poset, GroupSpec, MonoidPresentation,
-               CategoryFunctor)
+_STRUCTURES = (FiniteCategory, Poset, GroupSpec, GroupPresentation,
+               MonoidPresentation, CategoryFunctor)
 
 
 def _fuzzed(value, rng):
@@ -392,7 +396,7 @@ def test_malformed_values_raise_only_catmon_errors():
                   if not isinstance(v, _STRUCTURES)]
         trials = [(i, bad) for i in values for bad in _BAD]
         trials += [(i, _fuzzed(good[i], rng)) for i in
-                   (rng.choice(values) for _ in range(60))]
+                   (rng.choice(values) for _ in range(60 if values else 0))]
         for i, bad in trials:
             args = good[:i] + [bad] + good[i + 1:]
             try:

@@ -30,7 +30,7 @@ from catmon import (
 from catmon import groups
 from catmon.cli import main
 from catmon.formats import load_category, load_functor
-from catmon.groups import SeparationReport, _sigma
+from catmon.groups import SeparationReport
 
 from helpers import (
     assert_record,
@@ -43,6 +43,7 @@ from helpers import (
     reference_group_product,
     reference_inverse,
     reference_separation,
+    sigma_decode,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -90,7 +91,7 @@ def test_zn_dimensions_are_checked(monkeypatch):
 
     point = load_category("category\nobj x\n")
     with pytest.raises(InvalidStructure, match="negative dimension -3"):
-        embeddability_verdict(CategoryFunctor(point, GroupSpec.zn(-3), {}), 3)
+        embeddability_verdict(CategoryFunctor(point, GroupSpec.zn(-3), {}))
     assert GroupSpec.zn(0).identity().vector == ()
     monkeypatch.setattr(limits, "MAX_COUNT", 5)
     assert GroupSpec.zn(5).n == 5
@@ -428,16 +429,15 @@ def test_sigma_injective_on_short_elements():
     for p in labeled_posets(3):
         pcat = cat_of_poset(p)
         for psi in (trivial_functor(pcat), endpoint_functor(p)):
-            verdict = embeddability_verdict(psi, max_len=3)
+            verdict = embeddability_verdict(psi)
             assert verdict.embeds and verdict.sigma_injective
 
 
 def test_embeddability_verdict():
     cat, functor = c6_setup()
-    verdict = embeddability_verdict(functor, max_len=3)
+    verdict = embeddability_verdict(functor)
     assert verdict.embeds
     assert verdict.verdict == "Um(S) embeds into a group"
-    assert verdict.checked_length == 3
     assert verdict.sigma_injective is True
     assert verdict.separation.holds
 
@@ -571,7 +571,7 @@ def test_sigma_builds_no_word_through_a_checking_constructor(monkeypatch):
 
     for cls in (FreeGroupWord, FreeAbelianWord, FreeProductWord):
         monkeypatch.setattr(cls, "__init__", refuse)
-    verdict = embeddability_verdict(functor, 3)
+    verdict = embeddability_verdict(functor)
     assert verdict.embeds and verdict.sigma_injective is True
     assert [str(sigma_image(x, functor)) for x in xs] == before
     w = sigma_image(xs[-1], functor)
@@ -632,150 +632,88 @@ def test_hashing_and_comparing_a_sigma_word_asks_no_factor_word(
     assert len(calls) == 1
 
 
-def test_the_sigma_walk_builds_no_word_per_element(monkeypatch):
-    """The verdict carries payloads through the walk: up to length 3 on c6
-    (1,660 elements) it builds no more words than up to length 1, and at
-    most two, not one per element."""
+def test_embeddability_verdict_walks_nothing(monkeypatch):
+    """Once the criterion is worked out (it multiplies images), the verdict
+    answers from the theorem: it builds no element, expands no image and
+    multiplies nothing."""
+    from catmon import universal
+
     cat, functor = c6_setup()
-    functor._separation
-    functor._expansion
-    built = []
-    real_word, real_init = groups._word, FreeProductWord.__init__
+    trivial = load_functor((DATA / "c6_trivial.functor").read_text(), cat,
+                           "c6_trivial.functor")
+    for psi in (functor, trivial):
+        psi._separation
 
-    def unchecked(*args):
-        built.append(args)
-        return real_word(*args)
+    def refuse(*args):
+        raise AssertionError("the verdict walked")
 
-    def checked(self, *args):
-        built.append(args)
-        real_init(self, *args)
-
-    monkeypatch.setattr(groups, "_word", unchecked)
-    monkeypatch.setattr(FreeProductWord, "__init__", checked)
-    counts = []
-    for max_len in (1, 3):
-        del built[:]
-        assert embeddability_verdict(functor, max_len).sigma_injective
-        counts.append(len(built))
-    assert len(elements_up_to(cat, 3)) == 1660
-    assert counts[0] == counts[1] <= 2, counts
+    monkeypatch.setattr(universal, "_reduced", refuse)
+    monkeypatch.setattr(groups, "highlighting_expansion", refuse)
+    monkeypatch.setattr(groups, "_times", refuse)
+    yes, no = embeddability_verdict(functor), embeddability_verdict(trivial)
+    assert (yes.embeds, yes.sigma_injective) == (True, True)
+    assert (no.embeds, no.sigma_injective) == (False, None)
 
 
-def _brute_force_injective(functor, max_len):
-    """σ-injectivity up to max_len by an exact dict of every σ word."""
-    seen = {}
-    for x in elements_up_to(functor.category, max_len):
-        w = _sigma(functor, x.arrows)
-        if w in seen:
-            return False
-        seen[w] = x
-    return True
+def _assert_sigma_decodes(functor, max_len):
+    """σ⁻¹(σ(x)) = x for every element x of length at most max_len; returns
+    how many there are."""
+    xs = elements_up_to(functor.category, max_len)
+    for x in xs:
+        payload = sigma_image(x, functor).payload
+        assert sigma_decode(functor, payload) == x.arrows, x
+    return len(xs)
 
 
-def _walked(functor, images=None):
-    """functor with its separation taken as holding, and with these
-    expanded images (its own expansion's by default), so that the verdict
-    walks whatever σ they give."""
-    functor.__dict__["_separation"] = SeparationReport(True, True, None)
-    if images is not None:
-        functor.__dict__["_expansion"] = CategoryFunctor(
-            functor.category, functor._expansion.target, images)
-    return functor
+def test_sigma_decode_inverts_sigma_on_c6():
+    """σ has a left inverse on the 18,589 elements of Um(c6) of length at
+    most 4 under c6_z3, so it is injective there, as the verdict says."""
+    _, functor = c6_setup()
+    assert embeddability_verdict(functor).sigma_injective is True
+    assert _assert_sigma_decodes(functor, 4) == 18589
 
 
-def test_sigma_walk_matches_brute_force():
-    """The verdict's one-letter σ walk answers as an exact dict over
-    elements_up_to and _sigma does, on random bounded categories: with the
-    expansion of the trivial functor, which merges parallel arrows, and
-    with random images drawn from a few words of a small free product, whose
-    products often meet, also across lengths."""
+def _decoded(functors):
+    """Each functor that separates gets a YES verdict and σ⁻¹ reads back
+    every element of length at most 3; any other gets no word on σ.
+    Returns how many separate and how many elements they decode."""
+    separating = elements = 0
+    for functor in functors:
+        verdict = embeddability_verdict(functor)
+        if verdict.embeds:
+            assert verdict.sigma_injective is True
+            separating += 1
+            elements += _assert_sigma_decodes(functor, 3)
+        else:
+            assert verdict.sigma_injective is None
+    return separating, elements
+
+
+def test_sigma_decode_inverts_sigma_for_trivial_functors():
+    """The trivial functor into Z¹ separates exactly the random bounded
+    categories with at most one arrow per hom-set; on those, σ⁻¹ reads back
+    every element of length at most 3."""
     rng = random.Random(16)
-    answers = {True: 0, False: 0}
-    for i in range(60):
-        cat = random_category_bounded(rng, max_elements=150)
-        functor = trivial_functor(cat)
-        images = None
-        if i % 2:
-            prod = functor._expansion.target
-            p = inject(prod, 0, FreeGroupWord(prod.factors[0], [
-                (cat.objects[0], 1)]))
-            z = inject(prod, 1, FreeAbelianWord(prod.factors[1], [1]))
-            pool = [p, p.inverse(), z, group_multiply(p, z),
-                    group_multiply(z, p)]
-            images = {f: rng.choice(pool) for f in cat.non_identities()}
-        functor = _walked(functor, images)
-        for max_len in (1, 3):
-            want = _brute_force_injective(functor, max_len)
-            verdict = embeddability_verdict(functor, max_len)
-            assert verdict.sigma_injective is want, (cat.arrows, images)
-            answers[want] += 1
-    assert answers[True] >= 20 and answers[False] >= 20, answers
+    assert _decoded(
+        trivial_functor(random_category_bounded(rng, max_elements=150))
+        for _ in range(200)) == (146, 5429)
 
 
-def test_sigma_walk_matches_brute_force_for_a_free_target():
-    """As above, for functors into the free group on x and y, so that σ
-    lives in Fg(objects) * F(x, y) and every seam the walk merges is one
-    of two free groups: with the expansion of random images of up to two
-    letters, and with random images drawn from a few words of that product,
-    whose x and y syllables meet and cancel across images."""
+def test_sigma_decode_inverts_sigma_for_a_free_target():
+    """As above, for random images of up to two letters in the free group
+    on x and y, so that σ lives in Fg(objects) * F(x, y) and both factors
+    are free."""
     rng = random.Random(21)
     target = GroupSpec.free(("x", "y"))
-    answers = {True: 0, False: 0}
-    for i in range(60):
+
+    def draw():
         cat = random_category_bounded(rng, max_elements=150)
-        functor = CategoryFunctor(cat, target, {
+        return CategoryFunctor(cat, target, {
             f: FreeGroupWord(target, [(rng.choice("xy"), rng.choice((1, -1)))
                                       for _ in range(rng.randint(0, 2))])
             for f in cat.non_identities()})
-        images = None
-        if i % 2:
-            prod = functor._expansion.target
-            o = inject(prod, 0, FreeGroupWord(prod.factors[0], [
-                (cat.objects[0], 1)]))
-            x, y = (inject(prod, 1, FreeGroupWord(target, [(g, 1)]))
-                    for g in "xy")
-            pool = [x, x.inverse(), group_multiply(y, x),
-                    group_multiply(o, x), group_multiply(x.inverse(), o)]
-            images = {f: rng.choice(pool) for f in cat.non_identities()}
-        functor = _walked(functor, images)
-        for max_len in (1, 3):
-            want = _brute_force_injective(functor, max_len)
-            verdict = embeddability_verdict(functor, max_len)
-            assert verdict.sigma_injective is want, (cat.arrows, images)
-            answers[want] += 1
-    assert answers[True] >= 20 and answers[False] >= 20, answers
 
-
-def test_sigma_walk_is_exact_when_every_key_collides(monkeypatch):
-    """With every σ word given the same key, each is compared exactly with
-    the first and probed in the spill set: the answers do not change."""
-    cat, functor = c6_setup()
-    merged = _walked(trivial_functor(cat))
-    want = [embeddability_verdict(functor, 3).sigma_injective,
-            embeddability_verdict(merged, 2).sigma_injective]
-    assert want == [True, False]
-    monkeypatch.setattr(groups, "_sigma_key", lambda w: 0)
-    assert [embeddability_verdict(functor, 3).sigma_injective,
-            embeddability_verdict(merged, 2).sigma_injective] == want
-
-
-def test_embed_check_reports_merged_sigma_words(monkeypatch, capsys):
-    """With the expanded image of b patched to that of a, σ merges the
-    elements b and a, and embed-check says NO with exit 1."""
-    real = groups.highlighting_expansion
-
-    def merging(functor):
-        expanded = real(functor)
-        images = dict(expanded.images)
-        images["b"] = images["a"]
-        return CategoryFunctor(expanded.category, expanded.target, images)
-
-    monkeypatch.setattr(groups, "highlighting_expansion", merging)
-    assert main(["embed-check", "data/c6.category",
-                 "data/c6_z3.functor"]) == 1
-    assert capsys.readouterr().out == (
-        "functorial: YES  separating: YES  verdict: Um(S) embeds into a "
-        "group  sigma-injective up to 3: NO\n")
+    assert _decoded(draw() for _ in range(300)) == (159, 1640)
 
 
 def test_group_records_keep_their_contract():
@@ -790,21 +728,9 @@ def test_group_records_keep_their_contract():
     assert separation.holds
     assert not SeparationReport(True, False, ("a", "b")).holds
     assert_record(EmbeddabilityReport, separation=separation, embeds=True,
-                  verdict="Um(S) embeds into a group", checked_length=3,
-                  sigma_injective=True)
+                  verdict="Um(S) embeds into a group", sigma_injective=True)
     _, functor = c6_setup()
-    assert repr(embeddability_verdict(functor, 3)) == (
+    assert repr(embeddability_verdict(functor)) == (
         "EmbeddabilityReport(separation=SeparationReport(functorial=True, "
         "separating=True, violating_pair=None), embeds=True, "
-        "verdict='Um(S) embeds into a group', checked_length=3, "
-        "sigma_injective=True)")
-
-
-def test_embeddability_verdict_refuses_a_bound_below_one():
-    # a check up to length 0 checks no element and would answer a vacuous
-    # yes
-    _, functor = c6_setup()
-    for max_len in (0, -2):
-        with pytest.raises(InvalidStructure, match=f"max_len {max_len} "):
-            embeddability_verdict(functor, max_len)
-    assert embeddability_verdict(functor, 1).sigma_injective
+        "verdict='Um(S) embeds into a group', sigma_injective=True)")
