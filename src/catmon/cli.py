@@ -6,8 +6,10 @@ Reports are single lines of "key: value" fields separated by two spaces;
 precondition error.
 
 Every ``cmd_*`` handler returns ``(exit code, text, JSON object)``; ``main``
-is the only code that writes stdout.  The ``COMMANDS`` table declares every
-subcommand and its arguments.
+is the only code that writes stdout.  ``monoid class``, whose class may
+hold hundreds of thousands of words, builds only the rendering that
+``--format`` selects and returns None for the other.  The ``COMMANDS``
+table declares every subcommand and its arguments.
 
 This module only parses; the library judges every value (a ``--max-len``
 in ``limits.require_bound``, a ``--side`` in ``category._endpoint_of``),
@@ -272,8 +274,9 @@ def cmd_embed_check(args):
 def cmd_monoid_class(args):
     pres = _load(formats.load_monoid, args.file)
     members = sorted(congruence_class(pres, args.word.split()))
-    return (0, "\n".join(" ".join(w) if w else "1" for w in members),
-            {"class": [" ".join(w) for w in members]})
+    if args.format == "json":
+        return 0, None, {"class": [" ".join(w) for w in members]}
+    return 0, "\n".join(" ".join(w) if w else "1" for w in members), None
 
 
 def cmd_monoid_equal(args):

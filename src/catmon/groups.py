@@ -33,7 +33,7 @@ from operator import add
 from .errors import (GroupMismatch, InvalidStructure, MissingImage,
                      SeparationRequired)
 from .limits import require
-from .poset import _has, _ids, _items, _pairs, _table
+from .poset import _has, _ids, _items, _pairs, _require_instance, _table
 from .presentations import format_word, free_reduce, invert_word
 from .universal import _not_an_element
 
@@ -336,6 +336,7 @@ def check_separation(functor):
     are read directly.  The laws are checked in (f, g) order, the hom-sets
     in one pass over the arrows sorted by endpoints, which names the first
     colliding pair of a scan of each hom(x, y) in object order."""
+    _require_instance(functor, CategoryFunctor, "a functor")
     cat, spec, images = functor.category, functor.target, functor.images
     for (f, g), h in sorted(cat.comp.items()):
         if images[h].payload != _times(spec, images[f].payload,
@@ -400,6 +401,7 @@ def embeddability_verdict(functor):
     walked.  Otherwise the criterion says nothing about this functor, and
     ``sigma_injective`` is None.
     """
+    _require_instance(functor, CategoryFunctor, "a functor")
     report = functor._separation
     if not report.holds:
         return EmbeddabilityReport(report, False,

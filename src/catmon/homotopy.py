@@ -24,9 +24,9 @@ from .complexes import SimplicialComplex
 from .errors import Disconnected, InvalidStructure
 from .interval import interval_name
 from .limits import require
-from .poset import _pairs
-from .presentations import (_generator_ids, _presentation, free_reduce,
-                            invert_word, substitute)
+from .poset import Poset, _pairs, _require_instance
+from .presentations import (GroupPresentation, _generator_ids, _presentation,
+                            free_reduce, invert_word, substitute)
 
 
 def edge_name(x, y):
@@ -87,6 +87,7 @@ def tietze_collapse(pres, tree):
     counted as it grows and refused with SizeLimitExceeded past
     ``limits.MAX_COUNT`` letters, as a congruence class is past that many
     words."""
+    _require_instance(pres, GroupPresentation, "a group presentation")
     try:  # a tree that is not (root, edges), or vertices that do not compare
         _, edges = tree
         killed = {edge_name(x, y) for x, y in _pairs(edges, "tree edges")}
@@ -172,6 +173,7 @@ class FloatingDecomposition(namedtuple(
 def floating_decomposition(complex_):
     """HG(K) ≅ Fg(tree edges) * π1(K, root); the total free rank is
     reported only when the collapsed π1 presentation has no relators."""
+    _require_instance(complex_, SimplicialComplex, "a simplicial complex")
     tree = spanning_tree(complex_)
     pi1 = tietze_collapse(floating_presentation(complex_), tree)
     total = None
@@ -182,6 +184,7 @@ def floating_decomposition(complex_):
 
 def chain_complex(poset):
     """Sim(P): simplices are the nonempty chains of P."""
+    _require_instance(poset, Poset, "a poset")
     return SimplicialComplex(poset.maximal_chains())
 
 
@@ -199,6 +202,7 @@ def cross_check(poset):
     an over-limit poset is refused before the unpriced homotopy route."""
     from .interval import cat_of_poset
     from .universal import universal_group_presentation
+    _require_instance(poset, Poset, "a poset")
     cat = cat_of_poset(poset)
     dec = floating_decomposition(chain_complex(poset))
     ab = universal_group_presentation(cat).abelianization_rank()

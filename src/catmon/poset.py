@@ -7,8 +7,10 @@ by other covers) are rejected rather than repaired, so files stay canonical.
 
 The readers of values from outside live here too, and every constructor
 uses them: ``_items`` (any iterable), ``_ids`` (a list of names),
-``_pairs`` (a list of pairs), ``_table`` (a dict or a list of pairs) and
-``_has`` (membership, where an unhashable value is not a member).
+``_pairs`` (a list of pairs), ``_table`` (a dict or a list of pairs),
+``_has`` (membership, where an unhashable value is not a member) and
+``_require_instance`` (a structure argument, such as a poset or a
+presentation, that its own constructor has already checked).
 """
 from __future__ import annotations
 
@@ -78,6 +80,14 @@ def _has(table, key):
         return key in table
     except TypeError:
         return False
+
+
+def _require_instance(value, cls, what):
+    """Refuse a structure argument that is not a ``cls``; one built by
+    ``cls`` was checked when it was built, so nothing else is judged."""
+    if not isinstance(value, cls):
+        raise InvalidStructure(
+            f"expected {what}, got {type(value).__name__}")
 
 
 def _members(mask, items):

@@ -48,7 +48,7 @@ from collections import namedtuple
 
 from . import limits
 from .errors import EmptyFamily, InvalidStructure, NotHomogeneous
-from .poset import _has, _ids, _items, _pairs
+from .poset import _has, _ids, _items, _pairs, _require_instance
 
 
 class MonoidPresentation:
@@ -109,7 +109,10 @@ class MonoidPresentation:
 
 
 def _require_homogeneous(pres):
-    if not pres.is_homogeneous():
+    """The judge of the presentation of every entry point that takes a
+    closure: a ``MonoidPresentation`` whose relations keep length."""
+    _require_instance(pres, MonoidPresentation, "a monoid presentation")
+    if not pres._homogeneous:
         raise NotHomogeneous(
             "word-problem operations need length-preserving relations")
 
@@ -325,24 +328,34 @@ def atoms(pres):
     """Every generator of a homogeneous presentation is an atom: its
     relations keep a word's length, so its class has only length-1 words,
     never a product of two nonempty ones.  Reports which generators are
-    identified with others."""
+    identified with others.
+
+    A one-letter word has only one-letter windows, so only the length-one
+    rules rewrite it: the generators identified with g are those that a
+    chain of length-one rules joins to g.  Their rule table is symmetric,
+    so each class is the component of its least digit in the graph
+    d -> d + delta, and a presentation with none has no merges."""
     _require_homogeneous(pres)
     gens = pres.generators
-    classes = [_closure(pres, d, 1) for d in range(len(gens))]
+    rules = next((rules for k, _, rules in pres._rewrites if k == 1), {})
     merged = []
-    done = set()
-    for d, cls in enumerate(classes):
-        if d in done:
-            continue
-        mates = [h for h in range(len(gens)) if h in cls]
-        done.update(mates)
-        if len(mates) > 1:
-            merged.append(tuple(gens[h] for h in mates))
+    seen = set()
+    for d in sorted(rules):
+        if d not in seen:
+            seen.add(d)
+            mates = [d]
+            for e in mates:  # grows as the component is reached
+                new = {e + delta for delta in rules[e]} - seen
+                seen |= new
+                mates += new
+            merged.append(tuple(gens[h] for h in sorted(mates)))
     return AtomsReport(gens, tuple(merged))
 
 
 def left_divides_mod(pres, x, w_class):
-    """Does x left-divide w modulo the congruence (w given by its class)?"""
+    """Does x left-divide w modulo the congruence (w given by its class)?
+    No closure is taken, so pres need not be homogeneous."""
+    _require_instance(pres, MonoidPresentation, "a monoid presentation")
     x = _word(pres, x)
     return any(member[:len(x)] == x for member in w_class)
 

@@ -19,16 +19,17 @@ from catmon import (CatmonError, CategoryFunctor, CategoryMismatch,
                     GroupPresentation, GroupSpec, IntervalFunctor,
                     InvalidStructure, IsotoneMap, MonoidPresentation,
                     NotIsotone, Poset, ReducedSeq, RewriteTrace,
-                    SimplicialComplex, SpanningTree, UnknownArrow,
-                    cat_of_poset, common_right_multiple, components,
-                    congruence_class, detect_spindle, divides,
-                    elements_up_to, embed_free_group, embed_free_monoid,
-                    embeddability_verdict, equal_in_monoid,
+                    SimplicialComplex, SpanningTree, UnknownArrow, atoms,
+                    cat_of_poset, chain_complex, check_separation,
+                    common_right_multiple, components, congruence_class,
+                    cross_check, detect_spindle, divides, elements_up_to,
+                    embed_free_group, embed_free_monoid, embeddability_verdict,
+                    equal_in_monoid, floating_decomposition,
                     floating_presentation, gcd_family, gcd_pair, generator,
                     greedy_normal_form, interval_name, is_extreme_spindle,
-                    lcm_pair, m6_presentation, multiply, reduce_sequence,
-                    sigma_image, spindle_category, spindle_presentation,
-                    tietze_collapse, verify_m6_embedding)
+                    lcm_pair, left_divides_mod, m6_presentation, multiply,
+                    reduce_sequence, sigma_image, spindle_category,
+                    spindle_presentation, tietze_collapse, verify_m6_embedding)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "catmon"
 
@@ -253,6 +254,34 @@ _XY = embed_free_monoid(Poset(["x", "y"], [("x", "y")]))[1]
         "isotone-call-unhashable-element"])
 def test_malformed_shapes_raise_catmon_errors(call, error):
     with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: atoms(None),
+    lambda: atoms(floating_presentation(_TRIANGLE)),
+    lambda: congruence_class(None, "ab"),
+    lambda: equal_in_monoid("ab", "a", "b"),
+    lambda: common_right_multiple(3, [["a"]]),
+    lambda: left_divides_mod(None, "a", [("a",)]),
+    lambda: embeddability_verdict("x"),
+    lambda: check_separation(5),
+    lambda: tietze_collapse(None, ("a", (("a", "b"),))),
+    lambda: tietze_collapse(m6_presentation(), ("a", ())),
+    lambda: floating_decomposition(None),
+    lambda: cross_check("x"),
+    lambda: chain_complex(3),
+    lambda: chain_complex(_TRIANGLE),
+], ids=["atoms-none", "atoms-group-presentation", "class-none",
+        "equal-string", "crm-int", "left-divides-none",
+        "embed-check-string", "separation-int", "tietze-none",
+        "tietze-monoid-presentation", "floating-decomposition-none",
+        "cross-check-string", "chain-complex-int",
+        "chain-complex-of-a-complex"])
+def test_structure_arguments_of_the_wrong_type_are_refused(call):
+    # _entry_points keeps its structure arguments fixed, so these entry
+    # points are handed a structure of the wrong type here
+    with pytest.raises(InvalidStructure, match="^expected "):
         call()
 
 

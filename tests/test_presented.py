@@ -29,6 +29,7 @@ from catmon.presented import _decode, _encode, _grow, _m6_image
 from helpers import (
     assert_record,
     reference_class_walk,
+    reference_closure,
     reference_common_right_multiple,
     reference_m6_classes,
 )
@@ -208,6 +209,67 @@ def test_atoms_reports():
         assert not report.identified_classes
     glued = MonoidPresentation("xy", [(("x",), ("y",))])
     assert atoms(glued).identified_classes == (("x", "y"),)
+
+
+def reference_atoms(pres):
+    """The identified generators, read off the closure of every one-letter
+    word: classes of two or more, by least digit, members in digit order."""
+    gens = pres.generators
+    classes = []
+    for g in gens:
+        cls = reference_closure(pres, (g,))
+        mates = tuple(h for h in gens if (h,) in cls)
+        if len(mates) > 1 and mates not in classes:
+            classes.append(mates)
+    return tuple(classes)
+
+
+def random_presentation_with_letter_rules(rng):
+    """Up to six generators, some length-one relations (chains x = y,
+    y = z, sides either way round, x = x and repeats) among longer
+    homogeneous ones."""
+    gens = "abcdef"[:rng.randint(1, 6)]
+    relations = []
+    for _ in range(rng.randint(0, 5)):
+        x, y = rng.choice(gens), rng.choice(gens)
+        relations += rng.choice([[((x,), (y,))],
+                                 [((x,), (y,)), ((y,), (x,))],
+                                 [((x,), (x,))]])
+        if relations and rng.random() < 0.3:
+            relations.append(rng.choice(relations))
+    for _ in range(rng.randint(0, 3)):
+        k = rng.randint(2, 3)
+        relations.append((tuple(rng.choice(gens) for _ in range(k)),
+                          tuple(rng.choice(gens) for _ in range(k))))
+    rng.shuffle(relations)
+    return MonoidPresentation(gens, relations)
+
+
+def test_atoms_match_the_closure_oracle():
+    rng = random.Random(32)
+    merging = 0
+    for _ in range(600):
+        pres = random_presentation_with_letter_rules(rng)
+        report = atoms(pres)
+        assert report.atoms == pres.generators
+        assert report.identified_classes == reference_atoms(pres), \
+            pres.relations
+        merging += bool(report.identified_classes)
+    assert merging > 200, merging
+
+
+def test_atoms_take_no_closure(monkeypatch):
+    def no_closure(*args):
+        raise AssertionError("a closure was taken")
+
+    monkeypatch.setattr(presented, "_spread", no_closure)
+    monkeypatch.setattr(presented, "_closure", no_closure)
+    for pres in (c6_presentation(), m6_presentation(), braid3_presentation()):
+        assert atoms(pres) == (pres.generators, ())
+    chained = MonoidPresentation("abcde", [
+        (("d",), ("b",)), (("a", "c"), ("c", "a")), (("e",), ("c",)),
+        (("b",), ("e",)), (("a",), ("a",))])
+    assert atoms(chained) == (tuple("abcde"), (("b", "c", "d", "e"),))
 
 
 def test_left_divides_mod():
