@@ -15,17 +15,26 @@ This module only parses; the library judges every value (a ``--max-len``
 in ``limits.require_bound``, a ``--side`` in ``category._endpoint_of``),
 and ``main`` reports its ``CatmonError`` with exit 2.
 
-The parser is built once per process, on the first ``main`` call, and
-reused by every later call: argparse keeps no per-call state in it (each
-parse makes a fresh namespace, and help reads the terminal width when it
-is printed).  Importing this module builds nothing.
+Two parsers read ``COMMANDS``.  ``main`` tries ``_plain_parse`` first: it
+takes a leaf's path, then its positionals in one run, with each of its flags
+spelt in full at most once, before or after that run, followed by a value
+of the flag's type and choices.  On such an argv it returns the namespace
+argparse would return.  It declines everything else: ``-h``, usage errors,
+``--flag=value``, abbreviated flags, ``--``, a repeated flag and any other
+token that starts with ``-``.  Only then does ``main`` import argparse and
+build the ``build_parser`` parser, whose result or ``SystemExit`` is
+final, so help and usage text are argparse's own.  That parser is built
+once per process and reused by every later call: argparse keeps no
+per-call state in it (each parse makes a fresh namespace, and help reads
+the terminal width when it is printed).  Importing this module builds
+nothing and imports neither argparse nor json; json is imported when a
+report is printed as JSON.
 """
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import sys
+from types import SimpleNamespace
 
 from . import formats
 from .complexes import barycentric
@@ -326,16 +335,24 @@ def cmd_present_universal_group(args):
 
 # -- parser ------------------------------------------------------------------
 
+def _option(name, **keywords):
+    """An argument spec: a positional name or a flag, with the keywords
+    ``add_argument`` takes for it."""
+    return name, keywords
+
+
 def _max_len(default):
-    return "--max-len", {"type": int, "default": default}
+    return _option("--max-len", type=int, default=default)
 
 
-_SIDE = "--side", {"default": "left", "help": "left or right (default: left)"}
-_WORDS = "words", {"nargs": "+"}
+_FORMAT = _option("--format", choices=("text", "json"), default="text")
+_SIDE = _option("--side", default="left", help="left or right (default: left)")
+_WORDS = _option("words", nargs="+")
 
 # (command path, help, handler, argument specs).  A handler of None makes a
-# command group; a spec is a positional name or a (flag, keywords) pair.
-# Every leaf also takes --format.
+# command group; a spec is a positional name or a (name, keywords) pair made
+# by ``_option``, where a name that starts with "-" is a flag.  Every leaf
+# also takes --format; only the last positional may take one or more words.
 COMMANDS = [
     (("validate",), "parse and validate any input file", cmd_validate,
      ["file"]),
@@ -380,7 +397,12 @@ COMMANDS = [
 ]
 
 
+def _spec(spec):
+    return (spec, {}) if isinstance(spec, str) else spec
+
+
 def build_parser():
+    import argparse
     top = argparse.ArgumentParser(
         prog="catmon",
         description="Universal monoids of finite categories: normal forms, "
@@ -389,7 +411,8 @@ def build_parser():
     # Copying --format in from a parent parser is cheaper than one
     # add_argument per leaf.
     fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    name, kw = _FORMAT
+    fmt.add_argument(name, **kw)
     groups = {(): top.add_subparsers(dest="command", required=True)}
     for path, help_, func, specs in COMMANDS:
         # help=None would still list the command in its group's help.
@@ -399,19 +422,86 @@ def build_parser():
         if func is None:
             groups[path] = p.add_subparsers(dest="what", required=True)
             continue
-        for spec in specs:
-            name, kw = (spec, {}) if isinstance(spec, str) else spec
+        for name, kw in map(_spec, specs):
             p.add_argument(name, **kw)
         p.set_defaults(func=func)
     return top
 
 
-# The one parser ``main`` uses, built on first use.
+# The argparse parser ``main`` falls back on, built on first use.
 _parser = functools.cache(build_parser)
 
 
+@functools.cache
+def _leaves():
+    """Each leaf of ``COMMANDS`` by its path: (its positional names, whether
+    the last takes one or more words, its flags as flag -> (attribute,
+    keywords), the attributes of its namespace before parsing)."""
+    leaves = {}
+    for path, _, func, specs in COMMANDS:
+        if func is None:
+            continue
+        names, many, flags = [], False, {}
+        defaults = dict(zip(("command", "what"), path), func=func)
+        for name, kw in map(_spec, [*specs, _FORMAT]):
+            if name.startswith("-"):
+                dest = name[2:].replace("-", "_")
+                flags[name] = dest, kw
+                defaults[dest] = kw.get("default")
+            else:
+                names.append(name)
+                many = kw.get("nargs") == "+"
+        leaves[path] = names, many, flags, defaults
+    return leaves
+
+
+def _plain_parse(argv):
+    """The namespace argparse makes of a plain ``argv`` (see the module
+    docstring), or None to leave ``argv`` to argparse.  A positional after
+    a flag that follows a positional is declined: argparse does not join
+    it to the run of words before the flag."""
+    leaves = _leaves()
+    path = tuple(argv[:2])
+    if path not in leaves:
+        path = path[:1]
+        if path not in leaves:
+            return None
+    names, many, flags, defaults = leaves[path]
+    args, words, given, closed = dict(defaults), [], set(), False
+    tokens = iter(argv[len(path):])
+    for token in tokens:
+        if not token.startswith("-"):
+            if closed:
+                return None
+            words.append(token)
+            continue
+        value = next(tokens, "-")  # a flag at the end is declined too
+        if token not in flags or token in given or value.startswith("-"):
+            return None
+        dest, kw = flags[token]
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given.add(token)
+        args[dest] = value
+        closed = bool(words)
+    if len(words) < len(names) or len(words) > len(names) and not many:
+        return None
+    if many:
+        words[len(names) - 1:] = [words[len(names) - 1:]]
+    args.update(zip(names, words))
+    return SimpleNamespace(**args)
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_parse(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         code, text, obj = args.func(args)
     except ParseError as e:
@@ -421,6 +511,7 @@ def main(argv=None):
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     if args.format == "json":
+        import json
         print(json.dumps(obj, sort_keys=True))
     else:
         print(text, end="" if text.endswith("\n") else "\n")

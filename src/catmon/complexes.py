@@ -17,7 +17,7 @@ from math import comb
 
 from .errors import InvalidStructure
 from .limits import require
-from .poset import Poset, _is_id, _items
+from .poset import Poset, _is_id, _items, _require_instance
 
 
 class SimplicialComplex:
@@ -135,6 +135,7 @@ def face_name(face):
 
 def barycentric(complex_):
     """Poset of nonempty faces of the complex, ordered by inclusion."""
+    _require_instance(complex_, SimplicialComplex, "a simplicial complex")
     faces = complex_.faces()
     names = {f: face_name(f) for f in faces}
     named = {}

@@ -13,7 +13,7 @@ from .complexes import SimplicialComplex
 from .errors import ParseError
 from .groups import (CategoryFunctor, FreeAbelianWord, FreeGroupWord,
                      GroupSpec)
-from .poset import Poset
+from .poset import Poset, _require_instance
 from .presentations import GroupPresentation, format_word, parse_word
 from .presented import MonoidPresentation
 
@@ -57,6 +57,7 @@ def load_poset(text, name="<poset>"):
 
 
 def dump_poset(poset):
+    _require_instance(poset, Poset, "a poset")
     lines = ["poset"]
     if poset.elements:
         lines.append("elem " + " ".join(poset.elements))
@@ -79,6 +80,7 @@ def load_complex(text, name="<complex>"):
 
 
 def dump_complex(complex_):
+    _require_instance(complex_, SimplicialComplex, "a simplicial complex")
     lines = ["complex"]
     lines.extend("simplex " + " ".join(f) for f in complex_.facets)
     return "\n".join(lines) + "\n"
@@ -125,6 +127,7 @@ def load_category(text, name="<category>"):
 
 
 def dump_category(cat):
+    _require_instance(cat, FiniteCategory, "a category")
     lines = ["category"]
     if cat.objects:
         lines.append("obj " + " ".join(cat.objects))
@@ -152,6 +155,7 @@ def load_presentation(text, name="<presentation>"):
 
 
 def dump_presentation(pres):
+    _require_instance(pres, GroupPresentation, "a group presentation")
     lines = ["presentation"]
     if pres.generators:
         lines.append("gen " + " ".join(pres.generators))
@@ -180,6 +184,7 @@ def load_monoid(text, name="<monoid>"):
 
 
 def dump_monoid(pres):
+    _require_instance(pres, MonoidPresentation, "a monoid presentation")
     lines = ["monoid"]
     if pres.generators:
         lines.append("gen " + " ".join(pres.generators))

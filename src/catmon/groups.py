@@ -370,6 +370,7 @@ def highlighting_expansion(functor):
 def sigma_image(x, functor):
     """σ(x): the free-product normal form of the expanded images of the
     entries of x.  Requires the separation criterion to hold."""
+    _require_instance(functor, CategoryFunctor, "a functor")
     try:
         cat, arrows = x.category, x.arrows
     except AttributeError:

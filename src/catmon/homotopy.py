@@ -39,6 +39,7 @@ def floating_presentation(complex_):
     Faces list their vertices sorted, so they are named as they come.
     Vertex names may hold commas, so two edges can get one name; such a
     complex has no floating presentation here."""
+    _require_instance(complex_, SimplicialComplex, "a simplicial complex")
     edges = complex_.edges()
     gens = [interval_name(x, y) for x, y in edges]
     if len(set(gens)) < len(gens):
@@ -59,6 +60,7 @@ class SpanningTree(namedtuple("SpanningTree", "root edges")):
 
 def spanning_tree(complex_):
     """BFS tree from the lexicographically least vertex."""
+    _require_instance(complex_, SimplicialComplex, "a simplicial complex")
     reached, edges = complex_._bfs()
     if len(reached) != len(complex_.vertices):
         raise Disconnected("complex is not connected")
@@ -173,7 +175,6 @@ class FloatingDecomposition(namedtuple(
 def floating_decomposition(complex_):
     """HG(K) ≅ Fg(tree edges) * π1(K, root); the total free rank is
     reported only when the collapsed π1 presentation has no relators."""
-    _require_instance(complex_, SimplicialComplex, "a simplicial complex")
     tree = spanning_tree(complex_)
     pi1 = tietze_collapse(floating_presentation(complex_), tree)
     total = None
@@ -202,7 +203,6 @@ def cross_check(poset):
     an over-limit poset is refused before the unpriced homotopy route."""
     from .interval import cat_of_poset
     from .universal import universal_group_presentation
-    _require_instance(poset, Poset, "a poset")
     cat = cat_of_poset(poset)
     dec = floating_decomposition(chain_complex(poset))
     ab = universal_group_presentation(cat).abelianization_rank()

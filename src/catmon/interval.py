@@ -15,7 +15,8 @@ from .category import GcdCategoryReport, _category
 from .errors import CategoryMismatch, InvalidStructure, NotIsotone
 from .groups import FreeGroupWord, GroupSpec
 from .limits import max_arrows, require
-from .poset import _has, _members, _pair_without_greatest, _table
+from .poset import (Poset, _has, _members, _pair_without_greatest,
+                    _require_instance, _table)
 from .universal import _not_an_element, _reduce
 
 
@@ -79,6 +80,7 @@ def cat_of_poset(poset):
     again.  Only the arrows are built here: the pasting table is built the
     first time ``comp`` is used, and the gcd report is read off the order
     (``_interval_report``), so a gcd report never builds the table."""
+    _require_instance(poset, Poset, "a poset")
     ups, names, arrows, identity = _interval_names(poset)
     return _category(
         poset.elements, arrows, identity,
@@ -123,6 +125,7 @@ def gcd_criterion(poset):
     down-sets) alone.  Only a side that fails is then scanned in index
     order for its witness, skipping the elements above one that passed.
     """
+    _require_instance(poset, Poset, "a poset")
     witnesses = {}
     els = poset.elements
     ids = range(len(els))

@@ -18,7 +18,7 @@ from .category import _category
 from .errors import HeightTooSmall, InvalidStructure, NotComparable, NotExtreme
 from .interval import _interval_walk, interval_name
 from .limits import max_arrows, require
-from .poset import _members
+from .poset import Poset, _members, _require_instance
 from .presented import MonoidPresentation
 
 
@@ -35,6 +35,7 @@ def detect_spindle(poset, u, v):
     ]u,v[ is not transitive (reflexivity and symmetry are automatic).  The
     maximal chains, one per class, are listed only for a spindle.
     """
+    _require_instance(poset, Poset, "a poset")
     if not poset.lt(u, v):
         raise NotComparable(f"{u} < {v} does not hold")
     up, dn = poset._up, poset._dn
@@ -63,6 +64,7 @@ def _read(spindle):
 
 
 def is_extreme_spindle(poset, spindle):
+    _require_instance(poset, Poset, "a poset")
     u, v, _ = _read(spindle)
     return u in poset.minimal_elements() and v in poset.maximal_elements()
 

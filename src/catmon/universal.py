@@ -34,12 +34,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .category import _endpoint_of
+from .category import FiniteCategory, _endpoint_of
 from .errors import (CategoryMismatch, EmptyElement, EmptyFamily,
                      InvalidStructure, NotCancellative, NotConical,
                      NotAGenerator, SourceMismatch, TargetMismatch)
 from .limits import require, require_bound
-from .poset import _greatest, _items
+from .poset import _greatest, _items, _require_instance
 
 DROP = "dropIdentity"
 COMPOSE = "compose"
@@ -216,6 +216,7 @@ def reduce_sequence(category, raw, rng=None):
     to quadratic time in its length.  Each entry of raw is checked once, on
     entry; raw must be a sequence of arrows (a list or tuple), not a string.
     """
+    _require_instance(category, FiniteCategory, "a category")
     return _reduce(category, _arrow_list(category, raw), rng)
 
 
@@ -497,6 +498,7 @@ def greedy_normal_form(x):
 def universal_group_presentation(cat):
     """Presentation of the universal group: one generator per non-identity
     arrow, one relator per composable pair of non-identity arrows."""
+    _require_instance(cat, FiniteCategory, "a category")
     from .presentations import _generator_ids, _presentation
     ids = cat._identities
     relators = []

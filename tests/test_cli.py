@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from catmon import Poset, cat_of_poset, presented
+from catmon import Poset, cat_of_poset, cli, presented
 from catmon.cli import main
 from catmon.formats import dump_category
 
@@ -262,6 +262,101 @@ def test_reused_parser_keeps_no_state(monkeypatch, capsys):
     assert first[("monoid", "crm", "--max-len", "-1", "data/c6.monoid",
                   "a")][2] == ("error: InvalidStructure: max_len -1 is below "
                                "0\n")
+
+
+# Tokens an argv mutation inserts: flags and values of the leaves, values of
+# no flag's type or choices, and spellings the plain parser leaves to argparse.
+_ARGV_TOKENS = ["--format", "json", "text", "xml", "--side", "right",
+                "--max-len", "3", "x3", " 4", "+4", "--format=json", "--form",
+                "--max", "-h", "--help", "--", "-1", "-a", "-", "", "a b",
+                "nf", "monoid", "crm", "nope"]
+_FLAG_PAIRS = [["--max-len", "3"], ["--side", "right"], ["--format", "json"],
+               ["--format", "xml"], ["--max-len", "q"]]
+
+
+def _mutate_argv(argv, rng):
+    argv = list(argv)
+    for _ in range(rng.randint(1, 4)):
+        op = rng.choice(("move", "move", "equals", "abbreviate", "drop",
+                         "duplicate", "insert", "insert", "flag", "cut",
+                         "rename"))
+        flags = [i for i, t in enumerate(argv[:-1])
+                 if t.startswith("--") and len(t) > 4]
+        if op == "move" and flags:  # before, between or after positionals
+            i = rng.choice(flags)
+            pair = argv[i:i + 2]
+            del argv[i:i + 2]
+            j = rng.randint(0, len(argv))
+            argv[j:j] = pair
+        elif op == "equals" and flags:
+            i = rng.choice(flags)
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif op == "abbreviate" and flags:
+            i = rng.choice(flags)
+            argv[i] = argv[i][:rng.randint(3, len(argv[i]) - 1)]
+        elif op == "drop" and argv:
+            del argv[rng.randrange(len(argv))]
+        elif op == "duplicate" and argv:
+            i = rng.randrange(len(argv))
+            argv.insert(i, argv[i])
+        elif op == "insert":
+            argv.insert(rng.randint(0, len(argv)), rng.choice(_ARGV_TOKENS))
+        elif op == "flag":
+            j = rng.randint(0, len(argv))
+            argv[j:j] = rng.choice(_FLAG_PAIRS)
+        elif op == "cut":  # no command, or a group with no leaf
+            argv = argv[:rng.randint(0, 1)]
+        elif op == "rename" and argv:
+            argv[0] = rng.choice(["nope", "Nf", "mon", "check"])
+    return argv
+
+
+def test_plain_parser_agrees_with_argparse(capsys):
+    """The plain parser serves every golden argv, with --format appended as
+    the benchmark does; on seeded mutations of them it returns a namespace
+    only where argparse accepts the argv, and then the same one."""
+    parser = cli.build_parser()
+
+    def both(argv):
+        plain = cli._plain_parse(argv)
+        try:
+            ref = vars(parser.parse_args(argv))
+        except SystemExit:
+            ref = None
+        capsys.readouterr()
+        if plain is not None:
+            assert vars(plain) == ref, argv
+        return plain, ref
+
+    golden = [argv for _, argv, _ in CASES]
+    golden += [argv + ["--format", "text"] for argv in golden
+               if "--format" not in argv]
+    for argv in golden:
+        assert both(argv)[0] is not None, argv
+    # argparse leaves a word after a flag out of the run of words before it
+    for argv in (["monoid", "crm", "data/c6.monoid", "a", "--max-len", "4",
+                  "b"],
+                 ["gcd", "data/c6.category", "a", "--side", "right", "b"]):
+        assert both(argv) == (None, None), argv
+    rng = random.Random(7)
+    served = accepted = 0
+    for _ in range(3000):
+        plain, ref = both(_mutate_argv(rng.choice(golden), rng))
+        served += plain is not None
+        accepted += ref is not None
+    assert 0 < served < accepted < 3000, (served, accepted)
+
+
+def test_golden_cases_need_no_argparse(monkeypatch):
+    def refuse():
+        raise AssertionError("argparse parser built")
+
+    # main reaches argparse only through _parser
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    monkeypatch.setattr(cli, "_parser", refuse)
+    for name, argv, expected_code in CASES:
+        assert run_case(argv) == (expected_code,
+                                  golden_path(name).read_text()), name
 
 
 # kind of a data file -> the subcommands that read it; None marks the file

@@ -5,6 +5,7 @@ the package and its CLI loads.  Then the boundary itself: malformed values
 handed to the public constructors and entry points raise a CatmonError and
 nothing else."""
 import ast
+import os
 import random
 from collections.abc import Hashable
 import subprocess
@@ -20,16 +21,18 @@ from catmon import (CatmonError, CategoryFunctor, CategoryMismatch,
                     InvalidStructure, IsotoneMap, MonoidPresentation,
                     NotIsotone, Poset, ReducedSeq, RewriteTrace,
                     SimplicialComplex, SpanningTree, UnknownArrow, atoms,
-                    cat_of_poset, chain_complex, check_separation,
-                    common_right_multiple, components, congruence_class,
-                    cross_check, detect_spindle, divides, elements_up_to,
-                    embed_free_group, embed_free_monoid, embeddability_verdict,
-                    equal_in_monoid, floating_decomposition,
-                    floating_presentation, gcd_family, gcd_pair, generator,
+                    barycentric, cat_of_poset, chain_complex,
+                    check_separation, common_right_multiple, components,
+                    congruence_class, cross_check, detect_spindle, divides,
+                    elements_up_to, embed_free_group, embed_free_monoid,
+                    embeddability_verdict, equal_in_monoid,
+                    floating_decomposition, floating_presentation, formats,
+                    gcd_criterion, gcd_family, gcd_pair, generator,
                     greedy_normal_form, interval_name, is_extreme_spindle,
                     lcm_pair, left_divides_mod, m6_presentation, multiply,
-                    reduce_sequence, sigma_image, spindle_category,
-                    spindle_presentation, tietze_collapse, verify_m6_embedding)
+                    reduce_sequence, sigma_image, spanning_tree,
+                    spindle_category, spindle_presentation, tietze_collapse,
+                    universal_group_presentation, verify_m6_embedding)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "catmon"
 
@@ -132,15 +135,36 @@ def _modules_after(imports):
     return set(proc.stdout.split())
 
 
+def _python_m_catmon(*argv):
+    """``python -m catmon *argv`` from the repository root, and the modules
+    that ``-X importtime`` lists for it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "catmon", *argv],
+        cwd=SRC.parent.parent, env=env, capture_output=True, text=True,
+        timeout=60)
+    return proc, {line.rsplit("|", 1)[-1].strip()
+                  for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+
+
 def test_cold_import_loads_no_heavy_modules():
     # every catmon process pays for what the package and its CLI import;
     # the site hook of the interpreter may load some modules itself, so
     # only what the import adds to a bare interpreter counts
-    added = _modules_after("import catmon, catmon.cli") - _modules_after(
-        "pass")
+    bare = _modules_after("pass")
+    added = _modules_after("import catmon, catmon.cli") - bare
     assert "catmon.cli" in added
-    assert sorted(added & {"dataclasses", "inspect", "fractions",
-                           "decimal"}) == []
+    assert sorted(added & {"dataclasses", "inspect", "fractions", "decimal",
+                           "argparse", "json"}) == []
+    # a plain command line is parsed without argparse; --help still uses it
+    proc, loaded = _python_m_catmon("nf", "data/c6.category", "a b'")
+    assert proc.returncode == 0, proc.stderr
+    assert "catmon.cli" in loaded and "argparse" not in loaded - bare
+    proc, loaded = _python_m_catmon("nf", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: catmon nf [-h]")
+    assert "argparse" in loaded
 
 
 def test_the_cli_makes_no_value_checks_of_its_own():
@@ -272,12 +296,38 @@ def test_malformed_shapes_raise_catmon_errors(call, error):
     lambda: cross_check("x"),
     lambda: chain_complex(3),
     lambda: chain_complex(_TRIANGLE),
+    lambda: cat_of_poset(None),
+    lambda: gcd_criterion(_TRIANGLE),
+    lambda: barycentric(None),
+    lambda: barycentric(_P),
+    lambda: detect_spindle(None, "a", "b"),
+    lambda: is_extreme_spindle(None, ("a", "b", ())),
+    lambda: reduce_sequence(None, ["f"]),
+    lambda: reduce_sequence(_P, ["a"]),
+    lambda: universal_group_presentation(None),
+    lambda: sigma_image(generator(_two_arrows(), "f"), None),
+    lambda: spanning_tree(None),
+    lambda: floating_presentation(_P),
+    lambda: formats.dump_poset(None),
+    lambda: formats.dump_category(_P),
+    lambda: formats.dump_complex(None),
+    lambda: formats.dump_monoid(floating_presentation(_TRIANGLE)),
+    lambda: formats.dump_presentation(m6_presentation()),
 ], ids=["atoms-none", "atoms-group-presentation", "class-none",
         "equal-string", "crm-int", "left-divides-none",
         "embed-check-string", "separation-int", "tietze-none",
         "tietze-monoid-presentation", "floating-decomposition-none",
         "cross-check-string", "chain-complex-int",
-        "chain-complex-of-a-complex"])
+        "chain-complex-of-a-complex", "cat-of-poset-none",
+        "gcd-criterion-of-a-complex", "barycentric-none",
+        "barycentric-of-a-poset", "detect-spindle-none",
+        "extreme-spindle-none", "reduce-sequence-none",
+        "reduce-sequence-of-a-poset", "universal-group-none",
+        "sigma-image-no-functor", "spanning-tree-none",
+        "floating-presentation-of-a-poset", "dump-poset-none",
+        "dump-category-of-a-poset", "dump-complex-none",
+        "dump-monoid-of-a-group-presentation",
+        "dump-presentation-of-a-monoid-presentation"])
 def test_structure_arguments_of_the_wrong_type_are_refused(call):
     # _entry_points keeps its structure arguments fixed, so these entry
     # points are handed a structure of the wrong type here
