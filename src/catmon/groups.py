@@ -27,13 +27,14 @@ ints, so neither calls back into a factor word.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from operator import add
 
+from .category import FiniteCategory
 from .errors import (GroupMismatch, InvalidStructure, MissingImage,
                      SeparationRequired)
 from .limits import require
-from .poset import _has, _ids, _items, _pairs, _require_instance, _table
+from .poset import (_has, _ids, _items, _lazy, _pairs, _require_instance,
+                    _table)
 from .presentations import format_word, free_reduce, invert_word
 from .universal import _not_an_element
 
@@ -58,6 +59,8 @@ class GroupSpec(namedtuple(
 
     @classmethod
     def product(cls, *factors):
+        for spec in factors:
+            _require_instance(spec, GroupSpec, "a group spec")
         return cls("product", factors=tuple(factors))
 
     def identity(self):
@@ -98,6 +101,7 @@ class FreeGroupWord(_Word):
     letters = _Word.payload  # the payload slot, under its own name
 
     def __init__(self, spec, letters):
+        _require_instance(spec, GroupSpec, "a group spec")
         if spec.kind != "free":
             raise GroupMismatch("FreeGroupWord needs a free group spec")
         letters = _pairs(letters, "letters")
@@ -121,6 +125,7 @@ class FreeAbelianWord(_Word):
     vector = _Word.payload  # the payload slot, under its own name
 
     def __init__(self, spec, vector):
+        _require_instance(spec, GroupSpec, "a group spec")
         if spec.kind != "zn":
             raise GroupMismatch("FreeAbelianWord needs a zn spec")
         vector = _items(vector, "integers")
@@ -148,6 +153,7 @@ class FreeProductWord(_Word):
     __slots__ = ()
 
     def __init__(self, spec, syllables):
+        _require_instance(spec, GroupSpec, "a group spec")
         if spec.kind != "product":
             raise GroupMismatch("FreeProductWord needs a product spec")
         sylls = _pairs(syllables, "syllables")
@@ -234,7 +240,7 @@ def _fold(spec, payloads):
     """The payload of the product of a sequence of payloads of ``spec``:
     ``_times`` folded left from the identity."""
     kind = spec.kind
-    if kind not in _WORD_CLASS:
+    if not _has(_WORD_CLASS, kind):
         raise InvalidStructure(f"unknown group kind {kind!r}")
     out = (0,) * spec.n if kind == "zn" else ()
     for p in payloads:
@@ -255,6 +261,7 @@ def _invert(spec, payload):
 
 def group_multiply(a, b):
     """Normal-form product of two words of the same group."""
+    _require_instance(a, _Word, "a group word")
     return group_product(a.spec, (a, b))
 
 
@@ -266,8 +273,10 @@ def group_product(spec, words):
     each operand's group is checked here.  Then ``_fold`` multiplies the
     payloads in one pass, and the word is built once, at the end.
     """
+    _require_instance(spec, GroupSpec, "a group spec")
     payloads = []
-    for w in words:
+    for w in _items(words, "words"):
+        _require_instance(w, _Word, "a group word")
         if w.spec is not spec and w.spec != spec:
             raise GroupMismatch("operands live in different groups")
         payloads.append(w.payload)
@@ -276,6 +285,7 @@ def group_product(spec, words):
 
 def inject(product_spec, factor_index, word):
     """Embed a factor word into the free product."""
+    _require_instance(word, _Word, "a group word")
     if word.is_identity():
         return FreeProductWord(product_spec, ())
     return FreeProductWord(product_spec, ((factor_index, word),))
@@ -287,11 +297,13 @@ class CategoryFunctor:
     Identity arrows default to the group identity; every other arrow must be
     given an image.  Functoriality is not enforced here — check_separation
     reports it, so violations can be exhibited rather than rejected.  The
-    separation report and the highlighting expansion that σ needs are worked
-    out once, on first use.
+    separation report and the highlighting expansion that σ needs are
+    ``poset._lazy`` attributes, worked out on first use.
     """
 
     def __init__(self, category, target, images):
+        _require_instance(category, FiniteCategory, "a category")
+        _require_instance(target, GroupSpec, "a group spec")
         self.category = category
         self.target = target
         imgs = dict(_table(images, "images"))
@@ -311,11 +323,11 @@ class CategoryFunctor:
         self.category._check(arrow)
         return self.images[arrow]
 
-    @cached_property
+    @_lazy
     def _separation(self):
         return check_separation(self)
 
-    @cached_property
+    @_lazy
     def _expansion(self):
         return highlighting_expansion(self)
 
@@ -354,6 +366,7 @@ def check_separation(functor):
 
 def highlighting_expansion(functor):
     """ψ'(x) = sr(x)⁻¹ · ψ(x) · tg(x) in Fg(objects) * G."""
+    _require_instance(functor, CategoryFunctor, "a functor")
     cat = functor.category
     obj_spec = GroupSpec.free(cat.objects)
     prod = GroupSpec.product(obj_spec, functor.target)
@@ -382,8 +395,8 @@ def sigma_image(x, functor):
         raise SeparationRequired(
             f"functor does not separate hom-sets: {report.violating_pair}")
     expanded = functor._expansion
-    images = expanded.images
-    return group_product(expanded.target, [images[f] for f in arrows])
+    spec, images = expanded.target, expanded.images
+    return _word(spec, _fold(spec, [images[f].payload for f in arrows]))
 
 
 class EmbeddabilityReport(namedtuple(

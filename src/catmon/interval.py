@@ -77,14 +77,14 @@ def _interval_walk(poset):
 def cat_of_poset(poset):
     """The category of closed intervals of a poset.  Its tables are valid by
     construction (see ``category._category``), so they are not validated
-    again.  Only the arrows are built here: the pasting table is built the
-    first time ``comp`` is used, and the gcd report is read off the order
-    (``_interval_report``), so a gcd report never builds the table."""
+    again.  Only the arrows are built here: the category's lazy ``comp``
+    pastes the table on first read, and the gcd report is read off the
+    order (``_interval_report``), so a gcd report never builds it."""
     _require_instance(poset, Poset, "a poset")
     ups, names, arrows, identity = _interval_names(poset)
     return _category(
         poset.elements, arrows, identity,
-        paste=lambda: _interval_pastings(ups, names),
+        lambda: _interval_pastings(ups, names),
         report=lambda: _interval_report(poset, names))
 
 
@@ -193,6 +193,8 @@ def _interval_report(poset, names):
 
 class IsotoneMap:
     def __init__(self, source, target, mapping):
+        _require_instance(source, Poset, "a poset")
+        _require_instance(target, Poset, "a poset")
         self.source = source
         self.target = target
         self.mapping = dict(_table(mapping, "images"))
@@ -218,6 +220,7 @@ class IntervalFunctor:
     """HM(f): the map of interval monoids induced by an isotone map."""
 
     def __init__(self, isotone_map):
+        _require_instance(isotone_map, IsotoneMap, "an isotone map")
         self.map = isotone_map
         self.source_category = cat_of_poset(isotone_map.source)
         self.target_category = cat_of_poset(isotone_map.target)
@@ -257,6 +260,7 @@ def embed_free_monoid(poset):
     into the free monoid on the consecutive steps s_i = [x_i, x_{i+1}].
     The mapper takes an element over any category whose arrows run up P,
     and refuses an entry from lo to hi unless lo <= hi in P."""
+    _require_instance(poset, Poset, "a poset")
     ext = poset.linear_extension()
     pos = {x: i for i, x in enumerate(ext)}
     steps = tuple(f"s{i}{i + 1}" for i in range(len(ext) - 1))

@@ -10,7 +10,8 @@ uses them: ``_items`` (any iterable), ``_ids`` (a list of names),
 ``_pairs`` (a list of pairs), ``_table`` (a dict or a list of pairs),
 ``_has`` (membership, where an unhashable value is not a member) and
 ``_require_instance`` (a structure argument, such as a poset or a
-presentation, that its own constructor has already checked).
+presentation, that its own constructor has already checked).  The one
+cache of state an instance derives on first use, ``_lazy``, is here too.
 """
 from __future__ import annotations
 
@@ -88,6 +89,22 @@ def _require_instance(value, cls, what):
     if not isinstance(value, cls):
         raise InvalidStructure(
             f"expected {what}, got {type(value).__name__}")
+
+
+class _lazy:
+    """An attribute worked out on first read and stored on the instance
+    under the function's name, where every later read finds it first.  If
+    the function raises, nothing is stored."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        setattr(obj, self.func.__name__, value)
+        return value
 
 
 def _members(mask, items):

@@ -357,6 +357,7 @@ def left_divides_mod(pres, x, w_class):
     No closure is taken, so pres need not be homogeneous."""
     _require_instance(pres, MonoidPresentation, "a monoid presentation")
     x = _word(pres, x)
+    _require_instance(w_class, (set, frozenset), "a congruence class")
     return any(member[:len(x)] == x for member in w_class)
 
 

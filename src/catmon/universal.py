@@ -33,6 +33,7 @@ the general version: ``_boundary_step`` with ``gcd_family``,
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 
 from .category import FiniteCategory, _endpoint_of
 from .errors import (CategoryMismatch, EmptyElement, EmptyFamily,
@@ -116,8 +117,9 @@ def _entries(value, what):
 
 def _arrow_list(category, raw):
     """The boundary of rewriting: a raw sequence from outside as a new
-    list, each entry checked once.  Past it, rewriting reads S's tables
-    directly, since every entry it meets is an arrow of S."""
+    list, its category judged and each entry checked once.  Past it,
+    rewriting reads S's tables directly: every entry is an arrow of S."""
+    _require_instance(category, FiniteCategory, "a category")
     seq = list(_entries(raw, "arrows"))
     for f in seq:
         category._check(f)
@@ -216,7 +218,6 @@ def reduce_sequence(category, raw, rng=None):
     to quadratic time in its length.  Each entry of raw is checked once, on
     entry; raw must be a sequence of arrows (a list or tuple), not a string.
     """
-    _require_instance(category, FiniteCategory, "a category")
     return _reduce(category, _arrow_list(category, raw), rng)
 
 
@@ -236,14 +237,16 @@ def _reduce(category, seq, rng=None):
 
 
 def unit(category):
+    _require_instance(category, FiniteCategory, "a category")
     return _reduced(category, ())
 
 
 def generator(category, arrow):
     """The canonical image of an arrow of S in Um(S)."""
+    _require_instance(category, FiniteCategory, "a category")
     category._check(arrow)
     if arrow in category._identities:
-        return unit(category)
+        return _reduced(category, ())
     return _reduced(category, (arrow,))
 
 
@@ -270,14 +273,12 @@ def multiply(x, y):
 
 
 def product(factors, category=None):
-    acc = None
-    for f in factors:
-        acc = f if acc is None else multiply(acc, f)
-    if acc is None:
-        if category is None:
-            raise EmptyFamily("empty product needs an explicit category")
-        return unit(category)
-    return acc
+    factors = _items(factors, "elements")
+    if factors:
+        return reduce(multiply, factors)
+    if category is None:
+        raise EmptyFamily("empty product needs an explicit category")
+    return unit(category)
 
 
 def components(x):
@@ -475,7 +476,7 @@ def lcm_pair(side, x, y):
     m = cat._lcm(div, end, fibres, a, b)
     if m is None:
         return None
-    return unit(cat) if m in cat._identities else _reduced(cat, (m,))
+    return _reduced(cat, () if m in cat._identities else (m,))
 
 
 def greedy_normal_form(x):
@@ -548,6 +549,7 @@ def elements_up_to(cat, max_len):
     Refused with SizeLimitExceeded, before any is built, when there are
     more than ``limits.MAX_COUNT`` of them.
     """
+    _require_instance(cat, FiniteCategory, "a category")
     require_bound(max_len, 0)
     _guard_elements(cat, max_len)
     ends = cat._endpoints

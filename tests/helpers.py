@@ -856,7 +856,9 @@ def sigma_decode(functor, payload):
                 src, image = obj, one
             else:
                 assert src is not None, payload
-                arrows.append(arrow_of[(src, image, obj)])
+                key = (src, image, obj)
+                assert key in arrow_of, payload
+                arrows.append(arrow_of[key])
                 src = None
     assert src is None, payload
     return tuple(arrows)

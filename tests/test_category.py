@@ -619,6 +619,38 @@ def test_cat_of_poset_is_freed_when_dropped_unpasted():
         gc.enable()
 
 
+def test_cat_of_poset_alone_pastes_its_table_and_only_once(monkeypatch):
+    """Every builder but Cat(P) stores its table in ``comp`` at set-up.
+    Cat(P) stores it on the first read, from one run of the pasting loop,
+    however often and however the table is read after that."""
+    diamond = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"),
+                             ("b", "i")])
+    arrows, identity, comp = _interval_walk(diamond)
+    checked = FiniteCategory(diamond.elements, arrows, identity, comp)
+    spindle = spindle_category(diamond, detect_spindle(diamond, "o", "i"))
+    for cat in (checked, load_category(dump_category(checked)),
+                checked.opposite(), spindle):
+        assert "comp" in vars(cat)
+
+    pasted = []
+    paste = catmon.interval._interval_pastings
+
+    def counted(*args):
+        pasted.append(args)
+        return paste(*args)
+
+    monkeypatch.setattr(catmon.interval, "_interval_pastings", counted)
+    cat = cat_of_poset(diamond)
+    assert "comp" not in vars(cat) and not pasted
+    for _ in range(20):
+        assert cat.comp == comp
+        assert len(cat.comp) == len(comp)
+        assert ("[o,a]", "[a,i]") in cat.comp
+        assert cat._analyze() == checked._analyze()
+    assert "comp" in vars(cat) and "_paste" not in vars(cat)
+    assert len(pasted) == 1
+
+
 def test_validation_is_priced_at_the_triples_it_walks():
     """``_triples`` counts, from hom-set sizes alone, the triples the
     associativity check walks: none for a thin category, and every

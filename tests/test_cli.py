@@ -1,6 +1,8 @@
+import ast
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -610,3 +612,74 @@ def test_functor_target_dimensions_are_checked(tmp_path, capsys):
         assert captured.out == "", k
         assert captured.err.startswith(expected), captured.err
         assert "Traceback" not in captured.err, captured.err
+
+
+def _readme_blocks():
+    """The README's fenced blocks, as (language, lines)."""
+    blocks, open_block = [], False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            if not open_block:
+                blocks.append((line[3:], []))
+            open_block = not open_block
+        elif open_block:
+            blocks[-1][1].append(line)
+    return blocks
+
+
+def test_readme_examples_run_as_shown(tmp_path, capsys):
+    """Each `$ catmon` line of the README exits 0 and prints the lines
+    under it; the barycentric pipe feeds cross-check; and each `# value`
+    comment of the Python quick starts is what its line gives."""
+    blocks = _readme_blocks()
+    examples = []
+    for _, lines in blocks:
+        shown = None
+        for line in lines:
+            if line.startswith("$ catmon "):
+                shown = []
+                examples.append((shlex.split(line[len("$ catmon "):]),
+                                 shown))
+            elif shown is not None:
+                shown.append(line)
+    assert len(examples) == 10
+    for argv, shown in examples:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == "".join(
+            line + "\n" for line in shown), argv
+
+    [(make, use)] = [lines for lang, lines in blocks if lang == "sh"
+                     and lines[0].startswith("catmon barycentric")]
+    command, _, name = make.partition(" > ")
+    assert main(shlex.split(command)[1:]) == 0
+    poset = tmp_path / name
+    poset.write_text(capsys.readouterr().out)
+    command, _, comment = use.partition("#")
+    argv = shlex.split(command)[1:]
+    assert name in argv
+    assert main([str(poset) if a == name else a for a in argv]) == 0
+    assert comment.strip() in capsys.readouterr().out
+
+    namespace, values = {}, 0
+    for lang, lines in blocks:
+        if lang != "python":
+            continue
+        for stmt in ast.parse("\n".join(lines)).body:
+            if not isinstance(stmt, ast.Expr):
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"),
+                     namespace)
+                continue
+            shown = lines[stmt.end_lineno - 1].partition("#")[2].split()[0]
+            call = stmt.value
+            if isinstance(call, ast.Call) and getattr(
+                    call.func, "id", None) == "print":
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"),
+                     namespace)
+                got = capsys.readouterr().out
+                shown += "\n"
+            else:
+                got = repr(eval(compile(ast.Expression(call), "README.md",
+                                        "eval"), namespace))
+            assert got == shown, ast.unparse(stmt)
+            values += 1
+    assert values == 5

@@ -28,10 +28,12 @@ from catmon import (CatmonError, CategoryFunctor, CategoryMismatch,
                     embeddability_verdict, equal_in_monoid,
                     floating_decomposition, floating_presentation, formats,
                     gcd_criterion, gcd_family, gcd_pair, generator,
-                    greedy_normal_form, interval_name, is_extreme_spindle,
-                    lcm_pair, left_divides_mod, m6_presentation, multiply,
-                    reduce_sequence, sigma_image, spanning_tree,
-                    spindle_category, spindle_presentation, tietze_collapse,
+                    greedy_normal_form, group_multiply, group_product,
+                    highlighting_expansion, inject, interval_name,
+                    is_extreme_spindle, lcm_pair, left_divides_mod,
+                    m6_presentation, multiply, product, reduce_sequence,
+                    sigma_image, spanning_tree, spindle_category,
+                    spindle_presentation, tietze_collapse, unit,
                     universal_group_presentation, verify_m6_embedding)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "catmon"
@@ -313,6 +315,29 @@ def test_malformed_shapes_raise_catmon_errors(call, error):
     lambda: formats.dump_complex(None),
     lambda: formats.dump_monoid(floating_presentation(_TRIANGLE)),
     lambda: formats.dump_presentation(m6_presentation()),
+    lambda: ReducedSeq(None, ["f"]),
+    lambda: generator(None, "f"),
+    lambda: elements_up_to(None, 1),
+    lambda: RewriteTrace(()).replay(None, ["f"]),
+    lambda: unit(None),
+    lambda: product([], "x"),
+    lambda: IsotoneMap(None, _P, {}),
+    lambda: IsotoneMap(_P, _TRIANGLE, {"a": "a", "b": "b"}),
+    lambda: IntervalFunctor(_P),
+    lambda: embed_free_monoid(None),
+    lambda: FreeGroupWord(None, []),
+    lambda: FreeAbelianWord("zn", [1]),
+    lambda: FreeProductWord(None, []),
+    lambda: GroupSpec.product(1),
+    lambda: group_product(None, []),
+    lambda: group_product(_Z2, [(1, 2)]),
+    lambda: group_multiply(None, _Z2.identity()),
+    lambda: group_multiply(_Z2.identity(), None),
+    lambda: inject(GroupSpec.product(_Z2), 0, None),
+    lambda: CategoryFunctor(None, _Z2, {}),
+    lambda: CategoryFunctor(_two_arrows(), None, {}),
+    lambda: highlighting_expansion(None),
+    lambda: left_divides_mod(m6_presentation(), ("a",), None),
 ], ids=["atoms-none", "atoms-group-presentation", "class-none",
         "equal-string", "crm-int", "left-divides-none",
         "embed-check-string", "separation-int", "tietze-none",
@@ -327,10 +352,19 @@ def test_malformed_shapes_raise_catmon_errors(call, error):
         "floating-presentation-of-a-poset", "dump-poset-none",
         "dump-category-of-a-poset", "dump-complex-none",
         "dump-monoid-of-a-group-presentation",
-        "dump-presentation-of-a-monoid-presentation"])
+        "dump-presentation-of-a-monoid-presentation",
+        "reduced-seq-none", "generator-none", "elements-up-to-none",
+        "replay-none", "unit-none", "empty-product-over-a-string",
+        "isotone-map-none", "isotone-map-to-a-complex",
+        "interval-functor-of-a-poset", "free-monoid-embedding-none",
+        "free-word-none", "abelian-word-string-spec", "product-word-none",
+        "product-spec-of-an-int", "group-product-none",
+        "group-product-of-a-tuple", "group-multiply-none",
+        "group-multiply-by-none", "inject-none", "functor-none",
+        "functor-no-target", "expansion-none", "left-divides-no-class"])
 def test_structure_arguments_of_the_wrong_type_are_refused(call):
-    # _entry_points keeps its structure arguments fixed, so these entry
-    # points are handed a structure of the wrong type here
+    # each names the structure it expected; the fuzz test below only
+    # sees that some CatmonError is raised
     with pytest.raises(InvalidStructure, match="^expected "):
         call()
 
@@ -357,8 +391,8 @@ _KEYS = [b for b in _BAD if isinstance(b, Hashable)]
 def _entry_points():
     """(name, callable, good arguments) for each public constructor and
     entry point that takes values from outside, element operands of the
-    Um(S) kernels included.  A category, poset, presentation, group spec
-    or functor argument is a structure built here, and is not fuzzed."""
+    Um(S) kernels included.  Structure arguments, a category, poset,
+    presentation, group spec or functor, are fuzzed too."""
     c = _two_arrows()
     f = generator(c, "f")
     hm = IntervalFunctor(IsotoneMap(_P, _P, {"a": "a", "b": "b"}))
@@ -439,11 +473,6 @@ def _entry_points():
     ]
 
 
-# Arguments that are structures built here, not values from outside.
-_STRUCTURES = (FiniteCategory, Poset, GroupSpec, GroupPresentation,
-               MonoidPresentation, CategoryFunctor)
-
-
 def _fuzzed(value, rng):
     """value with one member, at any depth, replaced by a bad value; or a
     bad value in its place."""
@@ -471,8 +500,7 @@ def test_malformed_values_raise_only_catmon_errors():
     calls = 0
     for name, fn, good in _entry_points():
         fn(*good)  # the good arguments are good
-        values = [i for i, v in enumerate(good)
-                  if not isinstance(v, _STRUCTURES)]
+        values = range(len(good))
         trials = [(i, bad) for i in values for bad in _BAD]
         trials += [(i, _fuzzed(good[i], rng)) for i in
                    (rng.choice(values) for _ in range(60 if values else 0))]

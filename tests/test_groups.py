@@ -415,7 +415,15 @@ def test_sigma_checks_and_expands_once_per_functor(monkeypatch):
     xs = elements_up_to(cat, 2)
     for i in range(50):
         sigma_image(xs[i % len(xs)], functor)
+        assert embeddability_verdict(functor).embeds
     assert calls == {"check_separation": 1, "highlighting_expansion": 1}
+    # a second functor works out its own, once
+    other = CategoryFunctor(cat, functor.target, functor.images)
+    for i in range(50):
+        assert embeddability_verdict(other).embeds
+        assert sigma_image(xs[i % len(xs)], other) == \
+            sigma_image(xs[i % len(xs)], functor)
+    assert calls == {"check_separation": 2, "highlighting_expansion": 2}
 
 
 def test_sigma_injective_on_short_elements():
@@ -671,6 +679,34 @@ def test_sigma_decode_inverts_sigma_on_c6():
     _, functor = c6_setup()
     assert embeddability_verdict(functor).sigma_injective is True
     assert _assert_sigma_decodes(functor, 4) == 18589
+
+
+def test_sigma_decode_refuses_payloads_off_the_image():
+    """σ⁻¹ refuses a payload that is no σ word: a lone x⁻¹, object letters
+    in the wrong order, and a G-syllable, or none, that no arrow of the
+    hom-set has."""
+    cat, functor = c6_setup()
+
+    def objects(*letters):
+        return (0, letters)
+
+    def g(*vector):
+        return (1, vector)
+
+    a = (objects(("0", -1)), g(1, 0, 0), objects(("1", 1)))
+    assert sigma_image(generator(cat, "a"), functor).payload == a
+    assert sigma_decode(functor, a) == ("a",)
+    for payload in [
+            (objects(("0", -1)),),
+            a + (objects(("1", -1)),),
+            (objects(("1", 1), ("0", -1)),),
+            (objects(("1", 1)), g(1, 0, 0), objects(("0", -1))),
+            (objects(("0", -1)), g(5, 0, 0), objects(("1", 1))),
+            # cbar's image, but cbar runs from 0 to 2
+            (objects(("0", -1)), g(1, 1, 0), objects(("1", 1))),
+            (objects(("0", -1), ("1", 1)),)]:
+        with pytest.raises(AssertionError):
+            sigma_decode(functor, payload)
 
 
 def _decoded(functors):
