@@ -13,27 +13,20 @@ per-arrow divisor bitmasks and fibres.  ``quotient`` and ``lcm`` check their
 arrows and then run a private scan, ``_quotient`` or ``_lcm``, which the
 Um(S) kernels call directly on arrows they already hold.
 
-Validation runs once, at the API boundary: ``FiniteCategory(...)`` checks
-every table it is given, and serves tables from outside only: files
-(``formats.load_category``) and API callers.  Tables catmon builds itself
-go through the private ``_category``, which skips ``_validate``: Cat(P),
-Cat(P,u,v) and the opposite of a validated category.  Both builders share
-one set-up.  ``FiniteCategory(...)`` checks the arrow limit
-(``limits.max_arrows``) and the cost of validating (composites plus
-associativity triples, against ``limits.MAX_COUNT``): a thin category, at
-most one arrow per hom-set, costs no triple, and any other every
-composable triple.  Cat(P) is priced before its walk, Cat(P,u,v) after
-its edit, and an opposite has its source's arrows.
-
-Which builders hand their composition table over, and which build it on
-first use:
-
-- ``FiniteCategory(...)``, Cat(P,u,v) and ``opposite()`` hand it over.
-- Cat(P) (``interval.cat_of_poset``) hands over its arrows and a pasting
-  function, which the lazy ``comp`` runs on the first read of the table.
-  Its gcd report is read off the order, so it never builds the table.
-
-Either way ``_analyze`` ORs the table into the divisor masks.
+Validation runs once, at the API boundary: ``FiniteCategory(...)`` judges
+the raw tables it is given with ``_validate`` before it stores anything,
+and serves tables from outside only: files (``formats.load_category``) and
+API callers.  It checks the arrow limit (``limits.max_arrows``) and the
+cost of validating (composites plus associativity triples, against
+``limits.MAX_COUNT``): a thin category, at most one arrow per hom-set,
+costs no triple, and any other every composable triple.  Tables catmon
+builds itself are not judged again; they go through the private
+``_category``, or through a subclass with a builder of its own.  Every
+builder stores and indexes its tables with the one ``_set_up`` and then
+gives the category its ``comp``.  State derived from the tables (the
+analysis, the gcd report, the opposite) is a ``poset._lazy`` attribute,
+worked out on first read; a subclass may derive ``comp`` and the gcd
+report the same way.
 """
 from __future__ import annotations
 
@@ -76,31 +69,21 @@ class FiniteCategory:
         arrows = _table(arrows, "arrows")
         require(len(arrows), "arrows", max_arrows())
         _ids(arrows, "arrow", "arrows")
-        self._set_up(_ids(objects, "object", "objects"), arrows,
-                     _table(identity, "identities"),
-                     _table(comp, "composites"), validate=True)
+        objects = _ids(objects, "object", "objects")
+        identity = _table(identity, "identities")
+        comp = _table(comp, "composites")
+        _validate(objects, arrows, identity, comp)
+        self._set_up(objects, arrows, identity)
+        self.comp = dict(comp)
 
-    def _set_up(self, objects, arrows, identity, comp, validate, report=None):
-        """The one set-up of both builders: the tables and the indexes,
-        with ``_validate`` between them when ``validate`` is set (the
-        indexes assume known endpoints).  A ``comp`` that is no dict pastes
-        the table for the lazy ``comp``; ``report``, if given, builds the
-        gcd report in place of ``gcd_category_report``'s scan.  ``_lazy``
-        stores with ``setattr``, as ``functools.cached_property`` writes
-        ``obj.__dict__``, which on Python 3.11 moves the inline attributes
-        into a dict: that slowed ``gcd_pair`` with ``multiply`` on c6 from
-        1.92 to 2.15 µs (+12%, 2-vCPU Xeon)."""
+    def _set_up(self, objects, arrows, identity):
+        """The one set-up of every builder: store the tables, judged or
+        built by the caller, and index them.  Each builder then gives the
+        category its ``comp``."""
         self.objects = tuple(sorted(objects))
         self._endpoints = dict(arrows)
         self.arrows = tuple(sorted(self._endpoints))
         self.identity = dict(identity)
-        if isinstance(comp, dict):
-            self.comp = dict(comp)
-        else:
-            self._paste = comp
-        self._report = report
-        if validate:
-            self._validate()
         self._index = {f: i for i, f in enumerate(self.arrows)}
         self._identities = frozenset(self.identity.values())
         self._by_src = {o: [] for o in self.objects}
@@ -109,107 +92,6 @@ class FiniteCategory:
             s, t = self._endpoints[f]
             self._by_src[s].append(f)
             self._by_tgt[t].append(f)
-        self._analysis = None
-
-    @_lazy
-    def comp(self):
-        """Cat(P)'s table, pasted on first read; the pasting is dropped."""
-        comp = self._paste()
-        del self._paste
-        return comp
-
-    # -- validation ---------------------------------------------------------
-
-    def _validate(self):
-        # The keys of comp and the endpoints are looked up and compared as
-        # tuples, so each must be a tuple of two, not any pair.
-        objset = set(self.objects)
-        for f, ends in self._endpoints.items():
-            if type(ends) is not tuple or len(ends) != 2:
-                raise InvalidStructure(f"arrow {f} has endpoints {ends!r}, "
-                                       "not a pair")
-            s, t = ends
-            try:
-                known = s in objset and t in objset
-            except TypeError:  # an unhashable endpoint
-                known = False
-            if not known:
-                raise InvalidStructure(f"arrow {f} has unknown endpoint")
-        if set(self.identity) != objset:
-            missing = sorted(objset - set(self.identity))
-            extra = sorted(set(self.identity) - objset, key=str)
-            raise BadIdentity(f"identity map mismatch: missing {missing}, "
-                              f"extra {extra}")
-        for o, e in self.identity.items():
-            if not _has(self._endpoints, e):
-                raise BadIdentity(f"identity {e} of {o} is not an arrow")
-            if self._endpoints[e] != (o, o):
-                raise BadIdentity(f"identity {e} of {o} has wrong endpoints")
-        # No two objects share an identity, as its endpoints name its
-        # object; and no other arrow may take a file's name for one.
-        identities = set(self.identity.values())
-        for f in self._endpoints:
-            if f.startswith(IDENTITY_PREFIX) and f not in identities:
-                raise InvalidStructure(f"bad arrow id {f!r}")
-
-        ends = self._endpoints
-        triples = _triples(Counter(ends.values()))
-        require(len(self.comp) + triples,
-                "composites and associativity triples")
-        get = ends.get
-        for key, h in self.comp.items():
-            if type(key) is not tuple or len(key) != 2:
-                raise InvalidStructure(f"composition key {key!r} is not a "
-                                       "pair")
-            f, g = key
-            ef, eg = get(f), get(g)
-            if ef is None or eg is None:
-                raise UnknownArrow(f"composition entry ({f},{g}) uses an "
-                                   "unknown arrow")
-            if ef[1] != eg[0]:
-                raise BadComposability(
-                    f"table defines {f};{g} but tgt({f}) != src({g})")
-            try:
-                eh = get(h)
-            except TypeError:  # an unhashable composite
-                eh = None
-            if eh is None:
-                raise UnknownArrow(f"composite {f};{g} = {h} is unknown")
-            if eh != (ef[0], eg[1]):
-                raise InvalidStructure(
-                    f"composite {f};{g} = {h} has wrong endpoints")
-        by_src = {o: [] for o in self.objects}
-        for f, (s, _) in ends.items():
-            by_src[s].append(f)
-        # Every key is a composable pair by now, and keys are distinct, so
-        # the table is total iff it has one entry per composable pair; the
-        # pairs are walked only to name the first one missing.
-        if len(self.comp) != sum(len(by_src[t]) for _, t in ends.values()):
-            for f, (_, t) in ends.items():
-                for g in by_src[t]:
-                    if (f, g) not in self.comp:
-                        raise MissingComposite(f"no composite for {f};{g}")
-        for o, e in self.identity.items():
-            for f in by_src[o]:
-                if self.comp[(e, f)] != f:
-                    raise BadIdentity(f"{e};{f} != {f}")
-        for f, (_, t) in ends.items():
-            e = self.identity[t]
-            if self.comp[(f, e)] != f:
-                raise BadIdentity(f"{f};{e} != {f}")
-        # A thin category (no triple to walk) is associative once its
-        # composites have the right endpoints: (f;g);h and f;(g;h) both lie
-        # in hom(src f, tgt h).  Any other is walked on every triple.
-        if not triples:
-            return
-        comp = self.comp
-        for f, (_, tf) in ends.items():
-            for g in by_src[tf]:
-                fg = comp[(f, g)]
-                for h in by_src[ends[g][1]]:
-                    if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
-                        raise AssociativityViolation(
-                            f"({f};{g});{h} != {f};({g};{h})")
 
     # -- basic queries ------------------------------------------------------
 
@@ -270,13 +152,12 @@ class FiniteCategory:
 
     # -- conicality, cancellativity, divisibility ---------------------------
 
-    def _analyze(self):
+    @_lazy
+    def _analysis(self):
         """(conical witness, per-side (divisor masks, endpoint index,
-        fibres, cancellation witness)), computed once.  ``ldiv[b]`` holds
-        the arrows a with b = a;x, ``rdiv[b]`` those with b = x;a, ORed
-        from the composition table."""
-        if self._analysis is not None:
-            return self._analysis
+        fibres, cancellation witness)).  ``ldiv[b]`` holds the arrows a
+        with b = a;x, ``rdiv[b]`` those with b = x;a, ORed from the
+        composition table."""
         n = len(self.arrows)
         idx = self._index
         ldiv = [0] * n
@@ -317,20 +198,19 @@ class FiniteCategory:
                     if witness is not None:
                         break
             sides.append((div, end, fibres, witness))
-        self._analysis = (conical_witness, tuple(sides))
-        return self._analysis
+        return conical_witness, tuple(sides)
 
     def _side(self, side):
         """How ``side`` reads the category: (divisor masks, endpoint index,
         fibres over that endpoint, cancellation witness or None).  Left reads
         sources (``ldiv``, ``_by_src``), right reads targets (``rdiv``,
         ``_by_tgt``)."""
-        return self._analyze()[1][_endpoint_of(side)]
+        return self._analysis[1][_endpoint_of(side)]
 
     def conical_witness(self):
         """A composable pair of arrows, not both identities, whose composite
         is an identity; None if the category is conical."""
-        return self._analyze()[0]
+        return self._analysis[0]
 
     def is_conical(self):
         return self.conical_witness() is None
@@ -442,15 +322,11 @@ class FiniteCategory:
 
     def gcd_category_report(self):
         """Check conicality, two-sided cancellativity, and existence of all
-        pairwise same-source left gcds and same-target right gcds.  A
-        category whose builder passed ``report`` (Cat(P)) gets the report
-        from it, with no analysis or scan."""
+        pairwise same-source left gcds and same-target right gcds."""
         return self._gcd_report
 
     @_lazy
     def _gcd_report(self):
-        if self._report is not None:
-            return self._report()
         witnesses = {}
         cw = self.conical_witness()
         if cw:
@@ -486,6 +362,98 @@ class FiniteCategory:
                 f"{len(self.arrows)} arrows)")
 
 
+def _validate(objects, ends, identity, comp):
+    """The one check of a category's raw tables from outside, made before
+    anything is stored: ``objects`` as ``_ids`` returns them, ``ends`` the
+    endpoints {arrow: (src, tgt)}, ``identity`` {object: arrow} and
+    ``comp`` {(f, g): f;g}, each a dict."""
+    # The keys of comp and the endpoints are looked up and compared as
+    # tuples, so each must be a tuple of two, not any pair.
+    objset = set(objects)
+    for f, e in ends.items():
+        if type(e) is not tuple or len(e) != 2:
+            raise InvalidStructure(f"arrow {f} has endpoints {e!r}, "
+                                   "not a pair")
+        s, t = e
+        try:
+            known = s in objset and t in objset
+        except TypeError:  # an unhashable endpoint
+            known = False
+        if not known:
+            raise InvalidStructure(f"arrow {f} has unknown endpoint")
+    if set(identity) != objset:
+        missing = sorted(objset - set(identity))
+        extra = sorted(set(identity) - objset, key=str)
+        raise BadIdentity(f"identity map mismatch: missing {missing}, "
+                          f"extra {extra}")
+    for o, e in identity.items():
+        if not _has(ends, e):
+            raise BadIdentity(f"identity {e} of {o} is not an arrow")
+        if ends[e] != (o, o):
+            raise BadIdentity(f"identity {e} of {o} has wrong endpoints")
+    # No two objects share an identity, as its endpoints name its object;
+    # and no other arrow may take a file's name for one.
+    identities = set(identity.values())
+    for f in ends:
+        if f.startswith(IDENTITY_PREFIX) and f not in identities:
+            raise InvalidStructure(f"bad arrow id {f!r}")
+
+    triples = _triples(Counter(ends.values()))
+    require(len(comp) + triples, "composites and associativity triples")
+    get = ends.get
+    for key, h in comp.items():
+        if type(key) is not tuple or len(key) != 2:
+            raise InvalidStructure(f"composition key {key!r} is not a pair")
+        f, g = key
+        ef, eg = get(f), get(g)
+        if ef is None or eg is None:
+            raise UnknownArrow(f"composition entry ({f},{g}) uses an "
+                               "unknown arrow")
+        if ef[1] != eg[0]:
+            raise BadComposability(
+                f"table defines {f};{g} but tgt({f}) != src({g})")
+        try:
+            eh = get(h)
+        except TypeError:  # an unhashable composite
+            eh = None
+        if eh is None:
+            raise UnknownArrow(f"composite {f};{g} = {h} is unknown")
+        if eh != (ef[0], eg[1]):
+            raise InvalidStructure(
+                f"composite {f};{g} = {h} has wrong endpoints")
+    by_src = {o: [] for o in objects}
+    for f, (s, _) in ends.items():
+        by_src[s].append(f)
+    # Every key is a composable pair by now, and keys are distinct, so the
+    # table is total iff it has one entry per composable pair; the pairs
+    # are walked only to name the first one missing.
+    if len(comp) != sum(len(by_src[t]) for _, t in ends.values()):
+        for f, (_, t) in ends.items():
+            for g in by_src[t]:
+                if (f, g) not in comp:
+                    raise MissingComposite(f"no composite for {f};{g}")
+    for o, e in identity.items():
+        for f in by_src[o]:
+            if comp[(e, f)] != f:
+                raise BadIdentity(f"{e};{f} != {f}")
+    for f, (_, t) in ends.items():
+        e = identity[t]
+        if comp[(f, e)] != f:
+            raise BadIdentity(f"{f};{e} != {f}")
+    # A thin category (no triple to walk) is associative once its
+    # composites have the right endpoints: (f;g);h and f;(g;h) both lie in
+    # hom(src f, tgt h).  Any other is walked on every triple.
+    if not triples:
+        return
+    for f, (_, tf) in ends.items():
+        for g in by_src[tf]:
+            fg = comp[(f, g)]
+            for h in by_src[ends[g][1]]:
+                if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
+                    raise AssociativityViolation(
+                        f"({f};{g});{h} != {f};({g};{h})")
+
+
 def _triples(homs):
     """How many triples ``_validate`` checks for associativity, from the
     hom-set sizes ``homs`` {(s, t): count}, without listing them: none for
@@ -500,22 +468,12 @@ def _triples(homs):
     return sum(k * into[s] * out[t] for (s, t), k in homs.items())
 
 
-def _category(objects, arrows, identity, comp, report=None):
+def _category(objects, arrows, identity, comp):
     """A ``FiniteCategory`` on tables catmon built itself, not validated.
 
     Use only where the tables are valid by construction and their size
-    was priced; the set-up is the same as ``FiniteCategory(...)``'s.  The
-    callers:
+    was priced; ``comp`` is taken as it is, not copied.  The callers:
 
-    - ``interval.cat_of_poset``: one arrow [x,y] per x <= y of a validated
-      ``Poset``, with endpoints (x, y), names checked distinct by the walk
-      and free of whitespace since the elements are; [x,x] is x's identity;
-      the table holds [x,y];[y,z] = [x,z] for every x <= y <= z, which is
-      every composable pair.  Each hom-set has one arrow, so the table is
-      associative and the identities are neutral.  Its arrows are counted
-      against the arrow limit before the walk.  Its ``comp`` is a function,
-      which the lazy ``comp`` runs on first read, and ``report`` builds
-      the gcd report from the order.
     - ``spindle.spindle_category``: Cat(P)'s tables edited for a spindle
       judged equal to ``detect_spindle``'s (``spindle._judged``), with its
       arrows counted against the arrow limit after the edit.
@@ -527,5 +485,6 @@ def _category(objects, arrows, identity, comp, report=None):
     all of it.
     """
     cat = object.__new__(FiniteCategory)
-    cat._set_up(objects, arrows, identity, comp, validate=False, report=report)
+    cat._set_up(objects, arrows, identity)
+    cat.comp = comp
     return cat

@@ -41,27 +41,54 @@ from .universal import _not_an_element
 
 class GroupSpec(namedtuple(
         "GroupSpec", "kind letters n factors", defaults=((), 0, ()))):
+    """A group: ``free`` on distinct id ``letters``, Z^n (``zn``) for an
+    int ``n`` from 0 to ``limits.MAX_COUNT``, or the free ``product`` of
+    the specs in ``factors``.  The constructor is the one check of these
+    fields; a field its kind does not read must keep its default."""
+
     __slots__ = ()
+
+    def __new__(cls, kind, letters=(), n=0, factors=()):
+        fields = {"letters": letters, "n": n, "factors": factors}
+        if kind == "free":
+            letters = _ids(letters, "letter", "letters")
+            del fields["letters"]
+        elif kind == "zn":
+            if type(n) is not int:
+                raise InvalidStructure(f"dimension {n!r} for zn is not an int")
+            if n < 0:
+                raise InvalidStructure(f"negative dimension {n} for zn")
+            require(n, "dimensions of target zn")
+            del fields["n"]
+        elif kind == "product":
+            factors = _items(factors, "group specs")
+            for spec in factors:
+                _require_instance(spec, GroupSpec, "a group spec")
+            del fields["factors"]
+        else:
+            raise InvalidStructure(f"unknown group kind {kind!r}")
+        for name, value in fields.items():
+            default = cls._field_defaults[name]
+            if type(value) is not type(default) or value != default:
+                raise InvalidStructure(f"a {kind} spec takes no {name}")
+        return super().__new__(cls, kind, letters, n, factors)
+
+    @classmethod
+    def _make(cls, iterable):
+        """namedtuple's other constructor (``_replace`` too), judged."""
+        return cls(*iterable)
 
     @classmethod
     def free(cls, letters):
-        return cls("free", letters=_ids(letters, "letter", "letters"))
+        return cls("free", letters=letters)
 
     @classmethod
     def zn(cls, n):
-        """Z^n, for an int n from 0 to ``limits.MAX_COUNT``."""
-        if type(n) is not int:
-            raise InvalidStructure(f"dimension {n!r} for zn is not an int")
-        if n < 0:
-            raise InvalidStructure(f"negative dimension {n} for zn")
-        require(n, "dimensions of target zn")
         return cls("zn", n=n)
 
     @classmethod
     def product(cls, *factors):
-        for spec in factors:
-            _require_instance(spec, GroupSpec, "a group spec")
-        return cls("product", factors=tuple(factors))
+        return cls("product", factors=factors)
 
     def identity(self):
         return group_product(self, ())
@@ -239,10 +266,7 @@ def _times(spec, a, b):
 def _fold(spec, payloads):
     """The payload of the product of a sequence of payloads of ``spec``:
     ``_times`` folded left from the identity."""
-    kind = spec.kind
-    if not _has(_WORD_CLASS, kind):
-        raise InvalidStructure(f"unknown group kind {kind!r}")
-    out = (0,) * spec.n if kind == "zn" else ()
+    out = (0,) * spec.n if spec.kind == "zn" else ()
     for p in payloads:
         out = _times(spec, out, p)
     return out

@@ -1,21 +1,26 @@
 """Interval monoids HM(P) = Um(Cat(P)).
 
 Cat(P) has one arrow [x,y] per comparable pair x ≤ y, composed by pasting at
-the shared endpoint.  The gcd criterion decides whether the interval monoid
-has left/right gcds purely order-theoretically: every up-set must be a
-meet-semilattice (left) and every down-set a join-semilattice (right).  Two
-explicit embeddings are provided: into the free group on the elements of P,
-and into a free monoid on the consecutive steps of a linear extension.
+the shared endpoint.  It is a ``FiniteCategory`` of its own class,
+``_IntervalCategory``, trusted as built from a validated poset.  Most
+questions about HM(P) (the arrow count, the gcd report) never read the
+pasting table, so Cat(P) pastes it on the first read of ``comp`` and reads
+its gcd report off the order.  The gcd criterion decides whether the
+interval monoid has left/right gcds purely order-theoretically: every
+up-set must be a meet-semilattice (left) and every down-set a
+join-semilattice (right).  Two explicit embeddings are provided: into the
+free group on the elements of P, and into a free monoid on the consecutive
+steps of a linear extension.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .category import GcdCategoryReport, _category
+from .category import FiniteCategory, GcdCategoryReport
 from .errors import CategoryMismatch, InvalidStructure, NotIsotone
 from .groups import FreeGroupWord, GroupSpec
 from .limits import max_arrows, require
-from .poset import (Poset, _has, _members, _pair_without_greatest,
+from .poset import (Poset, _has, _lazy, _members, _pair_without_greatest,
                     _require_instance, _table)
 from .universal import _not_an_element, _reduce
 
@@ -74,18 +79,34 @@ def _interval_walk(poset):
     return arrows, identity, _interval_pastings(ups, names)
 
 
+class _IntervalCategory(FiniteCategory):
+    """Cat(P) of a validated ``Poset``, trusted: one arrow [x,y] per
+    x <= y, with endpoints (x, y), named by ``_interval_names`` (distinct,
+    and free of whitespace since the elements are), which counts them
+    against the arrow limit first; [x,x] is x's identity.  Each hom-set
+    has one arrow, so the pastings [x,y];[y,z] = [x,z], one per composable
+    pair, are associative and neutral on the identities.  ``comp`` pastes
+    them on first read, and the gcd report is ``_interval_report``'s, read
+    off the order with no analysis and no table."""
+
+    def __init__(self, poset):
+        self._poset = poset
+        self._ups, self._names, arrows, identity = _interval_names(poset)
+        self._set_up(poset.elements, arrows, identity)
+
+    @_lazy
+    def comp(self):
+        return _interval_pastings(self._ups, self._names)
+
+    @_lazy
+    def _gcd_report(self):
+        return _interval_report(self._poset, self._names)
+
+
 def cat_of_poset(poset):
-    """The category of closed intervals of a poset.  Its tables are valid by
-    construction (see ``category._category``), so they are not validated
-    again.  Only the arrows are built here: the category's lazy ``comp``
-    pastes the table on first read, and the gcd report is read off the
-    order (``_interval_report``), so a gcd report never builds it."""
+    """The category of closed intervals of a poset."""
     _require_instance(poset, Poset, "a poset")
-    ups, names, arrows, identity = _interval_names(poset)
-    return _category(
-        poset.elements, arrows, identity,
-        lambda: _interval_pastings(ups, names),
-        report=lambda: _interval_report(poset, names))
+    return _IntervalCategory(poset)
 
 
 class GcdCriterionReport(namedtuple(

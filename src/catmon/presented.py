@@ -354,11 +354,13 @@ def atoms(pres):
 
 def left_divides_mod(pres, x, w_class):
     """Does x left-divide w modulo the congruence (w given by its class)?
-    No closure is taken, so pres need not be homogeneous."""
+    No closure is taken, so pres need not be homogeneous.  Every member of
+    the class is checked as a word before any is compared."""
     _require_instance(pres, MonoidPresentation, "a monoid presentation")
     x = _word(pres, x)
     _require_instance(w_class, (set, frozenset), "a congruence class")
-    return any(member[:len(x)] == x for member in w_class)
+    members = [_word(pres, member) for member in w_class]
+    return any(member[:len(x)] == x for member in members)
 
 
 def common_right_multiple(pres, xs, max_len=8):

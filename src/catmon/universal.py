@@ -22,7 +22,7 @@ The right-hand versions read each sequence from its end, so one prefix
 criterion serves both sides, with S read on the side the caller names.
 
 The two-operand kernels ``gcd_pair``, ``divides`` and ``lcm_pair`` are the
-hot path.  Each reads ``S._analyze()`` once, makes the checks of its public
+hot path.  Each reads ``S._analysis`` once, makes the checks of its public
 contract in their order, and then works on the entry tuples and the side's
 divisor masks and fibres alone: the entries of a ReducedSeq are arrows of S
 already, so none is checked again.  Each shares its arrow-level step with
@@ -217,7 +217,12 @@ def reduce_sequence(category, raw, rng=None):
     full rescan of the sequence after every step, so a reduction costs up
     to quadratic time in its length.  Each entry of raw is checked once, on
     entry; raw must be a sequence of arrows (a list or tuple), not a string.
+    An rng is judged on entry too: it needs a callable ``choice``, as
+    ``random.Random`` has.
     """
+    if rng is not None and not callable(getattr(rng, "choice", None)):
+        raise InvalidStructure(f"expected an rng with a choice method, got "
+                               f"{rng!r}")
     return _reduce(category, _arrow_list(category, raw), rng)
 
 
@@ -273,7 +278,15 @@ def multiply(x, y):
 
 
 def product(factors, category=None):
+    """The product of a sequence of elements; a lone factor is read as
+    ``multiply`` reads its operands, and an empty product needs its
+    category."""
     factors = _items(factors, "elements")
+    if len(factors) == 1:
+        try:
+            factors[0].category, factors[0].arrows
+        except AttributeError:
+            raise _not_an_element(factors[0]) from None
     if factors:
         return reduce(multiply, factors)
     if category is None:
@@ -293,7 +306,7 @@ def components(x):
 
 
 def _require_conical(cat):
-    witness = cat._analyze()[0]
+    witness = cat._analysis[0]
     if witness is not None:
         raise NotConical(f"witness pair {witness}")
 
@@ -316,7 +329,7 @@ def divides(side, x, y):
         xs, ys = x.arrows, y.arrows
     except AttributeError:
         raise _not_an_element(x, y) from None
-    conical_witness, sides = cat._analyze()
+    conical_witness, sides = cat._analysis
     div, end, fibres, witness = sides[_endpoint_of(side)]
     if ycat is not cat:
         raise CategoryMismatch("operands live over different categories")
@@ -384,7 +397,7 @@ def gcd_family(side, xs):
         if not isinstance(x, ReducedSeq):
             raise InvalidStructure(f"expected elements of Um(S), got {x!r}")
     cat = xs[0].category
-    conical_witness, sides = cat._analyze()
+    conical_witness, sides = cat._analysis
     div, end, _, witness = sides[_endpoint_of(side)]
     # Orient the entry tuples so the common part is always a prefix.
     words = []
@@ -423,7 +436,7 @@ def gcd_pair(side, x, y):
         xs, ys = x.arrows, y.arrows
     except AttributeError:
         raise _not_an_element(x, y) from None
-    conical_witness, sides = cat._analyze()
+    conical_witness, sides = cat._analysis
     div, end, _, witness = sides[_endpoint_of(side)]
     if ycat is not cat:
         raise CategoryMismatch("family members live over different "
@@ -463,7 +476,7 @@ def lcm_pair(side, x, y):
         xs, ys = x.arrows, y.arrows
     except AttributeError:
         raise _not_an_element(x, y) from None
-    div, end, fibres, _ = cat._analyze()[1][_endpoint_of(side)]
+    div, end, fibres, _ = cat._analysis[1][_endpoint_of(side)]
     if ycat is not cat:
         raise CategoryMismatch("operands live over different categories")
     if len(xs) != 1 or len(ys) != 1:

@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+import catmon.category
 import catmon.interval
 from catmon import (
     AssociativityViolation,
@@ -30,6 +31,7 @@ from catmon import (
 )
 from catmon.formats import dump_category, load_category, load_poset
 from catmon.interval import _interval_walk
+from catmon.poset import _lazy
 
 from helpers import (
     assert_record,
@@ -292,8 +294,8 @@ def test_analysis_of_a_conical_cancellative_category_reads_no_composite():
     for poset in (diamond, chain):
         cat = cat_of_poset(poset)
         cat.comp = CountingDict(cat.comp)
-        cat._analysis = None
-        cat._analyze()
+        assert "_analysis" not in vars(cat)
+        cat._analysis
         assert cat.comp.reads == 0
         assert cat.is_conical() and cat.is_cancellative()
 
@@ -550,13 +552,13 @@ def test_trusted_builds_match_the_validating_build():
         assert trusted.arrows == checked.arrows
         assert trusted.identity == checked.identity
         assert trusted.comp == checked.comp
-        assert trusted._analyze() == checked._analyze()
+        assert trusted._analysis == checked._analysis
 
 
 def test_cat_of_poset_pastes_only_when_its_table_is_read(monkeypatch):
     """A gcd report on Cat(P), passing or failing, is read off the order:
     it runs neither the analysis nor the pasting loop.  Every reader of the
-    table (``comp``, ``in``, ``_analyze``, ``opposite``, ``dump_category``,
+    table (``comp``, ``in``, ``_analysis``, ``opposite``, ``dump_category``,
     ``multiply``) gets the walk's, which then stays a plain attribute."""
     def refuse(*args):
         raise AssertionError("pasted")
@@ -565,7 +567,7 @@ def test_cat_of_poset_pastes_only_when_its_table_is_read(monkeypatch):
         raise AssertionError("analysed")
 
     paste = catmon.interval._interval_pastings
-    analyze = FiniteCategory._analyze
+    analysis = FiniteCategory._analysis
     rng = random.Random(17)
     posets = [Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"),
                              ("b", "i")])]
@@ -578,16 +580,17 @@ def test_cat_of_poset_pastes_only_when_its_table_is_read(monkeypatch):
         expected = checked.gcd_category_report()
         verdicts.add(expected.holds)
         monkeypatch.setattr(catmon.interval, "_interval_pastings", refuse)
-        monkeypatch.setattr(FiniteCategory, "_analyze", no_analysis)
+        monkeypatch.setattr(FiniteCategory, "_analysis", _lazy(no_analysis))
         cat = cat_of_poset(p)
         assert cat.gcd_category_report() == expected
-        monkeypatch.setattr(FiniteCategory, "_analyze", analyze)
+        monkeypatch.setattr(FiniteCategory, "_analysis", analysis)
         for read in (lambda: len(cat.comp),
-                     lambda: next(iter(comp)) in cat.comp, cat._analyze):
+                     lambda: next(iter(comp)) in cat.comp,
+                     lambda: cat._analysis):
             with pytest.raises(AssertionError, match="pasted"):
                 read()
         monkeypatch.setattr(catmon.interval, "_interval_pastings", paste)
-        assert cat._analyze() == checked._analyze()
+        assert cat._analysis == checked._analysis
         assert cat.comp == comp
         assert type(cat.comp) is dict
         assert cat_of_poset(p).opposite().comp == checked.opposite().comp
@@ -601,9 +604,9 @@ def test_cat_of_poset_pastes_only_when_its_table_is_read(monkeypatch):
 
 
 def test_cat_of_poset_is_freed_when_dropped_unpasted():
-    """The stand-in for an unbuilt table holds its category weakly, so a
-    Cat(P) used only for a gcd report is freed by reference counting,
-    with no cycle left for the collector."""
+    """Cat(P)'s lazy table and report read state it holds, not a closure
+    over it, so a Cat(P) used only for a gcd report is freed by reference
+    counting, with no cycle left for the collector."""
     p = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
     gc.disable()
     try:
@@ -646,8 +649,8 @@ def test_cat_of_poset_alone_pastes_its_table_and_only_once(monkeypatch):
         assert cat.comp == comp
         assert len(cat.comp) == len(comp)
         assert ("[o,a]", "[a,i]") in cat.comp
-        assert cat._analyze() == checked._analyze()
-    assert "comp" in vars(cat) and "_paste" not in vars(cat)
+        assert cat._analysis == checked._analysis
+    assert "comp" in vars(cat)
     assert len(pasted) == 1
 
 
@@ -676,12 +679,12 @@ def test_validation_is_priced_at_the_triples_it_walks():
 
 
 def test_internal_builders_trust_their_tables(monkeypatch):
-    def no_validate(self):
+    def no_validate(*tables):
         raise AssertionError("validated")
 
     diamond = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"), ("b", "i")])
     text = dump_category(cat_of_poset(diamond))
-    monkeypatch.setattr(FiniteCategory, "_validate", no_validate)
+    monkeypatch.setattr(catmon.category, "_validate", no_validate)
     cat = cat_of_poset(diamond)
     assert cat.gcd_category_report().holds
     assert cat.opposite().opposite() is cat

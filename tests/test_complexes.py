@@ -22,6 +22,14 @@ def test_facets_are_sorted_and_a_repeat_is_refused():
         SimplicialComplex([["z", "x"], ["x", "z"], ["y"]])
 
 
+def test_equal_complexes_hash_equal():
+    k = SimplicialComplex([["a", "b"], ["c", "b"]])
+    listed_backwards = SimplicialComplex([["b", "c"], ["b", "a"]])
+    assert k == listed_backwards and hash(k) == hash(listed_backwards)
+    assert len({k, listed_backwards}) == 1
+    assert k != SimplicialComplex([["a", "b"], ["c"]])
+
+
 def test_faces_refuse_a_dimension_that_is_not_a_natural_number():
     k = SimplicialComplex([["x", "y", "z"]])
     assert k.faces(2) == (("x", "y", "z"),)

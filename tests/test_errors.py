@@ -21,7 +21,8 @@ from catmon import (CatmonError, CategoryFunctor, CategoryMismatch,
                     InvalidStructure, IsotoneMap, MonoidPresentation,
                     NotIsotone, Poset, ReducedSeq, RewriteTrace,
                     SimplicialComplex, SpanningTree, UnknownArrow, atoms,
-                    barycentric, cat_of_poset, chain_complex,
+                    barycentric, c6_presentation, cat_of_poset,
+                    chain_complex,
                     check_separation, common_right_multiple, components,
                     congruence_class, cross_check, detect_spindle, divides,
                     elements_up_to, embed_free_group, embed_free_monoid,
@@ -264,6 +265,11 @@ _XY = embed_free_monoid(Poset(["x", "y"], [("x", "y")]))[1]
     (lambda: IsotoneMap(_P, _P, {"a": "a", "b": "b"})("z"), InvalidStructure),
     (lambda: IsotoneMap(_P, _P, {"a": "a", "b": "b"})(["a"]),
      InvalidStructure),
+    (lambda: FreeGroupWord(GroupSpec("free", letters=5), []),
+     InvalidStructure),
+    (lambda: GroupSpec("zn", n="2").identity(), InvalidStructure),
+    (lambda: left_divides_mod(c6_presentation(), ("a",), {1}),
+     InvalidStructure),
 ], ids=["poset-triple-cover", "poset-covers-none", "poset-unhashable-cover",
         "poset-unhashable-query", "category-one-endpoint",
         "category-one-tuple-key", "category-unhashable-arrow",
@@ -277,7 +283,8 @@ _XY = embed_free_monoid(Poset(["x", "y"], [("x", "y")]))[1]
         "tietze-one-vertex-tree-edge", "complex-simplex-listed-twice",
         "free-monoid-map-string", "free-monoid-map-other-poset",
         "free-monoid-map-reversed-order", "isotone-call-unknown-element",
-        "isotone-call-unhashable-element"])
+        "isotone-call-unhashable-element", "free-spec-int-letters",
+        "zn-spec-string-dimension", "left-divides-int-member"])
 def test_malformed_shapes_raise_catmon_errors(call, error):
     with pytest.raises(error):
         call()
@@ -338,6 +345,8 @@ def test_malformed_shapes_raise_catmon_errors(call, error):
     lambda: CategoryFunctor(_two_arrows(), None, {}),
     lambda: highlighting_expansion(None),
     lambda: left_divides_mod(m6_presentation(), ("a",), None),
+    lambda: product(["x"]),
+    lambda: reduce_sequence(_two_arrows(), ["i", "f"], 5),
 ], ids=["atoms-none", "atoms-group-presentation", "class-none",
         "equal-string", "crm-int", "left-divides-none",
         "embed-check-string", "separation-int", "tietze-none",
@@ -361,7 +370,8 @@ def test_malformed_shapes_raise_catmon_errors(call, error):
         "product-spec-of-an-int", "group-product-none",
         "group-product-of-a-tuple", "group-multiply-none",
         "group-multiply-by-none", "inject-none", "functor-none",
-        "functor-no-target", "expansion-none", "left-divides-no-class"])
+        "functor-no-target", "expansion-none", "left-divides-no-class",
+        "product-of-a-lone-string", "reduce-sequence-int-rng"])
 def test_structure_arguments_of_the_wrong_type_are_refused(call):
     # each names the structure it expected; the fuzz test below only
     # sees that some CatmonError is raised
@@ -427,6 +437,7 @@ def _entry_points():
          [["a", "b"], [(("a", "b"), ("b", "a"))]]),
         ("GroupSpec.free", GroupSpec.free, [["a", "b"]]),
         ("GroupSpec.zn", GroupSpec.zn, [2]),
+        ("GroupSpec", GroupSpec, ["product", (), 0, (free, z1)]),
         ("FreeGroupWord", FreeGroupWord, [free, [("a", 1), ("b", -1)]]),
         ("FreeAbelianWord", FreeAbelianWord, [_Z2, [1, -1]]),
         ("FreeProductWord", FreeProductWord,
@@ -437,6 +448,8 @@ def _entry_points():
         ("IsotoneMap", IsotoneMap, [_P, _P, {"a": "a", "b": "b"}]),
         ("ReducedSeq", ReducedSeq, [c, ["f"]]),
         ("reduce_sequence", reduce_sequence, [c, ["i", "f", "j"]]),
+        ("reduce_sequence with an rng", reduce_sequence,
+         [c, ["i", "f", "j"], random.Random(3)]),
         ("RewriteTrace.replay", RewriteTrace(((0, "dropIdentity"),)).replay,
          [c, ["i", "f"]]),
         ("generator", generator, [c, "g"]),
@@ -456,6 +469,9 @@ def _entry_points():
         ("equal_in_monoid", equal_in_monoid, [m6, ["a", "e"], ["c", "b"]]),
         ("common_right_multiple", common_right_multiple,
          [m6, [["a"], ["b"]], 2]),
+        ("left_divides_mod", left_divides_mod,
+         [m6, ["a"], {("a", "e"), ("c", "b")}]),
+        ("product", product, [[f, f]]),
         ("verify_m6_embedding", verify_m6_embedding, [2]),
         ("detect_spindle", detect_spindle, [diamond, "0", "1"]),
         ("is_extreme_spindle", is_extreme_spindle,
@@ -480,6 +496,13 @@ def _fuzzed(value, rng):
         i = rng.randrange(len(value))
         out = list(value)
         out[i] = _fuzzed(value[i], rng)
+        if hasattr(value, "_fields"):
+            # a record (GroupSpec) judges its fields as it is built; where
+            # it refuses them, the bad member goes in the record's place
+            try:
+                return type(value)(*out)
+            except CatmonError:
+                return out[i]
         return type(value)(out)
     if isinstance(value, dict) and value and rng.random() < 0.6:
         out = dict(value)

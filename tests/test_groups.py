@@ -207,6 +207,36 @@ def test_word_classes_refuse_the_other_kinds_of_group():
         group_product(GroupSpec("cyclic"), [])
 
 
+def test_group_spec_constructor_is_the_one_check():
+    free = GroupSpec.free(("x", "y"))
+    assert GroupSpec("free", letters=["x", "y"]) == free
+    assert GroupSpec("zn", n=2) == GroupSpec.zn(2)
+    assert GroupSpec("product", factors=[free]) == GroupSpec.product(free)
+    assert GroupSpec.zn(2)._replace(n=3) == GroupSpec.zn(3)
+    for call, message in (
+            (lambda: GroupSpec("free", letters=["x", "x"]), "duplicate"),
+            (lambda: GroupSpec("zn", n=True), "is not an int"),
+            (lambda: GroupSpec("product", factors=[1]), "^expected a group"),
+            (lambda: GroupSpec("free", ("x",), 2), "takes no n"),
+            (lambda: GroupSpec.zn(1)._replace(n=-1), "negative dimension"),
+            (lambda: GroupSpec.zn(1)._replace(factors=(free,)),
+             "takes no factors"),
+            (lambda: GroupSpec(["free"]), "unknown group kind")):
+        with pytest.raises(InvalidStructure, match=message):
+            call()
+
+
+def test_group_words_are_immutable():
+    free = GroupSpec.free(("x", "y"))
+    words = [FreeGroupWord(free, [("x", 1)]), GroupSpec.zn(2).identity(),
+             GroupSpec.product(free).identity()]
+    for word in words:
+        for attr in ("spec", "payload", "extra"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(word, attr, ())
+    assert words[0].payload == (("x", 1),) and words[0].spec is free
+
+
 def test_category_functor_validation():
     cat, functor = c6_setup()
     zn3 = GroupSpec.zn(3)

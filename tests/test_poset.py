@@ -33,6 +33,15 @@ def test_from_order_recovers_covers():
     assert sorted(rebuilt.covers) == sorted(DIAMOND.covers)
 
 
+def test_equal_posets_hash_equal():
+    listed_backwards = Poset("iboa", [("b", "i"), ("a", "i"), ("o", "b"),
+                                      ("o", "a")])
+    assert listed_backwards == DIAMOND
+    assert hash(listed_backwards) == hash(DIAMOND)
+    assert len({DIAMOND, listed_backwards}) == 1
+    assert Poset("oabi", [("o", "a"), ("o", "b")]) != DIAMOND
+
+
 def test_from_order_matches_the_hasse_diagram_on_random_posets():
     rng = random.Random(17)
     for _ in range(150):

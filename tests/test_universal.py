@@ -250,14 +250,22 @@ def test_multiply_needs_no_analysis(monkeypatch):
     chain = cat_of_poset(Poset("012345", [(str(i), str(i + 1))
                                           for i in range(5)]))
     pg = pair_groupoid(3)
-    monkeypatch.setattr(FiniteCategory, "_analyze", refuse)
+    monkeypatch.setattr(FiniteCategory, "_analysis", property(refuse))
     monkeypatch.setattr(universal, "reduce_sequence", refuse)
     x = ReducedSeq(chain, ("[0,2]",))
     assert multiply(x, ReducedSeq(chain, ("[2,5]",))).arrows == ("[0,5]",)
     assert multiply(x, ReducedSeq(chain, ("[3,5]",))).length == 2
     assert multiply(ReducedSeq(pg, ("r01",)),
                     ReducedSeq(pg, ("r10",))).is_unit
-    assert chain._analysis is None and pg._analysis is None
+    assert "_analysis" not in vars(chain) and "_analysis" not in vars(pg)
+
+
+def test_elements_are_immutable():
+    x = ReducedSeq(DCAT, ("[o,a]",))
+    for attr, value in (("arrows", ()), ("category", C6), ("extra", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, attr, value)
+    assert x.category is DCAT and x.arrows == ("[o,a]",)
 
 
 def test_length_laws_for_conical_categories():
@@ -479,14 +487,14 @@ def test_pair_kernels_read_the_analysis_once(monkeypatch):
         raise AssertionError("gcd_pair went through gcd_family")
 
     reads = []
-    analyze = FiniteCategory._analyze
+    analysis = FiniteCategory._analysis.func
 
     def counted(self):
         reads.append(self)
-        return analyze(self)
+        return analysis(self)
 
     monkeypatch.setattr(universal, "gcd_family", refuse)
-    monkeypatch.setattr(FiniteCategory, "_analyze", counted)
+    monkeypatch.setattr(FiniteCategory, "_analysis", property(counted))
     oa, ob, ai, oi = (generator(DCAT, f) for f in
                       ("[o,a]", "[o,b]", "[a,i]", "[o,i]"))
     bi = generator(DCAT, "[b,i]")
@@ -733,7 +741,7 @@ def test_universal_group_presentation_matches_reference():
         pres = universal_group_presentation(cat)
         assert (pres.generators, tuple(pres.relators)) == \
             reference_universal_group_presentation(cat)
-        non_conical += cat._analyze()[0] is not None
+        non_conical += cat._analysis[0] is not None
     assert non_conical >= 30
 
 
