@@ -86,8 +86,9 @@ class _IntervalCategory(FiniteCategory):
     against the arrow limit first; [x,x] is x's identity.  Each hom-set
     has one arrow, so the pastings [x,y];[y,z] = [x,z], one per composable
     pair, are associative and neutral on the identities.  ``comp`` pastes
-    them on first read, and the gcd report is ``_interval_report``'s, read
-    off the order with no analysis and no table."""
+    them on first read and then drops the up-sets it pasted from, and the
+    gcd report is ``_interval_report``'s, read off the order with no
+    analysis and no table."""
 
     def __init__(self, poset):
         self._poset = poset
@@ -96,7 +97,9 @@ class _IntervalCategory(FiniteCategory):
 
     @_lazy
     def comp(self):
-        return _interval_pastings(self._ups, self._names)
+        comp = _interval_pastings(self._ups, self._names)
+        del self._ups
+        return comp
 
     @_lazy
     def _gcd_report(self):

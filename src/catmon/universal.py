@@ -278,15 +278,12 @@ def multiply(x, y):
 
 
 def product(factors, category=None):
-    """The product of a sequence of elements; a lone factor is read as
-    ``multiply`` reads its operands, and an empty product needs its
-    category."""
+    """The product of a sequence of elements; a lone factor must be an
+    element, as ``multiply``'s operands must, and an empty product needs
+    its category."""
     factors = _items(factors, "elements")
-    if len(factors) == 1:
-        try:
-            factors[0].category, factors[0].arrows
-        except AttributeError:
-            raise _not_an_element(factors[0]) from None
+    if len(factors) == 1 and not isinstance(factors[0], ReducedSeq):
+        raise _not_an_element(factors[0])
     if factors:
         return reduce(multiply, factors)
     if category is None:

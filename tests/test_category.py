@@ -650,7 +650,7 @@ def test_cat_of_poset_alone_pastes_its_table_and_only_once(monkeypatch):
         assert len(cat.comp) == len(comp)
         assert ("[o,a]", "[a,i]") in cat.comp
         assert cat._analysis == checked._analysis
-    assert "comp" in vars(cat)
+    assert "comp" in vars(cat) and "_ups" not in vars(cat)
     assert len(pasted) == 1
 
 

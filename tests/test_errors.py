@@ -88,8 +88,9 @@ def test_every_leaf_error_is_raised_somewhere():
 
 
 def test_only_the_input_boundaries_build_a_validated_category():
-    # Tables catmon builds itself go through category._category; the
-    # validating constructor is for files and API callers only.
+    # Tables catmon builds itself go through category._category or a
+    # subclass's own __init__ (Cat(P)'s _IntervalCategory); the validating
+    # constructor is for files and API callers only.
     callers = {p.name for p in sorted(SRC.glob("*.py"))
                if "FiniteCategory" in _called_names(
                    ast.parse(p.read_text(), str(p)))}

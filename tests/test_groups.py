@@ -202,9 +202,9 @@ def test_word_classes_refuse_the_other_kinds_of_group():
             cls(spec, ())
     with pytest.raises(GroupMismatch, match="FreeGroupWord needs"):
         FreeGroupWord(prod, ())
-    # a spec of no known kind has no product
+    # the GroupSpec constructor refuses a kind it does not know
     with pytest.raises(InvalidStructure, match="unknown group kind 'cyclic'"):
-        group_product(GroupSpec("cyclic"), [])
+        GroupSpec("cyclic")
 
 
 def test_group_spec_constructor_is_the_one_check():
