@@ -625,7 +625,8 @@ def test_cat_of_poset_is_freed_when_dropped_unpasted():
 def test_cat_of_poset_alone_pastes_its_table_and_only_once(monkeypatch):
     """Every builder but Cat(P) stores its table in ``comp`` at set-up.
     Cat(P) stores it on the first read, from one run of the pasting loop,
-    however often and however the table is read after that."""
+    however often and however the table is read after that, and then lets
+    go of the up-sets only the pasting reads."""
     diamond = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"),
                              ("b", "i")])
     arrows, identity, comp = _interval_walk(diamond)
