@@ -22,11 +22,14 @@ cost of validating (composites plus associativity triples, against
 costs no triple, and any other every composable triple.  Tables catmon
 builds itself are not judged again; they go through the private
 ``_category``, or through a subclass with a builder of its own.  Every
-builder stores and indexes its tables with the one ``_set_up`` and then
-gives the category its ``comp``.  State derived from the tables (the
-analysis, the gcd report, the opposite) is a ``poset._lazy`` attribute,
-worked out on first read; a subclass may derive ``comp`` and the gcd
-report the same way.
+builder stores its tables with the one ``_set_up``, which keeps them as
+handed over.  The boundary copies: ``FiniteCategory(...)`` hands over
+copies of its arguments, so a later change to the caller's dicts does not
+reach the category; the other builders hand over tables of their own.
+Each builder then gives the category its ``comp``.  State derived from the
+tables (the indexes ``_index``, ``_by_src`` and ``_by_tgt``, the analysis,
+the gcd report, the opposite) is a ``poset._lazy`` attribute, worked out on
+first read; a subclass may derive ``comp`` and the gcd report the same way.
 """
 from __future__ import annotations
 
@@ -73,25 +76,46 @@ class FiniteCategory:
         identity = _table(identity, "identities")
         comp = _table(comp, "composites")
         _validate(objects, arrows, identity, comp)
-        self._set_up(objects, arrows, identity)
+        self._set_up(objects, dict(arrows), dict(identity))
         self.comp = dict(comp)
 
     def _set_up(self, objects, arrows, identity):
         """The one set-up of every builder: store the tables, judged or
-        built by the caller, and index them.  Each builder then gives the
-        category its ``comp``."""
+        built by the caller, as they are handed over, not copied.  The
+        boundary, ``FiniteCategory(...)``, hands over copies of what it was
+        given; every other builder hands over tables of its own.  Each
+        builder then gives the category its ``comp``.  The indexes
+        ``_index``, ``_by_src`` and ``_by_tgt`` are worked out on first
+        read."""
         self.objects = tuple(sorted(objects))
-        self._endpoints = dict(arrows)
-        self.arrows = tuple(sorted(self._endpoints))
-        self.identity = dict(identity)
-        self._index = {f: i for i, f in enumerate(self.arrows)}
-        self._identities = frozenset(self.identity.values())
-        self._by_src = {o: [] for o in self.objects}
-        self._by_tgt = {o: [] for o in self.objects}
+        self._endpoints = arrows
+        self.arrows = tuple(sorted(arrows))
+        self.identity = identity
+        self._identities = frozenset(identity.values())
+
+    @_lazy
+    def _index(self):
+        """{arrow: its index in ``arrows``}."""
+        return {f: i for i, f in enumerate(self.arrows)}
+
+    @_lazy
+    def _by_src(self):
+        """{object: the arrows out of it, in arrow order}."""
+        return self._fibres(0)
+
+    @_lazy
+    def _by_tgt(self):
+        """{object: the arrows into it, in arrow order}."""
+        return self._fibres(1)
+
+    def _fibres(self, end):
+        """{object: the arrows whose source (end 0) or target (end 1) it
+        is, in arrow order}."""
+        fibres = {o: [] for o in self.objects}
+        ends = self._endpoints
         for f in self.arrows:
-            s, t = self._endpoints[f]
-            self._by_src[s].append(f)
-            self._by_tgt[t].append(f)
+            fibres[ends[f][end]].append(f)
+        return fibres
 
     # -- basic queries ------------------------------------------------------
 
@@ -472,14 +496,15 @@ def _category(objects, arrows, identity, comp):
     """A ``FiniteCategory`` on tables catmon built itself, not validated.
 
     Use only where the tables are valid by construction and their size
-    was priced; ``comp`` is taken as it is, not copied.  The callers:
+    was priced; every table is kept as it is handed over, not copied.  The
+    callers:
 
     - ``spindle.spindle_category``: Cat(P)'s tables edited for a spindle
       judged equal to ``detect_spindle``'s (``spindle._judged``), with its
       arrows counted against the arrow limit after the edit.
     - ``FiniteCategory.opposite``: a valid category's tables with every
       arrow and composite reversed, which is valid again, with its
-      source's count of arrows.
+      source's count of arrows; the identity table is its source's own.
 
     Input from outside goes through ``FiniteCategory(...)``, which checks
     all of it.

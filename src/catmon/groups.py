@@ -102,6 +102,8 @@ class _Word:
     def __setattr__(self, *_):
         raise AttributeError("immutable")
 
+    __delattr__ = __setattr__
+
     def is_identity(self):
         return not self.payload
 

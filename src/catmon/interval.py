@@ -8,9 +8,11 @@ pasting table, so Cat(P) pastes it on the first read of ``comp`` and reads
 its gcd report off the order.  The gcd criterion decides whether the
 interval monoid has left/right gcds purely order-theoretically: every
 up-set must be a meet-semilattice (left) and every down-set a
-join-semilattice (right).  Two explicit embeddings are provided: into the
-free group on the elements of P, and into a free monoid on the consecutive
-steps of a linear extension.
+join-semilattice (right).  Each poset scans for it once, in
+``Poset._gcd_witnesses``; ``gcd_criterion`` and the gcd report of every
+Cat(P) of that poset read that one scan.  Two explicit embeddings are
+provided: into the free group on the elements of P, and into a free monoid
+on the consecutive steps of a linear extension.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .category import FiniteCategory, GcdCategoryReport
 from .errors import CategoryMismatch, InvalidStructure, NotIsotone
 from .groups import FreeGroupWord, GroupSpec
 from .limits import max_arrows, require
-from .poset import (Poset, _has, _lazy, _members, _pair_without_greatest,
+from .poset import (Poset, _has, _lazy, _members, _pair_without_meet,
                     _require_instance, _table)
 from .universal import _not_an_element, _reduce
 
@@ -38,9 +40,12 @@ def _interval_names(poset):
     that count is checked against the arrow limit before any interval is
     named, since the pastings grow as the cube of the elements.  Each
     interval [x,y] is named once, by x then y in index order, so every
-    pasting reuses strings whose hashes are cached.
+    pasting reuses strings whose hashes are cached.  Two intervals share a
+    name iff the arrows are fewer than that count; only then are the names
+    walked again, in the same order, to report the first one repeated.
     """
-    require(sum(m.bit_count() for m in poset._up), "arrows", max_arrows())
+    count = sum(m.bit_count() for m in poset._up)
+    require(count, "arrows", max_arrows())
     els = poset.elements
     ids = range(len(els))
     ups = [_members(mask, ids) for mask in poset._up]
@@ -49,12 +54,17 @@ def _interval_names(poset):
     for i, x in enumerate(els):
         row = [None] * len(els)
         for j in ups[i]:
-            name = interval_name(x, els[j])
-            if name in arrows:
-                raise InvalidStructure(f"interval name clash at {name}")
-            arrows[name] = (x, els[j])
-            row[j] = name
+            y = els[j]
+            row[j] = name = interval_name(x, y)
+            arrows[name] = (x, y)
         names.append(row)
+    if len(arrows) != count:
+        seen = set()
+        for i, row in enumerate(names):
+            for j in ups[i]:
+                if row[j] in seen:
+                    raise InvalidStructure(f"interval name clash at {row[j]}")
+                seen.add(row[j])
     identity = {x: names[i][i] for i, x in enumerate(els)}
     return ups, names, arrows, identity
 
@@ -87,8 +97,8 @@ class _IntervalCategory(FiniteCategory):
     has one arrow, so the pastings [x,y];[y,z] = [x,z], one per composable
     pair, are associative and neutral on the identities.  ``comp`` pastes
     them on first read and then drops the up-sets it pasted from, and the
-    gcd report is ``_interval_report``'s, read off the order with no
-    analysis and no table."""
+    gcd report is ``_interval_report``'s, read off the poset's one
+    criterion scan with no analysis and no table."""
 
     def __init__(self, poset):
         self._poset = poset
@@ -121,20 +131,6 @@ class GcdCriterionReport(namedtuple(
         return self.left_ok and self.right_ok
 
 
-def _pair_without_meet(a, above, below, later, key=None):
-    """The first pair (y1, y2) of members of ``above[a]``, in index order
-    or ordered by ``key``, whose common lower bounds in ``above[a]`` have
-    no greatest member; None if there is none, as when ``above[a]`` is a
-    meet-semilattice (with ``above`` and ``below`` swapped, a
-    join-semilattice).  ``later`` is as ``_pair_without_greatest`` takes
-    it, for that order."""
-    mask = above[a]
-    ys = _members(mask, range(len(above)))
-    if key is not None:
-        ys = sorted(ys, key=key)
-    return _pair_without_greatest(ys, mask, below, later)
-
-
 def gcd_criterion(poset):
     """Order-theoretic test for HM(P) being a (left/right) gcd-monoid.
 
@@ -143,44 +139,14 @@ def gcd_criterion(poset):
     (a, y1, y2) with no meet above a (resp. no join below a): the first
     such a in index order, with its first pair.
 
-    If up(a) is a meet-semilattice, so is up(b) for every b above a: the
-    meet in up(a) of y1, y2 in up(b) is above b, so it is their meet in
-    up(b).  So a side is decided on its minimal elements (maximal ones for
-    down-sets) alone.  Only a side that fails is then scanned in index
-    order for its witness, skipping the elements above one that passed.
+    The scan is the poset's own, ``Poset._gcd_witnesses``, made once per
+    poset and shared with the gcd report of its Cat(P); each call names
+    the witnesses afresh.
     """
     _require_instance(poset, Poset, "a poset")
-    witnesses = {}
     els = poset.elements
-    ids = range(len(els))
-    up, dn = poset._up, poset._dn
-    # In an up-set a comparable pair has a meet, the smaller one (a join in
-    # a down-set, the larger), so a row of the pair scan runs only when y
-    # has an incomparable element after it in the up-set: later[y] is the
-    # elements after y, in index order, incomparable to y.
-    full = (1 << len(els)) - 1
-    later = [full >> y + 1 << y + 1 & ~(up[y] | dn[y]) for y in ids]
-    # The meet of y1, y2 in up(a) is the greatest member of
-    # down(y1) & down(y2) & up(a); a join in down(a) is the same search in
-    # the reversed order.
-    for side, above, below in (("left", up, dn), ("right", dn, up)):
-        passed = 0
-        for a in ids:
-            if below[a] == 1 << a:
-                pair = _pair_without_meet(a, above, below, later)
-                if pair is not None:
-                    break
-                passed |= 1 << a
-        else:
-            continue
-        for b in range(a):
-            if not below[b] & passed:
-                found = _pair_without_meet(b, above, below, later)
-                if found is not None:
-                    a, pair = b, found
-                    break
-                passed |= 1 << b
-        witnesses[side] = (els[a], els[pair[0]], els[pair[1]])
+    witnesses = {side: tuple(els[i] for i in w)
+                 for side, w in poset._gcd_witnesses.items()}
     return GcdCriterionReport("left" not in witnesses,
                               "right" not in witnesses, witnesses)
 
@@ -191,13 +157,15 @@ def _interval_report(poset, names):
     antisymmetric, so it is conical and cancellative.  [x,y1] and [x,y2]
     have a greatest common left divisor iff y1 and y2 have a meet in up(x),
     and [y1,z] and [y2,z] a right one iff they have a join in down(z); so
-    the gcd verdicts and the failing objects are ``gcd_criterion``'s.  Each
-    witness is the first pair of its object's fibre, in arrow order (by
-    name), that has no meet (left) or join (right), and the witnesses are
-    keyed by the failing object's index, left before right: what the fibre
-    scan of ``FiniteCategory.gcd_category_report`` finds."""
+    the gcd verdicts and the failing objects are the poset's one criterion,
+    ``Poset._gcd_witnesses``, which ``gcd_criterion`` reads too, so the scan
+    is not repeated.  Each witness is the first pair of its object's fibre,
+    in arrow order (by name), that has no meet (left) or join (right), and
+    the witnesses are keyed by the failing object's index, left before
+    right: what the fibre scan of ``FiniteCategory.gcd_category_report``
+    finds.  Only a failing side is scanned again, to name that pair."""
     up, dn = poset._up, poset._dn
-    failing = gcd_criterion(poset).witnesses
+    failing = poset._gcd_witnesses
     # Ordered by name, a row's later elements are not the index-later ones,
     # so every element incomparable to y stands in for them.
     apart = [~(u | d) for u, d in zip(up, dn)]
@@ -205,7 +173,7 @@ def _interval_report(poset, names):
     for side, above, below in (("left", up, dn), ("right", dn, up)):
         if side not in failing:
             continue
-        a = poset._idx[failing[side][0]]
+        a = failing[side][0]
         name = (names[a].__getitem__ if side == "left"
                 else lambda y: names[y][a])
         pair = _pair_without_meet(a, above, below, apart, key=name)

@@ -4,6 +4,9 @@ The input is the cover relation (x covered-by y edges); the full order is the
 reflexive-transitive closure, computed once and cached as per-element bitmasks.
 Inputs that are not exactly a Hasse diagram (cycles, or covers already implied
 by other covers) are rejected rather than repaired, so files stay canonical.
+A poset scans for its gcd criterion once (``Poset._gcd_witnesses``, on the
+pair kernels ``_pair_without_meet`` and ``_pair_without_greatest``), and
+every reader of the criterion shares that scan.
 
 The readers of values from outside live here too, and every constructor
 uses them: ``_items`` (any iterable), ``_ids`` (a list of names),
@@ -168,6 +171,20 @@ def _pair_without_greatest(items, mask, below, later):
             if dy & m not in own:
                 return y, items[j]
     return None
+
+
+def _pair_without_meet(a, above, below, later, key=None):
+    """The first pair (y1, y2) of members of ``above[a]``, in index order
+    or ordered by ``key``, whose common lower bounds in ``above[a]`` have
+    no greatest member; None if there is none, as when ``above[a]`` is a
+    meet-semilattice (with ``above`` and ``below`` swapped, a
+    join-semilattice).  ``later`` is as ``_pair_without_greatest`` takes
+    it, for that order."""
+    mask = above[a]
+    ys = _members(mask, range(len(above)))
+    if key is not None:
+        ys = sorted(ys, key=key)
+    return _pair_without_greatest(ys, mask, below, later)
 
 
 def _walk_chains(starts, ups):
@@ -364,6 +381,54 @@ class Poset:
             cand &= self._dn[self.index(hi)]
         i = _greatest(cand, self._up)  # greatest in the reversed order
         return None if i is None else self.elements[i]
+
+    @_lazy
+    def _gcd_witnesses(self):
+        """The one scan of the gcd criterion (``interval.gcd_criterion``):
+        {side: (a, y1, y2)} as indices, for "left" when y1, y2 have no meet
+        in up(a) and "right" when they have no join in down(a); a side that
+        holds is absent.  The witness is the first failing a in index
+        order, with its first pair.
+
+        If up(a) is a meet-semilattice, so is up(b) for every b above a:
+        the meet in up(a) of y1, y2 in up(b) is above b, so it is their meet
+        in up(b).  So a side is decided on its minimal elements (maximal
+        ones for down-sets) alone.  Only a side that fails is then scanned
+        in index order for its witness, skipping the elements above one
+        that passed.
+        """
+        witnesses = {}
+        ids = range(len(self.elements))
+        up, dn = self._up, self._dn
+        # In an up-set a comparable pair has a meet, the smaller one (a join
+        # in a down-set, the larger), so a row of the pair scan runs only
+        # when y has an incomparable element after it in the up-set:
+        # later[y] is the elements after y, in index order, incomparable to
+        # y.
+        full = (1 << len(ids)) - 1
+        later = [full >> y + 1 << y + 1 & ~(up[y] | dn[y]) for y in ids]
+        # The meet of y1, y2 in up(a) is the greatest member of
+        # down(y1) & down(y2) & up(a); a join in down(a) is the same search
+        # in the reversed order.
+        for side, above, below in (("left", up, dn), ("right", dn, up)):
+            passed = 0
+            for a in ids:
+                if below[a] == 1 << a:
+                    pair = _pair_without_meet(a, above, below, later)
+                    if pair is not None:
+                        break
+                    passed |= 1 << a
+            else:
+                continue
+            for b in range(a):
+                if not below[b] & passed:
+                    found = _pair_without_meet(b, above, below, later)
+                    if found is not None:
+                        a, pair = b, found
+                        break
+                    passed |= 1 << b
+            witnesses[side] = (a, *pair)
+        return witnesses
 
     def __eq__(self, other):
         return (isinstance(other, Poset) and self.elements == other.elements

@@ -60,6 +60,8 @@ class ReducedSeq:
     def __setattr__(self, *_):
         raise AttributeError("ReducedSeq is immutable")
 
+    __delattr__ = __setattr__
+
     @property
     def length(self):
         return len(self.arrows)

@@ -555,6 +555,38 @@ def test_trusted_builds_match_the_validating_build():
         assert trusted._analysis == checked._analysis
 
 
+def test_the_boundary_copies_the_callers_tables():
+    """``FiniteCategory(...)`` keeps copies of the tables it is handed, so
+    changing the caller's containers afterwards changes nothing in it."""
+    def tables():
+        arrows = {"id:e0": ("e0", "e0"), "id:e1": ("e1", "e1"),
+                  "id:e2": ("e2", "e2"), "a": ("e0", "e1"),
+                  "b": ("e0", "e1"), "c": ("e1", "e2"), "d": ("e0", "e2")}
+        identity = {o: f"id:{o}" for o in ("e0", "e1", "e2")}
+        comp = {("a", "c"): "d", ("b", "c"): "d"}
+        for f, (s, t) in arrows.items():
+            comp[(identity[s], f)] = comp[(f, identity[t])] = f
+        return ["e0", "e1", "e2"], arrows, identity, comp
+
+    def state(cat):
+        return (cat.objects, cat.arrows, cat._endpoints, cat.identity,
+                cat.comp, cat._index, cat._by_src, cat._by_tgt,
+                cat._identities, cat.gcd_category_report(),
+                dump_category(cat))
+
+    objects, arrows, identity, comp = tables()
+    cat = FiniteCategory(objects, arrows, identity, comp)
+    objects.append("e3")
+    arrows["a"] = ("e1", "e0")
+    del arrows["d"]
+    arrows["z"] = ("e2", "e2")
+    identity["e0"] = "a"
+    del identity["e2"]
+    comp[("a", "c")] = "b"
+    comp.clear()
+    assert state(cat) == state(FiniteCategory(*tables()))
+
+
 def test_cat_of_poset_pastes_only_when_its_table_is_read(monkeypatch):
     """A gcd report on Cat(P), passing or failing, is read off the order:
     it runs neither the analysis nor the pasting loop.  Every reader of the

@@ -380,6 +380,17 @@ def test_structure_arguments_of_the_wrong_type_are_refused(call):
         call()
 
 
+def test_elements_refuse_del_as_they_refuse_setattr():
+    x = generator(cat_of_poset(_P), "[a,b]")
+    w = _Z2.identity()
+    for value, attrs in ((x, ("arrows", "category", "extra")),
+                         (w, ("payload", "spec", "extra"))):
+        for attr in attrs:
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(value, attr)
+    assert x.arrows == ("[a,b]",) and w.payload == (0, 0) and w.spec is _Z2
+
+
 def test_bounds_that_are_not_ints_are_refused():
     c = _two_arrows()
     m6 = m6_presentation()

@@ -150,7 +150,10 @@ def test_gcd_criterion_matches_a_pairwise_meet_search():
 def test_comparable_pairs_skip_the_greatest_member_search(monkeypatch):
     """No pair scan calls ``_greatest``.  In ``gcd_criterion`` a row runs
     iff y has an incomparable element after it in the up-set (down-set),
-    so on a chain every row is skipped."""
+    so on a chain every row is skipped.  A poset makes its criterion scan
+    once, so each poset here is built afresh and has not scanned yet."""
+    chain32, nonlattice, diamond = (Poset(p.elements, p.covers)
+                                    for p in (CHAIN32, NONLATTICE, DIAMOND))
     calls = []
     scans = []
 
@@ -170,18 +173,20 @@ def test_comparable_pairs_skip_the_greatest_member_search(monkeypatch):
             monkeypatch.setattr(module, "_greatest", counted)
         if hasattr(module, "_pair_without_greatest"):
             monkeypatch.setattr(module, "_pair_without_greatest", recorded)
-    assert cat_of_poset(CHAIN32).gcd_category_report().holds
-    assert gcd_criterion(CHAIN32).holds
+    assert cat_of_poset(chain32).gcd_category_report().holds
+    assert gcd_criterion(chain32).holds
     assert scans and not any(runs for rows in scans for *_, runs in rows)
-    assert not gcd_criterion(NONLATTICE).holds
-    assert not cat_of_poset(NONLATTICE).gcd_category_report().holds
+    assert not gcd_criterion(nonlattice).holds
+    assert not cat_of_poset(nonlattice).gcd_category_report().holds
     assert not FiniteCategory(
-        NONLATTICE.elements,
-        *reference_interval_category(NONLATTICE)).gcd_category_report().holds
+        nonlattice.elements,
+        *reference_interval_category(nonlattice)).gcd_category_report().holds
     assert calls == []
-    assert DIAMOND.meet_within("a", "b") == "o"
+    assert diamond.meet_within("a", "b") == "o"
     assert calls  # the counter does count
-    for p in (NONLATTICE, DIAMOND, *spindle_posets()):
+    nonlattice, diamond = (Poset(p.elements, p.covers)
+                           for p in (NONLATTICE, DIAMOND))
+    for p in (nonlattice, diamond, *spindle_posets()):
         scans.clear()
         gcd_criterion(p)
         els = p.elements
@@ -190,6 +195,74 @@ def test_comparable_pairs_skip_the_greatest_member_search(monkeypatch):
             for y, after, runs in rows:
                 assert runs == any(not p.comparable(els[y], els[z])
                                    for z in after), p
+
+
+def _criterion_posets():
+    """Seeded posets on which the criterion holds, fails on the left only,
+    fails on the right only, and fails on both sides."""
+    rng = random.Random(64)
+    posets = [Poset(p.elements, p.covers)
+              for p in (DIAMOND, NONLATTICE, CHAIN32)]
+    posets += [layered_poset(rng, [rng.randint(1, 4) for _ in range(4)])
+               for _ in range(60)]
+    posets += [_planted(rng) for _ in range(20)]
+    return posets
+
+
+def test_a_poset_scans_its_gcd_criterion_once(monkeypatch):
+    """``gcd_criterion`` and Cat(P)'s gcd report read the poset's one
+    scan.  After ``gcd_criterion(p)``, the report makes no pair scan when
+    the criterion holds; when it fails, its only scans are one per failing
+    side, over the failing object's fibre in interval-name order, to name
+    the witness by arrow name."""
+    scans = []
+    kernel = catmon.poset._pair_without_greatest
+
+    def recorded(items, mask, below, later):
+        scans.append(tuple(items))
+        return kernel(items, mask, below, later)
+
+    monkeypatch.setattr(catmon.poset, "_pair_without_greatest", recorded)
+    sides = Counter()
+    for p in _criterion_posets():
+        els = p.elements
+        report = gcd_criterion(p)
+        assert scans or report.holds
+        scans.clear()
+        assert gcd_criterion(p) == report and not scans
+        gcd = cat_of_poset(p).gcd_category_report()
+        assert gcd.holds == report.holds
+        fibres = []
+        for side, (a, _, _) in report.witnesses.items():
+            if side == "left":
+                fibre = {interval_name(a, y): y for y in p.up_set(a)}
+            else:
+                fibre = {interval_name(y, a): y for y in p.down_set(a)}
+            fibres.append(tuple(p.index(fibre[f]) for f in sorted(fibre)))
+        assert scans == fibres, p
+        sides[tuple(report.witnesses)] += 1
+        scans.clear()
+        assert cat_of_poset(p).gcd_category_report() == gcd
+        assert scans == fibres, p
+    assert set(sides) == {(), ("left",), ("right",), ("left", "right")}, \
+        sides
+
+
+def test_cat_of_poset_indexes_nothing_for_its_size_and_report():
+    """The arrow count and the gcd report of Cat(P) read neither the arrow
+    index, the fibres nor the table; each is worked out on its first
+    read."""
+    for p in _criterion_posets():
+        cat = cat_of_poset(p)
+        assert len(cat.arrows) == sum(len(p.up_set(x)) for x in p.elements)
+        cat.gcd_category_report()
+        lazy = ("_index", "_by_src", "_by_tgt", "comp")
+        assert not set(lazy) & set(vars(cat)), p
+        x = p.elements[0]
+        assert cat.arrows_from(x) == tuple(sorted(interval_name(x, y)
+                                                  for y in p.up_set(x)))
+        assert cat.divides("left", cat.identity_of(x), cat.arrows_from(x)[-1])
+        assert set(lazy) <= set(vars(cat))
 
 
 def test_gcd_criterion_matches_the_meet_search_where_it_fails():
