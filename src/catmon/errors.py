@@ -44,7 +44,7 @@ class BadComposability(InvalidStructure):
 
 
 class CyclicCovers(InvalidStructure):
-    """The cover relation of a poset input contains a cycle."""
+    """The cover relation or order pairs of a poset input contain a cycle."""
 
 
 class RedundantCover(InvalidStructure):

@@ -2,15 +2,16 @@
 
 Cat(P) has one arrow [x,y] per comparable pair x ≤ y, composed by pasting at
 the shared endpoint.  It is a ``FiniteCategory`` of its own class,
-``_IntervalCategory``, trusted as built from a validated poset.  Most
-questions about HM(P) (the arrow count, the gcd report) never read the
-pasting table, so Cat(P) pastes it on the first read of ``comp`` and reads
-its gcd report off the order.  The gcd criterion decides whether the
-interval monoid has left/right gcds purely order-theoretically: every
-up-set must be a meet-semilattice (left) and every down-set a
-join-semilattice (right).  Each poset scans for it once, in
-``Poset._gcd_witnesses``; ``gcd_criterion`` and the gcd report of every
-Cat(P) of that poset read that one scan.  Two explicit embeddings are
+``_IntervalCategory``, trusted as built from a validated poset, and that
+class is the one builder of Cat(P)'s tables: the spindle builders start
+from a Cat(P) made for the call.  Most questions about HM(P) (the arrow
+count, the gcd report) never read the pasting table, so Cat(P) pastes it
+on the first read of ``comp`` and reads its gcd report off the order.  The
+gcd criterion decides whether the interval monoid has left/right gcds
+purely order-theoretically: every up-set must be a meet-semilattice (left)
+and every down-set a join-semilattice (right).  Each poset scans for it
+once, in ``Poset._gcd_witnesses``; ``gcd_criterion`` and the gcd report of
+every Cat(P) of that poset read that one scan.  Two explicit embeddings are
 provided: into the free group on the elements of P, and into a free monoid
 on the consecutive steps of a linear extension.
 """
@@ -80,13 +81,6 @@ def _interval_pastings(ups, names):
             for k in ups[j]:
                 comp[(f, after[k])] = row[k]
     return comp
-
-
-def _interval_walk(poset):
-    """Cat(P)'s tables ``(arrows, identity, comp)``, as ``FiniteCategory``
-    takes them: the intervals named, then pasted."""
-    ups, names, arrows, identity = _interval_names(poset)
-    return arrows, identity, _interval_pastings(ups, names)
 
 
 class _IntervalCategory(FiniteCategory):

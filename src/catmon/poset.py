@@ -203,12 +203,12 @@ def _walk_chains(starts, ups):
     return tuple(sorted(chains))
 
 
-def _close(n, edges):
+def _close(n, edges, cycle="cover relation contains a cycle"):
     """Kahn's algorithm on indices 0..n-1 with ``edges`` (i, j) meaning i
     below j, taking the least free index first.  Returns the successors of
     each index, that order (the lexicographically least linear extension
     when indices follow the sorted elements), and the up- and down-masks,
-    closed along it.  Leftover indices mean a cycle."""
+    closed along it.  Leftover indices mean a cycle: CyclicCovers(cycle)."""
     succ = [[] for _ in range(n)]
     indeg = [0] * n
     for i, j in edges:
@@ -224,7 +224,7 @@ def _close(n, edges):
             if indeg[j] == 0:
                 heapq.heappush(heap, j)
     if len(order) != n:
-        raise CyclicCovers("cover relation contains a cycle")
+        raise CyclicCovers(cycle)
     up = [1 << i for i in range(n)]
     dn = up[:]
     for i in order:
@@ -280,7 +280,7 @@ class Poset:
                 raise InvalidStructure(f"pair ({x},{y}) uses unknown element")
             if x != y:
                 edges.append((idx[x], idx[y]))
-        _, _, up, dn = _close(len(elems), edges)
+        _, _, up, dn = _close(len(elems), edges, "order pairs contain a cycle")
         covers = []
         for i, x in enumerate(elems):
             for j in _members(up[i] & ~(1 << i), range(len(elems))):

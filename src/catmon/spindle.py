@@ -3,12 +3,13 @@
 An interval [u,v] of height ≥ 2 is a spindle when comparability on the open
 interval ]u,v[ is an equivalence relation — equivalently, when any two
 distinct maximal chains of [u,v] meet exactly in {u,v}.  The first
-criterion, the definition, is the one computed.  For an extreme spindle (u
-minimal, v maximal in P) the spindle category replaces the single arrow
-[u,v] of Cat(P) by one arrow per maximal chain.  It is built as an edit of
-Cat(P)'s composition table, and its presentation as a filter of that table.
-Both builders judge a ``Spindle`` from outside once (``_judged``) and then
-trust the tables they build, so Cat(P,u,v) skips ``FiniteCategory(...)``.
+criterion, the definition, is the one computed, and the maximal chains are
+read off its classes: u, one class, v.  For an extreme spindle (u minimal,
+v maximal in P) the spindle category replaces the single arrow [u,v] of
+Cat(P) by one arrow per maximal chain.  Both builders judge a ``Spindle``
+from outside once (``_judged``) and then edit (the category) or filter
+(the presentation) the tables of a Cat(P) made for the call, trusted, so
+Cat(P,u,v) skips ``FiniteCategory(...)``.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ from collections import namedtuple
 
 from .category import _category
 from .errors import HeightTooSmall, InvalidStructure, NotComparable, NotExtreme
-from .interval import _interval_walk, interval_name
+from .interval import cat_of_poset, interval_name
 from .limits import max_arrows, require
-from .poset import Poset, _members, _require_instance
+from .poset import Poset, _require_instance
 from .presented import MonoidPresentation
 
 
@@ -33,7 +34,7 @@ def chain_arrow_name(chain):
 def detect_spindle(poset, u, v):
     """The spindle at (u,v), or None when comparability restricted to
     ]u,v[ is not transitive (reflexivity and symmetry are automatic).  The
-    maximal chains, one per class, are listed only for a spindle.
+    maximal chains are read off the classes: u, one class, v, sorted.
     """
     _require_instance(poset, Poset, "a poset")
     if not poset.lt(u, v):
@@ -43,14 +44,16 @@ def detect_spindle(poset, u, v):
     inner = up[ui] & dn[vi] & ~(1 << ui | 1 << vi)
     if not inner:
         raise HeightTooSmall(f"[{u},{v}] has height < 2")
-    # Comparability on ]u,v[ is transitive iff each element's comparable set
-    # there is also the comparable set of every element in it.
-    ids = range(len(up))
-    near = {i: (up[i] | dn[i]) & inner for i in _members(inner, ids)}
-    if not all(near[j] == mask for mask in near.values()
-               for j in _members(mask, ids)):
+    # Group ]u,v[ by comparable set, ascending along the linear extension:
+    # comparability is transitive iff each group is its whole comparable set.
+    els = poset.elements
+    groups = {}
+    for i in poset._order:
+        if inner >> i & 1:
+            groups.setdefault((up[i] | dn[i]) & inner, []).append(els[i])
+    if any(len(g) != mask.bit_count() for mask, g in groups.items()):
         return None
-    return Spindle(u, v, poset.maximal_chains_in(u, v))
+    return Spindle(u, v, tuple(sorted((u, *g, v) for g in groups.values())))
 
 
 def _read(spindle):
@@ -85,13 +88,15 @@ def _judged(poset, spindle):
 def spindle_category(poset, spindle):
     """Cat(P,u,v): Cat(P) with [u,v] replaced by one arrow per maximal chain.
 
-    Cat(P)'s table is edited in place.  Extremality makes that enough:
-    nothing composes into u or out of v except identities, so [u,v] sits in
-    two identity pastings only, chain arrows only ever meet identities, and
-    [u,m];[m,v] lands on the chain arrow of m's chain.
+    The tables of a Cat(P) made for the call are edited in place.
+    Extremality makes that enough: nothing composes into u or out of v
+    except identities, so [u,v] sits in two identity pastings only, chain
+    arrows only ever meet identities, and [u,m];[m,v] lands on the chain
+    arrow of m's chain.
     """
     u, v, chains = _judged(poset, spindle)
-    arrows, identity, comp = _interval_walk(poset)
+    cat = cat_of_poset(poset)
+    arrows, identity, comp = cat._endpoints, cat.identity, cat.comp
     uv = interval_name(u, v)
     del arrows[uv], comp[(identity[u], uv)], comp[(uv, identity[v])]
     for chain in chains:
@@ -109,12 +114,12 @@ def spindle_category(poset, spindle):
 
 def spindle_presentation(poset, spindle):
     """Monoid presentation of Um(Cat(P,u,v)): generators are the strict
-    intervals other than [u,v], relations are the pastings of them that stay
-    off [u,v]."""
+    intervals other than [u,v] and relations the pastings of them that stay
+    off [u,v]: a Cat(P) made for the call, filtered in naming order."""
     u, v, _ = _judged(poset, spindle)
-    arrows, identity, comp = _interval_walk(poset)
-    skip = {*identity.values(), interval_name(u, v)}
-    gens = [f for f in arrows if f not in skip]
-    relations = [((h,), (f, g)) for (f, g), h in comp.items()
+    cat = cat_of_poset(poset)
+    skip = cat._identities | {interval_name(u, v)}
+    gens = [f for f in cat._endpoints if f not in skip]
+    relations = [((h,), (f, g)) for (f, g), h in cat.comp.items()
                  if f not in skip and g not in skip and h not in skip]
     return MonoidPresentation(gens, relations)

@@ -322,7 +322,10 @@ def test_criterion_09_spindle_characterization_and_categories():
                 assert transitive == chains_meet_in_ends
                 spindle = detect_spindle(p, u, v)
                 assert (spindle is not None) == transitive
-                if spindle is None or not is_extreme_spindle(p, spindle):
+                if spindle is None:
+                    continue
+                assert spindle.chains == chains
+                if not is_extreme_spindle(p, spindle):
                     continue
                 extreme += 1
                 cat = spindle_category(p, spindle)

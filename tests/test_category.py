@@ -30,7 +30,6 @@ from catmon import (
     spindle_category,
 )
 from catmon.formats import dump_category, load_category, load_poset
-from catmon.interval import _interval_walk
 from catmon.poset import _lazy
 
 from helpers import (
@@ -48,6 +47,7 @@ from helpers import (
     posets_up_to,
     random_category,
     random_poset,
+    reference_interval_category,
 )
 
 DIAMOND_CAT = cat_of_poset(
@@ -512,8 +512,10 @@ def test_gcd_category_report_matches_a_pairwise_gcd_scan():
     failing = 0
     for p in posets:
         report = cat_of_poset(p).gcd_category_report()
-        expected = FiniteCategory(
-            p.elements, *_interval_walk(p)).gcd_category_report()
+        tables = cat_of_poset(p)  # its tables, pasted on this first read
+        expected = FiniteCategory(p.elements, tables._endpoints,
+                                  tables.identity,
+                                  tables.comp).gcd_category_report()
         assert report == expected
         assert list(report.witnesses) == list(expected.witnesses)
         failing += not report.holds
@@ -537,7 +539,8 @@ def test_trusted_builds_match_the_validating_build():
     cats = []
     for p in posets:
         trusted = cat_of_poset(p)
-        checked = FiniteCategory(p.elements, *_interval_walk(p))
+        checked = FiniteCategory(p.elements,
+                                 *reference_interval_category(p))
         cats.append((trusted, checked))
     rng = random.Random(16)
     for _ in range(100):
@@ -607,7 +610,7 @@ def test_cat_of_poset_pastes_only_when_its_table_is_read(monkeypatch):
                for _ in range(40)]
     verdicts = set()
     for p in posets:
-        arrows, identity, comp = _interval_walk(p)
+        arrows, identity, comp = reference_interval_category(p)
         checked = FiniteCategory(p.elements, arrows, identity, comp)
         expected = checked.gcd_category_report()
         verdicts.add(expected.holds)
@@ -661,7 +664,7 @@ def test_cat_of_poset_alone_pastes_its_table_and_only_once(monkeypatch):
     go of the up-sets only the pasting reads."""
     diamond = Poset("oabi", [("o", "a"), ("o", "b"), ("a", "i"),
                              ("b", "i")])
-    arrows, identity, comp = _interval_walk(diamond)
+    arrows, identity, comp = reference_interval_category(diamond)
     checked = FiniteCategory(diamond.elements, arrows, identity, comp)
     spindle = spindle_category(diamond, detect_spindle(diamond, "o", "i"))
     for cat in (checked, load_category(dump_category(checked)),

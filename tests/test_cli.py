@@ -582,7 +582,7 @@ def test_cat_of_a_chain_past_the_arrow_limit_exits_2(tmp_path, capsys,
 
     # Cat of a 150-chain has 150 * 151 / 2 = 11325 arrows, over the default
     # limit of 10000: refused before any interval is named, by both spindle
-    # commands (the presentation builds no category)
+    # commands (each builds a Cat(P) first, which counts its arrows)
     els = [f"x{i:03d}" for i in range(150)]
     f = tmp_path / "chain150.poset"
     f.write_text("poset\nelem " + " ".join(els) + "\n" + "".join(

@@ -129,6 +129,26 @@ def test_size_policy_lives_in_limits():
         assert "presented" not in set(_imported_modules(trees[name])), name
 
 
+def _absolute_imports(tree):
+    """The top-level packages of every absolute ``import`` and ``from ...
+    import`` in ``tree``, those inside functions too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_the_library_imports_only_the_standard_library():
+    # catmon is stdlib-only: nothing it imports, at module level or in a
+    # function, is a third-party package
+    found = set()
+    for tree in _trees():
+        found.update(_absolute_imports(tree))
+    assert "heapq" in found and "__future__" in found
+    assert sorted(found - sys.stdlib_module_names) == []
+
+
 def _modules_after(imports):
     """The modules a fresh isolated interpreter holds after ``imports``."""
     probe = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "

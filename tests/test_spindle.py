@@ -38,6 +38,10 @@ NON_SPINDLE = Poset("uxyzv", [("u", "x"), ("u", "y"), ("x", "z"),
 CHAIN_CLASH = Poset(["u", "a", "b", "a,b", "v"],
                     [("u", "a"), ("a", "b"), ("b", "v"),
                      ("u", "a,b"), ("a,b", "v")])
+# b1 is a prefix of b10: by name "[a,b10]" sorts before "[a,b1]", but Cat(P)
+# names [a,b1] first, as it names by x then y in element order
+PREFIX_NAMED = Poset(["a", "b1", "b10", "c"],
+                     [("a", "b1"), ("a", "b10"), ("b1", "c"), ("b10", "c")])
 
 
 def brute_spindle_criteria(poset, u, v):
@@ -107,14 +111,15 @@ def test_both_criteria_agree_on_small_posets():
     assert wide[True] >= 20 and wide[False] >= 50
 
 
-def test_detect_spindle_lists_chains_only_for_a_spindle(monkeypatch):
+def test_detect_spindle_walks_no_chain(monkeypatch):
     # a ladder of 30 ranks of two elements, every cover between ranks, with
-    # a bottom and a top: [bot,top] has 2**30 maximal chains
+    # a bottom and a top: [bot,top] has 2**30 maximal chains.  A spindle's
+    # chains are read off its classes, so no detection walks one, and
+    # neither does the builders' judge of a spindle from outside.
     ranks = [("bot",)] + [(f"x{r}", f"y{r}") for r in range(30)] + [("top",)]
     ladder = Poset([e for rank in ranks for e in rank],
                    [(x, y) for lo, hi in zip(ranks, ranks[1:])
                     for x in lo for y in hi])
-    chains = Poset._chains
 
     def no_chains(*args):
         raise AssertionError("maximal chains listed")
@@ -122,9 +127,11 @@ def test_detect_spindle_lists_chains_only_for_a_spindle(monkeypatch):
     monkeypatch.setattr(Poset, "_chains", no_chains)
     assert detect_spindle(ladder, "bot", "top") is None
     assert detect_spindle(NON_SPINDLE, "u", "v") is None
-    monkeypatch.setattr(Poset, "_chains", chains)
-    assert detect_spindle(TWO_CLASS, "o", "i").chains == \
-        (("o", "w", "i"), ("o", "x", "y", "i"))
+    sp = detect_spindle(TWO_CLASS, "o", "i")
+    assert sp.chains == (("o", "w", "i"), ("o", "x", "y", "i"))
+    assert spindle_category(TWO_CLASS, sp).hom("o", "i") == \
+        ("chain:w", "chain:x,y")
+    assert spindle_presentation(TWO_CLASS, sp).relations
 
 
 def test_is_extreme_spindle():
@@ -231,7 +238,11 @@ def test_spindle_categories_of_gcd_posets_are_gcd_categories():
 
 
 def test_spindle_builders_match_references():
-    fixtures = [DIAMOND, CHAIN3, CHAIN4, TWO_CLASS]
+    fixtures = [DIAMOND, CHAIN3, CHAIN4, TWO_CLASS, PREFIX_NAMED]
+    sp = detect_spindle(PREFIX_NAMED, "a", "c")
+    gens, _ = reference_spindle_presentation(PREFIX_NAMED, sp)
+    assert gens.index("[a,b1]") < gens.index("[a,b10]")
+    assert sorted(gens) != list(gens)
     checked = 0
     for poset in fixtures + list(posets_up_to(5, natural_posets)):
         for sp in extreme_spindles(poset):
